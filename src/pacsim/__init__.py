@@ -14,6 +14,7 @@ from .analysis import (
     extract_w_state,
     fit_power_law,
     photon_statistics,
+    w_state_fidelity,
     w_state_reference,
     wigner,
 )
@@ -34,11 +35,13 @@ from .dynamics import (
     DEFAULT_AMPLITUDE_BUDGET,
     ChainConfig,
     StageParams,
+    herald_idlers,
     orthogonality_defect,
     perturbative_output,
     run_chain_full,
     run_chain_sequential,
     stage_generator,
+    stage_kraus,
     stage_unitary,
 )
 from .errors import (

@@ -9,8 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .detection import ProjectionResult, project_signal
-from .dynamics import ChainConfig, run_chain_full
+from .dynamics import DEFAULT_AMPLITUDE_BUDGET, ChainConfig, herald_idlers
 from .errors import TruncationWarning
 from .fock import (
     ModeSpec,
@@ -192,10 +191,18 @@ class WStateResult:
         return self.idler_state is None
 
 
+def w_state_fidelity(idler_state: PureState) -> float | None:
+    """|<W|idlers>|^2 against the W state, or None when idler dims differ."""
+    dims = idler_state.space.dims
+    if any(d != dims[0] for d in dims):
+        return None
+    return fidelity_pure(idler_state, w_state_reference(len(dims), dim=dims[0]))
+
+
 def extract_w_state(
     config: ChainConfig,
     ladder_max: int | None = None,
-    budget: int | None = None,
+    budget: int = DEFAULT_AMPLITUDE_BUDGET,
 ) -> WStateResult:
     """Run the chain and herald on the single-photon-added signal state.
 
@@ -204,11 +211,12 @@ def extract_w_state(
     modeling an ideal identification of the one-photon-added state among the
     non-orthogonal ladder of possible signal outputs. The conditional idler
     state then carries one excitation spread over all stages: the N-mode W
-    state, up to weak-coupling corrections.
+    state, up to weak-coupling corrections. Runs on herald_idlers, so
+    ``budget`` caps its largest intermediate array, signal_dim times the
+    idler dims of stages 2..N, and the joint state is never built.
     """
     if ladder_max is None:
         ladder_max = config.n_stages
-    joint = run_chain_full(config) if budget is None else run_chain_full(config, budget)
     ds = config.signal_dim
     reference = pacs_state(config.alpha, 1, ds)
     others = [
@@ -216,16 +224,11 @@ def extract_w_state(
         for m in range(ladder_max + 1)
         if m != 1
     ]
-    proj: ProjectionResult = project_signal(joint, reference, orthogonal_to=others)
+    proj = herald_idlers(config, reference, orthogonal_to=others, budget=budget)
     if proj.state is None:
         return WStateResult(probability=proj.probability, idler_state=None, w_fidelity=None)
-    idler_dims = joint.space.dims[1:]
-    w_ref = w_state_reference(len(idler_dims), dim=idler_dims[0])
-    fidelity = None
-    if all(d == idler_dims[0] for d in idler_dims):
-        fidelity = fidelity_pure(proj.state, w_ref)
     return WStateResult(
         probability=proj.probability,
         idler_state=proj.state,
-        w_fidelity=fidelity,
+        w_fidelity=w_state_fidelity(proj.state),
     )

@@ -8,7 +8,8 @@ Subcommands:
   sweep    pattern probability across parameter values, with power-law fit
 
 All outputs are deterministic: identical configs produce byte-identical
-files. Exit codes: 0 success, 1 validation error, 2 dimension-budget error.
+files. Exit codes: 0 success, 1 validation or truncation error (the message
+names the field to change), 2 dimension-budget error.
 The environment variable PACSIM_MAX_WORKERS caps task parallelism.
 """
 
@@ -33,7 +34,7 @@ from .analysis import (
     WignerGrid,
     extract_w_state,
     fit_power_law,
-    w_state_reference,
+    w_state_fidelity,
     wigner,
 )
 from .detection import (
@@ -41,20 +42,20 @@ from .detection import (
     DetectorModel,
     condition_on_pattern,
     enumerate_patterns,
-    project_signal,
 )
 from .dynamics import (
     ChainConfig,
     StageParams,
+    herald_idlers,
     run_chain_full,
     run_chain_sequential,
 )
-from .errors import DimensionBudgetError, ScenarioError
+from .errors import DimensionBudgetError, ScenarioError, TruncationError
 from .fock import (
     PureState,
     coherent_state,
+    default_signal_dim,
     fidelity_ensemble,
-    fidelity_pure,
     fock_state,
     mean_photon_number,
     pacs_state,
@@ -79,6 +80,11 @@ def _parse_alpha(value: Any, where: str) -> complex:
     raise ScenarioError(f"{where}: expected a number or complex string, got {value!r}")
 
 
+def _is_int(value: Any) -> bool:
+    """True for YAML integers; YAML booleans are ints to Python but not here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(mapping: dict, key: str, where: str) -> Any:
     if key not in mapping:
         raise ScenarioError(f"{where}: missing required field {key!r}")
@@ -90,7 +96,7 @@ def _parse_chain(raw: Any) -> ChainConfig:
         raise ScenarioError("chain: expected a mapping")
     alpha = _parse_alpha(_require(raw, "alpha", "chain"), "chain.alpha")
     signal_dim = raw.get("signal_dim")
-    if signal_dim is not None and (not isinstance(signal_dim, int) or signal_dim < 2):
+    if signal_dim is not None and (not _is_int(signal_dim) or signal_dim < 2):
         raise ScenarioError(f"chain.signal_dim: expected an integer >= 2, got {signal_dim!r}")
     if "stages" in raw:
         stages = []
@@ -111,7 +117,7 @@ def _parse_chain(raw: Any) -> ChainConfig:
             raise ScenarioError(f"chain: {exc}")
     lam = _require(raw, "lam", "chain")
     n_stages = _require(raw, "n_stages", "chain")
-    if not isinstance(n_stages, int) or n_stages < 1:
+    if not _is_int(n_stages) or n_stages < 1:
         raise ScenarioError(f"chain.n_stages: expected a positive integer, got {n_stages!r}")
     try:
         return ChainConfig.uniform(
@@ -209,10 +215,17 @@ def _validate_task(task: dict, chain: ChainConfig, where: str) -> None:
             _parse_pattern(task["pattern"], chain.n_stages, f"{where}.pattern")
     elif ttype == "project":
         m = task.get("reference_m", 1)
-        if not isinstance(m, int) or m < 0 or m > chain.n_stages:
+        if not _is_int(m) or m < 0 or m > chain.n_stages:
             raise ScenarioError(
                 f"{where}.reference_m: expected an integer in 0..{chain.n_stages}, got {m!r}"
             )
+        ladder_max = task.get("ladder_max", chain.n_stages)
+        if not _is_int(ladder_max) or ladder_max < 0:
+            raise ScenarioError(
+                f"{where}.ladder_max: expected an integer >= 0, got {ladder_max!r}"
+            )
+        if not isinstance(task.get("plain", False), bool):
+            raise ScenarioError(f"{where}.plain: expected true or false, got {task['plain']!r}")
     elif ttype == "sweep":
         param = task.get("param", "lam")
         if param not in ("lam", "alpha"):
@@ -243,7 +256,7 @@ def _parse_state_spec(spec: str, where: str = "state") -> PureState:
     try:
         if kind == "coherent":
             alpha = _parse_alpha(arg, where)
-            return coherent_state(alpha, _auto_dim(alpha, 0))
+            return coherent_state(alpha, default_signal_dim(alpha))
         if kind == "fock":
             n = int(arg)
             return fock_state(n, max(n + 2, 8))
@@ -251,7 +264,7 @@ def _parse_state_spec(spec: str, where: str = "state") -> PureState:
             alpha_text, _, m_text = arg.partition(",")
             alpha = _parse_alpha(alpha_text, where)
             m = int(m_text)
-            return pacs_state(alpha, m, _auto_dim(alpha, m))
+            return pacs_state(alpha, m, default_signal_dim(alpha, m))
     except ScenarioError:
         raise
     except (TypeError, ValueError) as exc:
@@ -259,12 +272,6 @@ def _parse_state_spec(spec: str, where: str = "state") -> PureState:
     raise ScenarioError(
         f"{where}: unknown state kind {kind!r} (use coherent:A, fock:N or pacs:A,M)"
     )
-
-
-def _auto_dim(alpha: complex, m: int) -> int:
-    from .fock import default_signal_dim
-
-    return default_signal_dim(alpha, m)
 
 
 # ---------------------------------------------------------------------------
@@ -366,37 +373,26 @@ def _run_patterns_task(task: dict, scenario: Scenario) -> dict[str, str]:
 
 
 def _run_project_task(task: dict, scenario: Scenario) -> dict[str, str]:
+    """Signal-side heralding; never builds the joint state, in either mode."""
     chain = scenario.chain
     m = task.get("reference_m", 1)
-    plain = bool(task.get("plain", False))
-    ladder_max = task.get("ladder_max") or chain.n_stages
+    plain = task.get("plain", False)
+    ladder_max = task.get("ladder_max", chain.n_stages)
+    ds = chain.signal_dim
+    others = () if plain else tuple(
+        pacs_state(chain.alpha, k, ds) for k in range(ladder_max + 1) if k != m
+    )
+    proj = herald_idlers(chain, pacs_state(chain.alpha, m, ds), orthogonal_to=others)
+    w_fid = None
+    if m == 1 and proj.state is not None:
+        w_fid = w_state_fidelity(proj.state)
     payload: dict[str, Any] = {
         "n_stages": chain.n_stages,
         "reference_m": m,
         "plain_projector": plain,
+        "probability": proj.probability,
+        "w_fidelity": w_fid,
     }
-    if m == 1 and not plain:
-        result = extract_w_state(chain, ladder_max=ladder_max)
-        payload["probability"] = result.probability
-        payload["w_fidelity"] = result.w_fidelity
-    else:
-        joint = run_chain_full(chain)
-        reference = pacs_state(chain.alpha, m, chain.signal_dim)
-        others = () if plain else tuple(
-            pacs_state(chain.alpha, k, chain.signal_dim)
-            for k in range(ladder_max + 1)
-            if k != m
-        )
-        proj = project_signal(joint, reference, orthogonal_to=others)
-        payload["probability"] = proj.probability
-        w_fid = None
-        if m == 1 and proj.state is not None:
-            idler_dims = joint.space.dims[1:]
-            if all(d == idler_dims[0] for d in idler_dims):
-                w_fid = fidelity_pure(
-                    proj.state, w_state_reference(len(idler_dims), idler_dims[0])
-                )
-        payload["w_fidelity"] = w_fid
     return {task["output"]: _json_text(payload)}
 
 
@@ -639,6 +635,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except TruncationError as exc:
+        field = "chain.signal_dim" if args.command == "run" else "--signal-dim"
+        print(f"error: {field}: {exc}", file=sys.stderr)
         return 1
     except DimensionBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,8 +3,9 @@
 Single-photon detectors are modeled by the standard on/off POVM, diagonal in
 photon number: P(click | n) = 1 - (1 - dark_prob) (1 - eta)^n. Conditioning a
 joint chain output on a click pattern yields the pattern probability and the
-conditional signal state as a weighted ensemble (one pure branch per
-unresolved idler photon-number record).
+conditional signal state as a weighted ensemble: the eigendecomposition of
+the conditional signal density matrix, so at most one branch per signal
+level however many idler photon-number records stay unresolved.
 """
 
 from __future__ import annotations
@@ -145,8 +146,9 @@ def condition_on_pattern(
 
     Applies the product on/off POVM over the idlers, traces them out, and
     returns the pattern probability together with the normalized conditional
-    signal ensemble. Each surviving idler record contributes one pure branch
-    with weight proportional to POVM(record) |amplitude|^2.
+    signal ensemble. The conditional density matrix is
+    rho = sum_r POVM(r) |col_r><col_r| over the idler records r, where col_r
+    is the signal amplitude column of record r.
     """
     n_idlers = joint.space.n_modes - 1
     if len(pattern) != n_idlers:
@@ -157,22 +159,36 @@ def condition_on_pattern(
     columns = joint.amplitudes.reshape(ds, -1)
     mass = np.sum(np.abs(columns) ** 2, axis=0)
     # divide out the (unit, up to roundoff) total so outcome probabilities
-    # honor the normalized-state contract exactly
-    weights = (mass / mass.sum()) * _idler_povm_weights(joint, pattern, detector)
-    probability = float(weights.sum())
+    # honor the normalized-state contract exactly; the probability is this
+    # sum rather than the trace of rho, which keeps the dark-count floor
+    # bit-exact at zero coupling
+    total = mass.sum()
+    povm = _idler_povm_weights(joint, pattern, detector)
+    probability = float(((mass / total) * povm).sum())
+    rho = (columns * (povm / total)) @ columns.conj().T
+    return conditional_from_density(rho, probability, _signal_space(joint))
+
+
+def conditional_from_density(
+    rho: np.ndarray, probability: float, space: MultiMode
+) -> ConditionalState:
+    """ConditionalState from an unnormalized conditional signal density matrix.
+
+    The ensemble is the eigendecomposition of rho / probability. Eigenvalues
+    below the rounding level of the largest one are dropped and the rest
+    renormalized, so a pure conditional state yields one branch.
+    """
     if probability < IMPOSSIBLE_PROBABILITY:
         return ConditionalState(probability=0.0, ensemble=None)
-    space = _signal_space(joint)
+    weights, vectors = np.linalg.eigh(rho / probability)
+    keep = np.nonzero(weights > weights[-1] * weights.size * np.finfo(float).eps)[0][::-1]
+    weights = weights[keep] / weights[keep].sum()
     branches = tuple(
-        (
-            float(weights[k] / probability),
-            PureState.from_amplitudes(space, columns[:, k]),
-        )
-        for k in np.nonzero(weights > 0.0)[0]
+        (float(w), PureState.from_amplitudes(space, vectors[:, k]))
+        for w, k in zip(weights, keep)
     )
     return ConditionalState(
-        probability=probability,
-        ensemble=WeightedEnsemble(space, branches),
+        probability=probability, ensemble=WeightedEnsemble(space, branches)
     )
 
 
@@ -222,10 +238,14 @@ def project_signal(
         reference = orthogonalized_reference(reference, orthogonal_to)
     ds = joint.space.dims[0]
     idler_vec = reference.amplitudes.conj() @ joint.amplitudes.reshape(ds, -1)
+    return projection_result(idler_vec, MultiMode(joint.space.modes[1:]))
+
+
+def projection_result(idler_vec: np.ndarray, idler_space: MultiMode) -> ProjectionResult:
+    """ProjectionResult from the unnormalized heralded idler amplitudes."""
     probability = float(np.vdot(idler_vec, idler_vec).real)
     if probability < IMPOSSIBLE_PROBABILITY:
         return ProjectionResult(probability=0.0, state=None)
-    idler_space = MultiMode(joint.space.modes[1:])
     state = PureState(idler_space, idler_vec / math.sqrt(probability))
     return ProjectionResult(probability=probability, state=state)
 

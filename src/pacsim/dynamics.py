@@ -3,9 +3,12 @@
 Each amplifier stage couples the travelling signal mode to a fresh idler
 vacuum through U = exp[lam (a_s+ a_i+ - a_s a_i)]. The dimensionless strength
 ``lam`` bundles pump amplitude, mode coupling and crystal transit time; only
-their product matters here. Stages act pairwise on (signal, idler_j), so the
-chain is evolved either on the full joint space or sequentially with the
-idlers measured off as soon as their stage has fired.
+their product matters here. Because every idler enters in vacuum and never
+meets the signal again, a stage is fully described by its Kraus operators
+K_k = <k|U|0> acting on the signal (the sequential-ancilla picture of Schoen,
+Solano, Verstraete, Cirac and Wolf, PRL 95, 110503 (2005)). Conditioning on
+click patterns and heralding on the signal both run on these operators; only
+run_chain_full builds the joint signal-and-idlers state.
 """
 
 from __future__ import annotations
@@ -13,22 +16,24 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .detection import (
-    IMPOSSIBLE_PROBABILITY,
     ClickPattern,
     ConditionalState,
     DetectorModel,
+    ProjectionResult,
+    conditional_from_density,
+    orthogonalized_reference,
+    projection_result,
 )
 from .errors import DimensionBudgetError, StrongCouplingWarning
 from .fock import (
     ModeSpec,
     MultiMode,
     PureState,
-    WeightedEnsemble,
     coherent_state,
     default_signal_dim,
     lowering_matrix,
@@ -114,29 +119,70 @@ def stage_unitary(lam: float, signal_dim: int, idler_dim: int) -> np.ndarray:
 
     G conserves the photon-number difference n_s - n_i, so the exponential is
     assembled from one small tridiagonal block per difference value instead of
-    exponentiating the full (signal x idler)-sized generator. The result is
-    identical to expm(stage_generator(...)) up to roundoff but stays cheap at
-    large cutoffs.
+    exponentiating the full (signal x idler)-sized generator; blocks of equal
+    size are exponentiated together. The result is identical to
+    expm(stage_generator(...)) up to roundoff but stays cheap at large
+    cutoffs.
     """
     u = np.zeros((signal_dim * idler_dim, signal_dim * idler_dim))
+    blocks: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
     for delta in range(-(idler_dim - 1), signal_dim):
-        k_lo = max(0, -delta)
-        k_hi = min(idler_dim, signal_dim - delta)
-        ks = np.arange(k_lo, k_hi)
-        if ks.size == 0:
-            continue
-        if ks.size == 1:
-            block = np.ones((1, 1))
-        else:
-            couplings = lam * np.sqrt((delta + ks[:-1] + 1.0) * (ks[:-1] + 1.0))
-            gen = np.zeros((ks.size, ks.size))
-            rows = np.arange(ks.size - 1)
-            gen[rows + 1, rows] = couplings
-            gen[rows, rows + 1] = -couplings
-            block = expm(gen)
-        idx = (delta + ks) * idler_dim + ks
-        u[np.ix_(idx, idx)] = block
+        ks = np.arange(max(0, -delta), min(idler_dim, signal_dim - delta))
+        couplings = lam * np.sqrt((delta + ks[:-1] + 1.0) * (ks[:-1] + 1.0))
+        blocks.setdefault(ks.size, []).append(((delta + ks) * idler_dim + ks, couplings))
+    for size, members in blocks.items():
+        idx = np.array([i for i, _ in members])
+        gens = np.zeros((len(members), size, size))
+        rows = np.arange(size - 1)
+        gens[:, rows + 1, rows] = [couplings for _, couplings in members]
+        gens[:, rows, rows + 1] = -gens[:, rows + 1, rows]
+        u[idx[:, :, None], idx[:, None, :]] = _expm_antisymmetric(gens)
     return u
+
+
+def _expm_antisymmetric(gens: np.ndarray) -> np.ndarray:
+    """exp of a stack of real antisymmetric matrices, by scaling and squaring.
+
+    The k-th power of a tridiagonal generator is the leading term on its k-th
+    off-diagonal, so a Taylor series keeps entries of order lam^k accurate
+    relative to their size at weak coupling, where an eigendecomposition
+    loses them to cancellation. The series runs past the matrix size, so
+    every off-diagonal gets its leading term, and scaling keeps the norm at
+    most 1/2, so the terms left out are below rounding.
+    """
+    n = gens.shape[-1]
+    norm = float(np.abs(gens).sum(axis=-2).max())
+    squarings = max(0, math.ceil(math.log2(norm)) + 1) if norm > 0.0 else 0
+    scaled = gens / 2.0**squarings
+    result = term = np.broadcast_to(np.eye(n), gens.shape)
+    for j in range(1, n + 18):
+        term = term @ scaled / j
+        result = result + term
+    for _ in range(squarings):
+        result = result @ result
+    return result
+
+
+def stage_kraus(lam: float, signal_dim: int, idler_dim: int) -> np.ndarray:
+    """Kraus operators K_k = <k|U|0> of one stage on the signal, stacked.
+
+    Returns a real (idler_dim, signal_dim, signal_dim) array: the stage maps
+    a signal state psi to sum_k K_k psi (x) |k>. U conserves n_s - n_i, so K_k
+    is nonzero only on its k-th subdiagonal, and sum_k K_k^T K_k = I because
+    the columns of U are orthonormal.
+    """
+    u = stage_unitary(lam, signal_dim, idler_dim)
+    return u[:, ::idler_dim].reshape(signal_dim, idler_dim, signal_dim).transpose(1, 0, 2)
+
+
+def _chain_kraus(config: ChainConfig) -> list[np.ndarray]:
+    """Kraus stack of every stage, built once per distinct stage."""
+    cache: dict[tuple[float, int], np.ndarray] = {}
+    for stage in config.stages:
+        key = (stage.lam, stage.idler_dim)
+        if key not in cache:
+            cache[key] = stage_kraus(stage.lam, config.signal_dim, stage.idler_dim)
+    return [cache[(s.lam, s.idler_dim)] for s in config.stages]
 
 
 def orthogonality_defect(u: np.ndarray) -> float:
@@ -229,56 +275,72 @@ def run_chain_sequential(
 ) -> ConditionalState:
     """Chain evolution with each idler measured right after its stage.
 
-    Idlers never interact again once their stage has fired, so the joint
-    evolution factorizes into N two-mode problems: every stage entangles the
-    current signal branches with a fresh idler, the detector POVM conditions
-    on that stage's click outcome, and only the signal survives to the next
-    stage. Returns the pattern probability and the conditional signal
-    ensemble; agrees with run_chain_full + condition_on_pattern.
+    Idlers never interact again once their stage has fired, so the chain
+    acts on the signal's density matrix alone: each stage applies
+    rho -> sum_k POVM(k) K_k rho K_k^T with the detector POVM of that stage's
+    click outcome. Returns the pattern probability and the conditional
+    signal ensemble (at most signal_dim branches); agrees with
+    run_chain_full + condition_on_pattern.
     """
     if len(pattern) != config.n_stages:
         raise ValueError(
             f"pattern has {len(pattern)} outcomes for {config.n_stages} stages"
         )
-    ds = config.signal_dim
-    signal = coherent_state(config.alpha, ds)
-    branches: list[tuple[float, np.ndarray]] = [(1.0, signal.amplitudes)]
-    unitaries: dict[tuple[float, int], np.ndarray] = {}
-    for stage, clicked in zip(config.stages, pattern.clicks):
-        di = stage.idler_dim
-        key = (stage.lam, di)
-        if key not in unitaries:
-            unitaries[key] = stage_unitary(stage.lam, ds, di)
-        u = unitaries[key]
-        n = np.arange(di)
-        p_click = detector.click_probability(n)
+    psi = coherent_state(config.alpha, config.signal_dim).amplitudes
+    rho = np.outer(psi, psi.conj())
+    for kraus, clicked in zip(_chain_kraus(config), pattern.clicks):
+        p_click = detector.click_probability(np.arange(kraus.shape[0]))
         povm = p_click if clicked else 1.0 - p_click
-        vac = np.zeros(di, dtype=np.complex128)
-        vac[0] = 1.0
-        new_branches: list[tuple[float, np.ndarray]] = []
-        for weight, amps in branches:
-            joint = (u @ np.kron(amps, vac)).reshape(ds, di)
-            mass = np.sum(np.abs(joint) ** 2, axis=0)
-            child_w = weight * (mass / mass.sum()) * povm
-            for k in np.nonzero(child_w > 0.0)[0]:
-                new_branches.append(
-                    (float(child_w[k]), joint[:, k] / math.sqrt(mass[k]))
-                )
-        branches = new_branches
-        if not branches:
-            break
-    probability = float(sum(w for w, _ in branches))
-    if probability < IMPOSSIBLE_PROBABILITY or not branches:
-        return ConditionalState(probability=0.0, ensemble=None)
-    space = single_signal_space(ds)
-    ensemble = WeightedEnsemble(
-        space,
-        tuple(
-            (w / probability, PureState.from_amplitudes(space, amps))
-            for w, amps in branches
-        ),
+        rho = np.tensordot(
+            povm[:, None, None] * (kraus @ rho), kraus, axes=([0, 2], [0, 2])
+        )
+    return conditional_from_density(
+        rho, float(np.trace(rho).real), single_signal_space(config.signal_dim)
     )
-    return ConditionalState(probability=probability, ensemble=ensemble)
+
+
+def herald_idlers(
+    config: ChainConfig,
+    reference: PureState,
+    orthogonal_to: Sequence[PureState] = (),
+    budget: int = DEFAULT_AMPLITUDE_BUDGET,
+) -> ProjectionResult:
+    """Project the chain's output signal onto a reference; keep the idlers.
+
+    Same result as project_signal(run_chain_full(config), reference,
+    orthogonal_to), without the joint state. The heralded idler amplitudes
+    c[k1..kN] = <ref|K_kN .. K_k1|alpha> are contracted from the reference
+    side, one stage at a time, so the largest array holds
+    signal_dim * prod(idler dims of stages 2..N) amplitudes. Raises
+    DimensionBudgetError when that, or the idler state itself, exceeds
+    ``budget``.
+    """
+    ds = config.signal_dim
+    if reference.space.dims != (ds,):
+        raise ValueError(
+            f"reference dim {reference.space.dims} does not match signal dim ({ds},)"
+        )
+    idler_dims = [s.idler_dim for s in config.stages]
+    peak = max(ds * math.prod(idler_dims[1:]), math.prod(idler_dims))
+    if peak > budget:
+        raise DimensionBudgetError(
+            f"heralding needs {peak} amplitudes (budget {budget})"
+        )
+    if orthogonal_to:
+        reference = orthogonalized_reference(reference, orthogonal_to)
+    kraus = _chain_kraus(config)
+    # rows of ``bra`` are <ref| K_kN .. K_kj for every record (kN, .., kj)
+    bra = reference.amplitudes.conj()[None, :]
+    for stack in reversed(kraus[1:]):
+        wide = stack.transpose(1, 0, 2).reshape(ds, -1)  # [K_0 | K_1 | ...]
+        bra = (bra @ wide).reshape(-1, ds)
+    seeded = kraus[0] @ coherent_state(config.alpha, ds).amplitudes
+    # reorder the records from (kN, .., k1) to the joint state's (k1, .., kN)
+    amps = (bra @ seeded.T).reshape(idler_dims[::-1]).transpose().reshape(-1)
+    space = MultiMode(
+        tuple(ModeSpec(d, f"idler-{j + 1}") for j, d in enumerate(idler_dims))
+    )
+    return projection_result(amps, space)
 
 
 def single_signal_space(signal_dim: int) -> MultiMode:

@@ -221,19 +221,25 @@ def coherent_state(alpha: complex, dim: int, label: str = "signal") -> PureState
     Amplitudes follow c_n = exp(-|alpha|^2/2) alpha^n / sqrt(n!). Raises
     TruncationError when the truncated tail mass exceeds 1e-12.
     """
-    space = single_mode(dim, label)
+    amps, problem = _coherent_amplitudes(alpha, dim)
+    if problem is not None:
+        raise TruncationError(problem, suggested_dim=default_signal_dim(alpha))
+    return PureState.from_amplitudes(single_mode(dim, label), amps)
+
+
+def _coherent_amplitudes(alpha: complex, dim: int) -> tuple[np.ndarray, str | None]:
+    """Truncated coherent amplitudes, and why ``dim`` is too small (or None)."""
     amps = np.zeros(dim, dtype=np.complex128)
     amps[0] = math.exp(-abs(alpha) ** 2 / 2.0)
     for n in range(1, dim):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
     tail = 1.0 - float(np.sum(np.abs(amps) ** 2))
     if tail > TAIL_MASS_LIMIT:
-        raise TruncationError(
+        return amps, (
             f"coherent state with |alpha|={abs(alpha):.4g} has tail mass "
-            f"{tail:.3e} beyond dim {dim}",
-            suggested_dim=default_signal_dim(alpha),
+            f"{tail:.3e} beyond dim {dim}"
         )
-    return PureState.from_amplitudes(space, amps)
+    return amps, None
 
 
 def fock_state(n: int, dim: int, label: str = "signal") -> PureState:
@@ -257,23 +263,45 @@ def pacs_state(alpha: complex, m: int, dim: int, label: str = "signal") -> PureS
         return coherent_state(alpha, dim, label)
     if alpha == 0:
         return fock_state(m, dim, label)
-    state = coherent_state(alpha, dim, label)
-    raw = state.amplitudes
-    leak_total = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        for _ in range(m):
-            interim = PureState.from_amplitudes(state.space, raw)
-            raised = ladder_apply(interim, 0, "raise")
-            leak_total += raised.leakage
-            raw = raised.amplitudes
-    if leak_total > TAIL_MASS_LIMIT:
-        raise TruncationError(
-            f"adding {m} photons to |alpha|={abs(alpha):.4g} leaks mass "
-            f"{leak_total:.3e} past dim {dim}",
-            suggested_dim=default_signal_dim(alpha, m),
+    raw, problem = _photon_added(alpha, m, dim)
+    if problem is not None:
+        # the smallest larger window that holds the state; the search stops
+        # where the coherent amplitudes underflow and no window would do
+        suggested = next(
+            (
+                d
+                for d in range(dim + 1, dim + 1 + 2 * default_signal_dim(alpha, m))
+                if _photon_added(alpha, m, d)[1] is None
+            ),
+            None,
         )
-    return PureState.from_amplitudes(state.space, raw)
+        raise TruncationError(problem, suggested_dim=suggested)
+    return PureState.from_amplitudes(single_mode(dim, label), raw)
+
+
+def _photon_added(alpha: complex, m: int, dim: int) -> tuple[np.ndarray, str | None]:
+    """Unnormalized a+^m |alpha> on the window, and why ``dim`` is too small.
+
+    Renormalizes before each raise, as repeated ladder_apply on a PureState
+    would, and sums the mass each raise pushes past the top level.
+    """
+    amps, problem = _coherent_amplitudes(alpha, dim)
+    if problem is not None:
+        return amps, problem
+    raw = amps / np.linalg.norm(amps)
+    factors = np.sqrt(np.arange(1, dim))
+    leak_total = 0.0
+    for _ in range(m):
+        unit = raw / np.linalg.norm(raw)
+        leak_total += float(abs(unit[-1]) ** 2)
+        raw = np.zeros_like(unit)
+        raw[1:] = factors * unit[:-1]
+    if leak_total > TAIL_MASS_LIMIT:
+        return raw, (
+            f"adding {m} photons to |alpha|={abs(alpha):.4g} leaks mass "
+            f"{leak_total:.3e} past dim {dim}"
+        )
+    return raw, None
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from pacsim import (
     ClickPattern,
     DetectorModel,
     condition_on_pattern,
+    extract_w_state,
     fidelity_ensemble,
     fock_state,
     pacs_state,
@@ -243,10 +244,60 @@ tasks:
         assert not out.exists()
         assert "sequential" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("ladder_max", "-1"),
+            ("ladder_max", "'3'"),
+            ("ladder_max", "true"),
+            ("ladder_max", "null"),
+            ("reference_m", "true"),
+            ("plain", "'yes'"),
+        ],
+    )
+    def test_project_field_rejected(self, tmp_path, capsys, field, value):
+        self.run_expecting_error(
+            tmp_path,
+            "version: 1\nchain: {alpha: 1.0, lam: 0.05, n_stages: 2}\ntasks:\n"
+            f"  - {{type: project, output: p.json, {field}: {value}}}\n",
+            f"tasks[0].{field}",
+            capsys,
+        )
+
+    @pytest.mark.parametrize("field", ["n_stages", "signal_dim"])
+    def test_boolean_chain_size_rejected(self, tmp_path, capsys, field):
+        text = MINIMAL_SCENARIO.replace("n_stages: 1", "n_stages: 1\n  signal_dim: 24")
+        self.run_expecting_error(
+            tmp_path, text.replace(f"{field}: ", f"{field}: true #"), f"chain.{field}", capsys
+        )
+
+    def test_truncation_names_signal_dim(self, tmp_path, capsys):
+        self.run_expecting_error(
+            tmp_path,
+            "version: 1\nchain: {alpha: 1.0, lam: 0.05, n_stages: 7, signal_dim: 24}\n"
+            "tasks:\n  - {type: project, output: p.json}\n",
+            "chain.signal_dim",
+            capsys,
+        )
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "nope.yaml")])
         assert code == 1
         assert "no such file" in capsys.readouterr().err
+
+
+def test_ladder_max_zero_means_zero(tmp_path):
+    """ladder_max: 0 identifies against the coherent seed alone."""
+    config = write_scenario(
+        tmp_path,
+        "version: 1\nchain: {alpha: 1.0, lam: 0.05, n_stages: 3}\ntasks:\n"
+        "  - {type: project, output: p.json, ladder_max: 0}\n",
+    )
+    assert main(["run", str(config), "--outdir", str(tmp_path / "out")]) == 0
+    payload = json.loads((tmp_path / "out" / "p.json").read_text())
+    cfg = ChainConfig.uniform(1.0, 0.05, 3)
+    assert payload["probability"] == extract_w_state(cfg, ladder_max=0).probability
+    assert payload["probability"] != extract_w_state(cfg).probability
 
 
 class TestWignerFiles:
@@ -328,3 +379,20 @@ class TestQuickCommands:
         assert code == 0
         fit = json.loads(Path("f.json").read_text())
         assert fit["exponent"] == pytest.approx(2.0, abs=0.05)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["pacs", "--pattern", "111111", "--signal-dim", "23"],
+        ["wstate", "--n", "7", "--signal-dim", "24"],
+    ],
+    ids=["pacs", "wstate"],
+)
+def test_truncation_exits_1_without_traceback(run_python, args):
+    """A cutoff too small for the added photons is a named error, not a crash."""
+    result = run_python("-m", "pacsim.cli", *args, "--alpha", "1", "--lam", "0.05")
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: --signal-dim: ")
+    assert "suggested dim" in result.stderr

@@ -185,6 +185,20 @@ class TestPacsState:
         with pytest.raises(ValueError):
             pacs_state(1.0, -1, 16)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_suggested_dim_is_the_smallest_that_works(self, alpha, m):
+        for dim in range(2, default_signal_dim(alpha, m) + 4):
+            try:
+                pacs_state(alpha, m, dim)
+            except TruncationError as err:
+                suggested = err.suggested_dim
+                assert suggested > dim
+                pacs_state(alpha, m, suggested)
+                if suggested - 1 > dim:
+                    with pytest.raises(TruncationError):
+                        pacs_state(alpha, m, suggested - 1)
+
 
 class TestLadderApply:
     def test_raise_vacuum(self):

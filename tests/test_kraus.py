@@ -1,0 +1,215 @@
+"""The per-stage Kraus core: sequential conditioning and signal heralding."""
+
+import json
+import sys
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pacsim
+from pacsim import (
+    ChainConfig,
+    ClickPattern,
+    DetectorModel,
+    DimensionBudgetError,
+    StageParams,
+    condition_on_pattern,
+    extract_w_state,
+    fidelity_ensemble,
+    fidelity_pure,
+    herald_idlers,
+    pacs_state,
+    project_signal,
+    run_chain_full,
+    run_chain_sequential,
+    stage_generator,
+    stage_kraus,
+    stage_unitary,
+    w_state_reference,
+)
+from pacsim.cli import main
+
+
+class TestStageKraus:
+    @pytest.mark.parametrize("lam, ds, di", [(0.05, 8, 4), (0.3, 6, 5), (1.0, 7, 3)])
+    def test_columns_of_stage_unitary(self, lam, ds, di):
+        """K_k[a, b] = <a, k| U |b, 0>."""
+        kraus = stage_kraus(lam, ds, di)
+        u = stage_unitary(lam, ds, di)
+        assert kraus.shape == (di, ds, ds)
+        for k in range(di):
+            for a in range(ds):
+                for b in range(ds):
+                    assert kraus[k, a, b] == u[a * di + k, b * di]
+
+    def test_kth_subdiagonal(self):
+        """n_s - n_i is conserved, so K_k only maps |b> to |b + k>."""
+        kraus = stage_kraus(0.2, 10, 5)
+        for k in range(5):
+            a, b = np.nonzero(kraus[k])
+            assert np.all(a - b == k)
+
+    @pytest.mark.parametrize("lam", [1e-6, 1e-3, 0.3])
+    def test_entries_accurate_relative_to_their_size(self, lam):
+        """Entries of order lam^k match a 40-digit exponential to 1e-14 relative.
+
+        An eigendecomposition of each block gets only their absolute size
+        right: at lam = 1e-6 it is off by 2e-4 relative on K_2 and K_3.
+        """
+        mpmath = pytest.importorskip("mpmath")
+        ds, di = 6, 4
+        with mpmath.workdps(40):
+            exact = mpmath.expm(mpmath.matrix(stage_generator(lam, ds, di).tolist()))
+            exact = np.array(exact.tolist(), dtype=float)
+        u = stage_unitary(lam, ds, di)
+        assert np.array_equal(u != 0.0, exact != 0.0)
+        nonzero = exact != 0.0
+        assert np.max(np.abs(u[nonzero] / exact[nonzero] - 1.0)) < 1e-14
+
+    @pytest.mark.parametrize("lam", [0.0, 0.05, 0.5])
+    def test_completeness(self, lam):
+        kraus = stage_kraus(lam, 12, 6)
+        total = np.einsum("kab,kac->bc", kraus, kraus)
+        assert np.max(np.abs(total - np.eye(12))) < 1e-12
+
+
+@st.composite
+def chains(draw):
+    n_stages = draw(st.integers(1, 3))
+    stages = tuple(
+        StageParams(draw(st.floats(0.0, 0.3)), draw(st.integers(2, 5)))
+        for _ in range(n_stages)
+    )
+    detector = DetectorModel(
+        eta=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        dark_prob=draw(st.floats(0.0, 0.05)),
+    )
+    return ChainConfig(draw(st.floats(0.0, 1.5)), stages), detector
+
+
+@settings(max_examples=60, deadline=None)
+@given(chains())
+def test_sequential_matches_full_on_random_chains(chain):
+    """Criterion 7's tolerances, POVM completeness and the ensemble rank bound."""
+    config, detector = chain
+    joint = run_chain_full(config)
+    total_seq = total_full = 0.0
+    for bits in product((False, True), repeat=config.n_stages):
+        pattern = ClickPattern(bits)
+        seq = run_chain_sequential(config, detector, pattern)
+        full = condition_on_pattern(joint, pattern, detector)
+        total_seq += seq.probability
+        total_full += full.probability
+        if seq.impossible or full.impossible:
+            # both sit at the impossibility floor, up to criterion 7's 1e-8
+            assert max(seq.probability, full.probability) < 1e-30 * (1 + 1e-8)
+            continue
+        assert abs(seq.probability - full.probability) <= 1e-8 * full.probability
+        for cond in (seq, full):
+            assert len(cond.ensemble.branches) <= config.signal_dim
+        for ref_m in (0, pattern.n_clicks):
+            ref = pacs_state(config.alpha, ref_m, config.signal_dim)
+            assert abs(
+                fidelity_ensemble(seq.ensemble, ref) - fidelity_ensemble(full.ensemble, ref)
+            ) <= 1e-8
+    assert abs(total_seq - 1.0) <= 1e-12
+    assert abs(total_full - 1.0) <= 1e-12
+
+
+def ladder(config, m, ladder_max):
+    ds = config.signal_dim
+    return [pacs_state(config.alpha, k, ds) for k in range(ladder_max + 1) if k != m]
+
+
+HERALD_CHAINS = [
+    ChainConfig.uniform(1.0, 0.05, n) for n in range(1, 6)
+] + [
+    ChainConfig(0.7 + 0.4j, (StageParams(0.05, 3), StageParams(0.1, 5), StageParams(0.07, 4))),
+]
+
+
+class TestHeraldIdlers:
+    @pytest.mark.parametrize(
+        "config, m, plain",
+        [
+            (config, m, plain)
+            for config in HERALD_CHAINS
+            for m, plain in ((1, False), (1, True), (0, True), (2, False))
+            if m <= config.n_stages
+        ],
+    )
+    def test_matches_joint_state_projection(self, config, m, plain):
+        """Same P, W fidelity and idler amplitudes as run_chain_full + project_signal."""
+        reference = pacs_state(config.alpha, m, config.signal_dim)
+        others = () if plain else ladder(config, m, config.n_stages)
+        new = herald_idlers(config, reference, others)
+        old = project_signal(run_chain_full(config), reference, others)
+        assert new.probability == pytest.approx(old.probability, rel=1e-10)
+        assert new.state.space == old.state.space
+        assert np.max(np.abs(new.state.amplitudes - old.state.amplitudes)) <= 1e-10
+        dims = new.state.space.dims
+        if len(set(dims)) == 1:
+            w_ref = w_state_reference(len(dims), dims[0])
+            assert abs(
+                fidelity_pure(new.state, w_ref) - fidelity_pure(old.state, w_ref)
+            ) <= 1e-10
+
+    def test_reference_dim_mismatch(self):
+        config = ChainConfig.uniform(1.0, 0.05, 2)
+        with pytest.raises(ValueError):
+            herald_idlers(config, pacs_state(1.0, 1, config.signal_dim + 1))
+
+    def test_budget_caps_the_largest_intermediate(self):
+        """A budget between ds di^(N-1) and ds di^N stops only the joint state."""
+        config = ChainConfig.uniform(1.0, 0.05, 5, signal_dim=24)
+        budget = 12_000  # ds di^4 = 6144 < budget < ds di^5 = 24576
+        with pytest.raises(DimensionBudgetError):
+            run_chain_full(config, budget)
+        result = extract_w_state(config, budget=budget)
+        assert result.w_fidelity > 0.99
+        with pytest.raises(DimensionBudgetError):
+            extract_w_state(config, budget=6_143)
+
+
+@pytest.fixture
+def no_joint_state(monkeypatch):
+    """Make every binding of run_chain_full raise."""
+    original = pacsim.dynamics.run_chain_full
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_chain_full was called")
+
+    for name, module in list(sys.modules.items()):
+        if name == "pacsim" or name.startswith("pacsim."):
+            if getattr(module, "run_chain_full", None) is original:
+                monkeypatch.setattr(module, "run_chain_full", forbidden)
+    assert pacsim.dynamics.run_chain_full is forbidden
+
+
+def test_extract_w_state_never_builds_the_joint_state(no_joint_state):
+    result = extract_w_state(ChainConfig.uniform(1.0, 0.05, 3))
+    assert result.w_fidelity >= 0.995
+
+
+@pytest.mark.parametrize("mode", ["full", "sequential"])
+@pytest.mark.parametrize("extra", ["", "reference_m: 2", "plain: true"])
+def test_project_task_never_builds_the_joint_state(no_joint_state, tmp_path, mode, extra):
+    config = tmp_path / "scenario.yaml"
+    config.write_text(
+        f"version: 1\nchain: {{alpha: 1.0, lam: 0.05, n_stages: 3}}\nmode: {mode}\n"
+        f"tasks:\n  - type: project\n    output: p.json\n    {extra}\n",
+        encoding="utf-8",
+    )
+    assert main(["run", str(config), "--outdir", str(tmp_path / "out")]) == 0
+    payload = json.loads((tmp_path / "out" / "p.json").read_text())
+    assert payload["probability"] > 0.0
+
+
+def test_import_does_not_load_scipy(run_python):
+    code = "import sys, pacsim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = run_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -25,7 +25,6 @@ from .detection import (
     DetectorModel,
     PatternOutcome,
     ProjectionResult,
-    click_probability_given_n,
     condition_on_pattern,
     enumerate_patterns,
     orthogonalized_reference,
@@ -36,11 +35,8 @@ from .dynamics import (
     ChainConfig,
     StageParams,
     herald_idlers,
-    orthogonality_defect,
-    perturbative_output,
     run_chain_full,
     run_chain_sequential,
-    stage_generator,
     stage_kraus,
     stage_unitary,
 )
@@ -70,7 +66,6 @@ from .fock import (
     pacs_state,
     partial_trace_to_marginal,
     single_mode,
-    tensor,
 )
 
 __version__ = "0.1.0"

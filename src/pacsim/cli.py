@@ -22,7 +22,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product as iproduct
 from pathlib import Path
 from typing import Any
@@ -42,6 +42,7 @@ from .detection import (
     DetectorModel,
     condition_on_pattern,
     enumerate_patterns,
+    pattern_outcome,
 )
 from .dynamics import (
     ChainConfig,
@@ -57,7 +58,6 @@ from .fock import (
     default_signal_dim,
     fidelity_ensemble,
     fock_state,
-    mean_photon_number,
     pacs_state,
 )
 
@@ -339,28 +339,22 @@ def load_wigner(path: str | Path) -> WignerGrid:
 def _pattern_rows(scenario: Scenario) -> list[list[str]]:
     chain, detector = scenario.chain, scenario.detector
     if scenario.mode == "full":
-        joint = run_chain_full(chain)
-        outcomes = [
-            (o.pattern, o.probability, o.ensemble) for o in enumerate_patterns(joint, detector)
-        ]
+        outcomes = enumerate_patterns(run_chain_full(chain), detector)
     else:
-        outcomes = []
-        for bits in iproduct((False, True), repeat=chain.n_stages):
-            pattern = ClickPattern(bits)
-            cond = run_chain_sequential(chain, detector, pattern)
-            outcomes.append((pattern, cond.probability, cond.ensemble))
+        patterns = [ClickPattern(bits) for bits in iproduct((False, True), repeat=chain.n_stages)]
+        outcomes = [
+            pattern_outcome(p, run_chain_sequential(chain, detector, p)) for p in patterns
+        ]
     rows = []
-    for pattern, probability, ensemble in outcomes:
-        fid = mean_n = None
-        if ensemble is not None:
-            reference = pacs_state(chain.alpha, pattern.n_clicks, chain.signal_dim)
-            fid = fidelity_ensemble(ensemble, reference)
-            mean_n = float(
-                sum(w * mean_photon_number(s) for w, s in ensemble.branches)
-            )
-        rows.append(
-            [str(pattern), str(pattern.n_clicks), _fmt(probability), _fmt(fid), _fmt(mean_n)]
-        )
+    for o in outcomes:
+        fid = None
+        if o.ensemble is not None:
+            reference = pacs_state(chain.alpha, o.pattern.n_clicks, chain.signal_dim)
+            fid = fidelity_ensemble(o.ensemble, reference)
+        rows.append([
+            str(o.pattern), str(o.pattern.n_clicks), _fmt(o.probability), _fmt(fid),
+            _fmt(o.mean_signal_photons),
+        ])
     return rows
 
 
@@ -500,13 +494,37 @@ def _cmd_run(args) -> int:
     return run_scenario(args.config, args.outdir)
 
 
+def _from_flag(flag: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ValueError it raises names ``flag`` (exit 1)."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{flag}: {exc}") from None
+
+
+def _chain_from_flags(
+    args, n_stages: int, n_flag: str
+) -> tuple[ChainConfig, DetectorModel]:
+    """Chain and detector of a quick-look command, built one flag at a time.
+
+    Each constructor call takes one flag more than the call before it, so a
+    rejected value is reported under the flag that carried it; ``n_flag`` is
+    the flag that set ``n_stages``.
+    """
+    alpha = _parse_alpha(args.alpha, "--alpha")
+    _from_flag("--lam", StageParams, args.lam)
+    stage = _from_flag("--idler-dim", StageParams, args.lam, args.idler_dim)
+    chain = _from_flag(n_flag, ChainConfig, alpha, (stage,) * n_stages)
+    if args.signal_dim is not None:
+        chain = _from_flag("--signal-dim", replace, chain, signal_dim=args.signal_dim)
+    _from_flag("--eta", DetectorModel, args.eta)
+    detector = _from_flag("--dark-prob", DetectorModel, args.eta, args.dark_prob)
+    return chain, detector
+
+
 def _cmd_pacs(args) -> int:
-    pattern = ClickPattern.from_string(args.pattern)
-    config = ChainConfig.uniform(
-        _parse_alpha(args.alpha, "--alpha"), args.lam, len(pattern),
-        idler_dim=args.idler_dim, signal_dim=args.signal_dim,
-    )
-    detector = DetectorModel(eta=args.eta, dark_prob=args.dark_prob)
+    pattern = _from_flag("--pattern", ClickPattern.from_string, args.pattern)
+    config, detector = _chain_from_flags(args, len(pattern), "--pattern")
     cond = run_chain_sequential(config, detector, pattern)
     print(f"pattern {pattern}: probability = {cond.probability!r}")
     if cond.ensemble is None:
@@ -519,10 +537,7 @@ def _cmd_pacs(args) -> int:
 
 
 def _cmd_wstate(args) -> int:
-    config = ChainConfig.uniform(
-        _parse_alpha(args.alpha, "--alpha"), args.lam, args.n,
-        idler_dim=args.idler_dim, signal_dim=args.signal_dim,
-    )
+    config, _ = _chain_from_flags(args, args.n, "--n")
     result = extract_w_state(config)
     print(f"heralding probability = {result.probability!r}")
     if result.idler_state is None:
@@ -534,6 +549,9 @@ def _cmd_wstate(args) -> int:
 
 def _cmd_wigner(args) -> int:
     state = _parse_state_spec(args.state, "--state")
+    for flag, value in (("--range", args.range), ("--step", args.step)):
+        if not value > 0:
+            raise ScenarioError(f"{flag}: expected a positive number, got {value!r}")
     grid = wigner(state, args.range, args.step)
     emit_wigner(grid, args.out)
     print(
@@ -544,8 +562,11 @@ def _cmd_wigner(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    values = [float(v) for v in args.values.split(",") if v.strip()]
-    pattern = ClickPattern.from_string(args.pattern)
+    pattern = _from_flag("--pattern", ClickPattern.from_string, args.pattern)
+    values = _from_flag(
+        "--values", lambda: [float(v) for v in args.values.split(",") if v.strip()]
+    )
+    chain, detector = _chain_from_flags(args, len(pattern), "--pattern")
     task = {
         "type": "sweep",
         "param": args.param,
@@ -554,19 +575,7 @@ def _cmd_sweep(args) -> int:
         "output": args.out,
         "fit_output": args.fit_out,
     }
-    chain = ChainConfig.uniform(
-        _parse_alpha(args.alpha, "--alpha"),
-        values[0] if args.param == "lam" else args.lam,
-        len(pattern),
-        idler_dim=args.idler_dim,
-        signal_dim=args.signal_dim,
-    )
-    scenario = Scenario(
-        chain=chain,
-        detector=DetectorModel(eta=args.eta, dark_prob=args.dark_prob),
-        mode="full",
-        tasks=(task,),
-    )
+    scenario = Scenario(chain=chain, detector=detector, mode="full", tasks=(task,))
     _validate_task(task, chain, "sweep")
     outputs = _run_sweep_task(task, scenario)
     for rel_path, text in outputs.items():

@@ -51,12 +51,6 @@ class DetectorModel:
         return self.dark_prob + (1.0 - self.dark_prob) * (1.0 - miss)
 
 
-def click_probability_given_n(detector: DetectorModel, n: int) -> float:
-    if n < 0:
-        raise ValueError(f"photon count must be nonnegative, got {n}")
-    return float(detector.click_probability(n))
-
-
 @dataclass(frozen=True)
 class ClickPattern:
     """One binary outcome per idler detector, in stage order."""
@@ -250,6 +244,19 @@ def projection_result(idler_vec: np.ndarray, idler_space: MultiMode) -> Projecti
     return ProjectionResult(probability=probability, state=state)
 
 
+def pattern_outcome(pattern: ClickPattern, cond: ConditionalState) -> PatternOutcome:
+    """Table row for one conditioned pattern; the mean is over the ensemble."""
+    mean_n = None
+    if cond.ensemble is not None:
+        mean_n = float(sum(w * mean_photon_number(s) for w, s in cond.ensemble.branches))
+    return PatternOutcome(
+        pattern=pattern,
+        probability=cond.probability,
+        ensemble=cond.ensemble,
+        mean_signal_photons=mean_n,
+    )
+
+
 def enumerate_patterns(joint: PureState, detector: DetectorModel) -> list[PatternOutcome]:
     """All 2^N click patterns with probabilities and signal summaries.
 
@@ -257,21 +264,5 @@ def enumerate_patterns(joint: PureState, detector: DetectorModel) -> list[Patter
     lexicographic order with no-click first, i.e. "00..", "00..1", ...
     """
     n_idlers = joint.space.n_modes - 1
-    outcomes = []
-    for bits in product((False, True), repeat=n_idlers):
-        pattern = ClickPattern(bits)
-        cond = condition_on_pattern(joint, pattern, detector)
-        mean_n = None
-        if cond.ensemble is not None:
-            mean_n = float(
-                sum(w * mean_photon_number(s) for w, s in cond.ensemble.branches)
-            )
-        outcomes.append(
-            PatternOutcome(
-                pattern=pattern,
-                probability=cond.probability,
-                ensemble=cond.ensemble,
-                mean_signal_photons=mean_n,
-            )
-        )
-    return outcomes
+    patterns = [ClickPattern(bits) for bits in product((False, True), repeat=n_idlers)]
+    return [pattern_outcome(p, condition_on_pattern(joint, p, detector)) for p in patterns]

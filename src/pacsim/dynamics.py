@@ -6,13 +6,16 @@ vacuum through U = exp[lam (a_s+ a_i+ - a_s a_i)]. The dimensionless strength
 their product matters here. Because every idler enters in vacuum and never
 meets the signal again, a stage is fully described by its Kraus operators
 K_k = <k|U|0> acting on the signal (the sequential-ancilla picture of Schoen,
-Solano, Verstraete, Cirac and Wolf, PRL 95, 110503 (2005)). Conditioning on
-click patterns and heralding on the signal both run on these operators; only
-run_chain_full builds the joint signal-and-idlers state.
+Solano, Verstraete, Cirac and Wolf, PRL 95, 110503 (2005)). Every runner
+works on these operators: sequential conditioning folds the signal's density
+matrix through them, and run_chain_full and herald_idlers push the seed
+through them with one propagation; only run_chain_full keeps the joint
+signal-and-idlers state.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -36,7 +39,7 @@ from .fock import (
     PureState,
     coherent_state,
     default_signal_dim,
-    lowering_matrix,
+    single_mode,
 )
 
 #: Weak-coupling regime bound; beyond it leading-order scaling claims degrade.
@@ -103,26 +106,15 @@ class ChainConfig:
         return len(self.stages)
 
 
-def stage_generator(lam: float, signal_dim: int, idler_dim: int) -> np.ndarray:
-    """Generator G = lam (a_s+ a_i+ - a_s a_i) on the signal (x) idler space.
-
-    Real and antisymmetric in the Fock basis; exp(G) is therefore exactly
-    orthogonal on the truncated space.
-    """
-    a_s = lowering_matrix(signal_dim)
-    a_i = lowering_matrix(idler_dim)
-    return lam * (np.kron(a_s.T, a_i.T) - np.kron(a_s, a_i))
-
-
 def stage_unitary(lam: float, signal_dim: int, idler_dim: int) -> np.ndarray:
     """Exact stage unitary exp(G) as a dense real-orthogonal matrix.
 
     G conserves the photon-number difference n_s - n_i, so the exponential is
     assembled from one small tridiagonal block per difference value instead of
     exponentiating the full (signal x idler)-sized generator; blocks of equal
-    size are exponentiated together. The result is identical to
-    expm(stage_generator(...)) up to roundoff but stays cheap at large
-    cutoffs.
+    size are exponentiated together. The result is identical to the
+    exponential of the full generator lam (a_s+ a_i+ - a_s a_i) up to
+    roundoff but stays cheap at large cutoffs.
     """
     u = np.zeros((signal_dim * idler_dim, signal_dim * idler_dim))
     blocks: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
@@ -163,76 +155,42 @@ def _expm_antisymmetric(gens: np.ndarray) -> np.ndarray:
     return result
 
 
+@functools.lru_cache(maxsize=32)
 def stage_kraus(lam: float, signal_dim: int, idler_dim: int) -> np.ndarray:
     """Kraus operators K_k = <k|U|0> of one stage on the signal, stacked.
 
-    Returns a real (idler_dim, signal_dim, signal_dim) array: the stage maps
-    a signal state psi to sum_k K_k psi (x) |k>. U conserves n_s - n_i, so K_k
-    is nonzero only on its k-th subdiagonal, and sum_k K_k^T K_k = I because
-    the columns of U are orthonormal.
+    Returns a real, read-only (idler_dim, signal_dim, signal_dim) array: the
+    stage maps a signal state psi to sum_k K_k psi (x) |k>. U conserves
+    n_s - n_i, so K_k is nonzero only on its k-th subdiagonal, and
+    sum_k K_k^T K_k = I because the columns of U are orthonormal. Results are
+    memoized, so every runner, pattern and CLI thread shares one stack per
+    distinct stage.
     """
     u = stage_unitary(lam, signal_dim, idler_dim)
-    return u[:, ::idler_dim].reshape(signal_dim, idler_dim, signal_dim).transpose(1, 0, 2)
+    kraus = np.ascontiguousarray(
+        u[:, ::idler_dim].reshape(signal_dim, idler_dim, signal_dim).transpose(1, 0, 2)
+    )
+    kraus.setflags(write=False)
+    return kraus
 
 
 def _chain_kraus(config: ChainConfig) -> list[np.ndarray]:
-    """Kraus stack of every stage, built once per distinct stage."""
-    cache: dict[tuple[float, int], np.ndarray] = {}
-    for stage in config.stages:
-        key = (stage.lam, stage.idler_dim)
-        if key not in cache:
-            cache[key] = stage_kraus(stage.lam, config.signal_dim, stage.idler_dim)
-    return [cache[(s.lam, s.idler_dim)] for s in config.stages]
+    return [stage_kraus(s.lam, config.signal_dim, s.idler_dim) for s in config.stages]
 
 
-def orthogonality_defect(u: np.ndarray) -> float:
-    """max |U^T U - I|, the full-space unitarity defect."""
-    g = u.T @ u
-    g[np.diag_indices_from(g)] -= 1.0
-    return float(np.max(np.abs(g)))
+def _propagate(config: ChainConfig, stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """Push the coherent seed through ``stacks``, keeping every idler record.
 
-
-def perturbative_output(
-    alpha: complex,
-    lam: float,
-    order: int,
-    signal_dim: int | None = None,
-    idler_dim: int = 4,
-) -> PureState:
-    """Taylor expansion of the stage output through ``order`` in lam.
-
-    Expands exp(G)|alpha>|0> literally as (I + G + G^2/2 + ...)|alpha>|0> and
-    renormalizes. Valid as a weak-coupling approximation; at order 1 the idler
-    single-photon weight obeys P(1)/P(0) = lam^2 (1 + |alpha|^2).
+    Returns the unnormalized amplitudes with one row per idler record
+    (k1, .., kj), kj varying fastest, and one column per signal level. Each
+    stage is one product with [K_0^T | K_1^T | ..], whose rows are then split
+    per record by a reshape that copies nothing.
     """
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    if signal_dim is None:
-        signal_dim = default_signal_dim(alpha, order)
-    g = stage_generator(lam, signal_dim, idler_dim)
-    signal = coherent_state(alpha, signal_dim)
-    vac = np.zeros(idler_dim, dtype=np.complex128)
-    vac[0] = 1.0
-    psi = np.kron(signal.amplitudes, vac)
-    term = psi.copy()
-    for k in range(1, order + 1):
-        term = (g @ term) / k
-        psi = psi + term
-    space = MultiMode((ModeSpec(signal_dim, "signal"), ModeSpec(idler_dim, "idler-1")))
-    return PureState.from_amplitudes(space, psi)
-
-
-def _apply_stage_full(
-    psi: np.ndarray, dims: tuple[int, ...], stage_index: int, u: np.ndarray
-) -> np.ndarray:
-    """Apply a (signal, idler_j) unitary inside the joint tensor."""
-    t = psi.reshape(dims)
-    t = np.moveaxis(t, stage_index + 1, 1)
-    shape = t.shape
-    mat = t.reshape(shape[0] * shape[1], -1)
-    mat = u @ mat
-    t = mat.reshape(shape)
-    return np.moveaxis(t, 1, stage_index + 1).reshape(-1)
+    ds = config.signal_dim
+    state = coherent_state(config.alpha, ds).amplitudes[None, :]
+    for stack in stacks:
+        state = (state @ stack.transpose(2, 0, 1).reshape(ds, -1)).reshape(-1, ds)
+    return state
 
 
 def run_chain_full(
@@ -253,21 +211,8 @@ def run_chain_full(
         )
     modes = [ModeSpec(config.signal_dim, "signal")]
     modes += [ModeSpec(s.idler_dim, f"idler-{j + 1}") for j, s in enumerate(config.stages)]
-    space = MultiMode(tuple(modes))
-
-    signal = coherent_state(config.alpha, config.signal_dim)
-    psi = signal.amplitudes
-    for stage in config.stages:
-        vac = np.zeros(stage.idler_dim, dtype=np.complex128)
-        vac[0] = 1.0
-        psi = np.kron(psi, vac)
-    unitaries: dict[tuple[float, int], np.ndarray] = {}
-    for j, stage in enumerate(config.stages):
-        key = (stage.lam, stage.idler_dim)
-        if key not in unitaries:
-            unitaries[key] = stage_unitary(stage.lam, config.signal_dim, stage.idler_dim)
-        psi = _apply_stage_full(psi, dims, j, unitaries[key])
-    return PureState.from_amplitudes(space, psi)
+    psi = _propagate(config, _chain_kraus(config)).T.reshape(-1)
+    return PureState.from_amplitudes(MultiMode(tuple(modes)), psi)
 
 
 def run_chain_sequential(
@@ -295,7 +240,7 @@ def run_chain_sequential(
             povm[:, None, None] * (kraus @ rho), kraus, axes=([0, 2], [0, 2])
         )
     return conditional_from_density(
-        rho, float(np.trace(rho).real), single_signal_space(config.signal_dim)
+        rho, float(np.trace(rho).real), single_mode(config.signal_dim)
     )
 
 
@@ -309,9 +254,9 @@ def herald_idlers(
 
     Same result as project_signal(run_chain_full(config), reference,
     orthogonal_to), without the joint state. The heralded idler amplitudes
-    c[k1..kN] = <ref|K_kN .. K_k1|alpha> are contracted from the reference
-    side, one stage at a time, so the largest array holds
-    signal_dim * prod(idler dims of stages 2..N) amplitudes. Raises
+    c[k1..kN] = <ref|K_kN .. K_k1|alpha> are the seed propagated through
+    stages 1..N-1, contracted with <ref|K_kN>, so the largest array holds
+    signal_dim * prod(idler dims of stages 1..N-1) amplitudes. Raises
     DimensionBudgetError when that, or the idler state itself, exceeds
     ``budget``.
     """
@@ -321,27 +266,17 @@ def herald_idlers(
             f"reference dim {reference.space.dims} does not match signal dim ({ds},)"
         )
     idler_dims = [s.idler_dim for s in config.stages]
-    peak = max(ds * math.prod(idler_dims[1:]), math.prod(idler_dims))
+    peak = max(ds * math.prod(idler_dims[:-1]), math.prod(idler_dims))
     if peak > budget:
         raise DimensionBudgetError(
             f"heralding needs {peak} amplitudes (budget {budget})"
         )
     if orthogonal_to:
         reference = orthogonalized_reference(reference, orthogonal_to)
-    kraus = _chain_kraus(config)
-    # rows of ``bra`` are <ref| K_kN .. K_kj for every record (kN, .., kj)
-    bra = reference.amplitudes.conj()[None, :]
-    for stack in reversed(kraus[1:]):
-        wide = stack.transpose(1, 0, 2).reshape(ds, -1)  # [K_0 | K_1 | ...]
-        bra = (bra @ wide).reshape(-1, ds)
-    seeded = kraus[0] @ coherent_state(config.alpha, ds).amplitudes
-    # reorder the records from (kN, .., k1) to the joint state's (k1, .., kN)
-    amps = (bra @ seeded.T).reshape(idler_dims[::-1]).transpose().reshape(-1)
+    stacks = _chain_kraus(config)
+    last = reference.amplitudes.conj() @ stacks[-1]  # row k is <ref|K_k
+    amps = (_propagate(config, stacks[:-1]) @ last.T).reshape(-1)
     space = MultiMode(
         tuple(ModeSpec(d, f"idler-{j + 1}") for j, d in enumerate(idler_dims))
     )
     return projection_result(amps, space)
-
-
-def single_signal_space(signal_dim: int) -> MultiMode:
-    return MultiMode((ModeSpec(signal_dim, "signal"),))

@@ -305,21 +305,8 @@ def _photon_added(alpha: complex, m: int, dim: int) -> tuple[np.ndarray, str | N
 
 
 # ---------------------------------------------------------------------------
-# Operators and composition
+# Operators and reductions
 # ---------------------------------------------------------------------------
-
-def lowering_matrix(dim: int) -> np.ndarray:
-    """Dense annihilation operator: a|n> = sqrt(n)|n-1>."""
-    a = np.zeros((dim, dim))
-    n = np.arange(1, dim)
-    a[n - 1, n] = np.sqrt(n)
-    return a
-
-
-def raising_matrix(dim: int) -> np.ndarray:
-    """Dense creation operator on the window; the top level maps out and is cut."""
-    return lowering_matrix(dim).T.copy()
-
 
 def ladder_apply(
     state: PureState, mode: int, kind: Literal["raise", "lower"]
@@ -352,12 +339,6 @@ def ladder_apply(
         out[:-1] = factors.reshape((-1,) + (1,) * (tensor.ndim - 1)) * tensor[1:]
     result = np.moveaxis(out, 0, mode).reshape(-1)
     return LadderResult(result, float(np.linalg.norm(result)), leakage)
-
-
-def tensor(a: PureState, b: PureState) -> PureState:
-    """Kronecker composition; modes of ``a`` come first (and vary slowest)."""
-    space = MultiMode(a.space.modes + b.space.modes)
-    return PureState(space, np.kron(a.amplitudes, b.amplitudes))
 
 
 def partial_trace_to_marginal(state: PureState, keep: Iterable[int]) -> np.ndarray:

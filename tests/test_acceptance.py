@@ -16,7 +16,6 @@ from pacsim import (
     ClickPattern,
     DetectorModel,
     PureState,
-    click_probability_given_n,
     coherent_state,
     condition_on_pattern,
     default_signal_dim,
@@ -32,6 +31,8 @@ from pacsim import (
     stage_unitary,
     wigner,
 )
+
+from oracles import click_probability_given_n
 
 # m! L_m(-|alpha|^2) for |alpha|^2 in {0, 1/4, 1, 4}, m in 0..4, frozen from
 # exact rational arithmetic.

@@ -19,10 +19,11 @@ from pacsim import (
     pacs_state,
     photon_statistics,
     run_chain_full,
-    tensor,
     w_state_reference,
     wigner,
 )
+
+from oracles import tensor
 
 
 def exact_click_probability(alpha, lam, n_stages, n_clicks):

@@ -396,3 +396,31 @@ def test_truncation_exits_1_without_traceback(run_python, args):
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: --signal-dim: ")
     assert "suggested dim" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["pacs", "--alpha", "1", "--lam", "0.05", "--pattern", "012"], "--pattern"),
+        (["pacs", "--alpha", "1", "--lam", "0.05", "--pattern", "11", "--eta", "2"], "--eta"),
+        (["pacs", "--alpha", "1", "--lam", "0.05", "--pattern", "11", "--dark-prob", "1"],
+         "--dark-prob"),
+        (["pacs", "--alpha", "1", "--lam", "-0.1", "--pattern", "11"], "--lam"),
+        (["pacs", "--alpha", "1", "--lam", "0.05", "--pattern", "11", "--idler-dim", "1"],
+         "--idler-dim"),
+        (["wstate", "--alpha", "1", "--lam", "0.05", "--n", "0"], "--n"),
+        (["sweep", "--alpha", "1", "--lam", "0.05", "--pattern", "1", "--values", "0.01,0.02",
+          "--signal-dim", "1"], "--signal-dim"),
+        (["sweep", "--alpha", "1", "--lam", "0.05", "--pattern", "1", "--values", "a,b"],
+         "--values"),
+        (["wigner", "--state", "pacs:1,1", "--step", "0"], "--step"),
+        (["wigner", "--state", "pacs:1,1", "--range", "-1"], "--range"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_bad_flag_exits_1_naming_it(run_python, args, flag):
+    """A flag value the library rejects is a named error, not a crash."""
+    result = run_python("-m", "pacsim.cli", *args)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith(f"error: {flag}: ")

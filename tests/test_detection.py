@@ -9,7 +9,6 @@ from pacsim import (
     ChainConfig,
     ClickPattern,
     DetectorModel,
-    click_probability_given_n,
     coherent_state,
     condition_on_pattern,
     enumerate_patterns,
@@ -22,6 +21,8 @@ from pacsim import (
     run_chain_sequential,
     w_state_reference,
 )
+
+from oracles import click_probability_given_n
 
 DETECTORS = [
     DetectorModel.ideal(),

@@ -18,15 +18,13 @@ from pacsim import (
     fidelity_ensemble,
     fidelity_pure,
     fock_state,
-    orthogonality_defect,
     pacs_state,
-    perturbative_output,
     run_chain_full,
     run_chain_sequential,
-    stage_generator,
     stage_unitary,
 )
-from pacsim.dynamics import _apply_stage_full
+
+from oracles import orthogonality_defect, perturbative_output, stage_generator
 
 
 def tmsv_amplitudes(lam: float, dim: int) -> np.ndarray:
@@ -191,19 +189,32 @@ class TestRunChainFull:
         assert abs(np.vdot(p3, view[:, 1, 1, 1]) / a0 - triple) < tol
 
     def test_norm_preserved_through_stages(self):
-        """Explicit stage composition keeps the joint norm at 1."""
-        cfg = ChainConfig.uniform(1.0, 0.2, 2, signal_dim=24)
-        ds = cfg.signal_dim
-        psi = coherent_state(1.0, ds).amplitudes
-        for stage in cfg.stages:
-            vac = np.zeros(stage.idler_dim, dtype=complex)
-            vac[0] = 1.0
-            psi = np.kron(psi, vac)
-        dims = (ds, 4, 4)
-        u = stage_unitary(0.2, ds, 4)
-        psi = _apply_stage_full(psi, dims, 0, u)
-        psi = _apply_stage_full(psi, dims, 1, u)
-        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-9)
+        """Dense stage unitaries composed on the joint tensor keep the norm at 1.
+
+        The composition applies each (signal, idler_j) unitary to the
+        pre-expanded vacuum idlers, outside the Kraus propagation, and gives
+        run_chain_full's amplitudes on uniform and mixed-dims chains.
+        """
+        chains = [
+            ChainConfig.uniform(1.0, 0.2, 2, signal_dim=24),
+            ChainConfig.uniform(1.0, 0.2, 4, signal_dim=24),
+            ChainConfig(
+                0.7 + 0.4j, (StageParams(0.05, 3), StageParams(0.1, 5), StageParams(0.07, 4))
+            ),
+        ]
+        for cfg in chains:
+            ds = cfg.signal_dim
+            dims = (ds, *(s.idler_dim for s in cfg.stages))
+            psi = np.zeros(dims, dtype=complex)
+            psi[(slice(None),) + (0,) * cfg.n_stages] = coherent_state(cfg.alpha, ds).amplitudes
+            for j, stage in enumerate(cfg.stages):
+                u = stage_unitary(stage.lam, ds, stage.idler_dim)
+                t = np.moveaxis(psi, j + 1, 1)
+                pair = (u @ t.reshape(ds * stage.idler_dim, -1)).reshape(t.shape)
+                psi = np.moveaxis(pair, 1, j + 1)
+            psi = psi.reshape(-1)
+            assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-9)
+            assert np.max(np.abs(psi - run_chain_full(cfg).amplitudes)) <= 1e-12
 
     def test_budget_error_suggests_sequential(self):
         cfg = ChainConfig.uniform(1.0, 0.05, 12)

@@ -26,8 +26,9 @@ from pacsim import (
     pacs_state,
     partial_trace_to_marginal,
     single_mode,
-    tensor,
 )
+
+from oracles import tensor
 
 # Exact L_m(-|alpha|^2) values, computed independently with exact rational
 # arithmetic and frozen here; keys are |alpha|^2.

@@ -25,12 +25,13 @@ from pacsim import (
     project_signal,
     run_chain_full,
     run_chain_sequential,
-    stage_generator,
     stage_kraus,
     stage_unitary,
     w_state_reference,
 )
 from pacsim.cli import main
+
+from oracles import stage_generator
 
 
 class TestStageKraus:
@@ -44,6 +45,34 @@ class TestStageKraus:
             for a in range(ds):
                 for b in range(ds):
                     assert kraus[k, a, b] == u[a * di + k, b * di]
+
+    def test_memoized_and_read_only(self):
+        """Runners and CLI threads share one stack, so nobody may write to it."""
+        kraus = stage_kraus(0.05, 8, 4)
+        assert stage_kraus(0.05, 8, 4) is kraus
+        assert not kraus.flags.writeable
+        with pytest.raises(ValueError):
+            kraus[0, 0, 0] = 1.0
+
+    def test_sequential_table_builds_the_stage_once(self, monkeypatch, tmp_path):
+        """A 3-stage sequential table conditions 8 patterns on one stage unitary."""
+        calls = []
+        original = pacsim.dynamics.stage_unitary
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(pacsim.dynamics, "stage_unitary", counting)
+        stage_kraus.cache_clear()
+        config = tmp_path / "scenario.yaml"
+        config.write_text(
+            "version: 1\nchain: {alpha: 1.0, lam: 0.05, n_stages: 3}\nmode: sequential\n"
+            "tasks:\n  - type: patterns\n    output: p.csv\n",
+            encoding="utf-8",
+        )
+        assert main(["run", str(config), "--outdir", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
 
     def test_kth_subdiagonal(self):
         """n_s - n_i is conserved, so K_k only maps |b> to |b + k>."""
@@ -161,6 +190,15 @@ class TestHeraldIdlers:
         config = ChainConfig.uniform(1.0, 0.05, 2)
         with pytest.raises(ValueError):
             herald_idlers(config, pacs_state(1.0, 1, config.signal_dim + 1))
+
+    def test_budget_binds_on_all_but_the_last_idler(self):
+        """The peak is ds times the idler dims of stages 1..N-1, not 2..N."""
+        config = ChainConfig(1.0, (StageParams(0.05, 2), StageParams(0.05, 6)), signal_dim=24)
+        reference = pacs_state(1.0, 1, 24)
+        budget = 100  # ds * 2 = 48 < budget < ds * 6 = 144
+        assert herald_idlers(config, reference, budget=budget).probability > 0.0
+        with pytest.raises(DimensionBudgetError):
+            herald_idlers(config, reference, budget=47)
 
     def test_budget_caps_the_largest_intermediate(self):
         """A budget between ds di^(N-1) and ds di^N stops only the joint state."""

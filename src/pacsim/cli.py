@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -62,7 +63,14 @@ from .fock import (
 )
 
 SCHEMA_VERSION = 1
-_TASK_TYPES = ("patterns", "project", "sweep", "wigner")
+# the fields each task type accepts besides "type" and "output"
+_TASK_FIELDS = {
+    "patterns": {"pattern"},
+    "project": {"reference_m", "ladder_max", "plain"},
+    "sweep": {"param", "values", "pattern", "fit_output"},
+    "wigner": {"state", "extent", "step"},
+}
+_TASK_TYPES = tuple(_TASK_FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +91,10 @@ def _parse_alpha(value: Any, where: str) -> complex:
 def _is_int(value: Any) -> bool:
     """True for YAML integers; YAML booleans are ints to Python but not here."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return _is_int(value) or isinstance(value, float)
 
 
 def _require(mapping: dict, key: str, where: str) -> Any:
@@ -193,6 +205,9 @@ def parse_scenario(raw: Any) -> Scenario:
         ttype = _require(entry, "type", where)
         if ttype not in _TASK_TYPES:
             raise ScenarioError(f"{where}.type: expected one of {_TASK_TYPES}, got {ttype!r}")
+        for key in entry:
+            if key not in _TASK_FIELDS[ttype] | {"type", "output"}:
+                raise ScenarioError(f"{where}: unknown field {key!r}")
         task = dict(entry)
         output = _require(entry, "output", where)
         if not isinstance(output, str) or not output:
@@ -230,24 +245,31 @@ def _validate_task(task: dict, chain: ChainConfig, where: str) -> None:
         param = task.get("param", "lam")
         if param not in ("lam", "alpha"):
             raise ScenarioError(f"{where}.param: expected 'lam' or 'alpha', got {param!r}")
-        values = _require(task, "values", where)
-        if not isinstance(values, list) or len(values) < 1:
-            raise ScenarioError(f"{where}.values: expected a nonempty list")
-        for v in values:
-            if not isinstance(v, (int, float)) or v <= 0:
-                raise ScenarioError(f"{where}.values: expected positive numbers, got {v!r}")
-        if task.get("fit_output") is not None:
-            if param != "lam":
-                raise ScenarioError(f"{where}.fit_output: fits are only defined for lam sweeps")
-            if len(values) < 3 or len(set(values)) != len(values):
-                raise ScenarioError(f"{where}.values: a fit needs >= 3 distinct values")
+        fit = task.get("fit_output") is not None
+        if fit and param != "lam":
+            raise ScenarioError(f"{where}.fit_output: fits are only defined for lam sweeps")
+        try:
+            _check_sweep_values(_require(task, "values", where), fit)
+        except ValueError as exc:
+            raise ScenarioError(f"{where}.values: {exc}") from None
         _parse_pattern(_require(task, "pattern", where), chain.n_stages, f"{where}.pattern")
     elif ttype == "wigner":
         _parse_state_spec(str(_require(task, "state", where)), f"{where}.state")
         for field, default in (("extent", 5.0), ("step", 0.1)):
             v = task.get(field, default)
-            if not isinstance(v, (int, float)) or v <= 0:
+            if not _is_number(v) or not 0 < v < math.inf:
                 raise ScenarioError(f"{where}.{field}: expected a positive number, got {v!r}")
+
+
+def _check_sweep_values(values: Any, fit: bool) -> None:
+    """Raise ValueError unless ``values`` can be swept (and fitted when ``fit``)."""
+    if not isinstance(values, list) or not values:
+        raise ValueError("expected a nonempty list")
+    for v in values:
+        if not _is_number(v) or not 0 < v < math.inf:
+            raise ValueError(f"expected positive numbers, got {v!r}")
+    if fit and (len(values) < 3 or len(set(values)) != len(values)):
+        raise ValueError("a fit needs >= 3 distinct values")
 
 
 def _parse_state_spec(spec: str, where: str = "state") -> PureState:
@@ -390,11 +412,15 @@ def _run_project_task(task: dict, scenario: Scenario) -> dict[str, str]:
     return {task["output"]: _json_text(payload)}
 
 
-def _run_sweep_task(task: dict, scenario: Scenario) -> dict[str, str]:
-    chain, detector = scenario.chain, scenario.detector
-    param = task.get("param", "lam")
-    values = [float(v) for v in task["values"]]
-    pattern = ClickPattern.from_string(task["pattern"])
+def _sweep_samples(
+    chain: ChainConfig,
+    detector: DetectorModel,
+    mode: str,
+    param: str,
+    values: list[float],
+    pattern: ClickPattern,
+) -> list[tuple[float, float]]:
+    """(value, probability of ``pattern``) with ``param`` set to each value."""
     samples = []
     for value in values:
         if param == "lam":
@@ -405,17 +431,23 @@ def _run_sweep_task(task: dict, scenario: Scenario) -> dict[str, str]:
             )
         else:
             cfg = ChainConfig(complex(value), chain.stages, None)
-        if scenario.mode == "sequential":
+        if mode == "sequential":
             probability = run_chain_sequential(cfg, detector, pattern).probability
         else:
             joint = run_chain_full(cfg)
             probability = condition_on_pattern(joint, pattern, detector).probability
         samples.append((value, probability))
+    return samples
+
+
+def _sweep_outputs(
+    samples: list[tuple[float, float]], param: str, output: str, fit_output: str | None
+) -> dict[str, str]:
     rows = [[_fmt(v), _fmt(p)] for v, p in samples]
-    outputs = {task["output"]: _csv_text([param, "probability"], rows)}
-    if task.get("fit_output"):
+    outputs = {output: _csv_text([param, "probability"], rows)}
+    if fit_output:
         fit = fit_power_law(samples)
-        outputs[task["fit_output"]] = _json_text(
+        outputs[fit_output] = _json_text(
             {
                 "exponent": fit.exponent,
                 "prefactor": fit.prefactor,
@@ -424,6 +456,19 @@ def _run_sweep_task(task: dict, scenario: Scenario) -> dict[str, str]:
             }
         )
     return outputs
+
+
+def _run_sweep_task(task: dict, scenario: Scenario) -> dict[str, str]:
+    param = task.get("param", "lam")
+    samples = _sweep_samples(
+        scenario.chain,
+        scenario.detector,
+        scenario.mode,
+        param,
+        [float(v) for v in task["values"]],
+        ClickPattern.from_string(task["pattern"]),
+    )
+    return _sweep_outputs(samples, param, task["output"], task.get("fit_output"))
 
 
 def _run_wigner_task(task: dict, scenario: Scenario) -> dict[str, str]:
@@ -502,10 +547,8 @@ def _from_flag(flag: str, build, *args, **kwargs):
         raise ScenarioError(f"{flag}: {exc}") from None
 
 
-def _chain_from_flags(
-    args, n_stages: int, n_flag: str
-) -> tuple[ChainConfig, DetectorModel]:
-    """Chain and detector of a quick-look command, built one flag at a time.
+def _chain_from_flags(args, n_stages: int, n_flag: str) -> ChainConfig:
+    """Chain of a quick-look command, built one flag at a time.
 
     Each constructor call takes one flag more than the call before it, so a
     rejected value is reported under the flag that carried it; ``n_flag`` is
@@ -517,14 +560,18 @@ def _chain_from_flags(
     chain = _from_flag(n_flag, ChainConfig, alpha, (stage,) * n_stages)
     if args.signal_dim is not None:
         chain = _from_flag("--signal-dim", replace, chain, signal_dim=args.signal_dim)
+    return chain
+
+
+def _detector_from_flags(args) -> DetectorModel:
     _from_flag("--eta", DetectorModel, args.eta)
-    detector = _from_flag("--dark-prob", DetectorModel, args.eta, args.dark_prob)
-    return chain, detector
+    return _from_flag("--dark-prob", DetectorModel, args.eta, args.dark_prob)
 
 
 def _cmd_pacs(args) -> int:
     pattern = _from_flag("--pattern", ClickPattern.from_string, args.pattern)
-    config, detector = _chain_from_flags(args, len(pattern), "--pattern")
+    config = _chain_from_flags(args, len(pattern), "--pattern")
+    detector = _detector_from_flags(args)
     cond = run_chain_sequential(config, detector, pattern)
     print(f"pattern {pattern}: probability = {cond.probability!r}")
     if cond.ensemble is None:
@@ -537,7 +584,7 @@ def _cmd_pacs(args) -> int:
 
 
 def _cmd_wstate(args) -> int:
-    config, _ = _chain_from_flags(args, args.n, "--n")
+    config = _chain_from_flags(args, args.n, "--n")
     result = extract_w_state(config)
     print(f"heralding probability = {result.probability!r}")
     if result.idler_state is None:
@@ -550,7 +597,7 @@ def _cmd_wstate(args) -> int:
 def _cmd_wigner(args) -> int:
     state = _parse_state_spec(args.state, "--state")
     for flag, value in (("--range", args.range), ("--step", args.step)):
-        if not value > 0:
+        if not 0 < value < math.inf:
             raise ScenarioError(f"{flag}: expected a positive number, got {value!r}")
     grid = wigner(state, args.range, args.step)
     emit_wigner(grid, args.out)
@@ -566,18 +613,14 @@ def _cmd_sweep(args) -> int:
     values = _from_flag(
         "--values", lambda: [float(v) for v in args.values.split(",") if v.strip()]
     )
-    chain, detector = _chain_from_flags(args, len(pattern), "--pattern")
-    task = {
-        "type": "sweep",
-        "param": args.param,
-        "values": values,
-        "pattern": args.pattern,
-        "output": args.out,
-        "fit_output": args.fit_out,
-    }
-    scenario = Scenario(chain=chain, detector=detector, mode="full", tasks=(task,))
-    _validate_task(task, chain, "sweep")
-    outputs = _run_sweep_task(task, scenario)
+    chain = _chain_from_flags(args, len(pattern), "--pattern")
+    detector = _detector_from_flags(args)
+    fit = args.fit_out is not None
+    if fit and args.param != "lam":
+        raise ScenarioError("--fit-out: fits are only defined for lam sweeps")
+    _from_flag("--values", _check_sweep_values, values, fit)
+    samples = _sweep_samples(chain, detector, "full", args.param, values, pattern)
+    outputs = _sweep_outputs(samples, args.param, args.out, args.fit_out)
     for rel_path, text in outputs.items():
         Path(rel_path).parent.mkdir(parents=True, exist_ok=True)
         Path(rel_path).write_text(text, encoding="utf-8")
@@ -597,19 +640,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--outdir", default=None, help="directory for output files")
     p_run.set_defaults(func=_cmd_run)
 
-    def add_chain_args(p, with_lam=True):
+    def add_chain_args(p):
         p.add_argument("--alpha", required=True, help="seed coherent amplitude")
-        if with_lam:
-            p.add_argument("--lam", "--lambda", dest="lam", type=float,
-                           required=True,
-                           help="effective interaction strength per stage")
+        p.add_argument("--lam", "--lambda", dest="lam", type=float, required=True,
+                       help="effective interaction strength per stage")
         p.add_argument("--idler-dim", type=int, default=4, dest="idler_dim")
         p.add_argument("--signal-dim", type=int, default=None, dest="signal_dim")
+
+    def add_detector_args(p):
         p.add_argument("--eta", type=float, default=1.0, help="detector efficiency")
         p.add_argument("--dark-prob", type=float, default=0.0, dest="dark_prob")
 
     p_pacs = sub.add_parser("pacs", help="condition a chain on a click pattern")
     add_chain_args(p_pacs)
+    add_detector_args(p_pacs)
     p_pacs.add_argument("--pattern", required=True, help="click pattern, e.g. 10")
     p_pacs.set_defaults(func=_cmd_pacs)
 
@@ -629,6 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep a parameter and fit the scaling")
     add_chain_args(p_sweep)
+    add_detector_args(p_sweep)
     p_sweep.add_argument("--param", choices=("lam", "alpha"), default="lam")
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.add_argument("--pattern", required=True)

@@ -5,6 +5,8 @@ product, a scalar formula), so the tests can hold the package's faster paths
 against it.
 """
 
+import math
+
 import numpy as np
 
 from pacsim import (
@@ -12,6 +14,7 @@ from pacsim import (
     ModeSpec,
     MultiMode,
     PureState,
+    WignerGrid,
     coherent_state,
     default_signal_dim,
 )
@@ -83,3 +86,62 @@ def click_probability_given_n(detector: DetectorModel, n: int) -> float:
     if n < 0:
         raise ValueError(f"photon count must be nonnegative, got {n}")
     return float(detector.click_probability(n))
+
+
+def _ladder_moments(amps: np.ndarray) -> np.ndarray:
+    """M[j, k] = <a^j psi | a^k (parity psi)> / (j! k!), j, k < m."""
+    dim = amps.size
+    m_dim = int(np.nonzero(np.abs(amps) > 0.0)[0][-1]) + 1
+    parity = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
+    down = np.zeros((m_dim, dim), dtype=np.complex128)
+    down_p = np.zeros((m_dim, dim), dtype=np.complex128)
+    down[0] = amps
+    down_p[0] = parity * amps
+    root_n = np.sqrt(np.arange(dim))
+    for j in range(1, m_dim):
+        down[j, : dim - 1] = root_n[1:] * down[j - 1, 1:]
+        down_p[j, : dim - 1] = root_n[1:] * down_p[j - 1, 1:]
+    inv_fact = np.array([1.0 / math.factorial(j) for j in range(m_dim)])
+    return (down.conj() @ down_p.T) * np.outer(inv_fact, inv_fact)
+
+
+def _grid_gamma(extent: float, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The wigner grid axis and 2 beta = sqrt(2) (x + i p) at every point."""
+    axis = np.arange(-extent, extent + step / 2, step)
+    xg, pg = np.meshgrid(axis, axis, indexing="ij")
+    return axis, np.sqrt(2.0) * (xg + 1j * pg)
+
+
+def wigner_dense(state: PureState, extent: float, step: float) -> WignerGrid:
+    """W(x, p) by the displaced-parity Horner sum at every grid point.
+
+    The same ladder-moment sum as ``pacsim.wigner``, evaluated directly on
+    the full grid instead of on Gauss-Hermite nodes: O(n^2 m^2) for an n x n
+    grid and m occupied levels.
+    """
+    moments = _ladder_moments(state.amplitudes)
+    axis, gamma = _grid_gamma(extent, step)
+    neg_conj = -np.conj(gamma)
+    acc = np.zeros_like(gamma)
+    for j in range(moments.shape[0] - 1, -1, -1):
+        inner = np.zeros_like(gamma)
+        row = moments[j]
+        for k in range(moments.shape[1] - 1, -1, -1):
+            inner = inner * neg_conj + row[k]
+        acc = acc * gamma + inner
+    values = (np.exp(-np.abs(gamma) ** 2 / 2.0) * acc).real / math.pi
+    return WignerGrid(x_axis=axis, p_axis=axis.copy(), values=values)
+
+
+def horner_magnitude(state: PureState, extent: float, step: float) -> float:
+    """max over the grid of e^{-|gamma|^2/2}/pi sum_{j,k} |M[j,k]| |gamma|^{j+k}.
+
+    The magnitude of the terms the ladder-moment sum adds up; eps times this
+    bounds the rounding error of that sum, which grows quickly with the
+    occupied levels (about 1.6e-12 for |11> on a 4 x 4 window).
+    """
+    magnitudes = np.abs(_ladder_moments(state.amplitudes))
+    radius = np.abs(_grid_gamma(extent, step)[1]).ravel()
+    powers = radius[:, None] ** np.arange(magnitudes.shape[0])
+    terms = np.einsum("jk,pj,pk->p", magnitudes, powers, powers)
+    return float(np.max(np.exp(-(radius**2) / 2.0) * terms)) / math.pi

@@ -5,14 +5,19 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.laguerre import lagval
 
 from pacsim import (
     ChainConfig,
     ClickPattern,
     DetectorModel,
+    PureState,
     TruncationWarning,
     coherent_state,
     condition_on_pattern,
+    default_signal_dim,
     extract_w_state,
     fit_power_law,
     fock_state,
@@ -22,8 +27,10 @@ from pacsim import (
     w_state_reference,
     wigner,
 )
+from pacsim.analysis import _gauss_hermite_projector, _hermite_functions
+from pacsim.fock import single_mode
 
-from oracles import tensor
+from oracles import horner_magnitude, tensor, wigner_dense
 
 
 def exact_click_probability(alpha, lam, n_stages, n_clicks):
@@ -169,6 +176,85 @@ class TestWigner:
             wigner(fock_state(3, 4), extent=4.0, step=0.5)
 
 
+class TestWignerClosedForms:
+    @pytest.mark.parametrize("n", range(11))
+    def test_fock_state_is_a_laguerre_ring(self, n):
+        """W_n = (-1)^n / pi L_n(2 r^2) e^{-r^2} with r^2 = x^2 + p^2."""
+        grid = wigner(fock_state(n, n + 2), extent=5.0, step=0.1)
+        r2 = grid.x_axis[:, None] ** 2 + grid.p_axis[None, :] ** 2
+        exact = (-1) ** n / math.pi * lagval(2.0 * r2, [0.0] * n + [1.0]) * np.exp(-r2)
+        assert np.max(np.abs(grid.values - exact)) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [1 + 1j, 0.5 - 1.2j])
+    def test_coherent_state_is_a_displaced_gaussian(self, alpha):
+        """values[i, j] = W(x_i, p_j), centred on sqrt2 (Re alpha, Im alpha)."""
+        grid = wigner(coherent_state(alpha, 30), extent=5.0, step=0.1)
+        dx = grid.x_axis[:, None] - math.sqrt(2.0) * alpha.real
+        dp = grid.p_axis[None, :] - math.sqrt(2.0) * alpha.imag
+        exact = np.exp(-(dx**2) - dp**2) / math.pi
+        assert np.max(np.abs(grid.values - exact)) <= 1e-12
+
+
+class TestWignerMatchesDenseSum:
+    """The separable evaluation against the Horner sum at every grid point."""
+
+    @pytest.mark.parametrize(
+        "alpha, m, extent, step", [(2.0, 1, 10.0, 0.05), (1.0, 2, 8.0, 0.04)]
+    )
+    def test_phase_space_benchmark_grids(self, alpha, m, extent, step):
+        state = pacs_state(alpha, m, default_signal_dim(alpha, m))
+        fast = wigner(state, extent, step)
+        dense = wigner_dense(state, extent, step)
+        assert fast.values.shape == (401, 401)
+        assert np.array_equal(fast.x_axis, dense.x_axis)
+        assert np.array_equal(fast.p_axis, dense.p_axis)
+        assert np.max(np.abs(fast.values - dense.values)) <= 1e-12
+
+    def test_many_occupied_levels(self):
+        state = pacs_state(1.0, 1, 64)
+        assert np.nonzero(state.amplitudes)[0][-1] + 1 >= 60
+        fast = wigner(state, extent=6.0, step=0.1)
+        dense = wigner_dense(state, extent=6.0, step=0.1)
+        assert np.max(np.abs(fast.values - dense.values)) <= 1e-12
+
+    @pytest.mark.parametrize("n_basis", [1, 2, 53, 341])
+    def test_node_projector_inverts_the_basis(self, n_basis):
+        """sum_i phi_a(u_i) w_i e^{u_i^2} phi_b(u_i) = delta_ab up to 2K - 2.
+
+        341 = 2 * 171 - 1 is the largest basis a state can need: 1/171! is
+        the last inverse factorial a float holds.
+        """
+        nodes, projector = _gauss_hermite_projector(n_basis)
+        gram = projector @ _hermite_functions(nodes, n_basis).T
+        assert np.max(np.abs(gram - np.eye(n_basis))) <= 1e-13
+        assert not projector.flags.writeable
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+            min_size=2,
+            max_size=12,
+        ).filter(lambda a: np.linalg.norm(a) > 1e-3),
+        st.floats(0.5, 8.0),
+        st.floats(0.05, 1.0),
+    )
+    @pytest.mark.filterwarnings("ignore::pacsim.TruncationWarning")
+    def test_random_states_and_grids(self, amps, extent, step):
+        """Agreement to 1e-12 relative, plus the dense sum's own rounding.
+
+        The ladder-moment sum cancels terms up to horner_magnitude in size,
+        so its rounding error alone reaches 1.2e-12 for |11> (dim 12) against
+        the closed form; that part is allowed at 4 eps per unit of it.
+        """
+        state = PureState.from_amplitudes(single_mode(len(amps)), np.array(amps))
+        fast = wigner(state, extent, step)
+        dense = wigner_dense(state, extent, step)
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(dense.values))))
+        tol += 4 * np.finfo(float).eps * horner_magnitude(state, extent, step)
+        assert np.max(np.abs(fast.values - dense.values)) <= tol
+
+
 class TestWStateReference:
     def test_single_mode(self):
         ref = w_state_reference(1)
@@ -217,3 +303,14 @@ class TestExtractWState:
     def test_idler_state_space(self):
         result = extract_w_state(ChainConfig.uniform(1.0, 0.05, 3))
         assert result.idler_state.space.labels == ("idler-1", "idler-2", "idler-3")
+
+
+def test_import_does_not_load_numpy_polynomial(run_python):
+    """The Gauss-Hermite nodes are computed on the first Wigner grid, not on import."""
+    code = (
+        "import sys, pacsim.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+    )
+    out = run_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -280,6 +280,47 @@ tasks:
             capsys,
         )
 
+    @pytest.mark.parametrize(
+        "task, field",
+        [
+            ("{type: patterns, output: p.csv, patern: '1'}", "patern"),
+            ("{type: project, output: p.json, ladder: 1}", "ladder"),
+            ("{type: sweep, values: [0.01, 0.02, 0.04], pattern: '1', output: s.csv,"
+             " fit: f.json}", "fit"),
+            ("{type: wigner, state: 'fock:1', output: w.txt, stepp: 0.01}", "stepp"),
+        ],
+        ids=["patterns", "project", "sweep", "wigner"],
+    )
+    def test_unknown_task_field_named(self, tmp_path, capsys, task, field):
+        self.run_expecting_error(
+            tmp_path,
+            "version: 1\nchain: {alpha: 1.0, lam: 0.05, n_stages: 1}\ntasks:\n"
+            "  - {type: patterns, output: ok.csv}\n"
+            f"  - {task}\n",
+            f"tasks[1]: unknown field {field!r}",
+            capsys,
+        )
+
+    @pytest.mark.parametrize(
+        "task, field",
+        [
+            ("{type: sweep, values: [true, 0.02, 0.04], pattern: '1', output: s.csv}",
+             "values"),
+            ("{type: sweep, values: [0.01, .nan], pattern: '1', output: s.csv}", "values"),
+            ("{type: wigner, state: 'fock:1', output: w.txt, extent: true}", "extent"),
+            ("{type: wigner, state: 'fock:1', output: w.txt, step: .inf}", "step"),
+        ],
+        ids=["sweep-bool", "sweep-nan", "wigner-bool", "wigner-inf"],
+    )
+    def test_task_number_rejected(self, tmp_path, capsys, task, field):
+        self.run_expecting_error(
+            tmp_path,
+            "version: 1\nchain: {alpha: 1.0, lam: 0.05, n_stages: 1}\ntasks:\n"
+            f"  - {task}\n",
+            f"tasks[0].{field}: ",
+            capsys,
+        )
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "nope.yaml")])
         assert code == 1
@@ -380,6 +421,35 @@ class TestQuickCommands:
         fit = json.loads(Path("f.json").read_text())
         assert fit["exponent"] == pytest.approx(2.0, abs=0.05)
 
+    def test_sweep_command_matches_scenario_task(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        flags = ["--alpha", "1", "--lam", "0.05", "--pattern", "11", "--eta", "0.6",
+                 "--dark-prob", "1e-4", "--values", "0.01,0.02,0.04"]
+        assert main(["sweep", *flags, "--out", "s.csv", "--fit-out", "f.json"]) == 0
+        config = write_scenario(
+            tmp_path,
+            "version: 1\nchain: {alpha: 1.0, lam: 0.05, n_stages: 2}\n"
+            "detector: {eta: 0.6, dark_prob: 1.0e-4}\ntasks:\n"
+            "  - {type: sweep, values: [0.01, 0.02, 0.04], pattern: '11',"
+            " output: s.csv, fit_output: f.json}\n",
+        )
+        assert main(["run", str(config), "--outdir", "out"]) == 0
+        for name in ("s.csv", "f.json"):
+            assert (tmp_path / "out" / name).read_bytes() == Path(name).read_bytes()
+
+    def test_wstate_offers_no_detector_flags(self, capsys):
+        """W heralding uses no idler detector, so wstate has no --eta/--dark-prob."""
+        for command, listed in (("wstate", False), ("pacs", True), ("sweep", True)):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--help"])
+            assert exc.value.code == 0
+            out = capsys.readouterr().out
+            assert ("--eta" in out, "--dark-prob" in out) == (listed, listed)
+        with pytest.raises(SystemExit) as exc:
+            main(["wstate", "--alpha", "1", "--lam", "0.05", "--n", "3", "--eta", "0.3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --eta 0.3" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "args",
@@ -415,6 +485,15 @@ def test_truncation_exits_1_without_traceback(run_python, args):
          "--values"),
         (["wigner", "--state", "pacs:1,1", "--step", "0"], "--step"),
         (["wigner", "--state", "pacs:1,1", "--range", "-1"], "--range"),
+        (["sweep", "--alpha", "1", "--lam", "0.05", "--pattern", "1", "--values", ","],
+         "--values"),
+        (["sweep", "--alpha", "1", "--lam", "0.05", "--pattern", "1", "--values",
+          "0.01,-0.02"], "--values"),
+        (["sweep", "--alpha", "1", "--lam", "0.05", "--pattern", "1", "--values",
+          "0.01,0.02", "--fit-out", "f.json"], "--values"),
+        (["sweep", "--alpha", "1", "--lam", "0.05", "--pattern", "1", "--param", "alpha",
+          "--values", "0.5,1,2", "--fit-out", "f.json"], "--fit-out"),
+        (["wigner", "--state", "pacs:1,1", "--range", "inf"], "--range"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )

@@ -14,7 +14,6 @@ from .analysis import (
     extract_w_state,
     fit_power_law,
     photon_statistics,
-    w_state_fidelity,
     w_state_reference,
     wigner,
 )
@@ -35,6 +34,7 @@ from .dynamics import (
     ChainConfig,
     StageParams,
     herald_idlers,
+    herald_summary,
     run_chain_full,
     run_chain_sequential,
     stage_kraus,

@@ -1,4 +1,10 @@
-"""Derived quantities: scaling fits, photon statistics, Wigner grids, W states."""
+"""Derived quantities: scaling fits, photon statistics, Wigner grids, W states.
+
+W-state extraction reports the heralding probability and the idlers' W
+fidelity from dynamics.herald_summary, a contraction over the per-stage
+Kraus operators that never forms the idler state; herald_idlers builds that
+state for callers who want its amplitudes.
+"""
 
 from __future__ import annotations
 
@@ -10,13 +16,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import DEFAULT_AMPLITUDE_BUDGET, ChainConfig, herald_idlers
+from .dynamics import ChainConfig, herald_summary
 from .errors import TruncationWarning
 from .fock import (
     ModeSpec,
     MultiMode,
     PureState,
-    fidelity_pure,
     mean_photon_number,
     pacs_state,
     partial_trace_to_marginal,
@@ -88,6 +93,11 @@ def photon_statistics(state: PureState, mode: int = 0) -> PhotonStatistics:
     return PhotonStatistics(distribution=dist, mean=mean, mandel_q=q)
 
 
+#: Highest Fock level a state may occupy for wigner: the moment sum divides
+#: by n!, and 171! exceeds the largest double.
+WIGNER_MAX_LEVEL = 170
+
+
 @dataclass(frozen=True)
 class WignerGrid:
     """W(x, p) sampled on a uniform grid; values[i, j] = W(x_axis[i], p_axis[j])."""
@@ -125,7 +135,8 @@ def wigner(state: PureState, extent: float | None = None, step: float = 0.1) -> 
     stored state itself. The moment sum cancels terms far larger than W, so
     its rounding grows with the occupied levels: about 4e-13 for |10>, and
     it swamps W for a coherent state with |alpha| = 5. Conventions give
-    integral W dx dp = 1 and W_vacuum(0, 0) = 1/pi.
+    integral W dx dp = 1 and W_vacuum(0, 0) = 1/pi. Raises ValueError for a
+    state occupying a level above WIGNER_MAX_LEVEL.
     """
     if state.space.n_modes != 1:
         raise ValueError("wigner expects a single-mode state")
@@ -148,6 +159,10 @@ def wigner(state: PureState, extent: float | None = None, step: float = 0.1) -> 
     # a^j psi vanishes beyond the highest occupied level, so the sums stay
     # small even when the window is generous
     n_top = int(np.nonzero(np.abs(amps) > 0.0)[0][-1])
+    if n_top > WIGNER_MAX_LEVEL:
+        raise ValueError(
+            f"state occupies Fock level {n_top}; wigner reaches level {WIGNER_MAX_LEVEL}"
+        )
     m_dim = n_top + 1
     parity = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
     down = np.zeros((m_dim, dim), dtype=np.complex128)
@@ -242,30 +257,17 @@ def w_state_reference(n_modes: int, dim: int = 2) -> PureState:
 
 @dataclass(frozen=True)
 class WStateResult:
-    """Heralded idler state from identifying one added photon on the signal."""
+    """Heralding on one added photon: probability and idlers' W fidelity."""
 
     probability: float
-    idler_state: PureState | None
     w_fidelity: float | None
 
     @property
     def impossible(self) -> bool:
-        return self.idler_state is None
+        return self.probability == 0.0
 
 
-def w_state_fidelity(idler_state: PureState) -> float | None:
-    """|<W|idlers>|^2 against the W state, or None when idler dims differ."""
-    dims = idler_state.space.dims
-    if any(d != dims[0] for d in dims):
-        return None
-    return fidelity_pure(idler_state, w_state_reference(len(dims), dim=dims[0]))
-
-
-def extract_w_state(
-    config: ChainConfig,
-    ladder_max: int | None = None,
-    budget: int = DEFAULT_AMPLITUDE_BUDGET,
-) -> WStateResult:
+def extract_w_state(config: ChainConfig, ladder_max: int | None = None) -> WStateResult:
     """Run the chain and herald on the single-photon-added signal state.
 
     The signal is projected onto the component of |alpha, 1> orthogonal to
@@ -273,9 +275,9 @@ def extract_w_state(
     modeling an ideal identification of the one-photon-added state among the
     non-orthogonal ladder of possible signal outputs. The conditional idler
     state then carries one excitation spread over all stages: the N-mode W
-    state, up to weak-coupling corrections. Runs on herald_idlers, so
-    ``budget`` caps its largest intermediate array, signal_dim times the
-    idler dims of stages 2..N, and the joint state is never built.
+    state, up to weak-coupling corrections. Runs on herald_summary, which
+    contracts the chain's Kraus operators without forming the idler state,
+    so no amplitude budget applies; herald_idlers returns that state.
     """
     if ladder_max is None:
         ladder_max = config.n_stages
@@ -286,11 +288,5 @@ def extract_w_state(
         for m in range(ladder_max + 1)
         if m != 1
     ]
-    proj = herald_idlers(config, reference, orthogonal_to=others, budget=budget)
-    if proj.state is None:
-        return WStateResult(probability=proj.probability, idler_state=None, w_fidelity=None)
-    return WStateResult(
-        probability=proj.probability,
-        idler_state=proj.state,
-        w_fidelity=w_state_fidelity(proj.state),
-    )
+    probability, w_fidelity = herald_summary(config, reference, orthogonal_to=others)
+    return WStateResult(probability=probability, w_fidelity=w_fidelity)

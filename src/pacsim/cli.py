@@ -32,10 +32,10 @@ import numpy as np
 import yaml
 
 from .analysis import (
+    WIGNER_MAX_LEVEL,
     WignerGrid,
     extract_w_state,
     fit_power_law,
-    w_state_fidelity,
     wigner,
 )
 from .detection import (
@@ -48,7 +48,7 @@ from .detection import (
 from .dynamics import (
     ChainConfig,
     StageParams,
-    herald_idlers,
+    herald_summary,
     run_chain_full,
     run_chain_sequential,
 )
@@ -273,27 +273,39 @@ def _check_sweep_values(values: Any, fit: bool) -> None:
 
 
 def _parse_state_spec(spec: str, where: str = "state") -> PureState:
-    """Build a single-mode state from 'coherent:A', 'fock:N' or 'pacs:A,M'."""
+    """Build a single-mode state from 'coherent:A', 'fock:N' or 'pacs:A,M'.
+
+    The state is for a Wigner grid, so one occupying a level above
+    WIGNER_MAX_LEVEL is rejected here, before anything runs or is written.
+    """
     kind, _, arg = spec.partition(":")
     try:
         if kind == "coherent":
             alpha = _parse_alpha(arg, where)
-            return coherent_state(alpha, default_signal_dim(alpha))
-        if kind == "fock":
+            state = coherent_state(alpha, default_signal_dim(alpha))
+        elif kind == "fock":
             n = int(arg)
-            return fock_state(n, max(n + 2, 8))
-        if kind == "pacs":
+            state = fock_state(n, max(n + 2, 8))
+        elif kind == "pacs":
             alpha_text, _, m_text = arg.partition(",")
             alpha = _parse_alpha(alpha_text, where)
             m = int(m_text)
-            return pacs_state(alpha, m, default_signal_dim(alpha, m))
+            state = pacs_state(alpha, m, default_signal_dim(alpha, m))
+        else:
+            raise ScenarioError(
+                f"{where}: unknown state kind {kind!r} (use coherent:A, fock:N or pacs:A,M)"
+            )
     except ScenarioError:
         raise
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{where}: cannot parse state spec {spec!r} ({exc})")
-    raise ScenarioError(
-        f"{where}: unknown state kind {kind!r} (use coherent:A, fock:N or pacs:A,M)"
-    )
+    top = int(np.flatnonzero(state.amplitudes)[-1])
+    if top > WIGNER_MAX_LEVEL:
+        raise ScenarioError(
+            f"{where}: {spec!r} occupies Fock level {top}; Wigner grids reach "
+            f"level {WIGNER_MAX_LEVEL}"
+        )
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +401,7 @@ def _run_patterns_task(task: dict, scenario: Scenario) -> dict[str, str]:
 
 
 def _run_project_task(task: dict, scenario: Scenario) -> dict[str, str]:
-    """Signal-side heralding; never builds the joint state, in either mode."""
+    """Signal-side heralding by herald_summary: no joint or idler state, no budget."""
     chain = scenario.chain
     m = task.get("reference_m", 1)
     plain = task.get("plain", False)
@@ -398,16 +410,15 @@ def _run_project_task(task: dict, scenario: Scenario) -> dict[str, str]:
     others = () if plain else tuple(
         pacs_state(chain.alpha, k, ds) for k in range(ladder_max + 1) if k != m
     )
-    proj = herald_idlers(chain, pacs_state(chain.alpha, m, ds), orthogonal_to=others)
-    w_fid = None
-    if m == 1 and proj.state is not None:
-        w_fid = w_state_fidelity(proj.state)
+    probability, w_fid = herald_summary(
+        chain, pacs_state(chain.alpha, m, ds), orthogonal_to=others
+    )
     payload: dict[str, Any] = {
         "n_stages": chain.n_stages,
         "reference_m": m,
         "plain_projector": plain,
-        "probability": proj.probability,
-        "w_fidelity": w_fid,
+        "probability": probability,
+        "w_fidelity": w_fid if m == 1 else None,
     }
     return {task["output"]: _json_text(payload)}
 
@@ -587,7 +598,7 @@ def _cmd_wstate(args) -> int:
     config = _chain_from_flags(args, args.n, "--n")
     result = extract_w_state(config)
     print(f"heralding probability = {result.probability!r}")
-    if result.idler_state is None:
+    if result.impossible:
         print("impossible outcome")
     else:
         print(f"fidelity vs {args.n}-mode W state = {result.w_fidelity!r}")

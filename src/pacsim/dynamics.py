@@ -8,9 +8,10 @@ meets the signal again, a stage is fully described by its Kraus operators
 K_k = <k|U|0> acting on the signal (the sequential-ancilla picture of Schoen,
 Solano, Verstraete, Cirac and Wolf, PRL 95, 110503 (2005)). Every runner
 works on these operators: sequential conditioning folds the signal's density
-matrix through them, and run_chain_full and herald_idlers push the seed
-through them with one propagation; only run_chain_full keeps the joint
-signal-and-idlers state.
+matrix through them; run_chain_full and herald_idlers push the seed through
+them with one propagation that keeps a row per idler record, so only they
+are held to an amplitude budget; and herald_summary contracts them into the
+heralding probability and W fidelity with no record-indexed array at all.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .detection import (
+    IMPOSSIBLE_PROBABILITY,
     ClickPattern,
     ConditionalState,
     DetectorModel,
@@ -56,6 +58,8 @@ class StageParams:
     idler_dim: int = 4
 
     def __post_init__(self):
+        if not math.isfinite(self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam}")
         if self.lam < 0:
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
         if self.idler_dim < 2:
@@ -244,6 +248,20 @@ def run_chain_sequential(
     )
 
 
+def _heralding_reference(
+    config: ChainConfig, reference: PureState, orthogonal_to: Sequence[PureState]
+) -> np.ndarray:
+    """Amplitudes of the reference, orthogonalized against ``orthogonal_to``."""
+    ds = config.signal_dim
+    if reference.space.dims != (ds,):
+        raise ValueError(
+            f"reference dim {reference.space.dims} does not match signal dim ({ds},)"
+        )
+    if orthogonal_to:
+        reference = orthogonalized_reference(reference, orthogonal_to)
+    return reference.amplitudes
+
+
 def herald_idlers(
     config: ChainConfig,
     reference: PureState,
@@ -258,25 +276,88 @@ def herald_idlers(
     stages 1..N-1, contracted with <ref|K_kN>, so the largest array holds
     signal_dim * prod(idler dims of stages 1..N-1) amplitudes. Raises
     DimensionBudgetError when that, or the idler state itself, exceeds
-    ``budget``.
+    ``budget``; herald_summary gives the probability and W fidelity with
+    no budget.
     """
-    ds = config.signal_dim
-    if reference.space.dims != (ds,):
-        raise ValueError(
-            f"reference dim {reference.space.dims} does not match signal dim ({ds},)"
-        )
+    ref = _heralding_reference(config, reference, orthogonal_to)
     idler_dims = [s.idler_dim for s in config.stages]
-    peak = max(ds * math.prod(idler_dims[:-1]), math.prod(idler_dims))
+    peak = max(config.signal_dim * math.prod(idler_dims[:-1]), math.prod(idler_dims))
     if peak > budget:
         raise DimensionBudgetError(
-            f"heralding needs {peak} amplitudes (budget {budget})"
+            f"heralded idler state needs {peak} amplitudes (budget {budget}); "
+            "the heralding probability and W fidelity need no budget: "
+            "use herald_summary"
         )
-    if orthogonal_to:
-        reference = orthogonalized_reference(reference, orthogonal_to)
     stacks = _chain_kraus(config)
-    last = reference.amplitudes.conj() @ stacks[-1]  # row k is <ref|K_k
+    last = ref.conj() @ stacks[-1]  # row k is <ref|K_k
     amps = (_propagate(config, stacks[:-1]) @ last.T).reshape(-1)
     space = MultiMode(
         tuple(ModeSpec(d, f"idler-{j + 1}") for j, d in enumerate(idler_dims))
     )
     return projection_result(amps, space)
+
+
+def herald_summary(
+    config: ChainConfig,
+    reference: PureState,
+    orthogonal_to: Sequence[PureState] = (),
+) -> tuple[float, float | None]:
+    """Heralding probability and W-state fidelity, without the idler state.
+
+    For the heralded idler amplitudes c[k1..kN] = <r|K_kN .. K_k1|alpha>,
+    r the reference orthogonalized against ``orthogonal_to``, returns
+    P = sum |c|^2 and F_W = |<W|c>|^2 / P: the probability of
+    herald_idlers and the fidelity of its state with the N-mode W state.
+    F_W is None when the idler dims differ, and an impossible outcome
+    (P below IMPOSSIBLE_PROBABILITY) gives (0.0, None). Nothing indexed by
+    idler records is formed, so no budget applies: memory is O(S ds^2) and
+    time O(N S di ds^3), with S <= min(N (di - 1) + 1, ds) sectors.
+
+    P = sum_K ||A_K^T r||^2 with A_K A_K^T = sum psi psi^T over the records
+    psi = K_kj .. K_k1|alpha> of total idler excitation K. A stage maps A_K
+    to [K_0 A_K | K_1 A_(K-1) | ..], and a factor wider than its rank bound
+    is cut back by the R factor of a QR. K_k raises the signal level by k,
+    so A_K lives on levels >= K, has rank <= ds - K and is stored from
+    level K on; sectors K >= ds are empty. The factors are graded by K
+    because P is far smaller than the records' norms at weak coupling: one
+    density matrix rho <- sum_k K_k rho K_k^T with P = <r|rho|r> squares the
+    amplitudes before they cancel against r and loses P to rounding (it
+    even turns negative at lam = 1e-6 with a two-photon reference), while
+    each graded factor is rounded relative to its own sector's size. The W
+    overlap sum_j c[e_j] is <r|u> from the two-vector recursion
+    u <- K_0 u + K_1 v, v <- K_0 v.
+    """
+    ds = config.signal_dim
+    ref = _heralding_reference(config, reference, orthogonal_to)
+    # every K_k is real and raises the level by k, so level n of a record
+    # with excitation K has the phase e^{i(n - K) arg alpha}; e^{-iK arg alpha}
+    # drops out of |<r|psi>|, and moving e^{in arg alpha} onto the bra leaves
+    # every factor real
+    bra = ref * np.exp(-1j * np.angle(config.alpha) * np.arange(ds))
+    bra = np.stack([bra.real, bra.imag], axis=1)
+    seed = coherent_state(abs(config.alpha), ds).amplitudes.real
+    # factors[K] is A_K^T restricted to levels K..ds-1: (width, ds - K)
+    factors = [seed[None, :]]
+    u, v = np.zeros(ds), seed
+    for stack in _chain_kraus(config):
+        # the only nonzero entries of K_k: subs[k][b] = <b + k|K_k|b>
+        subs = [np.diagonal(op, -k) for k, op in enumerate(stack[:ds])]
+        grown = []
+        for total in range(min(len(factors) + len(subs) - 1, ds)):
+            ks = range(max(0, total - len(factors) + 1), min(total, len(subs) - 1) + 1)
+            block = np.concatenate(
+                [factors[total - k][:, : ds - total] * subs[k][total - k :] for k in ks]
+            )
+            if block.shape[0] > block.shape[1]:
+                block = np.linalg.qr(block, mode="r")
+            grown.append(block)
+        factors = grown
+        u = subs[0] * u
+        u[1:] += subs[1] * v[:-1]
+        v = subs[0] * v
+    probability = sum(float(np.sum((f @ bra[k:]) ** 2)) for k, f in enumerate(factors))
+    if probability < IMPOSSIBLE_PROBABILITY:
+        return 0.0, None
+    if len({s.idler_dim for s in config.stages}) > 1:
+        return probability, None
+    return probability, float(np.sum((u @ bra) ** 2)) / (config.n_stages * probability)

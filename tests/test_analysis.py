@@ -21,6 +21,7 @@ from pacsim import (
     extract_w_state,
     fit_power_law,
     fock_state,
+    herald_idlers,
     pacs_state,
     photon_statistics,
     run_chain_full,
@@ -166,6 +167,12 @@ class TestWigner:
         assert grid.x_axis[-1] >= abs(1.0) + 4.0 - 0.2
         assert 0.98 <= grid.integral() <= 1.02
 
+    def test_level_beyond_170_rejected(self):
+        """The moment sum divides by n!, and 171! is beyond the largest double."""
+        wigner(fock_state(170, 172), extent=1.0, step=0.5)
+        with pytest.raises(ValueError, match="level 171"):
+            wigner(fock_state(171, 173), extent=1.0, step=0.5)
+
     def test_multimode_rejected(self):
         joint = tensor(fock_state(0, 4, "signal"), fock_state(0, 4, "idler-1"))
         with pytest.raises(ValueError):
@@ -301,8 +308,9 @@ class TestExtractWState:
         assert result.probability == 0.0
 
     def test_idler_state_space(self):
-        result = extract_w_state(ChainConfig.uniform(1.0, 0.05, 3))
-        assert result.idler_state.space.labels == ("idler-1", "idler-2", "idler-3")
+        config = ChainConfig.uniform(1.0, 0.05, 3)
+        result = herald_idlers(config, pacs_state(1.0, 1, config.signal_dim))
+        assert result.state.space.labels == ("idler-1", "idler-2", "idler-3")
 
 
 def test_import_does_not_load_numpy_polynomial(run_python):

@@ -321,6 +321,33 @@ tasks:
             capsys,
         )
 
+    @pytest.mark.parametrize(
+        "chain, field",
+        [
+            ("{alpha: 1.0, lam: .nan, n_stages: 1}", "chain: "),
+            ("{alpha: 1.0, stages: [{lam: 0.05}, {lam: .inf}]}", "chain.stages[1]: "),
+        ],
+        ids=["nan", "inf"],
+    )
+    def test_non_finite_lam_rejected(self, tmp_path, capsys, chain, field):
+        self.run_expecting_error(
+            tmp_path,
+            f"version: 1\nchain: {chain}\ntasks:\n  - {{type: project, output: p.json}}\n",
+            field + "lam must be finite",
+            capsys,
+        )
+
+    def test_wigner_state_beyond_level_170_rejected(self, tmp_path, capsys):
+        """1/n! is no double from n = 171 on; the task is refused before it runs."""
+        self.run_expecting_error(
+            tmp_path,
+            "version: 1\nchain: {alpha: 1.0, lam: 0.05, n_stages: 1}\ntasks:\n"
+            "  - {type: patterns, output: p.csv}\n"
+            "  - {type: wigner, state: 'fock:200', output: w.txt}\n",
+            "tasks[1].state: 'fock:200' occupies Fock level 200",
+            capsys,
+        )
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "nope.yaml")])
         assert code == 1
@@ -406,6 +433,12 @@ class TestQuickCommands:
         )
         grid = load_wigner(target)
         assert grid.minimum() < 0.0
+
+    def test_wigner_state_beyond_level_170(self, tmp_path, capsys):
+        target = tmp_path / "w.txt"
+        assert main(["wigner", "--state", "fock:200", "--out", str(target)]) == 1
+        assert capsys.readouterr().err.startswith("error: --state: 'fock:200' occupies")
+        assert not target.exists()
 
     def test_wigner_bad_state_spec(self, capsys):
         assert main(["wigner", "--state", "cat:1"]) == 1
@@ -494,6 +527,8 @@ def test_truncation_exits_1_without_traceback(run_python, args):
         (["sweep", "--alpha", "1", "--lam", "0.05", "--pattern", "1", "--param", "alpha",
           "--values", "0.5,1,2", "--fit-out", "f.json"], "--fit-out"),
         (["wigner", "--state", "pacs:1,1", "--range", "inf"], "--range"),
+        (["pacs", "--alpha", "1", "--lam", "nan", "--pattern", "1"], "--lam"),
+        (["pacs", "--alpha", "1", "--lam", "inf", "--pattern", "1"], "--lam"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )

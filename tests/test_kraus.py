@@ -1,6 +1,8 @@
 """The per-stage Kraus core: sequential conditioning and signal heralding."""
 
+import cmath
 import json
+import math
 import sys
 from itertools import product
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 import pacsim
 from pacsim import (
+    IMPOSSIBLE_PROBABILITY,
     ChainConfig,
     ClickPattern,
     DetectorModel,
@@ -21,6 +24,7 @@ from pacsim import (
     fidelity_ensemble,
     fidelity_pure,
     herald_idlers,
+    herald_summary,
     pacs_state,
     project_signal,
     run_chain_full,
@@ -206,10 +210,162 @@ class TestHeraldIdlers:
         budget = 12_000  # ds di^4 = 6144 < budget < ds di^5 = 24576
         with pytest.raises(DimensionBudgetError):
             run_chain_full(config, budget)
-        result = extract_w_state(config, budget=budget)
-        assert result.w_fidelity > 0.99
+        reference, others = pacs_state(1.0, 1, 24), ladder(config, 1, config.n_stages)
+        result = herald_idlers(config, reference, others, budget=budget)
+        assert fidelity_pure(result.state, w_state_reference(5, 4)) > 0.99
         with pytest.raises(DimensionBudgetError):
-            extract_w_state(config, budget=6_143)
+            herald_idlers(config, reference, others, budget=6_143)
+
+
+def dense_w_fidelity(proj):
+    """F_W of herald_idlers' state, or None where herald_summary gives None."""
+    dims = proj.state.space.dims
+    if len(set(dims)) > 1:
+        return None
+    return fidelity_pure(proj.state, w_state_reference(len(dims), dims[0]))
+
+
+class TestHeraldSummary:
+    @pytest.mark.parametrize(
+        "config, m, plain",
+        [
+            (config, m, plain)
+            for config in HERALD_CHAINS + [ChainConfig.uniform(1.0, 0.05, 7, signal_dim=26)]
+            for m, plain in ((1, False), (1, True), (0, True), (2, False))
+            if m <= config.n_stages
+        ],
+    )
+    def test_matches_joint_state_projection(self, config, m, plain):
+        """P and F_W of run_chain_full + project_signal to 1e-10, up to N = 7."""
+        reference = pacs_state(config.alpha, m, config.signal_dim)
+        others = () if plain else ladder(config, m, config.n_stages)
+        probability, w_fidelity = herald_summary(config, reference, others)
+        old = project_signal(run_chain_full(config), reference, others)
+        assert probability == pytest.approx(old.probability, rel=1e-10)
+        if w_fidelity is None:
+            assert dense_w_fidelity(old) is None
+        else:
+            assert abs(w_fidelity - dense_w_fidelity(old)) <= 1e-10
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("lam", [0.05, 1e-3, 1e-6])
+    def test_weak_coupling_matches_the_idler_state(self, lam, m):
+        """A density-matrix fold loses this grid to rounding; the graded form does not.
+
+        At (1e-6, 2) P is 2e-24 and both paths sit about 5e-8 from a
+        40-digit evaluation of the same truncated model, hence 1e-7 there.
+        """
+        config = ChainConfig.uniform(1.0, lam, 3, signal_dim=20)
+        reference = pacs_state(1.0, m, 20)
+        others = ladder(config, m, 3)
+        probability, w_fidelity = herald_summary(config, reference, others)
+        dense = herald_idlers(config, reference, others)
+        rel = 1e-7 if (lam, m) == (1e-6, 2) else 1e-10
+        assert probability == pytest.approx(dense.probability, rel=rel)
+        assert abs(w_fidelity - dense_w_fidelity(dense)) <= 1e-10
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_sectors_stop_at_the_signal_cutoff(self, m):
+        """N (di - 1) + 1 = 17 excitation sectors, of which only K < ds = 4 exist.
+
+        A vacuum seed heralded on |m> puts all of P in sector m, the top one
+        at m = 3.
+        """
+        config = ChainConfig.uniform(0.0, 0.3, 4, idler_dim=5, signal_dim=4)
+        reference = pacs_state(0.0, m, 4)
+        probability, w_fidelity = herald_summary(config, reference)
+        dense = herald_idlers(config, reference)
+        assert probability == pytest.approx(dense.probability, rel=1e-10)
+        assert abs(w_fidelity - dense_w_fidelity(dense)) <= 1e-10
+
+    def test_zero_coupling_is_impossible(self):
+        config = ChainConfig.uniform(1.0, 0.0, 3)
+        reference = pacs_state(1.0, 1, config.signal_dim)
+        assert herald_summary(config, reference, ladder(config, 1, 3)) == (0.0, None)
+
+    def test_reference_dim_mismatch(self):
+        config = ChainConfig.uniform(1.0, 0.05, 2)
+        with pytest.raises(ValueError):
+            herald_summary(config, pacs_state(1.0, 1, config.signal_dim + 1))
+
+
+@st.composite
+def herald_cases(draw):
+    n_stages = draw(st.integers(1, 4))
+    dims = st.integers(2, 5)
+    shared = draw(dims) if draw(st.booleans()) else None
+    stages = tuple(
+        StageParams(draw(st.floats(1e-4, 0.3)), shared or draw(dims))
+        for _ in range(n_stages)
+    )
+    alpha = draw(st.floats(0.0, 1.5)) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+    m = draw(st.integers(0, n_stages))
+    # the default cutoff is too small for up to four added photons at |alpha| = 1.5
+    return ChainConfig(alpha, stages, signal_dim=30), m, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(herald_cases())
+def test_herald_summary_matches_herald_idlers(case):
+    """Random chains, mixed idler dims, plain or ladder projectors, complex alpha."""
+    config, m, plain = case
+    reference = pacs_state(config.alpha, m, config.signal_dim)
+    others = () if plain else ladder(config, m, config.n_stages)
+    probability, w_fidelity = herald_summary(config, reference, others)
+    dense = herald_idlers(config, reference, others)
+    if probability == 0.0 or dense.impossible:
+        # both sit at the impossibility floor, up to the 1e-10 tolerance
+        assert max(probability, dense.probability) < IMPOSSIBLE_PROBABILITY * (1 + 1e-10)
+        return
+    assert probability == pytest.approx(dense.probability, rel=1e-10)
+    expected = dense_w_fidelity(dense)
+    if expected is None:
+        assert w_fidelity is None
+    else:
+        assert abs(w_fidelity - expected) <= 1e-10
+
+
+@pytest.fixture
+def no_idler_records(monkeypatch):
+    """Make the propagation that keeps every idler record raise."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("_propagate was called")
+
+    monkeypatch.setattr(pacsim.dynamics, "_propagate", forbidden)
+
+
+def test_w_heralding_keeps_no_idler_records(no_idler_records, tmp_path, capsys):
+    """extract_w_state, pacsim wstate and every project variant contract instead."""
+    assert extract_w_state(ChainConfig.uniform(1.0, 0.05, 3)).w_fidelity >= 0.995
+    assert main(["wstate", "--alpha", "1", "--lam", "0.05", "--n", "3"]) == 0
+    assert "fidelity vs 3-mode W state" in capsys.readouterr().out
+    extras = ["", "reference_m: 0", "reference_m: 2", "plain: true", "ladder_max: 0"]
+    for mode, extra in product(["full", "sequential"], extras):
+        config = tmp_path / "scenario.yaml"
+        config.write_text(
+            f"version: 1\nchain: {{alpha: 1.0, lam: 0.05, n_stages: 3}}\nmode: {mode}\n"
+            f"tasks:\n  - type: project\n    output: p.json\n    {extra}\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / f"{mode}-{len(extra)}-{extra[:3]}"
+        assert main(["run", str(config), "--outdir", str(out)]) == 0
+        assert json.loads((out / "p.json").read_text())["probability"] > 0.0
+
+
+def test_twelve_stages_need_no_budget(tmp_path, capsys):
+    """ds * di^(N-1) = 167,772,160 amplitudes at N = 12 would exceed any budget."""
+    config = tmp_path / "scenario.yaml"
+    config.write_text(
+        "version: 1\nchain: {alpha: 1.0, lam: 0.05, n_stages: 12, signal_dim: 40}\n"
+        "tasks:\n  - {type: project, output: p.json}\n",
+        encoding="utf-8",
+    )
+    assert main(["run", str(config), "--outdir", str(tmp_path / "out")]) == 0
+    payload = json.loads((tmp_path / "out" / "p.json").read_text())
+    assert payload["w_fidelity"] > 0.99
+    assert main(["wstate", "--alpha", "1", "--lam", "0.05", "--n", "12", "--signal-dim", "40"]) == 0
+    assert f"heralding probability = {payload['probability']!r}" in capsys.readouterr().out
 
 
 @pytest.fixture

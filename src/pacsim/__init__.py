@@ -48,7 +48,6 @@ from .errors import (
     TruncationWarning,
 )
 from .fock import (
-    LadderResult,
     ModeSpec,
     MultiMode,
     PureState,
@@ -58,10 +57,6 @@ from .fock import (
     fidelity_ensemble,
     fidelity_pure,
     fock_state,
-    ladder_apply,
-    laguerre,
-    laguerre_recurrence,
-    laguerre_series,
     mean_photon_number,
     pacs_state,
     partial_trace_to_marginal,

@@ -1,5 +1,9 @@
 """Derived quantities: scaling fits, photon statistics, Wigner grids, W states.
 
+Wigner grids come straight from the density matrix: each two-mode photon
+sector of rho is turned by a 50:50 beam splitter into the coefficients of W
+on products of Hermite functions, and two matrix products evaluate the grid.
+
 W-state extraction reports the heralding probability and the idlers' W
 fidelity from dynamics.herald_summary, a contraction over the per-stage
 Kraus operators that never forms the idler state; herald_idlers builds that
@@ -8,7 +12,6 @@ state for callers who want its amplitudes.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -93,11 +96,6 @@ def photon_statistics(state: PureState, mode: int = 0) -> PhotonStatistics:
     return PhotonStatistics(distribution=dist, mean=mean, mandel_q=q)
 
 
-#: Highest Fock level a state may occupy for wigner: the moment sum divides
-#: by n!, and 171! exceeds the largest double.
-WIGNER_MAX_LEVEL = 170
-
-
 @dataclass(frozen=True)
 class WignerGrid:
     """W(x, p) sampled on a uniform grid; values[i, j] = W(x_axis[i], p_axis[j])."""
@@ -116,32 +114,25 @@ class WignerGrid:
 
 
 def wigner(state: PureState, extent: float | None = None, step: float = 0.1) -> WignerGrid:
-    """Wigner function of a single-mode state via the displaced-parity form.
+    """Wigner function of a single-mode state on a uniform grid.
 
-    W(x, p) = (1/pi) <psi| D(2 beta) Pi |psi> with beta = (x + i p)/sqrt(2)
-    and Pi the photon-number parity. Expanding D in normal order turns the
-    expectation into a finite double sum over the state's ladder moments
-    <a^j psi | a^k Pi psi> / (j! k!), j, k < m with m the highest occupied
-    level plus one. So W(x, p) e^{x^2 + p^2} is a polynomial of degree
-    <= 2(m - 1) in each of x and p, and W lies exactly in the span of
-    phi_a(sqrt2 x) phi_b(sqrt2 p), a, b < K = 2m - 1, phi being the
-    orthonormal Hermite functions. The moment sum runs only on the K x K
-    Gauss-Hermite nodes, which integrate the projection onto that basis with
-    no quadrature error; one product gives the K x K coefficient matrix G
-    and two more the whole grid, values = Phi_x^T G Phi_p. An n x n grid
-    costs O(K^2 m^2 + n K (n + K)) instead of the O(n^2 m^2) of summing at
-    every point, and the result is still exact on the truncation window up
-    to rounding: there is no quadrature or parity-tail error beyond the
-    stored state itself. The moment sum cancels terms far larger than W, so
-    its rounding grows with the occupied levels: about 4e-13 for |10>, and
-    it swamps W for a coherent state with |alpha| = 5. Conventions give
-    integral W dx dp = 1 and W_vacuum(0, 0) = 1/pi. Raises ValueError for a
-    state occupying a level above WIGNER_MAX_LEVEL.
+    With u = sqrt2 x and v = sqrt2 p, the Wigner function of |m><n| is an
+    eigenfunction of the 2-D oscillator in (u, v) with s = m + n quanta, so
+    W = sum_ab G[a, b] phi_a(u) phi_b(v) with phi the orthonormal Hermite
+    functions and G nonzero only on the antidiagonals a + b = s < 2m - 1,
+    m being the highest occupied level plus one. The map from rho = psi psi^+
+    to G is a 45-degree rotation (a 50:50 beam splitter) of each two-mode
+    s-photon sector; see _beam_splitter_sectors. It costs O(m^3), and two
+    products give the whole grid, values = Phi_x^T G Phi_p. Every step is
+    orthogonal or a bounded Hermite recurrence, so nothing cancels: against
+    the closed forms on a +-12 grid the error is 1e-14 for |60> and 5e-14
+    for |171> and |200>, and 7e-13 for a coherent state with alpha = 3 + 4j
+    on a +-14 grid. No level limit applies; the cost grows as m^3.
+    Conventions give integral W dx dp = 1 and W_vacuum(0, 0) = 1/pi.
     """
     if state.space.n_modes != 1:
         raise ValueError("wigner expects a single-mode state")
     amps = state.amplitudes
-    dim = amps.size
     top_mass = float(abs(amps[-1]) ** 2)
     if top_mass > 1e-8:
         warnings.warn(
@@ -155,51 +146,64 @@ def wigner(state: PureState, extent: float | None = None, step: float = 0.1) -> 
     x_axis = np.arange(-extent, extent + step / 2, step)
     p_axis = x_axis.copy()
 
-    # ladder moments M[j, k] = <a^j psi | a^k (parity psi)> / (j! k!);
-    # a^j psi vanishes beyond the highest occupied level, so the sums stay
-    # small even when the window is generous
-    n_top = int(np.nonzero(np.abs(amps) > 0.0)[0][-1])
-    if n_top > WIGNER_MAX_LEVEL:
-        raise ValueError(
-            f"state occupies Fock level {n_top}; wigner reaches level {WIGNER_MAX_LEVEL}"
-        )
-    m_dim = n_top + 1
-    parity = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
-    down = np.zeros((m_dim, dim), dtype=np.complex128)
-    down_p = np.zeros((m_dim, dim), dtype=np.complex128)
-    down[0] = amps
-    down_p[0] = parity * amps
-    root_n = np.sqrt(np.arange(dim))
-    for j in range(1, m_dim):
-        down[j, : dim - 1] = root_n[1:] * down[j - 1, 1:]
-        down_p[j, : dim - 1] = root_n[1:] * down_p[j - 1, 1:]
-    inv_fact = np.array([1.0 / math.factorial(j) for j in range(m_dim)])
-    moments = (down.conj() @ down_p.T) * np.outer(inv_fact, inv_fact)
-
-    n_basis = 2 * m_dim - 1
-    nodes, projector = _gauss_hermite_projector(n_basis)
-    # node (u_i, u_j) is the phase-space point (x, p) = (u_i, u_j)/sqrt(2)
-    at_nodes = _displaced_parity_sum(moments, nodes[:, None] + 1j * nodes[None, :])
-    coeffs = projector @ at_nodes @ projector.T
+    # levels above the highest occupied one add nothing to rho
+    psi = amps[: int(np.nonzero(amps)[0][-1]) + 1]
+    coeffs = _sector_coefficients(np.outer(psi, psi.conj()))
     # p_axis equals x_axis, so one basis matrix serves both Phi_x and Phi_p
-    basis = _hermite_functions(math.sqrt(2.0) * x_axis, n_basis)
+    basis = _hermite_functions(math.sqrt(2.0) * x_axis, coeffs.shape[0])
     values = basis.T @ coeffs @ basis
     return WignerGrid(x_axis=x_axis, p_axis=p_axis, values=values)
 
 
-def _displaced_parity_sum(moments: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """W at the points gamma = 2 beta, by a Horner sum over the ladder moments.
+def _sector_coefficients(rho: np.ndarray) -> np.ndarray:
+    """Hermite coefficients G of W for an m x m density matrix, K = 2m - 1.
 
-    Evaluates (1/pi) e^{-|gamma|^2/2} sum_{j,k} M[j,k] gamma^j (-conj gamma)^k.
+    G[a, s-a] = pi^{-1/2} Re[(-i)^{s-a} sum_k R_s[a, k] rho[k, s-k]] with
+    R_s the beam splitter on the s-photon sector (_beam_splitter_sectors).
     """
-    neg_conj = -np.conj(gamma)
-    acc = np.zeros_like(gamma)
-    for row in moments[::-1]:
-        inner = np.zeros_like(gamma)
-        for m_jk in row[::-1]:
-            inner = inner * neg_conj + m_jk
-        acc = acc * gamma + inner
-    return (np.exp(-np.abs(gamma) ** 2 / 2.0) * acc).real / math.pi
+    m_dim = rho.shape[0]
+    n_basis = 2 * m_dim - 1
+    phase = np.array([1.0, -1j, -1.0, 1j])
+    coeffs = np.zeros((n_basis, n_basis))
+    for s, ks, rot in _beam_splitter_sectors(m_dim):
+        a = np.arange(s + 1)
+        coeffs[a, s - a] = (phase[(s - a) % 4] * (rot @ rho[ks, s - ks])).real
+    return coeffs / math.sqrt(math.pi)
+
+
+def _beam_splitter_sectors(m_dim: int):
+    """Yield (s, ks, R_s[:, ks]) for every sector s < 2 m_dim - 1.
+
+    R_s[a, k] = <a, s-a| R |k, s-k> is the 50:50 beam splitter on the
+    two-mode s-photon sector: |k, l> in the output modes u, v with
+    a_u^+ = (a_x^+ + a_y^+)/sqrt2 and a_v^+ = (a_x^+ - a_y^+)/sqrt2, written
+    in the Fock basis of x and y. R_s follows from R_{s-1} by
+    |k, l> = (sqrt k a_u^+ |k-1, l> + sqrt l a_v^+ |k, l-1>) / s, which
+    averages two bounded terms; the one-term form a_u^+ |k-1, l> / sqrt k
+    amplifies rounding. Only the columns ks that meet an m_dim x m_dim
+    density matrix (k < m_dim and s - k < m_dim) are kept; they need no
+    others from sector s - 1, so a sector holds at most m_dim columns.
+    """
+    root = np.sqrt(np.arange(2 * m_dim))
+    ks, rot = np.zeros(1, dtype=int), np.ones((1, 1))
+    yield 0, ks, rot
+    for s in range(1, 2 * m_dim - 1):
+        # a zero column either side stands for k outside the kept window
+        padded = np.zeros((s, ks.size + 2))
+        padded[:, 1:-1] = rot
+        # row a of <a, s-a| a_x^+ and of <a, s-a| a_y^+ on sector s - 1
+        raise_x = np.zeros((s + 1, ks.size + 2))
+        raise_y = np.zeros_like(raise_x)
+        raise_x[1:] = root[1 : s + 1, None] * padded
+        raise_y[:-1] = root[s:0:-1, None] * padded
+        new_ks = np.arange(max(0, s - m_dim + 1), min(s, m_dim - 1) + 1)
+        at = new_ks - ks[0]
+        rot = (
+            root[new_ks] * (raise_x + raise_y)[:, at]
+            + root[s - new_ks] * (raise_x - raise_y)[:, at + 1]
+        ) / (s * math.sqrt(2.0))
+        ks = new_ks
+        yield s, ks, rot
 
 
 def _hermite_functions(u: np.ndarray, n_basis: int) -> np.ndarray:
@@ -216,29 +220,6 @@ def _hermite_functions(u: np.ndarray, n_basis: int) -> np.ndarray:
     for a in range(1, n_basis - 1):
         phi[a + 1] = math.sqrt(2.0 / (a + 1)) * u * phi[a] - math.sqrt(a / (a + 1)) * phi[a - 1]
     return phi
-
-
-@functools.lru_cache(maxsize=16)
-def _gauss_hermite_projector(n_basis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes u_i and the matrix phi_a(u_i) w_i e^{u_i^2}.
-
-    With n_basis nodes, sum_i w_i e^{u_i^2} phi_a(u_i) f(u_i) is exactly
-    integral phi_a f du whenever f e^{u^2/2} is a polynomial of degree
-    <= n_basis - 1. The weight factor is the Christoffel number
-    w_i e^{u_i^2} = 1 / sum_a phi_a(u_i)^2, so neither the tiny outer
-    weights nor e^{u^2} is ever formed: hermgauss's own weights overflow to
-    nan from about 370 nodes. numpy.polynomial is imported here so that
-    importing pacsim does not load it; results are memoized and read-only,
-    shared by every caller and CLI thread.
-    """
-    from numpy.polynomial.hermite import hermgauss
-
-    nodes = hermgauss(n_basis)[0]
-    phi = _hermite_functions(nodes, n_basis)
-    projector = phi / np.sum(phi**2, axis=0)
-    nodes.setflags(write=False)
-    projector.setflags(write=False)
-    return nodes, projector
 
 
 def w_state_reference(n_modes: int, dim: int = 2) -> PureState:

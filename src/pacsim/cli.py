@@ -9,7 +9,8 @@ Subcommands:
 
 All outputs are deterministic: identical configs produce byte-identical
 files. Exit codes: 0 success, 1 validation or truncation error (the message
-names the field to change), 2 dimension-budget error.
+names the field to change), 2 dimension-budget error (including a Wigner
+state spec too large for its grid).
 The environment variable PACSIM_MAX_WORKERS caps task parallelism.
 """
 
@@ -32,7 +33,6 @@ import numpy as np
 import yaml
 
 from .analysis import (
-    WIGNER_MAX_LEVEL,
     WignerGrid,
     extract_w_state,
     fit_power_law,
@@ -46,6 +46,7 @@ from .detection import (
     pattern_outcome,
 )
 from .dynamics import (
+    DEFAULT_AMPLITUDE_BUDGET,
     ChainConfig,
     StageParams,
     herald_summary,
@@ -55,7 +56,7 @@ from .dynamics import (
 from .errors import DimensionBudgetError, ScenarioError, TruncationError
 from .fock import (
     PureState,
-    coherent_state,
+    _signal_dim_floor,
     default_signal_dim,
     fidelity_ensemble,
     fock_state,
@@ -275,36 +276,44 @@ def _check_sweep_values(values: Any, fit: bool) -> None:
 def _parse_state_spec(spec: str, where: str = "state") -> PureState:
     """Build a single-mode state from 'coherent:A', 'fock:N' or 'pacs:A,M'.
 
-    The state is for a Wigner grid, so one occupying a level above
-    WIGNER_MAX_LEVEL is rejected here, before anything runs or is written.
+    The state is for a Wigner grid, whose coefficient matrix has
+    (2 dim - 1)^2 entries. A spec that puts this above
+    DEFAULT_AMPLITUDE_BUDGET is refused with DimensionBudgetError, first on
+    the cutoff's floor, before any amplitude is formed or searched, then on
+    the cutoff the state was built with.
     """
     kind, _, arg = spec.partition(":")
+
+    def check_size(dim: int) -> None:
+        if (2 * dim - 1) ** 2 > DEFAULT_AMPLITUDE_BUDGET:
+            raise DimensionBudgetError(
+                f"{where}: {spec!r} needs a Fock cutoff of at least {dim}, so "
+                f"{(2 * dim - 1) ** 2} Wigner coefficients, above the budget "
+                f"of {DEFAULT_AMPLITUDE_BUDGET}"
+            )
+
     try:
-        if kind == "coherent":
-            alpha = _parse_alpha(arg, where)
-            state = coherent_state(alpha, default_signal_dim(alpha))
-        elif kind == "fock":
+        if kind == "fock":
             n = int(arg)
-            state = fock_state(n, max(n + 2, 8))
+            dim = max(n + 2, 8)
+            check_size(dim)
+            return fock_state(n, dim)
+        if kind == "coherent":
+            alpha, m = _parse_alpha(arg, where), 0
         elif kind == "pacs":
             alpha_text, _, m_text = arg.partition(",")
-            alpha = _parse_alpha(alpha_text, where)
-            m = int(m_text)
-            state = pacs_state(alpha, m, default_signal_dim(alpha, m))
+            alpha, m = _parse_alpha(alpha_text, where), int(m_text)
         else:
             raise ScenarioError(
                 f"{where}: unknown state kind {kind!r} (use coherent:A, fock:N or pacs:A,M)"
             )
+        check_size(_signal_dim_floor(alpha, m))
+        state = pacs_state(alpha, m, default_signal_dim(alpha, m))
     except ScenarioError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{where}: cannot parse state spec {spec!r} ({exc})")
-    top = int(np.flatnonzero(state.amplitudes)[-1])
-    if top > WIGNER_MAX_LEVEL:
-        raise ScenarioError(
-            f"{where}: {spec!r} occupies Fock level {top}; Wigner grids reach "
-            f"level {WIGNER_MAX_LEVEL}"
-        )
+    check_size(state.space.dims[0])
     return state
 
 

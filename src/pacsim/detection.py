@@ -19,7 +19,10 @@ import numpy as np
 
 from .fock import MultiMode, PureState, WeightedEnsemble, mean_photon_number
 
-#: Pattern probabilities below this are reported as impossible outcomes.
+#: Heralding probabilities below this are reported as impossible outcomes: a
+#: projection's probability comes out of cancellation, so a value this small
+#: is rounding. Click probabilities are not held to it (see
+#: conditional_from_density).
 IMPOSSIBLE_PROBABILITY = 1e-30
 
 
@@ -82,8 +85,8 @@ class ClickPattern:
 class ConditionalState:
     """Outcome probability plus the conditional signal ensemble.
 
-    ``ensemble`` is None for impossible outcomes (probability below
-    IMPOSSIBLE_PROBABILITY).
+    ``ensemble`` is None for impossible outcomes (probability zero, or
+    subnormal; see conditional_from_density).
     """
 
     probability: float
@@ -170,9 +173,14 @@ def conditional_from_density(
 
     The ensemble is the eigendecomposition of rho / probability. Eigenvalues
     below the rounding level of the largest one are dropped and the rest
-    renormalized, so a pure conditional state yields one branch.
+    renormalized, so a pure conditional state yields one branch. A click
+    probability is a sum of nonnegative terms, with nothing to cancel, so
+    however small it is it is no rounding artifact. An outcome is impossible
+    only when its probability is zero (as at zero coupling) or subnormal,
+    below 2.2e-308, where rho has lost its precision and rho / probability
+    overflows.
     """
-    if probability < IMPOSSIBLE_PROBABILITY:
+    if probability < np.finfo(float).tiny:
         return ConditionalState(probability=0.0, ensemble=None)
     weights, vectors = np.linalg.eigh(rho / probability)
     keep = np.nonzero(weights > weights[-1] * weights.size * np.finfo(float).eps)[0][::-1]

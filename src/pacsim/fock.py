@@ -1,4 +1,4 @@
-"""Truncated Fock-space representation: modes, pure states, ladder operators.
+"""Truncated Fock-space representation: modes, pure states, state constructors.
 
 Every mode lives in a finite window |0>..|dim-1>. Multimode amplitudes are
 flattened row-major in mode order, with mode 0 (the signal, by convention)
@@ -10,24 +10,17 @@ conditional branches are carried outside the state.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Literal, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
-from .errors import TruncationError, TruncationWarning
+from .errors import TruncationError
 
 #: Largest probability mass allowed outside the truncation window.
 TAIL_MASS_LIMIT = 1e-12
-#: Ladder leakage above this triggers a TruncationWarning.
-LEAKAGE_WARN_LIMIT = 1e-10
 #: Stored states must be normalized within this tolerance.
 NORM_TOL = 1e-12
-
-_LAGUERRE_SERIES_MAX = 12
-_LAGUERRE_ORDER_GUARD = 170
 
 
 @dataclass(frozen=True)
@@ -142,77 +135,44 @@ class WeightedEnsemble:
         return cls(state.space, ((1.0, state),))
 
 
-class LadderResult(NamedTuple):
-    """Unnormalized result of a ladder operator, with norm and leakage.
-
-    ``leakage`` is the input probability mass sitting at the top Fock level
-    of the raised mode, i.e. the mass whose image falls outside the window.
-    """
-
-    amplitudes: np.ndarray
-    norm: float
-    leakage: float
-
-
-# ---------------------------------------------------------------------------
-# Laguerre polynomials
-# ---------------------------------------------------------------------------
-
-def laguerre_series(m: int, x: float) -> float:
-    """L_m(x) by the defining series sum_n (-1)^n x^n m! / ((n!)^2 (m-n)!).
-
-    The alternating terms cancel catastrophically in floats for x > 0 and
-    large m, so the sum runs in exact rational arithmetic (a float argument
-    is an exact rational) and is rounded once at the end.
-    """
-    xr = Fraction(x)
-    total = Fraction(0)
-    m_fact = math.factorial(m)
-    for n in range(m + 1):
-        coeff = Fraction(m_fact, math.factorial(n) ** 2 * math.factorial(m - n))
-        total += (-1) ** n * xr**n * coeff
-    return float(total)
-
-
-def laguerre_recurrence(m: int, x: float) -> float:
-    """L_m(x) by the stable three-term recurrence."""
-    if m == 0:
-        return 1.0
-    prev, cur = 1.0, 1.0 - x
-    for k in range(1, m):
-        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
-    return cur
-
-
-def laguerre(m: int, x: float) -> float:
-    """Laguerre polynomial L_m(x); series for small m, recurrence above.
-
-    For x <= 0 all series terms are nonnegative, so L_m(x) >= 1.
-    """
-    if m < 0:
-        raise ValueError(f"order must be nonnegative, got {m}")
-    if m > _LAGUERRE_ORDER_GUARD:
-        raise ValueError(
-            f"order {m} exceeds the factorial overflow guard ({_LAGUERRE_ORDER_GUARD})"
-        )
-    if not math.isfinite(x):
-        raise ValueError(f"argument must be finite, got {x}")
-    if m <= _LAGUERRE_SERIES_MAX:
-        return laguerre_series(m, x)
-    return laguerre_recurrence(m, x)
-
-
 # ---------------------------------------------------------------------------
 # State constructors
 # ---------------------------------------------------------------------------
 
 def default_signal_dim(alpha: complex, added_photons: int = 0) -> int:
-    """Truncation policy: cutoff keeping coherent tail mass below 1e-12.
+    """Smallest cutoff, from _signal_dim_floor up, that holds a+^m |alpha>.
 
-    ``added_photons`` reserves headroom for photon-addition operations.
+    ``added_photons`` is m; the cutoff passes the tail check pacs_state (or,
+    at m = 0, coherent_state) applies. Where the coherent amplitudes
+    underflow no cutoff does, and the floor is returned for the constructors
+    to reject.
+    """
+    floor = _signal_dim_floor(alpha, added_photons)
+    found = _smallest_window(alpha, added_photons, floor)
+    return floor if found is None else found
+
+
+def _signal_dim_floor(alpha: complex, added_photons: int = 0) -> int:
+    """Rule-of-thumb cutoff |alpha|^2 + 6|alpha| + 10 + m, at least 16.
+
+    A lower bound of default_signal_dim that costs nothing to evaluate, so a
+    caller can refuse an oversized state before any amplitude is formed.
     """
     a = abs(alpha)
     return max(16, math.ceil(a * a + 6.0 * a + 10.0) + added_photons)
+
+
+def _smallest_window(alpha: complex, m: int, start: int) -> int | None:
+    """Smallest dim >= start at which a+^m |alpha> passes its tail check.
+
+    None where no window does: the coherent amplitudes underflow from
+    |alpha| ~ 38.6 on, and a window twice the floor past ``start`` that still
+    fails is taken as the same case.
+    """
+    if math.exp(-abs(alpha) ** 2 / 2.0) == 0.0:
+        return None
+    stop = start + 2 * _signal_dim_floor(alpha, m)
+    return next((d for d in range(start, stop) if _photon_added(alpha, m, d)[1] is None), None)
 
 
 def coherent_state(alpha: complex, dim: int, label: str = "signal") -> PureState:
@@ -223,7 +183,8 @@ def coherent_state(alpha: complex, dim: int, label: str = "signal") -> PureState
     """
     amps, problem = _coherent_amplitudes(alpha, dim)
     if problem is not None:
-        raise TruncationError(problem, suggested_dim=default_signal_dim(alpha))
+        start = max(dim + 1, _signal_dim_floor(alpha))
+        raise TruncationError(problem, suggested_dim=_smallest_window(alpha, 0, start))
     return PureState.from_amplitudes(single_mode(dim, label), amps)
 
 
@@ -265,25 +226,15 @@ def pacs_state(alpha: complex, m: int, dim: int, label: str = "signal") -> PureS
         return fock_state(m, dim, label)
     raw, problem = _photon_added(alpha, m, dim)
     if problem is not None:
-        # the smallest larger window that holds the state; the search stops
-        # where the coherent amplitudes underflow and no window would do
-        suggested = next(
-            (
-                d
-                for d in range(dim + 1, dim + 1 + 2 * default_signal_dim(alpha, m))
-                if _photon_added(alpha, m, d)[1] is None
-            ),
-            None,
-        )
-        raise TruncationError(problem, suggested_dim=suggested)
+        raise TruncationError(problem, suggested_dim=_smallest_window(alpha, m, dim + 1))
     return PureState.from_amplitudes(single_mode(dim, label), raw)
 
 
 def _photon_added(alpha: complex, m: int, dim: int) -> tuple[np.ndarray, str | None]:
     """Unnormalized a+^m |alpha> on the window, and why ``dim`` is too small.
 
-    Renormalizes before each raise, as repeated ladder_apply on a PureState
-    would, and sums the mass each raise pushes past the top level.
+    Renormalizes before each raise and sums the mass each raise pushes past
+    the top level.
     """
     amps, problem = _coherent_amplitudes(alpha, dim)
     if problem is not None:
@@ -307,39 +258,6 @@ def _photon_added(alpha: complex, m: int, dim: int) -> tuple[np.ndarray, str | N
 # ---------------------------------------------------------------------------
 # Operators and reductions
 # ---------------------------------------------------------------------------
-
-def ladder_apply(
-    state: PureState, mode: int, kind: Literal["raise", "lower"]
-) -> LadderResult:
-    """Apply a creation or annihilation operator to one mode.
-
-    Raising drops the amplitude that leaves the window; the input mass at the
-    top level is reported as ``leakage`` and warned about above 1e-10.
-    """
-    dims = state.space.dims
-    if not 0 <= mode < len(dims):
-        raise ValueError(f"mode index {mode} outside 0..{len(dims) - 1}")
-    if kind not in ("raise", "lower"):
-        raise ValueError(f"kind must be 'raise' or 'lower', got {kind!r}")
-    d = dims[mode]
-    tensor = np.moveaxis(state.tensor_view().copy(), mode, 0)
-    out = np.zeros_like(tensor)
-    factors = np.sqrt(np.arange(1, d))
-    leakage = 0.0
-    if kind == "raise":
-        leakage = float(np.sum(np.abs(tensor[d - 1]) ** 2))
-        out[1:] = factors.reshape((-1,) + (1,) * (tensor.ndim - 1)) * tensor[:-1]
-        if leakage > LEAKAGE_WARN_LIMIT:
-            warnings.warn(
-                f"raising mode {mode} leaks mass {leakage:.3e} past its window",
-                TruncationWarning,
-                stacklevel=2,
-            )
-    else:
-        out[:-1] = factors.reshape((-1,) + (1,) * (tensor.ndim - 1)) * tensor[1:]
-    result = np.moveaxis(out, 0, mode).reshape(-1)
-    return LadderResult(result, float(np.linalg.norm(result)), leakage)
-
 
 def partial_trace_to_marginal(state: PureState, keep: Iterable[int]) -> np.ndarray:
     """Joint photon-number distribution over the kept modes.

@@ -24,7 +24,6 @@ from pacsim import (
     fidelity_pure,
     fit_power_law,
     fock_state,
-    ladder_apply,
     pacs_state,
     run_chain_full,
     run_chain_sequential,
@@ -32,7 +31,7 @@ from pacsim import (
     wigner,
 )
 
-from oracles import click_probability_given_n
+from oracles import click_probability_given_n, ladder_apply
 
 # m! L_m(-|alpha|^2) for |alpha|^2 in {0, 1/4, 1, 4}, m in 0..4, frozen from
 # exact rational arithmetic.

@@ -28,7 +28,7 @@ from pacsim import (
     w_state_reference,
     wigner,
 )
-from pacsim.analysis import _gauss_hermite_projector, _hermite_functions
+from pacsim.analysis import _beam_splitter_sectors
 from pacsim.fock import single_mode
 
 from oracles import horner_magnitude, tensor, wigner_dense
@@ -167,12 +167,6 @@ class TestWigner:
         assert grid.x_axis[-1] >= abs(1.0) + 4.0 - 0.2
         assert 0.98 <= grid.integral() <= 1.02
 
-    def test_level_beyond_170_rejected(self):
-        """The moment sum divides by n!, and 171! is beyond the largest double."""
-        wigner(fock_state(170, 172), extent=1.0, step=0.5)
-        with pytest.raises(ValueError, match="level 171"):
-            wigner(fock_state(171, 173), extent=1.0, step=0.5)
-
     def test_multimode_rejected(self):
         joint = tensor(fock_state(0, 4, "signal"), fock_state(0, 4, "idler-1"))
         with pytest.raises(ValueError):
@@ -190,6 +184,23 @@ class TestWignerClosedForms:
         grid = wigner(fock_state(n, n + 2), extent=5.0, step=0.1)
         r2 = grid.x_axis[:, None] ** 2 + grid.p_axis[None, :] ** 2
         exact = (-1) ** n / math.pi * lagval(2.0 * r2, [0.0] * n + [1.0]) * np.exp(-r2)
+        assert np.max(np.abs(grid.values - exact)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [60, 171, 200])
+    def test_many_photon_fock_state_is_a_laguerre_ring(self, n):
+        """No level limit: |171> and |200> too, on a +-12 window, to 1e-12."""
+        grid = wigner(fock_state(n, n + 2), extent=12.0, step=0.1)
+        r2 = grid.x_axis[:, None] ** 2 + grid.p_axis[None, :] ** 2
+        exact = (-1) ** n / math.pi * lagval(2.0 * r2, [0.0] * n + [1.0]) * np.exp(-r2)
+        assert np.max(np.abs(grid.values - exact)) <= 1e-12
+
+    def test_bright_coherent_state_is_a_displaced_gaussian(self):
+        """alpha = 3 + 4j occupies 90 levels; W stays within 1e-12 of its Gaussian."""
+        alpha = 3 + 4j
+        grid = wigner(coherent_state(alpha, 90), extent=14.0, step=0.1)
+        dx = grid.x_axis[:, None] - math.sqrt(2.0) * alpha.real
+        dp = grid.p_axis[None, :] - math.sqrt(2.0) * alpha.imag
+        exact = np.exp(-(dx**2) - dp**2) / math.pi
         assert np.max(np.abs(grid.values - exact)) <= 1e-12
 
     @pytest.mark.parametrize("alpha", [1 + 1j, 0.5 - 1.2j])
@@ -224,18 +235,6 @@ class TestWignerMatchesDenseSum:
         dense = wigner_dense(state, extent=6.0, step=0.1)
         assert np.max(np.abs(fast.values - dense.values)) <= 1e-12
 
-    @pytest.mark.parametrize("n_basis", [1, 2, 53, 341])
-    def test_node_projector_inverts_the_basis(self, n_basis):
-        """sum_i phi_a(u_i) w_i e^{u_i^2} phi_b(u_i) = delta_ab up to 2K - 2.
-
-        341 = 2 * 171 - 1 is the largest basis a state can need: 1/171! is
-        the last inverse factorial a float holds.
-        """
-        nodes, projector = _gauss_hermite_projector(n_basis)
-        gram = projector @ _hermite_functions(nodes, n_basis).T
-        assert np.max(np.abs(gram - np.eye(n_basis))) <= 1e-13
-        assert not projector.flags.writeable
-
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
@@ -260,6 +259,41 @@ class TestWignerMatchesDenseSum:
         tol = 1e-12 * max(1.0, float(np.max(np.abs(dense.values))))
         tol += 4 * np.finfo(float).eps * horner_magnitude(state, extent, step)
         assert np.max(np.abs(fast.values - dense.values)) <= tol
+
+
+class TestBeamSplitterSectors:
+    """The sector rotations R_s that map rho to the Hermite coefficients."""
+
+    def test_orthogonal_up_to_400_photons(self):
+        for s, ks, rot in _beam_splitter_sectors(401):
+            if s > 400:
+                break
+            assert np.array_equal(ks, np.arange(s + 1))
+            assert np.max(np.abs(rot.T @ rot - np.eye(s + 1))) <= 1e-13
+
+    @pytest.mark.parametrize("m_dim", [1, 2, 53, 171])
+    def test_kept_columns_are_orthonormal(self, m_dim):
+        """Every sector s < 2 m_dim - 1 keeps the columns k < m_dim, s - k < m_dim.
+
+        171 levels (|170>, 341 Hermite functions) was the largest state the
+        Gauss-Hermite projector could serve; the windowed sectors above
+        s = m_dim - 1 must stay orthonormal columns of R_s as well.
+        """
+        sectors = list(_beam_splitter_sectors(m_dim))
+        assert [s for s, _, _ in sectors] == list(range(2 * m_dim - 1))
+        for s, ks, rot in sectors:
+            window = np.arange(max(0, s - m_dim + 1), min(s, m_dim - 1) + 1)
+            assert np.array_equal(ks, window)
+            assert rot.shape == (s + 1, ks.size)
+            assert np.max(np.abs(rot.T @ rot - np.eye(ks.size))) <= 1e-13
+
+    def test_last_row_is_the_binomial_amplitude(self):
+        """<s, 0| R |k, s-k> = sqrt(C(s, k) / 2^s)."""
+        for s, ks, rot in _beam_splitter_sectors(401):
+            if s > 400:
+                break
+            expected = np.sqrt([math.comb(s, int(k)) / 2**s for k in ks])
+            assert np.max(np.abs(rot[-1] - expected)) <= 1e-13
 
 
 class TestWStateReference:
@@ -302,6 +336,13 @@ class TestExtractWState:
         assert result.w_fidelity > 0.99
         assert 0.0 < result.probability < 1.0
 
+    @pytest.mark.parametrize("n_stages", [7, 9])
+    def test_long_chain_at_default_cutoff(self, n_stages):
+        """The default cutoff holds a+^N |alpha> (25 and 28 levels here)."""
+        result = extract_w_state(ChainConfig.uniform(1.0, 0.05, n_stages))
+        assert result.w_fidelity > 0.99
+        assert 0.0 < result.probability < 1.0
+
     def test_zero_coupling_is_impossible(self):
         result = extract_w_state(ChainConfig.uniform(1.0, 0.0, 2))
         assert result.impossible
@@ -314,9 +355,10 @@ class TestExtractWState:
 
 
 def test_import_does_not_load_numpy_polynomial(run_python):
-    """The Gauss-Hermite nodes are computed on the first Wigner grid, not on import."""
+    """Neither importing pacsim nor evaluating a Wigner grid loads numpy.polynomial."""
     code = (
-        "import sys, pacsim.cli; "
+        "import sys, pacsim, pacsim.cli; "
+        "pacsim.wigner(pacsim.pacs_state(1.0, 2, 24), extent=3.0, step=0.5); "
         "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
     )
     out = run_python("-c", code)

@@ -168,6 +168,19 @@ tasks:
         assert (out1 / "patterns.csv").read_bytes() == (out2 / "patterns.csv").read_bytes()
 
 
+def test_wigner_task_beyond_level_170(tmp_path):
+    """A scenario's fock:200 grid runs: W_200(0, 0) = (-1)^200 / pi."""
+    config = write_scenario(
+        tmp_path,
+        "version: 1\nchain: {alpha: 1.0, lam: 0.05, n_stages: 1}\ntasks:\n"
+        "  - {type: wigner, state: 'fock:200', extent: 1.0, step: 0.5, output: w.txt}\n",
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--outdir", str(out)]) == 0
+    grid = load_wigner(out / "w.txt")
+    assert grid.values[2, 2] == pytest.approx(1.0 / np.pi, abs=1e-12)
+
+
 class TestValidationFailures:
     def run_expecting_error(self, tmp_path, text, fragment, capsys):
         config = write_scenario(tmp_path, text)
@@ -337,16 +350,21 @@ tasks:
             capsys,
         )
 
-    def test_wigner_state_beyond_level_170_rejected(self, tmp_path, capsys):
-        """1/n! is no double from n = 171 on; the task is refused before it runs."""
-        self.run_expecting_error(
+    @pytest.mark.parametrize(
+        "spec", ["fock:1000000000000", "coherent:1e6", "pacs:1,10000000"]
+    )
+    def test_oversized_wigner_state_refused(self, tmp_path, capsys, spec):
+        """Refused by the amplitude budget (exit 2) before any amplitude is formed."""
+        config = write_scenario(
             tmp_path,
             "version: 1\nchain: {alpha: 1.0, lam: 0.05, n_stages: 1}\ntasks:\n"
             "  - {type: patterns, output: p.csv}\n"
-            "  - {type: wigner, state: 'fock:200', output: w.txt}\n",
-            "tasks[1].state: 'fock:200' occupies Fock level 200",
-            capsys,
+            f"  - {{type: wigner, state: '{spec}', output: w.txt}}\n",
         )
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--outdir", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: tasks[1].state: '{spec}' needs")
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "nope.yaml")])
@@ -435,9 +453,37 @@ class TestQuickCommands:
         assert grid.minimum() < 0.0
 
     def test_wigner_state_beyond_level_170(self, tmp_path, capsys):
+        """No level limit: W_200(0, 0) = (-1)^200 / pi."""
         target = tmp_path / "w.txt"
-        assert main(["wigner", "--state", "fock:200", "--out", str(target)]) == 1
-        assert capsys.readouterr().err.startswith("error: --state: 'fock:200' occupies")
+        args = ["wigner", "--state", "fock:200", "--range", "1", "--step", "0.5"]
+        assert main([*args, "--out", str(target)]) == 0
+        grid = load_wigner(target)
+        assert grid.values[2, 2] == pytest.approx(1.0 / np.pi, abs=1e-12)
+
+    def test_wigner_report_of_a_60_photon_state(self, tmp_path, capsys):
+        """|W| <= 1/pi and the grid integrates to 1 for |60>, whose ring reaches r ~ 11."""
+        target = tmp_path / "w.txt"
+        args = ["wigner", "--state", "fock:60", "--range", "16", "--step", "0.1"]
+        assert main([*args, "--out", str(target)]) == 0
+        report = capsys.readouterr().out
+        minimum = float(report.split("min = ")[1].split(",")[0])
+        integral = float(report.split("integral = ")[1])
+        assert minimum >= -1.0 / np.pi - 1e-12
+        assert integral == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("spec", ["coherent:3", "pacs:3,1", "coherent:11.9"])
+    def test_wigner_bright_state_at_default_cutoff(self, tmp_path, spec):
+        """The default cutoff holds every coherent and photon-added state."""
+        assert main(["wigner", "--state", spec, "--range", "2", "--step", "1",
+                     "--out", str(tmp_path / "w.txt")]) == 0
+
+    @pytest.mark.parametrize(
+        "spec", ["fock:1000000000000", "coherent:1e6", "pacs:1,10000000"]
+    )
+    def test_wigner_oversized_state_exits_2(self, tmp_path, capsys, spec):
+        target = tmp_path / "w.txt"
+        assert main(["wigner", "--state", spec, "--out", str(target)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --state: '{spec}' needs")
         assert not target.exists()
 
     def test_wigner_bad_state_spec(self, capsys):
@@ -529,6 +575,7 @@ def test_truncation_exits_1_without_traceback(run_python, args):
         (["wigner", "--state", "pacs:1,1", "--range", "inf"], "--range"),
         (["pacs", "--alpha", "1", "--lam", "nan", "--pattern", "1"], "--lam"),
         (["pacs", "--alpha", "1", "--lam", "inf", "--pattern", "1"], "--lam"),
+        (["wigner", "--state", "coherent:1e300"], "--state"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )

@@ -290,6 +290,42 @@ class TestRunChainSequential:
         ref = pacs_state(1.0, 1, cfg.signal_dim)
         assert fidelity_ensemble(cond.ensemble, ref) > 0.99
 
+    def test_tiny_click_probability_is_an_outcome(self):
+        """P = 6.2e-34 is a sum of nonnegative terms, not rounding: no floor applies."""
+        cfg = ChainConfig.uniform(1.0, 1e-3, 6)
+        det = DetectorModel(0.6, 0.0)
+        pattern = ClickPattern.from_string("111111")
+        seq = run_chain_sequential(cfg, det, pattern)
+        full = condition_on_pattern(run_chain_full(cfg), pattern, det)
+        assert 1e-34 < seq.probability < 1e-33
+        assert seq.probability == pytest.approx(full.probability, rel=1e-12)
+        ref = pacs_state(1.0, 6, cfg.signal_dim)
+        assert fidelity_ensemble(seq.ensemble, ref) == pytest.approx(
+            fidelity_ensemble(full.ensemble, ref), abs=1e-10
+        )
+
+    def test_zero_coupling_clicks_stay_impossible(self):
+        """At lam = 0 with no dark counts a click has probability exactly 0."""
+        cfg = ChainConfig.uniform(1.0, 0.0, 3)
+        det = DetectorModel(0.6, 0.0)
+        pattern = ClickPattern.from_string("111")
+        seq = run_chain_sequential(cfg, det, pattern)
+        full = condition_on_pattern(run_chain_full(cfg), pattern, det)
+        for cond in (seq, full):
+            assert cond.probability == 0.0
+            assert cond.impossible
+
+    def test_subnormal_click_probability_is_impossible(self):
+        """Below 2.2e-308 rho / P overflows, so the outcome is reported impossible."""
+        cfg = ChainConfig(0.0, (StageParams(0.0, 2), StageParams(0.25, 2)), 16)
+        det = DetectorModel(1.0, np.finfo(float).tiny)
+        pattern = ClickPattern.from_string("11")
+        seq = run_chain_sequential(cfg, det, pattern)
+        full = condition_on_pattern(run_chain_full(cfg), pattern, det)
+        for cond in (seq, full):
+            assert cond.probability == 0.0
+            assert cond.impossible
+
     def test_impossible_pattern(self):
         cfg = ChainConfig.uniform(1.0, 0.0, 2)
         cond = run_chain_sequential(

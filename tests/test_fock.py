@@ -18,17 +18,13 @@ from pacsim import (
     fidelity_ensemble,
     fidelity_pure,
     fock_state,
-    ladder_apply,
-    laguerre,
-    laguerre_recurrence,
-    laguerre_series,
     mean_photon_number,
     pacs_state,
     partial_trace_to_marginal,
     single_mode,
 )
 
-from oracles import tensor
+from oracles import ladder_apply, laguerre, laguerre_recurrence, laguerre_series, tensor
 
 # Exact L_m(-|alpha|^2) values, computed independently with exact rational
 # arithmetic and frozen here; keys are |alpha|^2.
@@ -386,4 +382,24 @@ class TestInvariantsAndValidation:
     def test_default_signal_dim_policy(self):
         assert default_signal_dim(0) == 16
         assert default_signal_dim(2.0) == 26
-        assert default_signal_dim(2.0, 3) == 29
+        # the rule of thumb's 29 leaks 4.7e-12 when three photons are added
+        assert default_signal_dim(2.0, 3) == 30
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_default_cutoff_holds_the_state(m):
+    """a+^m |alpha> builds at default_signal_dim for |alpha| = 0.1 .. 11.9.
+
+    The cutoff is the rule of thumb max(16, ceil(a^2 + 6a + 10) + m) wherever
+    that holds the state, and otherwise the smallest larger one that does.
+    """
+    for i in range(1, 120):
+        alpha = i / 10
+        dim = default_signal_dim(alpha, m)
+        pacs_state(alpha, m, dim)
+        rule = max(16, math.ceil(alpha * alpha + 6.0 * alpha + 10.0) + m)
+        assert dim >= rule
+        if dim > rule:
+            for smaller in (rule, dim - 1):
+                with pytest.raises(TruncationError):
+                    pacs_state(alpha, m, smaller)

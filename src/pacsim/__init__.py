@@ -25,8 +25,10 @@ from .detection import (
     PatternOutcome,
     ProjectionResult,
     condition_on_pattern,
+    conditional_density,
     enumerate_patterns,
     orthogonalized_reference,
+    outcome_probability,
     project_signal,
 )
 from .dynamics import (
@@ -39,6 +41,7 @@ from .dynamics import (
     run_chain_sequential,
     stage_kraus,
     stage_unitary,
+    walk_patterns,
 )
 from .errors import (
     DimensionBudgetError,

@@ -3,9 +3,11 @@
 Single-photon detectors are modeled by the standard on/off POVM, diagonal in
 photon number: P(click | n) = 1 - (1 - dark_prob) (1 - eta)^n. Conditioning a
 joint chain output on a click pattern yields the pattern probability and the
-conditional signal state as a weighted ensemble: the eigendecomposition of
-the conditional signal density matrix, so at most one branch per signal
-level however many idler photon-number records stay unresolved.
+unnormalized conditional signal density matrix (conditional_density), which
+is all a pattern table reads; condition_on_pattern turns it into a weighted
+ensemble, the eigendecomposition of that matrix, so at most one branch per
+signal level however many idler photon-number records stay unresolved.
+outcome_probability is the one rule for which click outcomes are impossible.
 """
 
 from __future__ import annotations
@@ -62,6 +64,11 @@ class ClickPattern:
 
     def __post_init__(self):
         object.__setattr__(self, "clicks", tuple(bool(c) for c in self.clicks))
+
+    @classmethod
+    def all(cls, n_detectors: int) -> list["ClickPattern"]:
+        """All 2^n patterns, in lexicographic order with no-click first."""
+        return [cls(bits) for bits in product((False, True), repeat=n_detectors)]
 
     @classmethod
     def from_string(cls, text: str) -> "ClickPattern":
@@ -136,16 +143,16 @@ def _idler_povm_weights(
     return weights.reshape(-1)
 
 
-def condition_on_pattern(
+def conditional_density(
     joint: PureState, pattern: ClickPattern, detector: DetectorModel
-) -> ConditionalState:
-    """Condition a joint (signal + idlers) state on one click pattern.
+) -> tuple[float, np.ndarray]:
+    """Pattern probability and unnormalized conditional signal density matrix.
 
-    Applies the product on/off POVM over the idlers, traces them out, and
-    returns the pattern probability together with the normalized conditional
-    signal ensemble. The conditional density matrix is
-    rho = sum_r POVM(r) |col_r><col_r| over the idler records r, where col_r
-    is the signal amplitude column of record r.
+    Applies the product on/off POVM over the idlers of a joint (signal +
+    idlers) state and traces them out: rho = sum_r POVM(r) |col_r><col_r|
+    over the idler records r, where col_r is the signal amplitude column of
+    record r. Impossible outcomes are left to the caller (see
+    outcome_probability).
     """
     n_idlers = joint.space.n_modes - 1
     if len(pattern) != n_idlers:
@@ -162,8 +169,31 @@ def condition_on_pattern(
     total = mass.sum()
     povm = _idler_povm_weights(joint, pattern, detector)
     probability = float(((mass / total) * povm).sum())
-    rho = (columns * (povm / total)) @ columns.conj().T
+    return probability, (columns * (povm / total)) @ columns.conj().T
+
+
+def condition_on_pattern(
+    joint: PureState, pattern: ClickPattern, detector: DetectorModel
+) -> ConditionalState:
+    """Condition a joint (signal + idlers) state on one click pattern.
+
+    Returns the pattern probability together with the normalized conditional
+    signal ensemble of conditional_density's density matrix.
+    """
+    probability, rho = conditional_density(joint, pattern, detector)
     return conditional_from_density(rho, probability, _signal_space(joint))
+
+
+def outcome_probability(probability: float) -> float:
+    """``probability`` of a click outcome, or 0.0 where the outcome is impossible.
+
+    A click probability is a sum of nonnegative terms, with nothing to
+    cancel, so however small it is it is no rounding artifact. An outcome is
+    impossible only when its probability is zero (as at zero coupling) or
+    subnormal, below 2.2e-308, where the conditional density matrix has lost
+    its precision and rho / probability overflows.
+    """
+    return 0.0 if probability < np.finfo(float).tiny else probability
 
 
 def conditional_from_density(
@@ -173,14 +203,10 @@ def conditional_from_density(
 
     The ensemble is the eigendecomposition of rho / probability. Eigenvalues
     below the rounding level of the largest one are dropped and the rest
-    renormalized, so a pure conditional state yields one branch. A click
-    probability is a sum of nonnegative terms, with nothing to cancel, so
-    however small it is it is no rounding artifact. An outcome is impossible
-    only when its probability is zero (as at zero coupling) or subnormal,
-    below 2.2e-308, where rho has lost its precision and rho / probability
-    overflows.
+    renormalized, so a pure conditional state yields one branch. Impossible
+    outcomes (see outcome_probability) have probability 0.0 and no ensemble.
     """
-    if probability < np.finfo(float).tiny:
+    if outcome_probability(probability) == 0.0:
         return ConditionalState(probability=0.0, ensemble=None)
     weights, vectors = np.linalg.eigh(rho / probability)
     keep = np.nonzero(weights > weights[-1] * weights.size * np.finfo(float).eps)[0][::-1]
@@ -271,6 +297,5 @@ def enumerate_patterns(joint: PureState, detector: DetectorModel) -> list[Patter
     Probabilities sum to 1 (POVM completeness). Patterns are listed in
     lexicographic order with no-click first, i.e. "00..", "00..1", ...
     """
-    n_idlers = joint.space.n_modes - 1
-    patterns = [ClickPattern(bits) for bits in product((False, True), repeat=n_idlers)]
+    patterns = ClickPattern.all(joint.space.n_modes - 1)
     return [pattern_outcome(p, condition_on_pattern(joint, p, detector)) for p in patterns]

@@ -7,11 +7,13 @@ their product matters here. Because every idler enters in vacuum and never
 meets the signal again, a stage is fully described by its Kraus operators
 K_k = <k|U|0> acting on the signal (the sequential-ancilla picture of Schoen,
 Solano, Verstraete, Cirac and Wolf, PRL 95, 110503 (2005)). Every runner
-works on these operators: sequential conditioning folds the signal's density
-matrix through them; run_chain_full and herald_idlers push the seed through
-them with one propagation that keeps a row per idler record, so only they
-are held to an amplitude budget; and herald_summary contracts them into the
-heralding probability and W fidelity with no record-indexed array at all.
+works on these operators: walk_patterns folds the signal's density matrix
+through them depth first over the click prefixes, so every pattern of a
+table shares its prefixes' folds, and run_chain_sequential is its one-leaf
+view; run_chain_full and herald_idlers push the seed through them with one
+propagation that keeps a row per idler record, so only they are held to an
+amplitude budget; and herald_summary contracts them into the heralding
+probability and W fidelity with no record-indexed array at all.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -219,33 +221,81 @@ def run_chain_full(
     return PureState.from_amplitudes(MultiMode(tuple(modes)), psi)
 
 
+def walk_patterns(
+    config: ChainConfig, detector: DetectorModel, pattern: ClickPattern | None = None
+) -> Iterator[tuple[ClickPattern, float, np.ndarray]]:
+    """Every click pattern's probability and conditional signal density matrix.
+
+    Idlers never interact again once their stage has fired, so the chain
+    acts on the signal's density matrix alone: each stage applies
+    rho -> sum_k POVM(k) K_k rho K_k^T with the detector POVM of that stage's
+    click outcome. The walk runs depth first over the click prefixes: each
+    prefix's rho is folded once and shared by every pattern that extends
+    it, and the products K_k rho of a node serve both its children. So a
+    table of all 2^N patterns costs 2^(N+1) - 2 folds, not N 2^N.
+
+    Yields (pattern, P, rho) per leaf, with rho unnormalized and
+    P = tr rho, in lexicographic order with no-click first ("00..",
+    "00..1", ...). Given ``pattern``, walks only its prefix path (N folds)
+    and yields its one leaf. Impossible outcomes are left to the caller
+    (see detection.outcome_probability).
+    """
+    if pattern is not None and len(pattern) != config.n_stages:
+        raise ValueError(
+            f"pattern has {len(pattern)} outcomes for {config.n_stages} stages"
+        )
+    ds = config.signal_dim
+    stages = []
+    for kraus in _chain_kraus(config):
+        p_click = detector.click_probability(np.arange(kraus.shape[0]))
+        # [povm(k) K_k^T] stacked over k, for no click and for a click
+        stages.append((kraus, [
+            (povm[:, None, None] * kraus).transpose(0, 2, 1).reshape(-1, ds)
+            for povm in (1.0 - p_click, p_click)
+        ]))
+    # every K_k is real and raises the level by k, so the fold commutes with
+    # rho -> D rho D^+, D = diag(e^{in arg alpha}): the walk runs in real
+    # arithmetic from |abs(alpha)> and puts the phases back at the leaves
+    phase = np.exp(1j * np.angle(config.alpha) * np.arange(ds))
+    rotation = np.outer(phase, phase.conj())
+    psi = coherent_state(abs(config.alpha), ds).amplitudes.real
+
+    def descend(rho: np.ndarray, clicks: tuple[bool, ...]):
+        depth = len(clicks)
+        if depth == len(stages):
+            yield ClickPattern(clicks), float(np.trace(rho)), rho * rotation
+            return
+        kraus, weighted = stages[depth]
+        kraus_rho = kraus @ rho
+        for clicked in (False, True) if pattern is None else (pattern.clicks[depth],):
+            yield from descend(_fold(kraus_rho, weighted[clicked]), clicks + (clicked,))
+
+    return descend(np.outer(psi, psi), ())
+
+
+def _fold(kraus_rho: np.ndarray, weighted: np.ndarray) -> np.ndarray:
+    """sum_k POVM(k) K_k rho K_k^T from the products K_k rho, as one matrix product.
+
+    ``weighted`` stacks the POVM(k) K_k^T over k.
+    """
+    ds = kraus_rho.shape[-1]
+    return kraus_rho.transpose(1, 0, 2).reshape(ds, -1) @ weighted
+
+
 def run_chain_sequential(
     config: ChainConfig, detector: DetectorModel, pattern: ClickPattern
 ) -> ConditionalState:
     """Chain evolution with each idler measured right after its stage.
 
-    Idlers never interact again once their stage has fired, so the chain
-    acts on the signal's density matrix alone: each stage applies
-    rho -> sum_k POVM(k) K_k rho K_k^T with the detector POVM of that stage's
-    click outcome. Returns the pattern probability and the conditional
-    signal ensemble (at most signal_dim branches); agrees with
-    run_chain_full + condition_on_pattern.
+    The one-leaf view of walk_patterns: folds the signal's density matrix
+    along ``pattern``'s prefix path (N folds) and returns the pattern
+    probability and the conditional signal ensemble, the eigendecomposition
+    of rho (at most signal_dim branches); agrees with run_chain_full +
+    condition_on_pattern. A table needs only P and rho: walk_patterns gives
+    them for every pattern without the eigendecompositions.
     """
-    if len(pattern) != config.n_stages:
-        raise ValueError(
-            f"pattern has {len(pattern)} outcomes for {config.n_stages} stages"
-        )
-    psi = coherent_state(config.alpha, config.signal_dim).amplitudes
-    rho = np.outer(psi, psi.conj())
-    for kraus, clicked in zip(_chain_kraus(config), pattern.clicks):
-        p_click = detector.click_probability(np.arange(kraus.shape[0]))
-        povm = p_click if clicked else 1.0 - p_click
-        rho = np.tensordot(
-            povm[:, None, None] * (kraus @ rho), kraus, axes=([0, 2], [0, 2])
-        )
-    return conditional_from_density(
-        rho, float(np.trace(rho).real), single_mode(config.signal_dim)
-    )
+    _, probability, rho = next(walk_patterns(config, detector, pattern))
+    return conditional_from_density(rho, probability, single_mode(config.signal_dim))
 
 
 def _heralding_reference(

@@ -8,15 +8,17 @@ Subcommands:
   sweep    pattern probability across parameter values, with power-law fit
 
 All outputs are deterministic: identical configs produce byte-identical
-files. Exit codes: 0 success, 1 validation or truncation error (the message
-names the field to change), 2 dimension-budget error (including a Wigner
-state spec too large for its grid).
+files. Every click probability and conditional signal comes from one
+walk over the click prefixes (dynamics.walk_patterns). Exit codes: 0
+success, 1 validation or truncation error (the message names the field to
+change), 2 a Wigner state spec too large for its grid (dimension budget).
 The environment variable PACSIM_MAX_WORKERS caps task parallelism.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import functools
 import io
@@ -38,18 +40,12 @@ from .analysis import (
     fit_power_law,
     wigner,
 )
-from .detection import (
-    ClickPattern,
-    DetectorModel,
-    conditional_density,
-    outcome_probability,
-)
+from .detection import ClickPattern, DetectorModel, outcome_probability
 from .dynamics import (
     DEFAULT_AMPLITUDE_BUDGET,
     ChainConfig,
     StageParams,
     herald_summary,
-    run_chain_full,
     walk_patterns,
 )
 from .errors import DimensionBudgetError, ScenarioError, TruncationError
@@ -77,14 +73,18 @@ _TASK_TYPES = tuple(_TASK_FIELDS)
 # ---------------------------------------------------------------------------
 
 def _parse_alpha(value: Any, where: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, str):
+    if _is_number(value):
+        alpha = complex(value)
+    elif isinstance(value, str):
         try:
-            return complex(value.replace(" ", ""))
+            alpha = complex(value.replace(" ", ""))
         except ValueError:
             raise ScenarioError(f"{where}: cannot parse {value!r} as a complex number")
-    raise ScenarioError(f"{where}: expected a number or complex string, got {value!r}")
+    else:
+        raise ScenarioError(f"{where}: expected a number or complex string, got {value!r}")
+    if not cmath.isfinite(alpha):
+        raise ScenarioError(f"{where}: expected a finite amplitude, got {value!r}")
+    return alpha
 
 
 def _is_int(value: Any) -> bool:
@@ -102,39 +102,62 @@ def _require(mapping: dict, key: str, where: str) -> Any:
     return mapping[key]
 
 
+def _typed(value: Any, is_valid: Callable[[Any], bool], where: str, expected: str) -> Any:
+    """``value``, or a ScenarioError naming ``where`` unless ``is_valid(value)``."""
+    if not is_valid(value):
+        raise ScenarioError(f"{where}: expected {expected}, got {value!r}")
+    return value
+
+
+def _check_fields(mapping: dict, known: set[str], where: str) -> None:
+    for key in mapping:
+        if key not in known:
+            raise ScenarioError(f"{where}: unknown field {key!r}")
+
+
+def _parse_stage(raw: dict, where: str) -> StageParams:
+    """The ``lam`` and ``idler_dim`` of one stage entry, or of a uniform chain."""
+    lam = _typed(_require(raw, "lam", where), _is_number, f"{where}.lam", "a number")
+    idler_dim = _typed(raw.get("idler_dim", 4), _is_int, f"{where}.idler_dim", "an integer")
+    try:
+        return StageParams(float(lam), idler_dim)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
+
+
 def _parse_chain(raw: Any) -> ChainConfig:
     if not isinstance(raw, dict):
         raise ScenarioError("chain: expected a mapping")
+    uniform = ("lam", "n_stages", "idler_dim")
+    _check_fields(raw, {"alpha", "signal_dim", "stages", *uniform}, "chain")
     alpha = _parse_alpha(_require(raw, "alpha", "chain"), "chain.alpha")
     signal_dim = raw.get("signal_dim")
     if signal_dim is not None and (not _is_int(signal_dim) or signal_dim < 2):
         raise ScenarioError(f"chain.signal_dim: expected an integer >= 2, got {signal_dim!r}")
     if "stages" in raw:
-        stages = []
+        for key in uniform:
+            if key in raw:
+                raise ScenarioError(
+                    f"chain.{key}: not allowed next to chain.stages, which sets every stage"
+                )
         if not isinstance(raw["stages"], list) or not raw["stages"]:
             raise ScenarioError("chain.stages: expected a nonempty list")
+        stages = []
         for i, entry in enumerate(raw["stages"]):
+            where = f"chain.stages[{i}]"
             if not isinstance(entry, dict):
-                raise ScenarioError(f"chain.stages[{i}]: expected a mapping")
-            lam = _require(entry, "lam", f"chain.stages[{i}]")
-            idler_dim = entry.get("idler_dim", 4)
-            try:
-                stages.append(StageParams(float(lam), int(idler_dim)))
-            except (TypeError, ValueError) as exc:
-                raise ScenarioError(f"chain.stages[{i}]: {exc}")
-        try:
-            return ChainConfig(alpha, tuple(stages), signal_dim)
-        except ValueError as exc:
-            raise ScenarioError(f"chain: {exc}")
-    lam = _require(raw, "lam", "chain")
-    n_stages = _require(raw, "n_stages", "chain")
-    if not _is_int(n_stages) or n_stages < 1:
-        raise ScenarioError(f"chain.n_stages: expected a positive integer, got {n_stages!r}")
+                raise ScenarioError(f"{where}: expected a mapping")
+            _check_fields(entry, {"lam", "idler_dim"}, where)
+            stages.append(_parse_stage(entry, where))
+    else:
+        stage = _parse_stage(raw, "chain")
+        n_stages = _require(raw, "n_stages", "chain")
+        if not _is_int(n_stages) or n_stages < 1:
+            raise ScenarioError(f"chain.n_stages: expected a positive integer, got {n_stages!r}")
+        stages = [stage] * n_stages
     try:
-        return ChainConfig.uniform(
-            alpha, float(lam), n_stages, int(raw.get("idler_dim", 4)), signal_dim
-        )
-    except (TypeError, ValueError) as exc:
+        return ChainConfig(alpha, tuple(stages), signal_dim)
+    except ValueError as exc:
         raise ScenarioError(f"chain: {exc}")
 
 
@@ -143,12 +166,14 @@ def _parse_detector(raw: Any) -> DetectorModel:
         return DetectorModel.ideal()
     if not isinstance(raw, dict):
         raise ScenarioError("detector: expected a mapping")
+    _check_fields(raw, {"eta", "dark_prob"}, "detector")
+    eta, dark_prob = (
+        float(_typed(raw.get(key, default), _is_number, f"detector.{key}", "a number"))
+        for key, default in (("eta", 1.0), ("dark_prob", 0.0))
+    )
     try:
-        return DetectorModel(
-            eta=float(raw.get("eta", 1.0)),
-            dark_prob=float(raw.get("dark_prob", 0.0)),
-        )
-    except (TypeError, ValueError) as exc:
+        return DetectorModel(eta=eta, dark_prob=dark_prob)
+    except ValueError as exc:
         raise ScenarioError(f"detector: {exc}")
 
 
@@ -169,11 +194,10 @@ def _parse_pattern(text: Any, n_stages: int, where: str) -> ClickPattern:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated scenario: chain, detector, evolution mode and task list."""
+    """Validated scenario: chain, detector and task list."""
 
     chain: ChainConfig
     detector: DetectorModel
-    mode: str
     tasks: tuple[dict, ...]
 
 
@@ -183,12 +207,11 @@ def parse_scenario(raw: Any) -> Scenario:
     version = _require(raw, "version", "scenario")
     if version != SCHEMA_VERSION:
         raise ScenarioError(f"version: expected {SCHEMA_VERSION}, got {version!r}")
-    known = {"version", "chain", "detector", "mode", "tasks"}
-    for key in raw:
-        if key not in known:
-            raise ScenarioError(f"scenario: unknown field {key!r}")
+    _check_fields(raw, {"version", "chain", "detector", "mode", "tasks"}, "scenario")
     chain = _parse_chain(_require(raw, "chain", "scenario"))
     detector = _parse_detector(raw.get("detector"))
+    # schema 1 names an evolution mode; both give the same click statistics,
+    # so it is checked and selects nothing: every table comes from one walk
     mode = raw.get("mode", "full")
     if mode not in ("full", "sequential"):
         raise ScenarioError(f"mode: expected 'full' or 'sequential', got {mode!r}")
@@ -204,9 +227,7 @@ def parse_scenario(raw: Any) -> Scenario:
         ttype = _require(entry, "type", where)
         if ttype not in _TASK_TYPES:
             raise ScenarioError(f"{where}.type: expected one of {_TASK_TYPES}, got {ttype!r}")
-        for key in entry:
-            if key not in _TASK_FIELDS[ttype] | {"type", "output"}:
-                raise ScenarioError(f"{where}: unknown field {key!r}")
+        _check_fields(entry, _TASK_FIELDS[ttype] | {"type", "output"}, where)
         task = dict(entry)
         output = _require(entry, "output", where)
         if not isinstance(output, str) or not output:
@@ -219,7 +240,7 @@ def parse_scenario(raw: Any) -> Scenario:
                 seen_outputs.add(p)
         _validate_task(task, chain, where)
         tasks.append(task)
-    return Scenario(chain=chain, detector=detector, mode=mode, tasks=tuple(tasks))
+    return Scenario(chain=chain, detector=detector, tasks=tuple(tasks))
 
 
 def _validate_task(task: dict, chain: ChainConfig, where: str) -> None:
@@ -258,6 +279,10 @@ def _validate_task(task: dict, chain: ChainConfig, where: str) -> None:
             v = task.get(field, default)
             if not _is_number(v) or not 0 < v < math.inf:
                 raise ScenarioError(f"{where}.{field}: expected a positive number, got {v!r}")
+        try:
+            _check_grid(task.get("extent", 5.0), task.get("step", 0.1))
+        except ValueError as exc:
+            raise ScenarioError(f"{where}.extent: {exc}") from None
 
 
 def _check_sweep_values(values: Any, fit: bool) -> None:
@@ -269,6 +294,16 @@ def _check_sweep_values(values: Any, fit: bool) -> None:
             raise ValueError(f"expected positive numbers, got {v!r}")
     if fit and (len(values) < 3 or len(set(values)) != len(values)):
         raise ValueError("a fit needs >= 3 distinct values")
+
+
+def _check_grid(extent: float, step: float) -> None:
+    """Raise ValueError unless a Wigner grid has two or more points per axis."""
+    # the length of analysis.wigner's axis, np.arange(-extent, extent + step / 2, step)
+    if math.ceil((extent + step / 2 + extent) / step) < 2:
+        raise ValueError(
+            f"{extent!r} at step {step!r} gives one grid point per axis; "
+            "a grid needs two or more"
+        )
 
 
 def _parse_state_spec(spec: str, where: str = "state") -> PureState:
@@ -377,29 +412,6 @@ def load_wigner(path: str | Path) -> WignerGrid:
 # task execution
 # ---------------------------------------------------------------------------
 
-def _pattern_leaves(
-    chain: ChainConfig,
-    detector: DetectorModel,
-    mode: str,
-    pattern: ClickPattern | None = None,
-):
-    """(pattern, P, unnormalized conditional signal rho) of every click pattern.
-
-    In lexicographic order, or of ``pattern`` alone. Sequential mode walks
-    the click prefixes (walk_patterns); full mode conditions the joint state.
-    """
-    if mode == "sequential":
-        return walk_patterns(chain, detector, pattern)
-    joint = run_chain_full(chain)
-    patterns = ClickPattern.all(chain.n_stages) if pattern is None else [pattern]
-    return ((p, *conditional_density(joint, p, detector)) for p in patterns)
-
-
-def _fidelity(probability: float, rho: np.ndarray, reference: np.ndarray) -> float:
-    """<ref|rho|ref> / P for an unnormalized conditional signal rho."""
-    return float((reference.conj() @ rho @ reference).real) / probability
-
-
 def _pattern_row(
     pattern: ClickPattern,
     probability: float,
@@ -414,24 +426,24 @@ def _pattern_row(
     probability = outcome_probability(probability)
     fid = mean_n = None
     if probability > 0.0:
-        fid = _fidelity(probability, rho, reference(pattern.n_clicks))
+        ref = reference(pattern.n_clicks)
+        fid = float((ref.conj() @ rho @ ref).real) / probability
         mean_n = float(np.arange(rho.shape[0]) @ np.diagonal(rho).real) / probability
     return [
         str(pattern), str(pattern.n_clicks), _fmt(probability), _fmt(fid), _fmt(mean_n)
     ]
 
 
-def _pattern_rows(scenario: Scenario, pattern: ClickPattern | None = None) -> list[list[str]]:
-    """Rows of every click pattern, or of ``pattern`` alone, for both modes."""
-    chain = scenario.chain
+def _pattern_rows(
+    chain: ChainConfig, detector: DetectorModel, pattern: ClickPattern | None = None
+) -> list[list[str]]:
+    """Rows of every click pattern in lexicographic order, or of ``pattern`` alone."""
     reference = functools.cache(
         lambda m: pacs_state(chain.alpha, m, chain.signal_dim).amplitudes
     )
     return [
         _pattern_row(p, probability, rho, reference)
-        for p, probability, rho in _pattern_leaves(
-            chain, scenario.detector, scenario.mode, pattern
-        )
+        for p, probability, rho in walk_patterns(chain, detector, pattern)
     ]
 
 
@@ -439,7 +451,7 @@ def _run_patterns_task(task: dict, scenario: Scenario) -> dict[str, str]:
     pattern = task.get("pattern")
     if pattern is not None:
         pattern = ClickPattern.from_string(pattern)
-    rows = _pattern_rows(scenario, pattern)
+    rows = _pattern_rows(scenario.chain, scenario.detector, pattern)
     header = ["pattern", "n_clicks", "probability", "fidelity_vs_pacs_m", "mean_signal_photons"]
     return {task["output"]: _csv_text(header, rows)}
 
@@ -470,7 +482,6 @@ def _run_project_task(task: dict, scenario: Scenario) -> dict[str, str]:
 def _sweep_samples(
     chain: ChainConfig,
     detector: DetectorModel,
-    mode: str,
     param: str,
     values: list[float],
     pattern: ClickPattern,
@@ -486,7 +497,7 @@ def _sweep_samples(
             )
         else:
             cfg = ChainConfig(complex(value), chain.stages, None)
-        _, probability, _ = next(_pattern_leaves(cfg, detector, mode, pattern))
+        _, probability, _ = next(walk_patterns(cfg, detector, pattern))
         samples.append((value, outcome_probability(probability)))
     return samples
 
@@ -514,7 +525,6 @@ def _run_sweep_task(task: dict, scenario: Scenario) -> dict[str, str]:
     samples = _sweep_samples(
         scenario.chain,
         scenario.detector,
-        scenario.mode,
         param,
         [float(v) for v in task["values"]],
         ClickPattern.from_string(task["pattern"]),
@@ -622,16 +632,14 @@ def _detector_from_flags(args) -> DetectorModel:
 def _cmd_pacs(args) -> int:
     pattern = _from_flag("--pattern", ClickPattern.from_string, args.pattern)
     config = _chain_from_flags(args, len(pattern), "--pattern")
-    detector = _detector_from_flags(args)
-    _, probability, rho = next(walk_patterns(config, detector, pattern))
-    probability = outcome_probability(probability)
-    print(f"pattern {pattern}: probability = {probability!r}")
-    if probability == 0.0:
+    [[_, n_clicks, probability, fid, _]] = _pattern_rows(
+        config, _detector_from_flags(args), pattern
+    )
+    print(f"pattern {pattern}: probability = {probability}")
+    if fid:
+        print(f"fidelity vs {n_clicks}-photon-added state = {fid}")
+    else:
         print("impossible outcome")
-        return 0
-    reference = pacs_state(config.alpha, pattern.n_clicks, config.signal_dim)
-    fid = _fidelity(probability, rho, reference.amplitudes)
-    print(f"fidelity vs {pattern.n_clicks}-photon-added state = {fid!r}")
     return 0
 
 
@@ -651,6 +659,7 @@ def _cmd_wigner(args) -> int:
     for flag, value in (("--range", args.range), ("--step", args.step)):
         if not 0 < value < math.inf:
             raise ScenarioError(f"{flag}: expected a positive number, got {value!r}")
+    _from_flag("--range", _check_grid, args.range, args.step)
     grid = wigner(state, args.range, args.step)
     emit_wigner(grid, args.out)
     print(
@@ -671,7 +680,7 @@ def _cmd_sweep(args) -> int:
     if fit and args.param != "lam":
         raise ScenarioError("--fit-out: fits are only defined for lam sweeps")
     _from_flag("--values", _check_sweep_values, values, fit)
-    samples = _sweep_samples(chain, detector, "full", args.param, values, pattern)
+    samples = _sweep_samples(chain, detector, args.param, values, pattern)
     outputs = _sweep_outputs(samples, args.param, args.out, args.fit_out)
     for rel_path, text in outputs.items():
         Path(rel_path).parent.mkdir(parents=True, exist_ok=True)

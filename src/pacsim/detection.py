@@ -3,8 +3,9 @@
 Single-photon detectors are modeled by the standard on/off POVM, diagonal in
 photon number: P(click | n) = 1 - (1 - dark_prob) (1 - eta)^n. Conditioning a
 joint chain output on a click pattern yields the pattern probability and the
-unnormalized conditional signal density matrix (conditional_density), which
-is all a pattern table reads; condition_on_pattern turns it into a weighted
+unnormalized conditional signal density matrix (conditional_density): the
+same pair that dynamics.walk_patterns yields from the signal alone, and
+the dense cross-check of it. condition_on_pattern turns it into a weighted
 ensemble, the eigendecomposition of that matrix, so at most one branch per
 signal level however many idler photon-number records stay unresolved.
 outcome_probability is the one rule for which click outcomes are impossible.

@@ -23,3 +23,18 @@ def run_python():
         )
 
     return run
+
+
+@pytest.fixture
+def no_joint_state(monkeypatch):
+    """Make every binding of run_chain_full raise."""
+    original = pacsim.dynamics.run_chain_full
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_chain_full was called")
+
+    for name, module in list(sys.modules.items()):
+        if name == "pacsim" or name.startswith("pacsim."):
+            if getattr(module, "run_chain_full", None) is original:
+                monkeypatch.setattr(module, "run_chain_full", forbidden)
+    assert pacsim.dynamics.run_chain_full is forbidden

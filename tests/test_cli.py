@@ -9,14 +9,15 @@ import pytest
 
 from pacsim import (
     ChainConfig,
-    ClickPattern,
     DetectorModel,
     condition_on_pattern,
     extract_w_state,
     fidelity_ensemble,
     fock_state,
+    outcome_probability,
     pacs_state,
     run_chain_full,
+    walk_patterns,
     wigner,
 )
 from pacsim.cli import emit_wigner, load_wigner, main, wigner_grid_text
@@ -50,7 +51,8 @@ def read_csv(path: Path) -> list[dict]:
 
 class TestRunScenario:
     def test_minimal_pattern_task(self, tmp_path):
-        """The emitted CSV reproduces the exact simulation values."""
+        """The emitted CSV reproduces the exact simulation values: the walk's
+        probabilities, and the dense oracle's fidelities."""
         config = write_scenario(tmp_path, MINIMAL_SCENARIO)
         out = tmp_path / "out"
         assert main(["run", str(config), "--outdir", str(out)]) == 0
@@ -59,12 +61,12 @@ class TestRunScenario:
         cfg = ChainConfig.uniform(1.0, 0.05, 1)
         joint = run_chain_full(cfg)
         det = DetectorModel.ideal()
+        leaves = walk_patterns(cfg, det)
         total = 0.0
-        for row in rows:
-            cond = condition_on_pattern(
-                joint, ClickPattern.from_string(row["pattern"]), det
-            )
-            assert float(row["probability"]) == cond.probability
+        for row, (pattern, probability, _) in zip(rows, leaves, strict=True):
+            assert row["pattern"] == str(pattern)
+            assert float(row["probability"]) == outcome_probability(probability)
+            cond = condition_on_pattern(joint, pattern, det)
             ref = pacs_state(1.0, int(row["n_clicks"]), cfg.signal_dim)
             assert float(row["fidelity_vs_pacs_m"]) == pytest.approx(
                 fidelity_ensemble(cond.ensemble, ref), abs=1e-15
@@ -241,22 +243,6 @@ class TestValidationFailures:
             capsys,
         )
 
-    def test_budget_exceeded_exit_code(self, tmp_path, capsys):
-        config = write_scenario(
-            tmp_path,
-            """\
-version: 1
-chain: {alpha: 1.0, lam: 0.05, n_stages: 12}
-tasks:
-  - type: patterns
-    output: patterns.csv
-""",
-        )
-        out = tmp_path / "out"
-        assert main(["run", str(config), "--outdir", str(out)]) == 2
-        assert not out.exists()
-        assert "sequential" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -277,11 +263,29 @@ tasks:
             capsys,
         )
 
-    @pytest.mark.parametrize("field", ["n_stages", "signal_dim"])
-    def test_boolean_chain_size_rejected(self, tmp_path, capsys, field):
-        text = MINIMAL_SCENARIO.replace("n_stages: 1", "n_stages: 1\n  signal_dim: 24")
+    @pytest.mark.parametrize(
+        "old, new, field",
+        [
+            ("n_stages: 1", "n_stages: true", "chain.n_stages"),
+            ("n_stages: 1", "n_stages: 1\n  signal_dim: true", "chain.signal_dim"),
+            ("lam: 0.05", "lam: true", "chain.lam"),
+            ("alpha: 1.0", "alpha: true", "chain.alpha"),
+            ("alpha: 1.0", "alpha: .inf", "chain.alpha"),
+            ("n_stages: 1", "n_stages: 1\n  idler_dim: 3.9", "chain.idler_dim"),
+            ("lam: 0.05\n  n_stages: 1", "stages: [{lam: 0.05}, {lam: true}]",
+             "chain.stages[1].lam"),
+            ("lam: 0.05\n  n_stages: 1", "stages: [{lam: 0.05, idler_dim: 3.9}]",
+             "chain.stages[0].idler_dim"),
+            ("eta: 1.0", "eta: true", "detector.eta"),
+            ("dark_prob: 0.0", "dark_prob: '0'", "detector.dark_prob"),
+        ],
+        ids=["n_stages", "signal_dim", "lam", "alpha", "alpha-inf", "idler_dim", "stages-lam",
+             "stages-idler_dim", "eta", "dark_prob"],
+    )
+    def test_boolean_chain_size_rejected(self, tmp_path, capsys, old, new, field):
+        """Chain and detector numbers are type-checked, not coerced by float() or int()."""
         self.run_expecting_error(
-            tmp_path, text.replace(f"{field}: ", f"{field}: true #"), f"chain.{field}", capsys
+            tmp_path, MINIMAL_SCENARIO.replace(old, new), f"{field}: expected", capsys
         )
 
     def test_truncation_names_signal_dim(self, tmp_path, capsys):
@@ -315,6 +319,31 @@ tasks:
         )
 
     @pytest.mark.parametrize(
+        "chain, detector, message",
+        [
+            ("{alpha: 1.0, lam: 0.05, n_stages: 1, idlr_dim: 6}", "{}",
+             "chain: unknown field 'idlr_dim'"),
+            ("{alpha: 1.0, lam: 0.05, n_stages: 1}", "{dark: 0.1}",
+             "detector: unknown field 'dark'"),
+            ("{alpha: 1.0, stages: [{lam: 0.05, idler: 6}]}", "{}",
+             "chain.stages[0]: unknown field 'idler'"),
+            ("{alpha: 1.0, n_stages: 3, stages: [{lam: 0.05}]}", "{}", "chain.n_stages: "),
+            ("{alpha: 1.0, lam: 0.05, stages: [{lam: 0.05}]}", "{}", "chain.lam: "),
+            ("{alpha: 1.0, idler_dim: 6, stages: [{lam: 0.05}]}", "{}", "chain.idler_dim: "),
+        ],
+        ids=["chain", "detector", "stage", "stages-n_stages", "stages-lam", "stages-idler_dim"],
+    )
+    def test_unknown_chain_field_named(self, tmp_path, capsys, chain, detector, message):
+        """chain, its stages and detector drop no field, and stages sets every stage."""
+        self.run_expecting_error(
+            tmp_path,
+            f"version: 1\nchain: {chain}\ndetector: {detector}\ntasks:\n"
+            "  - {type: patterns, output: p.csv}\n",
+            message,
+            capsys,
+        )
+
+    @pytest.mark.parametrize(
         "task, field",
         [
             ("{type: sweep, values: [true, 0.02, 0.04], pattern: '1', output: s.csv}",
@@ -322,8 +351,9 @@ tasks:
             ("{type: sweep, values: [0.01, .nan], pattern: '1', output: s.csv}", "values"),
             ("{type: wigner, state: 'fock:1', output: w.txt, extent: true}", "extent"),
             ("{type: wigner, state: 'fock:1', output: w.txt, step: .inf}", "step"),
+            ("{type: wigner, state: 'fock:1', output: w.txt, extent: 0.01}", "extent"),
         ],
-        ids=["sweep-bool", "sweep-nan", "wigner-bool", "wigner-inf"],
+        ids=["sweep-bool", "sweep-nan", "wigner-bool", "wigner-inf", "wigner-one-point"],
     )
     def test_task_number_rejected(self, tmp_path, capsys, task, field):
         self.run_expecting_error(
@@ -384,6 +414,23 @@ def test_ladder_max_zero_means_zero(tmp_path):
     cfg = ChainConfig.uniform(1.0, 0.05, 3)
     assert payload["probability"] == extract_w_state(cfg, ladder_max=0).probability
     assert payload["probability"] != extract_w_state(cfg).probability
+
+
+def test_twelve_stage_table_and_sweep_exit_0(tmp_path, monkeypatch):
+    """The walk needs no joint state, so a 12-stage table and sweep run."""
+    config = write_scenario(
+        tmp_path,
+        "version: 1\nchain: {alpha: 1.0, lam: 0.05, n_stages: 12}\ntasks:\n"
+        "  - {type: patterns, output: patterns.csv}\n",
+    )
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", str(config), "--outdir", "out"]) == 0
+    rows = read_csv(tmp_path / "out" / "patterns.csv")
+    assert len(rows) == 4096
+    assert sum(float(r["probability"]) for r in rows) == pytest.approx(1.0, abs=1e-9)
+    assert main(["sweep", "--alpha", "1", "--lam", "0.05", "--pattern", "1" * 12,
+                 "--values", "0.01,0.02,0.04", "--out", "s.csv"]) == 0
+    assert len(read_csv(tmp_path / "s.csv")) == 3
 
 
 class TestWignerFiles:
@@ -576,6 +623,8 @@ def test_truncation_exits_1_without_traceback(run_python, args):
         (["pacs", "--alpha", "1", "--lam", "nan", "--pattern", "1"], "--lam"),
         (["pacs", "--alpha", "1", "--lam", "inf", "--pattern", "1"], "--lam"),
         (["wigner", "--state", "coherent:1e300"], "--state"),
+        (["wigner", "--state", "fock:1", "--range", "0.01", "--step", "0.1"], "--range"),
+        (["pacs", "--alpha", "nan", "--lam", "0.05", "--pattern", "1"], "--alpha"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )

@@ -3,7 +3,6 @@
 import cmath
 import json
 import math
-import sys
 from itertools import product
 
 import numpy as np
@@ -366,21 +365,6 @@ def test_twelve_stages_need_no_budget(tmp_path, capsys):
     assert payload["w_fidelity"] > 0.99
     assert main(["wstate", "--alpha", "1", "--lam", "0.05", "--n", "12", "--signal-dim", "40"]) == 0
     assert f"heralding probability = {payload['probability']!r}" in capsys.readouterr().out
-
-
-@pytest.fixture
-def no_joint_state(monkeypatch):
-    """Make every binding of run_chain_full raise."""
-    original = pacsim.dynamics.run_chain_full
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("run_chain_full was called")
-
-    for name, module in list(sys.modules.items()):
-        if name == "pacsim" or name.startswith("pacsim."):
-            if getattr(module, "run_chain_full", None) is original:
-                monkeypatch.setattr(module, "run_chain_full", forbidden)
-    assert pacsim.dynamics.run_chain_full is forbidden
 
 
 def test_extract_w_state_never_builds_the_joint_state(no_joint_state):

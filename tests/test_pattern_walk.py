@@ -1,5 +1,7 @@
 """The depth-first click-prefix walk and the pattern table read from its leaves."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,19 +13,35 @@ from pacsim import (
     ClickPattern,
     DetectorModel,
     StageParams,
+    conditional_density,
     fidelity_ensemble,
     mean_photon_number,
     pacs_state,
+    run_chain_full,
     run_chain_sequential,
     walk_patterns,
 )
-from pacsim.cli import Scenario, _pattern_rows, main
+from pacsim.cli import _pattern_row, _pattern_rows, main
 
 TINY = np.finfo(float).tiny
 
 
-def table(config, detector, mode, pattern=None):
-    return _pattern_rows(Scenario(config, detector, mode, ()), pattern)
+def table(config, detector, pattern=None):
+    """The CLI's rows, read from the walk's leaves."""
+    return _pattern_rows(config, detector, pattern)
+
+
+def dense_table(config, detector, pattern=None):
+    """The same rows read from the conditioned joint state: the dense oracle."""
+    joint = run_chain_full(config)
+    reference = functools.cache(
+        lambda m: pacs_state(config.alpha, m, config.signal_dim).amplitudes
+    )
+    patterns = ClickPattern.all(config.n_stages) if pattern is None else [pattern]
+    return [
+        _pattern_row(p, *conditional_density(joint, p, detector), reference)
+        for p in patterns
+    ]
 
 
 def close(got: str, want: float, tol: float) -> bool:
@@ -58,10 +76,10 @@ def walk_chains(draw):
 @given(walk_chains())
 def test_walk_rows_match_the_ensemble_and_the_dense_oracle(chain):
     """Rows read from rho agree with run_chain_sequential's eigen-ensemble (1e-12)
-    and with the full-mode table (1e-10)."""
+    and with the rows of the conditioned joint state (1e-10)."""
     config, detector = chain
-    seq = table(config, detector, "sequential")
-    full = table(config, detector, "full")
+    seq = table(config, detector)
+    full = dense_table(config, detector)
     patterns = ClickPattern.all(config.n_stages)
     assert [r[0] for r in seq] == [r[0] for r in full] == [str(p) for p in patterns]
     for row, pattern in zip(seq, patterns):
@@ -132,21 +150,61 @@ def test_filtered_task_is_the_same_row(tmp_path, fold_counter, mode):
         assert (out / f"p{p}.csv").read_text(encoding="utf-8").splitlines() == [
             lines[0], line
         ]
-    if mode == "sequential":
-        # 14 folds for the table, 3 for each of the 8 single patterns
-        assert len(fold_counter) == 14 + 8 * 3
+    # either mode: 14 folds for the table, 3 for each of the 8 single patterns
+    assert len(fold_counter) == 14 + 8 * 3
 
 
-@pytest.mark.parametrize("mode", ["sequential", "full"])
-def test_impossible_rows(mode):
-    """P = 0 at lam = 0, and a subnormal P, both read 0.0 with no fidelity or mean."""
-    rows = table(ChainConfig.uniform(1.0, 0.0, 3), DetectorModel(0.6, 0.0), mode)
+@pytest.mark.parametrize("rows_of", [table, dense_table], ids=["sequential", "full"])
+def test_impossible_rows(rows_of):
+    """P = 0 at lam = 0, and a subnormal P, both read 0.0 with no fidelity or mean,
+    in the walk's rows and in the dense oracle's."""
+    rows = rows_of(ChainConfig.uniform(1.0, 0.0, 3), DetectorModel(0.6, 0.0))
     assert rows[0][2] == "1.0" and rows[0][3] and rows[0][4]
     for row in rows[1:]:
         assert row[2:] == ["0.0", "", ""]
     subnormal = ChainConfig(0.0, (StageParams(0.0, 2), StageParams(0.25, 2)), 16)
-    rows = table(subnormal, DetectorModel(1.0, TINY), mode, ClickPattern.from_string("11"))
+    rows = rows_of(subnormal, DetectorModel(1.0, TINY), ClickPattern.from_string("11"))
     assert rows == [["11", "2", "0.0", "", ""]]
+
+
+CLICK_TASKS = """\
+tasks:
+  - {type: patterns, output: all.csv}
+  - {type: patterns, pattern: '101', output: one.csv}
+  - {type: sweep, values: [0.01, 0.02, 0.04], pattern: '110', output: lam.csv,
+     fit_output: fit.json}
+  - {type: sweep, param: alpha, values: [0.5, 1.5], pattern: '011', output: alpha.csv}
+"""
+
+
+def test_click_answers_come_from_the_walk_alone(no_joint_state, tmp_path, capsys):
+    """Both modes write the same bytes with run_chain_full raising, and the
+    quick-look sweep and pacs commands need it no more than the tables do."""
+    outputs = {}
+    for mode in ("full", "sequential"):
+        config = tmp_path / f"{mode}.yaml"
+        config.write_text(
+            "version: 1\nchain: {alpha: '0.8+0.3j', lam: 0.1, n_stages: 3}\n"
+            f"detector: {{eta: 0.4, dark_prob: 1.0e-3}}\nmode: {mode}\n" + CLICK_TASKS,
+            encoding="utf-8",
+        )
+        out = tmp_path / mode
+        assert main(["run", str(config), "--outdir", str(out)]) == 0
+        outputs[mode] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert list(outputs["full"]) == ["all.csv", "alpha.csv", "fit.json", "lam.csv", "one.csv"]
+    assert outputs["full"] == outputs["sequential"]
+    flags = ["--alpha", "0.8+0.3j", "--lam", "0.1", "--eta", "0.4", "--dark-prob", "1e-3"]
+    sweep = tmp_path / "sweep.csv"
+    assert main(["sweep", *flags, "--pattern", "110", "--values", "0.01,0.02,0.04",
+                 "--out", str(sweep)]) == 0
+    assert sweep.read_bytes() == outputs["full"]["lam.csv"]
+    capsys.readouterr()
+    assert main(["pacs", *flags, "--pattern", "101"]) == 0
+    row = outputs["full"]["one.csv"].decode().splitlines()[1].split(",")
+    assert capsys.readouterr().out == (
+        f"pattern 101: probability = {row[2]}\n"
+        f"fidelity vs 2-photon-added state = {row[3]}\n"
+    )
 
 
 def test_pacs_command_reads_the_table_row(capsys):
@@ -157,7 +215,7 @@ def test_pacs_command_reads_the_table_row(capsys):
     probability = float(out.split("probability = ")[1].split("\n")[0])
     fidelity = float(out.rsplit("= ", 1)[1])
     config = ChainConfig.uniform(1 + 0.5j, 0.1, 3)
-    row = table(config, DetectorModel(0.5, 1e-3), "sequential")[5]
+    row = table(config, DetectorModel(0.5, 1e-3))[5]
     assert row[0] == "101"
     assert (probability, fidelity) == (float(row[2]), float(row[3]))
 

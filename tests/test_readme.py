@@ -1,0 +1,39 @@
+"""The README's code blocks run as written."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from pacsim.cli import main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def code_block(heading: str, language: str) -> str:
+    """The first ``language`` fenced block after the ``## heading`` line."""
+    section = README.split(f"\n## {heading}\n", 1)[1]
+    return re.search(rf"```{language}\n(.*?)```", section, re.DOTALL).group(1)
+
+
+QUICK_LOOKS = [
+    shlex.split(line)
+    for line in code_block("CLI", "sh").replace("\\\n", " ").splitlines()
+    if line.startswith("pacsim ") and not line.startswith("pacsim run ")
+]
+
+
+def test_library_quickstart_runs(capsys):
+    exec(compile(code_block("Library quickstart", "python"), "README.md", "exec"), {})
+    assert capsys.readouterr().out
+
+
+def test_cli_block_holds_the_four_quick_looks():
+    assert [args[1] for args in QUICK_LOOKS] == ["pacs", "wstate", "wigner", "sweep"]
+
+
+@pytest.mark.parametrize("args", QUICK_LOOKS, ids=lambda args: args[1])
+def test_cli_quick_look_runs(tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    assert main(args[1:]) == 0

@@ -9,7 +9,11 @@ Subcommands:
 
 All outputs are deterministic: identical configs produce byte-identical
 files. Every click probability and conditional signal comes from one
-walk over the click prefixes (dynamics.walk_patterns). Exit codes: 0
+walk over the click prefixes (dynamics.walk_patterns). Task runners return
+each output path's text as an iterable of chunks, and one writer
+(_write_outputs) writes them for every command, only after every task has
+returned; a Wigner grid's chunks are its lines, formatted as the file is
+written, so a grid needs about one row of text beyond its array. Exit codes: 0
 success, 1 validation or truncation error (the message names the field to
 change), 2 a Wigner state spec too large for its grid (dimension budget).
 The environment variable PACSIM_MAX_WORKERS caps task parallelism.
@@ -29,7 +33,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 import yaml
@@ -55,6 +59,7 @@ from .fock import (
     default_signal_dim,
     fock_state,
     pacs_state,
+    tail_mass,
 )
 
 SCHEMA_VERSION = 1
@@ -66,6 +71,8 @@ _TASK_FIELDS = {
     "wigner": {"state", "extent", "step"},
 }
 _TASK_TYPES = tuple(_TASK_FIELDS)
+#: output path -> the file's text as chunks, written in order
+Outputs = dict[str, Iterable[str]]
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +313,11 @@ def _check_grid(extent: float, step: float) -> None:
         )
 
 
-def _parse_state_spec(spec: str, where: str = "state") -> PureState:
+def _parse_state_spec(spec: str, where: str = "state") -> tuple[PureState, float]:
     """Build a single-mode state from 'coherent:A', 'fock:N' or 'pacs:A,M'.
+
+    Returns the state and the probability mass its Fock cutoff dropped
+    (fock.tail_mass).
 
     The state is for a Wigner grid, whose coefficient matrix has
     (2 dim - 1)^2 entries. A spec that puts this above
@@ -330,7 +340,7 @@ def _parse_state_spec(spec: str, where: str = "state") -> PureState:
             n = int(arg)
             dim = max(n + 2, 8)
             check_size(dim)
-            return fock_state(n, dim)
+            return fock_state(n, dim), 0.0
         if kind == "coherent":
             alpha, m = _parse_alpha(arg, where), 0
         elif kind == "pacs":
@@ -341,13 +351,14 @@ def _parse_state_spec(spec: str, where: str = "state") -> PureState:
                 f"{where}: unknown state kind {kind!r} (use coherent:A, fock:N or pacs:A,M)"
             )
         check_size(_signal_dim_floor(alpha, m))
-        state = pacs_state(alpha, m, default_signal_dim(alpha, m))
+        dim = default_signal_dim(alpha, m)
+        state = pacs_state(alpha, m, dim)
     except ScenarioError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{where}: cannot parse state spec {spec!r} ({exc})")
-    check_size(state.space.dims[0])
-    return state
+    check_size(dim)
+    return state, tail_mass(alpha, m, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -370,18 +381,34 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def wigner_grid_text(grid: WignerGrid) -> str:
-    """Plain-text matrix with axis headers; rows follow x, columns follow p."""
-    lines = ["# wigner grid"]
-    lines.append("# x: " + " ".join(repr(float(v)) for v in grid.x_axis))
-    lines.append("# p: " + " ".join(repr(float(v)) for v in grid.p_axis))
+def _floats_text(values: np.ndarray) -> str:
+    return " ".join(map(repr, values.tolist()))
+
+
+def wigner_grid_lines(grid: WignerGrid) -> Iterator[str]:
+    """The grid's text file line by line: axis headers, then one row per x.
+
+    Rows follow x and columns p, every value in full repr precision. Each
+    row is formatted only when the consumer asks for it.
+    """
+    yield "# wigner grid\n"
+    yield "# x: " + _floats_text(grid.x_axis) + "\n"
+    yield "# p: " + _floats_text(grid.p_axis) + "\n"
     for row in grid.values:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+        yield _floats_text(row) + "\n"
 
 
 def emit_wigner(grid: WignerGrid, path: str | Path) -> None:
-    Path(path).write_text(wigner_grid_text(grid), encoding="utf-8")
+    _write_outputs({path: wigner_grid_lines(grid)})
+
+
+def _write_outputs(outputs: Outputs, outdir: Path | None = None) -> None:
+    """Write each output's chunks to its path, under ``outdir`` when given."""
+    for rel_path, chunks in outputs.items():
+        target = Path(outdir or "", rel_path)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
 
 
 def load_wigner(path: str | Path) -> WignerGrid:
@@ -447,16 +474,16 @@ def _pattern_rows(
     ]
 
 
-def _run_patterns_task(task: dict, scenario: Scenario) -> dict[str, str]:
+def _run_patterns_task(task: dict, scenario: Scenario) -> Outputs:
     pattern = task.get("pattern")
     if pattern is not None:
         pattern = ClickPattern.from_string(pattern)
     rows = _pattern_rows(scenario.chain, scenario.detector, pattern)
     header = ["pattern", "n_clicks", "probability", "fidelity_vs_pacs_m", "mean_signal_photons"]
-    return {task["output"]: _csv_text(header, rows)}
+    return {task["output"]: [_csv_text(header, rows)]}
 
 
-def _run_project_task(task: dict, scenario: Scenario) -> dict[str, str]:
+def _run_project_task(task: dict, scenario: Scenario) -> Outputs:
     """Signal-side heralding by herald_summary: no joint or idler state, no budget."""
     chain = scenario.chain
     m = task.get("reference_m", 1)
@@ -476,7 +503,7 @@ def _run_project_task(task: dict, scenario: Scenario) -> dict[str, str]:
         "probability": probability,
         "w_fidelity": w_fid if m == 1 else None,
     }
-    return {task["output"]: _json_text(payload)}
+    return {task["output"]: [_json_text(payload)]}
 
 
 def _sweep_samples(
@@ -504,23 +531,23 @@ def _sweep_samples(
 
 def _sweep_outputs(
     samples: list[tuple[float, float]], param: str, output: str, fit_output: str | None
-) -> dict[str, str]:
+) -> Outputs:
     rows = [[_fmt(v), _fmt(p)] for v, p in samples]
-    outputs = {output: _csv_text([param, "probability"], rows)}
+    outputs = {output: [_csv_text([param, "probability"], rows)]}
     if fit_output:
         fit = fit_power_law(samples)
-        outputs[fit_output] = _json_text(
+        outputs[fit_output] = [_json_text(
             {
                 "exponent": fit.exponent,
                 "prefactor": fit.prefactor,
                 "r_squared": fit.r_squared,
                 "samples": [[l, p] for l, p in fit.samples],
             }
-        )
+        )]
     return outputs
 
 
-def _run_sweep_task(task: dict, scenario: Scenario) -> dict[str, str]:
+def _run_sweep_task(task: dict, scenario: Scenario) -> Outputs:
     param = task.get("param", "lam")
     samples = _sweep_samples(
         scenario.chain,
@@ -532,10 +559,10 @@ def _run_sweep_task(task: dict, scenario: Scenario) -> dict[str, str]:
     return _sweep_outputs(samples, param, task["output"], task.get("fit_output"))
 
 
-def _run_wigner_task(task: dict, scenario: Scenario) -> dict[str, str]:
-    state = _parse_state_spec(str(task["state"]))
+def _run_wigner_task(task: dict, scenario: Scenario) -> Outputs:
+    state, _ = _parse_state_spec(str(task["state"]))
     grid = wigner(state, float(task.get("extent", 5.0)), float(task.get("step", 0.1)))
-    return {task["output"]: wigner_grid_text(grid)}
+    return {task["output"]: wigner_grid_lines(grid)}
 
 
 _TASK_RUNNERS = {
@@ -573,7 +600,7 @@ def run_scenario(config_path: str | Path, outdir: str | Path | None = None) -> i
         raise ScenarioError(f"{config_path}: YAML parse error{loc}: {exc}")
     scenario = parse_scenario(raw)
 
-    def run_one(task: dict) -> dict[str, str]:
+    def run_one(task: dict) -> Outputs:
         return _TASK_RUNNERS[task["type"]](task, scenario)
 
     workers = _max_workers(len(scenario.tasks))
@@ -583,12 +610,9 @@ def run_scenario(config_path: str | Path, outdir: str | Path | None = None) -> i
     else:
         results = [run_one(task) for task in scenario.tasks]
 
-    # all tasks succeeded; only now touch the filesystem
+    # all tasks succeeded; only now format and write (grids row by row)
     for outputs in results:
-        for rel_path, text in outputs.items():
-            target = outdir / rel_path
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(text, encoding="utf-8")
+        _write_outputs(outputs, outdir)
     return 0
 
 
@@ -655,7 +679,7 @@ def _cmd_wstate(args) -> int:
 
 
 def _cmd_wigner(args) -> int:
-    state = _parse_state_spec(args.state, "--state")
+    state, dropped = _parse_state_spec(args.state, "--state")
     for flag, value in (("--range", args.range), ("--step", args.step)):
         if not 0 < value < math.inf:
             raise ScenarioError(f"{flag}: expected a positive number, got {value!r}")
@@ -666,6 +690,10 @@ def _cmd_wigner(args) -> int:
         f"wrote {args.out}: {grid.values.shape[0]}x{grid.values.shape[1]} grid, "
         f"min = {grid.minimum()!r}, integral = {grid.integral()!r}"
     )
+    # W = tr[rho D Pi D^+] / pi with D Pi D^+ unitary, so the cutoff moves W by
+    # at most |psi psi^+ - phi phi^+|_1 / pi = (2 / pi) sqrt(1 - |<psi|phi>|^2)
+    bound = 2.0 / math.pi * math.sqrt(dropped)
+    print(f"truncation bound: |W - W_exact| <= {bound!r} (cutoff dropped mass {dropped!r})")
     return 0
 
 
@@ -682,9 +710,8 @@ def _cmd_sweep(args) -> int:
     _from_flag("--values", _check_sweep_values, values, fit)
     samples = _sweep_samples(chain, detector, args.param, values, pattern)
     outputs = _sweep_outputs(samples, args.param, args.out, args.fit_out)
-    for rel_path, text in outputs.items():
-        Path(rel_path).parent.mkdir(parents=True, exist_ok=True)
-        Path(rel_path).write_text(text, encoding="utf-8")
+    _write_outputs(outputs)
+    for rel_path in outputs:
         print(f"wrote {rel_path}")
     return 0
 

@@ -175,6 +175,38 @@ def _smallest_window(alpha: complex, m: int, start: int) -> int | None:
     return next((d for d in range(start, stop) if _photon_added(alpha, m, d)[1] is None), None)
 
 
+def tail_mass(alpha: complex, added_photons: int, dim: int) -> float:
+    """Probability mass of a+^m |alpha> (normalized) on the levels >= ``dim``.
+
+    This is the mass pacs_state(alpha, m, dim) (coherent_state at m = 0)
+    drops, and 1 - |<psi|phi>|^2 for the exact state psi and the stored one
+    phi: a+ only raises levels, so the constructor's truncated raises give
+    exactly the window's part of a+^m |alpha>, renormalized. With
+    |<j+m|a+^m|alpha>|^2 proportional to (j+m)!/j!^2 |alpha|^(2j), the mass is
+    a ratio of two sums of positive terms, so nothing cancels.
+
+    pacs_state checks another quantity, the summed top-level probability of
+    each renormalized raise. That sum is no bound on this mass: raise j + 1
+    weights the top level by dim / (<n>_j + 1) and scales the mass already
+    above the window by (<n>_above + 1) / (<n>_j + 1), both above 1. At
+    default cutoffs the mass came out 2 to 10 times the checked sum, and
+    above TAIL_MASS_LIMIT for some states (1.3e-12 for m = 1, alpha = 2 at
+    its default dim 27).
+    """
+    m = added_photons
+    if alpha == 0:
+        return 0.0
+    a2 = abs(alpha) ** 2
+    # from j = 4 (|alpha|^2 + m) the term ratio |alpha|^2 (j+m+1)/(j+1)^2 is
+    # below 1/3, so 200 more terms leave nothing a float can hold
+    j = np.arange(max(dim - m, math.ceil(4 * (a2 + m))) + 200)
+    log_terms = np.concatenate(
+        ([0.0], np.cumsum(math.log(a2) + np.log((j[:-1] + m + 1) / (j[:-1] + 1) ** 2)))
+    )
+    terms = np.exp(log_terms - log_terms.max())
+    return float(terms[max(dim - m, 0):].sum() / terms.sum())
+
+
 def coherent_state(alpha: complex, dim: int, label: str = "signal") -> PureState:
     """Coherent state |alpha> truncated at ``dim``, renormalized.
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,9 @@ import pytest
 from pacsim import (
     ChainConfig,
     DetectorModel,
+    WignerGrid,
     condition_on_pattern,
+    default_signal_dim,
     extract_w_state,
     fidelity_ensemble,
     fock_state,
@@ -20,7 +23,7 @@ from pacsim import (
     walk_patterns,
     wigner,
 )
-from pacsim.cli import emit_wigner, load_wigner, main, wigner_grid_text
+from pacsim.cli import emit_wigner, load_wigner, main, run_scenario, wigner_grid_lines
 
 MINIMAL_SCENARIO = """\
 version: 1
@@ -181,6 +184,25 @@ def test_wigner_task_beyond_level_170(tmp_path):
     assert main(["run", str(config), "--outdir", str(out)]) == 0
     grid = load_wigner(out / "w.txt")
     assert grid.values[2, 2] == pytest.approx(1.0 / np.pi, abs=1e-12)
+
+
+def test_streamed_grid_peaks_below_its_file_size(tmp_path):
+    """The benchmark's 401x401 pacs:2,1 grid is formatted one row at a time
+    as it is written, so tracing run_scenario peaks below the file's size."""
+    config = write_scenario(
+        tmp_path,
+        "version: 1\nchain: {alpha: 1.0, lam: 0.05, n_stages: 1}\ntasks:\n"
+        "  - {type: wigner, state: 'pacs:2,1', extent: 10.0, step: 0.05, output: w.txt}\n",
+    )
+    tracemalloc.start()
+    try:
+        assert run_scenario(config, tmp_path / "out") == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "out" / "w.txt").stat().st_size
+    assert size > 3_400_000
+    assert peak < size
 
 
 class TestValidationFailures:
@@ -433,7 +455,50 @@ def test_twelve_stage_table_and_sweep_exit_0(tmp_path, monkeypatch):
     assert len(read_csv(tmp_path / "s.csv")) == 3
 
 
+GOLDEN_GRID = WignerGrid(
+    x_axis=np.array([-1.0, 0.0, 1.0]),
+    p_axis=np.array([-0.5, 0.0, 0.5]),
+    values=np.array(
+        [[1 / np.pi, -0.0, 2.5e-17], [0.1, -1 / 3, 1e16], [5e-324, -7.0, 0.2 + 0.1]]
+    ),
+)
+GOLDEN_TEXT = (
+    "# wigner grid\n"
+    "# x: -1.0 0.0 1.0\n"
+    "# p: -0.5 0.0 0.5\n"
+    "0.3183098861837907 -0.0 2.5e-17\n"
+    "0.1 -0.3333333333333333 1e+16\n"
+    "5e-324 -7.0 0.30000000000000004\n"
+)
+
+
 class TestWignerFiles:
+    def test_golden_grid_text(self, tmp_path):
+        """The file format to the byte: headers, then every value's repr."""
+        path = tmp_path / "golden.txt"
+        emit_wigner(GOLDEN_GRID, path)
+        assert path.read_bytes() == GOLDEN_TEXT.encode()
+        assert "".join(wigner_grid_lines(GOLDEN_GRID)) == GOLDEN_TEXT
+
+    def test_every_command_writes_the_same_bytes(self, tmp_path):
+        """A scenario task, `pacsim wigner --out` into a new directory and
+        emit_wigner write one spec's grid identically."""
+        alpha, m = 1 + 0.5j, 2
+        config = write_scenario(
+            tmp_path,
+            "version: 1\nchain: {alpha: 1.0, lam: 0.05, n_stages: 1}\ntasks:\n"
+            "  - {type: wigner, state: 'pacs:1+0.5j,2', extent: 3.0, step: 0.25, output: w.txt}\n",
+        )
+        assert main(["run", str(config), "--outdir", str(tmp_path / "run")]) == 0
+        quick = tmp_path / "new" / "w.txt"
+        assert main(["wigner", "--state", "pacs:1+0.5j,2", "--range", "3", "--step", "0.25",
+                     "--out", str(quick)]) == 0
+        state = pacs_state(alpha, m, default_signal_dim(alpha, m))
+        emit_wigner(wigner(state, 3.0, 0.25), tmp_path / "emit.txt")
+        expected = (tmp_path / "emit.txt").read_bytes()
+        assert (tmp_path / "run" / "w.txt").read_bytes() == expected
+        assert quick.read_bytes() == expected
+
     def test_round_trip_identity(self, tmp_path):
         grid = wigner(fock_state(1, 12), extent=3.0, step=0.5)
         path = tmp_path / "wig.txt"
@@ -445,7 +510,7 @@ class TestWignerFiles:
 
     def test_header_fields(self, tmp_path):
         grid = wigner(fock_state(0, 8), extent=2.0, step=1.0)
-        text = wigner_grid_text(grid)
+        text = "".join(wigner_grid_lines(grid))
         lines = text.splitlines()
         assert lines[0] == "# wigner grid"
         assert lines[1].startswith("# x: ")
@@ -514,9 +579,26 @@ class TestQuickCommands:
         assert main([*args, "--out", str(target)]) == 0
         report = capsys.readouterr().out
         minimum = float(report.split("min = ")[1].split(",")[0])
-        integral = float(report.split("integral = ")[1])
+        integral = float(report.split("integral = ")[1].splitlines()[0])
         assert minimum >= -1.0 / np.pi - 1e-12
         assert integral == pytest.approx(1.0, abs=1e-6)
+
+    def test_wigner_truncation_bound_covers_a_coherent_grid(self, tmp_path, capsys):
+        """coherent:3 has W > 0 everywhere; its grid dips to -6.5e-8 at the
+        default cutoff, inside the printed bound, as is every value's distance
+        from the closed form exp(-(x - 3 sqrt2)^2 - p^2) / pi."""
+        target = tmp_path / "w.txt"
+        args = ["wigner", "--state", "coherent:3", "--range", "3", "--step", "0.5"]
+        assert main([*args, "--out", str(target)]) == 0
+        report = capsys.readouterr().out.splitlines()
+        minimum = float(report[0].split("min = ")[1].split(",")[0])
+        bound = float(report[1].split("<= ")[1].split()[0])
+        assert minimum < 0.0
+        assert abs(minimum) < bound < 6.4e-7
+        grid = load_wigner(target)
+        x, p = np.meshgrid(grid.x_axis, grid.p_axis, indexing="ij")
+        exact = np.exp(-((x - 3 * np.sqrt(2)) ** 2) - p**2) / np.pi
+        assert np.max(np.abs(grid.values - exact)) < bound
 
     @pytest.mark.parametrize("spec", ["coherent:3", "pacs:3,1", "coherent:11.9"])
     def test_wigner_bright_state_at_default_cutoff(self, tmp_path, spec):

@@ -1,6 +1,7 @@
 """Fock-core tests: constructors, ladder algebra, composition, fidelities."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from pacsim import (
     partial_trace_to_marginal,
     single_mode,
 )
+from pacsim.fock import _coherent_amplitudes, tail_mass
 
 from oracles import ladder_apply, laguerre, laguerre_recurrence, laguerre_series, tensor
 
@@ -63,6 +65,15 @@ def added_photon_norm_sq(alpha: complex, m: int, dim: int) -> float:
         total *= result.norm**2
         state = PureState.from_amplitudes(state.space, result.amplitudes)
     return total
+
+
+def raised(state: PureState, m: int) -> PureState:
+    """a+^m state, renormalized, by ladder raises that drop what leaves the window."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        for _ in range(m):
+            state = PureState.from_amplitudes(state.space, ladder_apply(state, 0, "raise").amplitudes)
+    return state
 
 
 class TestLaguerre:
@@ -195,6 +206,30 @@ class TestPacsState:
                 if suggested - 1 > dim:
                     with pytest.raises(TruncationError):
                         pacs_state(alpha, m, suggested - 1)
+
+    @pytest.mark.parametrize(
+        "alpha, m, dim",
+        [(3.0, 0, 30), (2.0, 1, 21), (1 + 1j, 2, 14), (1.0, 5, 16), (0.5, 8, 12), (2.5, 3, 20)],
+    )
+    def test_tail_mass_is_what_the_cutoff_drops(self, alpha, m, dim):
+        """tail_mass = 1 - |<psi|phi>|^2 for a+^m |alpha> raised on a 120-level
+        window (psi) and raised from the coherent amplitudes cut at dim (phi)."""
+        psi = raised(coherent_state(alpha, 120), m)
+        cut, _ = _coherent_amplitudes(alpha, dim)
+        phi = raised(PureState.from_amplitudes(single_mode(dim), cut), m)
+        overlap = np.vdot(psi.amplitudes[:dim], phi.amplitudes)
+        assert tail_mass(alpha, m, dim) == pytest.approx(1.0 - abs(overlap) ** 2, rel=1e-6)
+
+    @pytest.mark.parametrize("alpha, m", [(3.0, 0), (2.0, 1), (1.0, 5), (4.0, 3)])
+    def test_tail_mass_at_the_default_cutoff(self, alpha, m):
+        dim = default_signal_dim(alpha, m)
+        psi = raised(coherent_state(alpha, 120), m)
+        overlap = np.vdot(psi.amplitudes[:dim], pacs_state(alpha, m, dim).amplitudes)
+        assert tail_mass(alpha, m, dim) == pytest.approx(1.0 - abs(overlap) ** 2, abs=1e-14)
+
+    def test_tail_mass_edge_cases(self):
+        assert tail_mass(0, 3, 8) == 0.0
+        assert tail_mass(1.0, 3, 3) == 1.0
 
 
 class TestLadderApply:

@@ -12,11 +12,14 @@ files. Every click probability and conditional signal comes from one
 walk over the click prefixes (dynamics.walk_patterns). Task runners return
 each output path's text as an iterable of chunks, and one writer
 (_write_outputs) writes them for every command, only after every task has
-returned; a Wigner grid's chunks are its lines, formatted as the file is
-written, so a grid needs about one row of text beyond its array. Exit codes: 0
-success, 1 validation or truncation error (the message names the field to
-change), 2 a Wigner state spec too large for its grid (dimension budget).
-The environment variable PACSIM_MAX_WORKERS caps task parallelism.
+returned; a Wigner grid's chunks are blocks of about _BLOCK_VALUES values,
+each formatted by floattext.rows_text as the file is written, so a grid
+needs about one block of text and its temporaries beyond its array. Exit
+codes: 0 success, 1 validation or truncation error (the message names the
+field to change), 2 an oversized Wigner spec or grid (a state whose
+coefficients, or a range and step whose grid points, exceed
+DEFAULT_AMPLITUDE_BUDGET). The environment variable PACSIM_MAX_WORKERS caps
+task parallelism.
 """
 
 from __future__ import annotations
@@ -73,6 +76,9 @@ _TASK_FIELDS = {
 _TASK_TYPES = tuple(_TASK_FIELDS)
 #: output path -> the file's text as chunks, written in order
 Outputs = dict[str, Iterable[str]]
+#: values per chunk of a Wigner grid's text; floattext.rows_text's
+#: temporaries peak at about 170 bytes a value, so about 0.7 MB a chunk
+_BLOCK_VALUES = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +292,9 @@ def _validate_task(task: dict, chain: ChainConfig, where: str) -> None:
             v = task.get(field, default)
             if not _is_number(v) or not 0 < v < math.inf:
                 raise ScenarioError(f"{where}.{field}: expected a positive number, got {v!r}")
-        try:
-            _check_grid(task.get("extent", 5.0), task.get("step", 0.1))
-        except ValueError as exc:
-            raise ScenarioError(f"{where}.extent: {exc}") from None
+        _check_grid(
+            task.get("extent", 5.0), task.get("step", 0.1), f"{where}.extent", f"{where}.step"
+        )
 
 
 def _check_sweep_values(values: Any, fit: bool) -> None:
@@ -303,13 +308,31 @@ def _check_sweep_values(values: Any, fit: bool) -> None:
         raise ValueError("a fit needs >= 3 distinct values")
 
 
-def _check_grid(extent: float, step: float) -> None:
-    """Raise ValueError unless a Wigner grid has two or more points per axis."""
-    # the length of analysis.wigner's axis, np.arange(-extent, extent + step / 2, step)
-    if math.ceil((extent + step / 2 + extent) / step) < 2:
-        raise ValueError(
-            f"{extent!r} at step {step!r} gives one grid point per axis; "
+def _check_grid(extent: float, step: float, extent_field: str, step_field: str) -> None:
+    """Refuse a Wigner grid before any array is formed.
+
+    ScenarioError for one point per axis; DimensionBudgetError for more than
+    DEFAULT_AMPLITUDE_BUDGET points over x and p, whose values alone would
+    take 8 bytes each.
+    """
+    # analysis.wigner's axis, np.arange(-extent, extent + step / 2, step), has
+    # ceil(span) points, for x and for p alike; span may overflow to inf
+    span = (extent + step / 2 + extent) / step
+    if span <= 1:
+        raise ScenarioError(
+            f"{extent_field}: {extent!r} at step {step!r} gives one grid point per axis; "
             "a grid needs two or more"
+        )
+    side = math.isqrt(DEFAULT_AMPLITUDE_BUDGET)
+    if span > side:
+        size = f"more than {side} x {side}"
+        if math.isfinite(span):
+            n = math.ceil(span)
+            size = f"{n} x {n} = {n * n}"
+        raise DimensionBudgetError(
+            f"{extent_field}: {extent!r} at {step_field} {step!r} gives {size} grid "
+            f"points, above the budget of {DEFAULT_AMPLITUDE_BUDGET}; use a smaller "
+            f"{extent_field} or a larger {step_field}"
         )
 
 
@@ -381,21 +404,24 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _floats_text(values: np.ndarray) -> str:
-    return " ".join(map(repr, values.tolist()))
-
-
 def wigner_grid_lines(grid: WignerGrid) -> Iterator[str]:
-    """The grid's text file line by line: axis headers, then one row per x.
+    """The grid's text file in chunks: axis headers, then one row per x.
 
-    Rows follow x and columns p, every value in full repr precision. Each
-    row is formatted only when the consumer asks for it.
+    Rows follow x and columns p, every value in full repr precision
+    (floattext.rows_text). Each block of rows, about _BLOCK_VALUES values,
+    is formatted only when the consumer asks for it.
     """
+    # imported on first use, so commands that write no grid do not load it:
+    # compiling it takes about 3 ms where no bytecode cache is kept
+    from .floattext import rows_text
+
     yield "# wigner grid\n"
-    yield "# x: " + _floats_text(grid.x_axis) + "\n"
-    yield "# p: " + _floats_text(grid.p_axis) + "\n"
-    for row in grid.values:
-        yield _floats_text(row) + "\n"
+    yield "# x: " + rows_text(grid.x_axis[None, :])
+    yield "# p: " + rows_text(grid.p_axis[None, :])
+    values = grid.values
+    rows = max(1, _BLOCK_VALUES // max(1, values.shape[1]))
+    for start in range(0, values.shape[0], rows):
+        yield rows_text(values[start:start + rows])
 
 
 def emit_wigner(grid: WignerGrid, path: str | Path) -> None:
@@ -412,26 +438,27 @@ def _write_outputs(outputs: Outputs, outdir: Path | None = None) -> None:
 
 
 def load_wigner(path: str | Path) -> WignerGrid:
-    """Inverse of emit_wigner."""
+    """Inverse of emit_wigner: every value read back exactly, -0.0 included."""
     x_axis = p_axis = None
     rows = []
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         if line.startswith("# x:"):
-            x_axis = np.array([float(v) for v in line[4:].split()])
+            x_axis = np.array(line[4:].split(), dtype=float)
         elif line.startswith("# p:"):
-            p_axis = np.array([float(v) for v in line[4:].split()])
+            p_axis = np.array(line[4:].split(), dtype=float)
         elif line.startswith("#") or not line.strip():
             continue
         else:
-            rows.append([float(v) for v in line.split()])
+            rows.append(np.array(line.split(), dtype=float))
     if x_axis is None or p_axis is None:
         raise ValueError(f"{path}: missing axis headers")
-    values = np.array(rows)
-    if values.shape != (x_axis.size, p_axis.size):
+    widths = {row.size for row in rows}
+    if len(rows) != x_axis.size or widths - {p_axis.size}:
         raise ValueError(
-            f"{path}: matrix shape {values.shape} does not match axes "
+            f"{path}: {len(rows)} rows of {sorted(widths)} values do not match axes "
             f"({x_axis.size}, {p_axis.size})"
         )
+    values = np.array(rows).reshape(x_axis.size, p_axis.size)
     return WignerGrid(x_axis=x_axis, p_axis=p_axis, values=values)
 
 
@@ -683,7 +710,7 @@ def _cmd_wigner(args) -> int:
     for flag, value in (("--range", args.range), ("--step", args.step)):
         if not 0 < value < math.inf:
             raise ScenarioError(f"{flag}: expected a positive number, got {value!r}")
-    _from_flag("--range", _check_grid, args.range, args.step)
+    _check_grid(args.range, args.step, "--range", "--step")
     grid = wigner(state, args.range, args.step)
     emit_wigner(grid, args.out)
     print(
@@ -758,7 +785,9 @@ def build_parser() -> argparse.ArgumentParser:
             "as the cube of the state's Fock cutoff: fock:500 takes about 3 s and "
             "fock:1000 about 26 s on one core. A spec whose (2 dim - 1)^2 Wigner "
             "coefficients exceed 20M exits 2; that bounds memory, not time: "
-            "fock:2235, just inside it, would run for about 5 min by the cube law."
+            "fock:2235, just inside it, would run for about 5 min by the cube law. "
+            "A --range and --step whose grid has more than 20M points (x points "
+            "times p points) also exit 2, before any array is formed."
         ),
     )
     p_wig.add_argument("--state", required=True,

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -23,7 +24,10 @@ from pacsim import (
     walk_patterns,
     wigner,
 )
+from pacsim import cli
 from pacsim.cli import emit_wigner, load_wigner, main, run_scenario, wigner_grid_lines
+from pacsim.dynamics import DEFAULT_AMPLITUDE_BUDGET
+from pacsim.errors import DimensionBudgetError
 
 MINIMAL_SCENARIO = """\
 version: 1
@@ -50,6 +54,10 @@ def write_scenario(tmp_path: Path, text: str) -> Path:
 def read_csv(path: Path) -> list[dict]:
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
+
+
+def _no_grid(*args, **kwargs):
+    raise AssertionError("a Wigner grid was formed")
 
 
 class TestRunScenario:
@@ -418,6 +426,23 @@ class TestValidationFailures:
         assert not out.exists()
         assert capsys.readouterr().err.startswith(f"error: tasks[1].state: '{spec}' needs")
 
+    def test_oversized_wigner_grid_refused(self, tmp_path, capsys, monkeypatch):
+        """More grid points than DEFAULT_AMPLITUDE_BUDGET exit 2 naming the
+        task's extent and step, before any grid is formed."""
+        monkeypatch.setattr(cli, "wigner", _no_grid)
+        config = write_scenario(
+            tmp_path,
+            "version: 1\nchain: {alpha: 1.0, lam: 0.05, n_stages: 1}\ntasks:\n"
+            "  - {type: patterns, output: p.csv}\n"
+            "  - {type: wigner, state: 'fock:1', extent: 100.0, step: 0.001, output: w.txt}\n",
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--outdir", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: tasks[1].extent: 100.0 at tasks[1].step 0.001 gives ")
+        assert "above the budget of 20000000" in err
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "nope.yaml")])
         assert code == 1
@@ -507,6 +532,20 @@ class TestWignerFiles:
         assert np.array_equal(back.x_axis, grid.x_axis)
         assert np.array_equal(back.p_axis, grid.p_axis)
         assert np.array_equal(back.values, grid.values)
+
+        # random bit patterns: every exponent, subnormals and both zeros
+        bits = np.random.default_rng(7).integers(0, 2**64, size=64 * 48, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values[~np.isfinite(values)] = 1.5
+        values[:6] = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310]
+        odd = WignerGrid(x_axis=values[:64], p_axis=values[64:112],
+                         values=values.reshape(64, 48))
+        emit_wigner(odd, path)
+        back = load_wigner(path)
+        for got, want in zip((back.x_axis, back.p_axis, back.values),
+                             (odd.x_axis, odd.p_axis, odd.values)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_header_fields(self, tmp_path):
         grid = wigner(fock_state(0, 8), extent=2.0, step=1.0)
@@ -615,6 +654,27 @@ class TestQuickCommands:
         assert capsys.readouterr().err.startswith(f"error: --state: '{spec}' needs")
         assert not target.exists()
 
+    @pytest.mark.parametrize("extent, step", [(100.0, 0.001), (1e308, 1e-300)])
+    def test_wigner_oversized_grid_exits_2(self, tmp_path, capsys, monkeypatch, extent, step):
+        monkeypatch.setattr(cli, "wigner", _no_grid)
+        target = tmp_path / "w.txt"
+        args = ["--range", repr(extent), "--step", repr(step), "--out", str(target)]
+        assert main(["wigner", "--state", "fock:1", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --range: {extent!r} at --step {step!r} gives ")
+        assert "use a smaller --range or a larger --step" in err
+        assert not target.exists()
+
+    def test_wigner_grid_budget_edge(self):
+        """4472 points a side fit the 20M-point budget and 4473 do not; both
+        counts are analysis.wigner's axis length."""
+        assert math.isqrt(DEFAULT_AMPLITUDE_BUDGET) == 4472
+        for extent, points in ((2235.75, 4472), (2236.0, 4473)):
+            assert np.arange(-extent, extent + 0.5, 1.0).size == points
+        cli._check_grid(2235.75, 1.0, "--range", "--step")
+        with pytest.raises(DimensionBudgetError, match="4473 x 4473 = 20007729 grid points"):
+            cli._check_grid(2236.0, 1.0, "--range", "--step")
+
     def test_wigner_bad_state_spec(self, capsys):
         assert main(["wigner", "--state", "cat:1"]) == 1
         assert "state" in capsys.readouterr().err
@@ -657,6 +717,15 @@ class TestQuickCommands:
             main(["wstate", "--alpha", "1", "--lam", "0.05", "--n", "3", "--eta", "0.3"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --eta 0.3" in capsys.readouterr().err
+
+
+def test_oversized_wigner_grid_exits_2_without_traceback(run_python):
+    result = run_python(
+        "-m", "pacsim.cli", "wigner", "--state", "fock:1", "--range", "100", "--step", "0.001"
+    )
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: --range: 100.0 at --step 0.001 gives ")
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,8 @@
 Builds photon-added coherent states by conditioning on single-photon
 detection in the idler channels of a chain of two-mode squeezers, and
 extracts the N-mode single-excitation (W) state heralded by identifying the
-one-photon-added signal.
+one-photon-added signal. Every answer is a probability and a conditional
+signal state, reached through per-stage Kraus operators on the signal.
 """
 
 from .analysis import (
@@ -14,31 +15,19 @@ from .analysis import (
     extract_w_state,
     fit_power_law,
     photon_statistics,
-    w_state_reference,
     wigner,
 )
 from .detection import (
-    IMPOSSIBLE_PROBABILITY,
     ClickPattern,
-    ConditionalState,
     DetectorModel,
-    PatternOutcome,
-    ProjectionResult,
-    condition_on_pattern,
-    conditional_density,
-    enumerate_patterns,
     orthogonalized_reference,
     outcome_probability,
-    project_signal,
 )
 from .dynamics import (
-    DEFAULT_AMPLITUDE_BUDGET,
+    IMPOSSIBLE_PROBABILITY,
     ChainConfig,
     StageParams,
-    herald_idlers,
     herald_summary,
-    run_chain_full,
-    run_chain_sequential,
     stage_kraus,
     stage_unitary,
     walk_patterns,
@@ -54,15 +43,12 @@ from .fock import (
     ModeSpec,
     MultiMode,
     PureState,
-    WeightedEnsemble,
     coherent_state,
     default_signal_dim,
-    fidelity_ensemble,
     fidelity_pure,
     fock_state,
     mean_photon_number,
     pacs_state,
-    partial_trace_to_marginal,
     single_mode,
 )
 

@@ -4,10 +4,12 @@ Wigner grids come straight from the density matrix: each two-mode photon
 sector of rho is turned by a 50:50 beam splitter into the coefficients of W
 on products of Hermite functions, and two matrix products evaluate the grid.
 
-W-state extraction reports the heralding probability and the idlers' W
-fidelity from dynamics.herald_summary, a contraction over the per-stage
-Kraus operators that never forms the idler state; herald_idlers builds that
-state for callers who want its amplitudes.
+Every input is a single-mode state or density matrix: a photon-added
+reference, or a click pattern's conditional signal rho / P from
+dynamics.walk_patterns. W-state extraction reports the heralding
+probability and the idlers' W fidelity from dynamics.herald_summary, a
+contraction over the per-stage Kraus operators that never forms the idler
+state.
 """
 
 from __future__ import annotations
@@ -21,14 +23,7 @@ import numpy as np
 
 from .dynamics import ChainConfig, herald_summary
 from .errors import TruncationWarning
-from .fock import (
-    ModeSpec,
-    MultiMode,
-    PureState,
-    mean_photon_number,
-    pacs_state,
-    partial_trace_to_marginal,
-)
+from .fock import PureState, pacs_state
 
 
 @dataclass(frozen=True)
@@ -84,8 +79,10 @@ class PhotonStatistics:
     mandel_q: float
 
 
-def photon_statistics(state: PureState, mode: int = 0) -> PhotonStatistics:
-    dist = partial_trace_to_marginal(state, [mode])
+def photon_statistics(state: PureState) -> PhotonStatistics:
+    if state.space.n_modes != 1:
+        raise ValueError(f"expected a single-mode state, got modes {state.space.labels}")
+    dist = np.abs(state.amplitudes) ** 2
     n = np.arange(dist.size)
     mean = float(np.dot(n, dist))
     if mean == 0.0:
@@ -113,16 +110,19 @@ class WignerGrid:
         return float(self.values.min())
 
 
-def wigner(state: PureState, extent: float | None = None, step: float = 0.1) -> WignerGrid:
-    """Wigner function of a single-mode state on a uniform grid.
+def wigner(rho: np.ndarray, extent: float | None = None, step: float = 0.1) -> WignerGrid:
+    """Wigner function of a single-mode density matrix on a uniform grid.
+
+    ``rho`` is normalized (a pure state psi passes psi psi^+), and the
+    default ``extent`` is sqrt(<n>) + 4.
 
     With u = sqrt2 x and v = sqrt2 p, the Wigner function of |m><n| is an
     eigenfunction of the 2-D oscillator in (u, v) with s = m + n quanta, so
     W = sum_ab G[a, b] phi_a(u) phi_b(v) with phi the orthonormal Hermite
     functions and G nonzero only on the antidiagonals a + b = s < 2m - 1,
-    m being the highest occupied level plus one. The map from rho = psi psi^+
-    to G is a 45-degree rotation (a 50:50 beam splitter) of each two-mode
-    s-photon sector; see _beam_splitter_sectors. It costs O(m^3), and two
+    m being the highest occupied level plus one. The map from rho to G is a
+    45-degree rotation (a 50:50 beam splitter) of each two-mode s-photon
+    sector; see _beam_splitter_sectors. It costs O(m^3), and two
     products give the whole grid, values = Phi_x^T G Phi_p. Every step is
     orthogonal or a bounded Hermite recurrence, so nothing cancels: against
     the closed forms on a +-12 grid the error is 1e-14 for |60> and 5e-14
@@ -130,25 +130,24 @@ def wigner(state: PureState, extent: float | None = None, step: float = 0.1) -> 
     on a +-14 grid. No level limit applies; the cost grows as m^3.
     Conventions give integral W dx dp = 1 and W_vacuum(0, 0) = 1/pi.
     """
-    if state.space.n_modes != 1:
-        raise ValueError("wigner expects a single-mode state")
-    amps = state.amplitudes
-    top_mass = float(abs(amps[-1]) ** 2)
-    if top_mass > 1e-8:
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError(f"wigner expects a square density matrix, got shape {rho.shape}")
+    occupations = np.diagonal(rho).real
+    if occupations[-1] > 1e-8:
         warnings.warn(
-            f"top Fock level holds mass {top_mass:.2e}; the stored state may "
+            f"top Fock level holds mass {occupations[-1]:.2e}; the stored state may "
             "not represent the intended one well enough for 1e-8 accuracy",
             TruncationWarning,
             stacklevel=2,
         )
     if extent is None:
-        extent = math.sqrt(mean_photon_number(state)) + 4.0
+        extent = math.sqrt(float(np.arange(occupations.size) @ occupations)) + 4.0
     x_axis = np.arange(-extent, extent + step / 2, step)
     p_axis = x_axis.copy()
 
-    # levels above the highest occupied one add nothing to rho
-    psi = amps[: int(np.nonzero(amps)[0][-1]) + 1]
-    coeffs = _sector_coefficients(np.outer(psi, psi.conj()))
+    # levels above the highest occupied one add nothing
+    m_dim = int(np.nonzero(np.any(rho != 0, axis=0))[0][-1]) + 1
+    coeffs = _sector_coefficients(rho[:m_dim, :m_dim])
     # p_axis equals x_axis, so one basis matrix serves both Phi_x and Phi_p
     basis = _hermite_functions(math.sqrt(2.0) * x_axis, coeffs.shape[0])
     values = basis.T @ coeffs @ basis
@@ -222,20 +221,6 @@ def _hermite_functions(u: np.ndarray, n_basis: int) -> np.ndarray:
     return phi
 
 
-def w_state_reference(n_modes: int, dim: int = 2) -> PureState:
-    """Equal superposition of the single-excitation states over n_modes modes."""
-    if n_modes < 1:
-        raise ValueError(f"need at least one mode, got {n_modes}")
-    space = MultiMode(
-        tuple(ModeSpec(dim, f"idler-{j + 1}") for j in range(n_modes))
-    )
-    amps = np.zeros(dim**n_modes, dtype=np.complex128)
-    for j in range(n_modes):
-        flat = dim ** (n_modes - 1 - j)
-        amps[flat] = 1.0 / math.sqrt(n_modes)
-    return PureState(space, amps)
-
-
 @dataclass(frozen=True)
 class WStateResult:
     """Heralding on one added photon: probability and idlers' W fidelity."""
@@ -257,8 +242,7 @@ def extract_w_state(config: ChainConfig, ladder_max: int | None = None) -> WStat
     non-orthogonal ladder of possible signal outputs. The conditional idler
     state then carries one excitation spread over all stages: the N-mode W
     state, up to weak-coupling corrections. Runs on herald_summary, which
-    contracts the chain's Kraus operators without forming the idler state,
-    so no amplitude budget applies; herald_idlers returns that state.
+    contracts the chain's Kraus operators without forming the idler state.
     """
     if ladder_max is None:
         ladder_max = config.n_stages

@@ -16,10 +16,10 @@ returned; a Wigner grid's chunks are blocks of about _BLOCK_VALUES values,
 each formatted by floattext.rows_text as the file is written, so a grid
 needs about one block of text and its temporaries beyond its array. Exit
 codes: 0 success, 1 validation or truncation error (the message names the
-field to change), 2 an oversized Wigner spec or grid (a state whose
-coefficients, or a range and step whose grid points, exceed
-DEFAULT_AMPLITUDE_BUDGET). The environment variable PACSIM_MAX_WORKERS caps
-task parallelism.
+field to change), 2 an oversized chain, Wigner spec or grid (a stage
+unitary, a state's Wigner coefficients, or a grid's points beyond
+DEFAULT_AMPLITUDE_BUDGET), refused before any such array is formed. The
+environment variable PACSIM_MAX_WORKERS caps task parallelism.
 """
 
 from __future__ import annotations
@@ -48,13 +48,7 @@ from .analysis import (
     wigner,
 )
 from .detection import ClickPattern, DetectorModel, outcome_probability
-from .dynamics import (
-    DEFAULT_AMPLITUDE_BUDGET,
-    ChainConfig,
-    StageParams,
-    herald_summary,
-    walk_patterns,
-)
+from .dynamics import ChainConfig, StageParams, herald_summary, walk_patterns
 from .errors import DimensionBudgetError, ScenarioError, TruncationError
 from .fock import (
     PureState,
@@ -66,6 +60,9 @@ from .fock import (
 )
 
 SCHEMA_VERSION = 1
+#: Largest array a command may form, in elements: a chain's stage unitary,
+#: a Wigner state's coefficients or a grid's points
+DEFAULT_AMPLITUDE_BUDGET = 20_000_000
 # the fields each task type accepts besides "type" and "output"
 _TASK_FIELDS = {
     "patterns": {"pattern"},
@@ -162,16 +159,56 @@ def _parse_chain(raw: Any) -> ChainConfig:
                 raise ScenarioError(f"{where}: expected a mapping")
             _check_fields(entry, {"lam", "idler_dim"}, where)
             stages.append(_parse_stage(entry, where))
+        widest = max(range(len(stages)), key=lambda i: stages[i].idler_dim)
+        idler_field = f"chain.stages[{widest}].idler_dim"
     else:
         stage = _parse_stage(raw, "chain")
         n_stages = _require(raw, "n_stages", "chain")
         if not _is_int(n_stages) or n_stages < 1:
             raise ScenarioError(f"chain.n_stages: expected a positive integer, got {n_stages!r}")
         stages = [stage] * n_stages
+        idler_field = "chain.idler_dim"
+    signal_field = "chain.alpha" if signal_dim is None else "chain.signal_dim"
+    idler_dim = max(s.idler_dim for s in stages)
+    _check_chain_size(alpha, len(stages), idler_dim, signal_dim, signal_field, idler_field)
     try:
         return ChainConfig(alpha, tuple(stages), signal_dim)
     except ValueError as exc:
         raise ScenarioError(f"chain: {exc}")
+
+
+def _check_chain_size(
+    alpha: complex,
+    n_stages: int,
+    idler_dim: int,
+    signal_dim: int | None,
+    signal_field: str,
+    idler_field: str,
+) -> None:
+    """Refuse a chain whose stage unitary would exceed DEFAULT_AMPLITUDE_BUDGET.
+
+    A stage unitary holds (signal_dim idler_dim)^2 doubles
+    (dynamics.stage_unitary), the largest array of any command, so the
+    chain is refused with DimensionBudgetError before any stage is built.
+    With no ``signal_dim`` the default cutoff's floor
+    (fock._signal_dim_floor) is checked before the cutoff is searched, then
+    the cutoff itself. ``idler_dim`` is the widest idler's cutoff; the
+    message names ``idler_field`` when it is the larger one, and
+    ``signal_field`` otherwise.
+    """
+    if signal_dim is None:
+        dims = (cutoff(alpha, n_stages) for cutoff in (_signal_dim_floor, default_signal_dim))
+    else:
+        dims = (signal_dim,)
+    for dim in dims:
+        entries = (dim * idler_dim) ** 2
+        if entries > DEFAULT_AMPLITUDE_BUDGET:
+            field = idler_field if idler_dim > dim else signal_field
+            raise DimensionBudgetError(
+                f"{field}: a signal cutoff of {dim} and an idler cutoff of {idler_dim} "
+                f"make a stage unitary of {entries} entries, above the budget of "
+                f"{DEFAULT_AMPLITUDE_BUDGET}"
+            )
 
 
 def _parse_detector(raw: Any) -> DetectorModel:
@@ -285,6 +322,8 @@ def _validate_task(task: dict, chain: ChainConfig, where: str) -> None:
             _check_sweep_values(_require(task, "values", where), fit)
         except ValueError as exc:
             raise ScenarioError(f"{where}.values: {exc}") from None
+        if param == "alpha":
+            _check_alpha_sweep(chain, task["values"], f"{where}.values")
         _parse_pattern(_require(task, "pattern", where), chain.n_stages, f"{where}.pattern")
     elif ttype == "wigner":
         _parse_state_spec(str(_require(task, "state", where)), f"{where}.state")
@@ -306,6 +345,13 @@ def _check_sweep_values(values: Any, fit: bool) -> None:
             raise ValueError(f"expected positive numbers, got {v!r}")
     if fit and (len(values) < 3 or len(set(values)) != len(values)):
         raise ValueError("a fit needs >= 3 distinct values")
+
+
+def _check_alpha_sweep(chain: ChainConfig, values: list[float], field: str) -> None:
+    """Refuse an alpha sweep any of whose chains (at its default cutoff) is oversized."""
+    idler_dim = max(s.idler_dim for s in chain.stages)
+    for value in values:
+        _check_chain_size(complex(value), chain.n_stages, idler_dim, None, field, field)
 
 
 def _check_grid(extent: float, step: float, extent_field: str, step_field: str) -> None:
@@ -587,8 +633,10 @@ def _run_sweep_task(task: dict, scenario: Scenario) -> Outputs:
 
 
 def _run_wigner_task(task: dict, scenario: Scenario) -> Outputs:
-    state, _ = _parse_state_spec(str(task["state"]))
-    grid = wigner(state, float(task.get("extent", 5.0)), float(task.get("step", 0.1)))
+    psi = _parse_state_spec(str(task["state"]))[0].amplitudes
+    grid = wigner(
+        np.outer(psi, psi.conj()), float(task.get("extent", 5.0)), float(task.get("step", 0.1))
+    )
     return {task["output"]: wigner_grid_lines(grid)}
 
 
@@ -669,9 +717,14 @@ def _chain_from_flags(args, n_stages: int, n_flag: str) -> ChainConfig:
     alpha = _parse_alpha(args.alpha, "--alpha")
     _from_flag("--lam", StageParams, args.lam)
     stage = _from_flag("--idler-dim", StageParams, args.lam, args.idler_dim)
+    if args.signal_dim is None:
+        _check_chain_size(alpha, n_stages, stage.idler_dim, None, "--alpha", "--idler-dim")
     chain = _from_flag(n_flag, ChainConfig, alpha, (stage,) * n_stages)
     if args.signal_dim is not None:
         chain = _from_flag("--signal-dim", replace, chain, signal_dim=args.signal_dim)
+        _check_chain_size(
+            alpha, n_stages, stage.idler_dim, chain.signal_dim, "--signal-dim", "--idler-dim"
+        )
     return chain
 
 
@@ -711,7 +764,8 @@ def _cmd_wigner(args) -> int:
         if not 0 < value < math.inf:
             raise ScenarioError(f"{flag}: expected a positive number, got {value!r}")
     _check_grid(args.range, args.step, "--range", "--step")
-    grid = wigner(state, args.range, args.step)
+    psi = state.amplitudes
+    grid = wigner(np.outer(psi, psi.conj()), args.range, args.step)
     emit_wigner(grid, args.out)
     print(
         f"wrote {args.out}: {grid.values.shape[0]}x{grid.values.shape[1]} grid, "
@@ -735,6 +789,8 @@ def _cmd_sweep(args) -> int:
     if fit and args.param != "lam":
         raise ScenarioError("--fit-out: fits are only defined for lam sweeps")
     _from_flag("--values", _check_sweep_values, values, fit)
+    if args.param == "alpha":
+        _check_alpha_sweep(chain, values, "--values")
     samples = _sweep_samples(chain, detector, args.param, values, pattern)
     outputs = _sweep_outputs(samples, args.param, args.out, args.fit_out)
     _write_outputs(outputs)

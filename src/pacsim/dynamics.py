@@ -1,19 +1,18 @@
-"""Two-mode squeezing stages and cascaded-chain evolution.
+"""Two-mode squeezing stages and the chain's answers on the signal alone.
 
 Each amplifier stage couples the travelling signal mode to a fresh idler
 vacuum through U = exp[lam (a_s+ a_i+ - a_s a_i)]. The dimensionless strength
 ``lam`` bundles pump amplitude, mode coupling and crystal transit time; only
-their product matters here. Because every idler enters in vacuum and never
-meets the signal again, a stage is fully described by its Kraus operators
-K_k = <k|U|0> acting on the signal (the sequential-ancilla picture of Schoen,
-Solano, Verstraete, Cirac and Wolf, PRL 95, 110503 (2005)). Every runner
-works on these operators: walk_patterns folds the signal's density matrix
-through them depth first over the click prefixes, so every pattern of a
-table shares its prefixes' folds, and run_chain_sequential is its one-leaf
-view; run_chain_full and herald_idlers push the seed through them with one
-propagation that keeps a row per idler record, so only they are held to an
-amplitude budget; and herald_summary contracts them into the heralding
-probability and W fidelity with no record-indexed array at all.
+their product matters here. Because every idler enters in vacuum, meets the
+signal once and is then detected, a stage is fully described by its Kraus
+operators K_k = <k|U|0> acting on the signal (the sequential-ancilla picture
+of Schoen, Solano, Verstraete, Cirac and Wolf, PRL 95, 110503 (2005)), and
+every answer is a probability P and a conditional signal reached through
+them. walk_patterns folds the signal's density matrix through them depth
+first over the click prefixes and yields every pattern's (P, rho), so every
+pattern of a table shares its prefixes' folds; herald_summary contracts them
+into the heralding probability and W fidelity. Neither forms the joint
+signal-idler state or any array indexed by idler records.
 """
 
 from __future__ import annotations
@@ -26,30 +25,17 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .detection import (
-    IMPOSSIBLE_PROBABILITY,
-    ClickPattern,
-    ConditionalState,
-    DetectorModel,
-    ProjectionResult,
-    conditional_from_density,
-    orthogonalized_reference,
-    projection_result,
-)
-from .errors import DimensionBudgetError, StrongCouplingWarning
-from .fock import (
-    ModeSpec,
-    MultiMode,
-    PureState,
-    coherent_state,
-    default_signal_dim,
-    single_mode,
-)
+from .detection import ClickPattern, DetectorModel, orthogonalized_reference
+from .errors import StrongCouplingWarning
+from .fock import PureState, coherent_state, default_signal_dim
 
 #: Weak-coupling regime bound; beyond it leading-order scaling claims degrade.
 WEAK_COUPLING_LIMIT = 0.3
-#: Default cap on joint-space amplitudes for full-chain evolution.
-DEFAULT_AMPLITUDE_BUDGET = 20_000_000
+#: Heralding probabilities below this are reported as impossible outcomes: a
+#: projection's probability comes out of cancellation, so a value this small
+#: is rounding. Click probabilities are not held to it (see
+#: detection.outcome_probability).
+IMPOSSIBLE_PROBABILITY = 1e-30
 
 
 @dataclass(frozen=True)
@@ -184,43 +170,6 @@ def _chain_kraus(config: ChainConfig) -> list[np.ndarray]:
     return [stage_kraus(s.lam, config.signal_dim, s.idler_dim) for s in config.stages]
 
 
-def _propagate(config: ChainConfig, stacks: Sequence[np.ndarray]) -> np.ndarray:
-    """Push the coherent seed through ``stacks``, keeping every idler record.
-
-    Returns the unnormalized amplitudes with one row per idler record
-    (k1, .., kj), kj varying fastest, and one column per signal level. Each
-    stage is one product with [K_0^T | K_1^T | ..], whose rows are then split
-    per record by a reshape that copies nothing.
-    """
-    ds = config.signal_dim
-    state = coherent_state(config.alpha, ds).amplitudes[None, :]
-    for stack in stacks:
-        state = (state @ stack.transpose(2, 0, 1).reshape(ds, -1)).reshape(-1, ds)
-    return state
-
-
-def run_chain_full(
-    config: ChainConfig, budget: int = DEFAULT_AMPLITUDE_BUDGET
-) -> PureState:
-    """Evolve the seed through every stage on the full joint space.
-
-    Output modes are ordered signal, idler-1 .. idler-N. Raises
-    DimensionBudgetError when the joint space would exceed ``budget``
-    amplitudes; chains that large should use run_chain_sequential.
-    """
-    dims = (config.signal_dim, *(s.idler_dim for s in config.stages))
-    total = math.prod(dims)
-    if total > budget:
-        raise DimensionBudgetError(
-            f"joint space needs {total} amplitudes (budget {budget}); "
-            "use run_chain_sequential for long chains"
-        )
-    modes = [ModeSpec(config.signal_dim, "signal")]
-    modes += [ModeSpec(s.idler_dim, f"idler-{j + 1}") for j, s in enumerate(config.stages)]
-    psi = _propagate(config, _chain_kraus(config)).T.reshape(-1)
-    return PureState.from_amplitudes(MultiMode(tuple(modes)), psi)
-
-
 def walk_patterns(
     config: ChainConfig, detector: DetectorModel, pattern: ClickPattern | None = None
 ) -> Iterator[tuple[ClickPattern, float, np.ndarray]]:
@@ -282,22 +231,6 @@ def _fold(kraus_rho: np.ndarray, weighted: np.ndarray) -> np.ndarray:
     return kraus_rho.transpose(1, 0, 2).reshape(ds, -1) @ weighted
 
 
-def run_chain_sequential(
-    config: ChainConfig, detector: DetectorModel, pattern: ClickPattern
-) -> ConditionalState:
-    """Chain evolution with each idler measured right after its stage.
-
-    The one-leaf view of walk_patterns: folds the signal's density matrix
-    along ``pattern``'s prefix path (N folds) and returns the pattern
-    probability and the conditional signal ensemble, the eigendecomposition
-    of rho (at most signal_dim branches); agrees with run_chain_full +
-    condition_on_pattern. A table needs only P and rho: walk_patterns gives
-    them for every pattern without the eigendecompositions.
-    """
-    _, probability, rho = next(walk_patterns(config, detector, pattern))
-    return conditional_from_density(rho, probability, single_mode(config.signal_dim))
-
-
 def _heralding_reference(
     config: ChainConfig, reference: PureState, orthogonal_to: Sequence[PureState]
 ) -> np.ndarray:
@@ -312,41 +245,6 @@ def _heralding_reference(
     return reference.amplitudes
 
 
-def herald_idlers(
-    config: ChainConfig,
-    reference: PureState,
-    orthogonal_to: Sequence[PureState] = (),
-    budget: int = DEFAULT_AMPLITUDE_BUDGET,
-) -> ProjectionResult:
-    """Project the chain's output signal onto a reference; keep the idlers.
-
-    Same result as project_signal(run_chain_full(config), reference,
-    orthogonal_to), without the joint state. The heralded idler amplitudes
-    c[k1..kN] = <ref|K_kN .. K_k1|alpha> are the seed propagated through
-    stages 1..N-1, contracted with <ref|K_kN>, so the largest array holds
-    signal_dim * prod(idler dims of stages 1..N-1) amplitudes. Raises
-    DimensionBudgetError when that, or the idler state itself, exceeds
-    ``budget``; herald_summary gives the probability and W fidelity with
-    no budget.
-    """
-    ref = _heralding_reference(config, reference, orthogonal_to)
-    idler_dims = [s.idler_dim for s in config.stages]
-    peak = max(config.signal_dim * math.prod(idler_dims[:-1]), math.prod(idler_dims))
-    if peak > budget:
-        raise DimensionBudgetError(
-            f"heralded idler state needs {peak} amplitudes (budget {budget}); "
-            "the heralding probability and W fidelity need no budget: "
-            "use herald_summary"
-        )
-    stacks = _chain_kraus(config)
-    last = ref.conj() @ stacks[-1]  # row k is <ref|K_k
-    amps = (_propagate(config, stacks[:-1]) @ last.T).reshape(-1)
-    space = MultiMode(
-        tuple(ModeSpec(d, f"idler-{j + 1}") for j, d in enumerate(idler_dims))
-    )
-    return projection_result(amps, space)
-
-
 def herald_summary(
     config: ChainConfig,
     reference: PureState,
@@ -356,12 +254,12 @@ def herald_summary(
 
     For the heralded idler amplitudes c[k1..kN] = <r|K_kN .. K_k1|alpha>,
     r the reference orthogonalized against ``orthogonal_to``, returns
-    P = sum |c|^2 and F_W = |<W|c>|^2 / P: the probability of
-    herald_idlers and the fidelity of its state with the N-mode W state.
-    F_W is None when the idler dims differ, and an impossible outcome
-    (P below IMPOSSIBLE_PROBABILITY) gives (0.0, None). Nothing indexed by
-    idler records is formed, so no budget applies: memory is O(S ds^2) and
-    time O(N S di ds^3), with S <= min(N (di - 1) + 1, ds) sectors.
+    P = sum |c|^2 and F_W = |<W|c>|^2 / P, the fidelity of the heralded
+    idler state c / sqrt(P) with the N-mode W state. F_W is None when the
+    idler dims differ, and an impossible outcome (P below
+    IMPOSSIBLE_PROBABILITY) gives (0.0, None). Nothing indexed by idler
+    records is formed: memory is O(S ds^2) and time O(N S di ds^3), with
+    S <= min(N (di - 1) + 1, ds) sectors.
 
     P = sum_K ||A_K^T r||^2 with A_K A_K^T = sum psi psi^T over the records
     psi = K_kj .. K_k1|alpha> of total idler excitation K. A stage maps A_K

@@ -26,7 +26,7 @@ class StrongCouplingWarning(UserWarning):
 
 
 class DimensionBudgetError(RuntimeError):
-    """Joint Fock space exceeds the configured amplitude budget."""
+    """A requested chain, state or grid would exceed the CLI's array budget."""
 
 
 class ScenarioError(ValueError):

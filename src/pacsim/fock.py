@@ -3,16 +3,15 @@
 Every mode lives in a finite window |0>..|dim-1>. Multimode amplitudes are
 flattened row-major in mode order, with mode 0 (the signal, by convention)
 varying slowest; ``amplitudes.reshape(space.dims)`` therefore yields a tensor
-indexed by occupation numbers. States are stored normalized; probabilities of
-conditional branches are carried outside the state.
+indexed by occupation numbers. States are stored normalized. No package
+function returns a multimode state: a conditional state is a probability
+and a signal density matrix (dynamics.walk_patterns).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
-
 import numpy as np
 
 from .errors import TruncationError
@@ -102,37 +101,6 @@ class PureState:
     def tensor_view(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per mode (read-only view)."""
         return self.amplitudes.reshape(self.space.dims)
-
-
-@dataclass(frozen=True)
-class WeightedEnsemble:
-    """Probability-weighted mixture of pure states on a common space.
-
-    Represents conditional states under imperfect detection, where different
-    unobserved photon numbers leave distinct pure branches.
-    """
-
-    space: MultiMode
-    branches: tuple[tuple[float, PureState], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "branches", tuple((float(w), s) for w, s in self.branches)
-        )
-        if not self.branches:
-            raise ValueError("ensemble needs at least one branch")
-        for w, state in self.branches:
-            if not 0.0 <= w <= 1.0 + 1e-10:
-                raise ValueError(f"branch weight {w} outside [0, 1]")
-            if state.space.dims != self.space.dims:
-                raise ValueError("all branch states must share the ensemble space")
-        total = sum(w for w, _ in self.branches)
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"branch weights must sum to 1, got {total!r}")
-
-    @classmethod
-    def pure(cls, state: PureState) -> "WeightedEnsemble":
-        return cls(state.space, ((1.0, state),))
 
 
 # ---------------------------------------------------------------------------
@@ -288,23 +256,8 @@ def _photon_added(alpha: complex, m: int, dim: int) -> tuple[np.ndarray, str | N
 
 
 # ---------------------------------------------------------------------------
-# Operators and reductions
+# Fidelity and moments
 # ---------------------------------------------------------------------------
-
-def partial_trace_to_marginal(state: PureState, keep: Iterable[int]) -> np.ndarray:
-    """Joint photon-number distribution over the kept modes.
-
-    Returns an array with one axis per kept mode (in mode-index order);
-    entries sum to 1 up to float roundoff.
-    """
-    keep = sorted(set(keep))
-    n = state.space.n_modes
-    if not keep or keep[0] < 0 or keep[-1] >= n:
-        raise ValueError(f"keep={keep} is not a valid subset of modes 0..{n - 1}")
-    probs = np.abs(state.tensor_view()) ** 2
-    drop = tuple(i for i in range(n) if i not in keep)
-    return probs.sum(axis=drop) if drop else probs
-
 
 def fidelity_pure(a: PureState, b: PureState) -> float:
     """Overlap fidelity |<a|b>|^2."""
@@ -313,13 +266,9 @@ def fidelity_pure(a: PureState, b: PureState) -> float:
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
-def fidelity_ensemble(ensemble: WeightedEnsemble, reference: PureState) -> float:
-    """<ref| rho |ref> for the ensemble's density operator rho."""
-    return float(
-        sum(w * fidelity_pure(state, reference) for w, state in ensemble.branches)
-    )
-
-
-def mean_photon_number(state: PureState, mode: int = 0) -> float:
-    dist = partial_trace_to_marginal(state, [mode])
-    return float(np.dot(np.arange(dist.size), dist))
+def mean_photon_number(state: PureState) -> float:
+    """<n> of a single-mode state."""
+    if state.space.n_modes != 1:
+        raise ValueError(f"expected a single-mode state, got modes {state.space.labels}")
+    probs = np.abs(state.amplitudes) ** 2
+    return float(np.dot(np.arange(probs.size), probs))

@@ -26,15 +26,17 @@ def run_python():
 
 
 @pytest.fixture
-def no_joint_state(monkeypatch):
-    """Make every binding of run_chain_full raise."""
-    original = pacsim.dynamics.run_chain_full
+def no_multimode_state(monkeypatch):
+    """Make building any multimode PureState raise.
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("run_chain_full was called")
+    No package path forms the joint signal-idler state or an idler state:
+    every answer is read off the signal.
+    """
+    post_init = pacsim.PureState.__post_init__
 
-    for name, module in list(sys.modules.items()):
-        if name == "pacsim" or name.startswith("pacsim."):
-            if getattr(module, "run_chain_full", None) is original:
-                monkeypatch.setattr(module, "run_chain_full", forbidden)
-    assert pacsim.dynamics.run_chain_full is forbidden
+    def single_mode_only(state):
+        if state.space.n_modes > 1:
+            raise AssertionError(f"a multimode state was built: {state.space.labels}")
+        post_init(state)
+
+    monkeypatch.setattr(pacsim.PureState, "__post_init__", single_mode_only)

@@ -1,18 +1,21 @@
 """Reference implementations that only the tests use.
 
 Each one builds its result the literal way (a dense generator, a Kronecker
-product, a scalar formula), so the tests can hold the package's faster paths
-against it.
+product, a scalar formula, the joint signal-idler state), so the tests can
+hold the package's faster paths against it.
 """
 
 import math
 import warnings
 from fractions import Fraction
-from typing import Literal, NamedTuple
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
 from pacsim import (
+    IMPOSSIBLE_PROBABILITY,
+    ChainConfig,
+    ClickPattern,
     DetectorModel,
     ModeSpec,
     MultiMode,
@@ -21,6 +24,8 @@ from pacsim import (
     WignerGrid,
     coherent_state,
     default_signal_dim,
+    orthogonalized_reference,
+    stage_kraus,
 )
 
 #: Ladder leakage above this triggers a TruncationWarning.
@@ -247,3 +252,91 @@ def horner_magnitude(state: PureState, extent: float, step: float) -> float:
     powers = radius[:, None] ** np.arange(magnitudes.shape[0])
     terms = np.einsum("jk,pj,pk->p", magnitudes, powers, powers)
     return float(np.max(np.exp(-(radius**2) / 2.0) * terms)) / math.pi
+
+
+def _propagate(config: ChainConfig, n_stages: int) -> np.ndarray:
+    """The seed pushed through the first ``n_stages`` stages, every idler record kept.
+
+    One row per idler record (k1, .., kj), kj varying fastest, and one
+    column per signal level: each stage is one product with
+    [K_0^T | K_1^T | ..], whose rows a reshape splits per record.
+    """
+    ds = config.signal_dim
+    state = coherent_state(config.alpha, ds).amplitudes[None, :]
+    for stage in config.stages[:n_stages]:
+        kraus = stage_kraus(stage.lam, ds, stage.idler_dim)
+        state = (state @ kraus.transpose(2, 0, 1).reshape(ds, -1)).reshape(-1, ds)
+    return state
+
+
+def _idler_modes(config: ChainConfig) -> tuple[ModeSpec, ...]:
+    return tuple(ModeSpec(s.idler_dim, f"idler-{j + 1}") for j, s in enumerate(config.stages))
+
+
+def joint_state(config: ChainConfig) -> PureState:
+    """The chain's output on the joint space, modes signal, idler-1 .. idler-N."""
+    space = MultiMode((ModeSpec(config.signal_dim, "signal"),) + _idler_modes(config))
+    amplitudes = _propagate(config, config.n_stages).T.reshape(-1)
+    return PureState.from_amplitudes(space, amplitudes)
+
+
+def conditional_density(
+    joint: PureState, pattern: ClickPattern, detector: DetectorModel
+) -> tuple[float, np.ndarray]:
+    """Pattern probability and unnormalized conditional signal density matrix.
+
+    rho = sum_r POVM(r) |col_r><col_r| over the idler records r, col_r being
+    the signal column of record r, with the product on/off POVM over the
+    idlers. P is the POVM-weighted column mass over the total mass, not
+    tr rho, which keeps the dark-count floor bit-exact at zero coupling.
+    """
+    ds = joint.space.dims[0]
+    povm = np.ones(1)
+    for clicked, dim in zip(pattern.clicks, joint.space.dims[1:], strict=True):
+        p_click = detector.click_probability(np.arange(dim))
+        povm = np.multiply.outer(povm, p_click if clicked else 1.0 - p_click).reshape(-1)
+    columns = joint.amplitudes.reshape(ds, -1)
+    mass = np.sum(np.abs(columns) ** 2, axis=0)
+    total = mass.sum()
+    probability = float(((mass / total) * povm).sum())
+    return probability, (columns * (povm / total)) @ columns.conj().T
+
+
+def herald_idlers(
+    config: ChainConfig, reference: PureState, orthogonal_to: Sequence[PureState] = ()
+) -> tuple[float, PureState | None]:
+    """Heralding probability and idler state, c[k1..kN] = <r|K_kN .. K_k1|alpha>.
+
+    r is the reference orthogonalized against ``orthogonal_to``. The seed
+    goes through stages 1..N-1 and is contracted with <r|K_k of the last.
+    The state is None where P is below IMPOSSIBLE_PROBABILITY.
+    """
+    if orthogonal_to:
+        reference = orthogonalized_reference(reference, orthogonal_to)
+    last = config.stages[-1]
+    bras = reference.amplitudes.conj() @ stage_kraus(last.lam, config.signal_dim, last.idler_dim)
+    amps = (_propagate(config, config.n_stages - 1) @ bras.T).reshape(-1)
+    probability = float(np.vdot(amps, amps).real)
+    if probability < IMPOSSIBLE_PROBABILITY:
+        return 0.0, None
+    return probability, PureState(MultiMode(_idler_modes(config)), amps / math.sqrt(probability))
+
+
+def w_state_reference(n_modes: int, dim: int = 2) -> PureState:
+    """Equal superposition of the single-excitation states over n_modes modes."""
+    if n_modes < 1:
+        raise ValueError(f"need at least one mode, got {n_modes}")
+    space = MultiMode(tuple(ModeSpec(dim, f"idler-{j + 1}") for j in range(n_modes)))
+    amps = np.zeros(dim**n_modes)
+    amps[[dim**j for j in range(n_modes)]] = 1.0 / math.sqrt(n_modes)
+    return PureState(space, amps)
+
+
+def density(state: PureState) -> np.ndarray:
+    """psi psi^+ of a state's amplitudes."""
+    return np.outer(state.amplitudes, state.amplitudes.conj())
+
+
+def fidelity(probability: float, rho: np.ndarray, ref: PureState) -> float:
+    """<ref|rho|ref> / P, the fidelity of a conditional signal (P, rho) with ref."""
+    return float((ref.amplitudes.conj() @ rho @ ref.amplitudes).real) / probability

@@ -7,7 +7,6 @@ come from independently frozen oracles, not from the code under test.
 
 import math
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -17,21 +16,26 @@ from pacsim import (
     DetectorModel,
     PureState,
     coherent_state,
-    condition_on_pattern,
     default_signal_dim,
     extract_w_state,
-    fidelity_ensemble,
     fidelity_pure,
     fit_power_law,
     fock_state,
+    outcome_probability,
     pacs_state,
-    run_chain_full,
-    run_chain_sequential,
     stage_unitary,
+    walk_patterns,
     wigner,
 )
 
-from oracles import click_probability_given_n, ladder_apply
+from oracles import (
+    click_probability_given_n,
+    conditional_density,
+    density,
+    fidelity,
+    joint_state,
+    ladder_apply,
+)
 
 # m! L_m(-|alpha|^2) for |alpha|^2 in {0, 1/4, 1, 4}, m in 0..4, frozen from
 # exact rational arithmetic.
@@ -108,16 +112,15 @@ def test_criterion_3_spacs_heralding():
     """A single ideal click at N=1, alpha=1, lam=0.05 heralds the SPACS."""
     alpha, lam = 1.0, 0.05
     cfg = ChainConfig.uniform(alpha, lam, 1)
-    joint = run_chain_full(cfg)
-    cond = condition_on_pattern(joint, ClickPattern((True,)), DetectorModel.ideal())
-    fid = fidelity_ensemble(cond.ensemble, pacs_state(alpha, 1, cfg.signal_dim))
+    _, p, rho = next(walk_patterns(cfg, DetectorModel.ideal(), ClickPattern((True,))))
+    fid = fidelity(p, rho, pacs_state(alpha, 1, cfg.signal_dim))
     expected_p = lam**2 * (1 + abs(alpha) ** 2)
-    p_ok = abs(cond.probability - expected_p) / expected_p <= 0.05
+    p_ok = abs(p - expected_p) / expected_p <= 0.05
     f_ok = fid >= 0.995
     report(
         3,
         p_ok and f_ok,
-        f"P={cond.probability:.6f} (vs {expected_p:.6f}), fidelity={fid:.6f}",
+        f"P={p:.6f} (vs {expected_p:.6f}), fidelity={fid:.6f}",
     )
     assert p_ok and f_ok
 
@@ -131,19 +134,15 @@ def test_criterion_4_scaling_exponents():
     alpha, n_stages = 1.0, 3
     lams = (0.01, 0.02, 0.04, 0.08)
     det = DetectorModel.ideal()
-    joints = {}
+    tables = {}
     for lam in lams:
-        joints[lam] = run_chain_full(ChainConfig.uniform(alpha, lam, n_stages))
+        tables[lam] = list(walk_patterns(ChainConfig.uniform(alpha, lam, n_stages), det))
     ok = True
     details = []
     for m in (1, 2, 3):
         samples = []
         for lam in lams:
-            p_m = sum(
-                condition_on_pattern(joints[lam], ClickPattern(bits), det).probability
-                for bits in product((False, True), repeat=n_stages)
-                if sum(bits) == m
-            )
+            p_m = sum(p for pattern, p, _ in tables[lam] if pattern.n_clicks == m)
             samples.append((lam, p_m))
         fit = fit_power_law(samples)
         expected_prefactor = math.comb(n_stages, m) * float(FACT_LAGUERRE[1.0][m])
@@ -170,7 +169,7 @@ def brute_force_heralding(cfg: ChainConfig) -> float:
     columns.append(pacs_state(cfg.alpha, 1, ds).amplitudes)
     q, _ = np.linalg.qr(np.column_stack(columns))
     e = q[:, -1]
-    psi = run_chain_full(cfg).amplitudes
+    psi = joint_state(cfg).amplitudes
     n_idler = psi.size // ds
     total = 0.0
     for idx in range(n_idler):
@@ -217,34 +216,27 @@ def test_criterion_6_conservation_law():
 
 
 def test_criterion_7_oracle_equivalence():
-    """Sequential and full-space conditioning agree on every pattern."""
+    """The signal-side walk and full-space conditioning agree on every pattern."""
     alpha = 1.0
     worst_p, worst_f = 0.0, 0.0
     detectors = [DetectorModel.ideal(), DetectorModel(eta=0.6, dark_prob=1e-4)]
     for n_stages in (1, 2, 3):
         for lam in (0.05, 0.2):
             cfg = ChainConfig.uniform(alpha, lam, n_stages)
-            joint = run_chain_full(cfg)
+            joint = joint_state(cfg)
             for det in detectors:
-                for bits in product((False, True), repeat=n_stages):
-                    pattern = ClickPattern(bits)
-                    seq = run_chain_sequential(cfg, det, pattern)
-                    full = condition_on_pattern(joint, pattern, det)
-                    assert seq.impossible == full.impossible
-                    if full.impossible:
+                for pattern, p_seq, rho_seq in walk_patterns(cfg, det):
+                    p_full, rho_full = conditional_density(joint, pattern, det)
+                    impossible = outcome_probability(p_full) == 0.0
+                    assert (outcome_probability(p_seq) == 0.0) == impossible
+                    if impossible:
                         continue
-                    worst_p = max(
-                        worst_p,
-                        abs(seq.probability - full.probability) / full.probability,
-                    )
+                    worst_p = max(worst_p, abs(p_seq - p_full) / p_full)
                     for ref_m in (0, pattern.n_clicks):
                         ref = pacs_state(alpha, ref_m, cfg.signal_dim)
                         worst_f = max(
                             worst_f,
-                            abs(
-                                fidelity_ensemble(seq.ensemble, ref)
-                                - fidelity_ensemble(full.ensemble, ref)
-                            ),
+                            abs(fidelity(p_seq, rho_seq, ref) - fidelity(p_full, rho_full, ref)),
                         )
     ok = worst_p <= 1e-8 and worst_f <= 1e-8
     report(7, ok, f"worst rel dP {worst_p:.2e}, worst |dF| {worst_f:.2e}")
@@ -271,22 +263,18 @@ def test_criterion_8_two_mode_squeezed_vacuum():
 def test_criterion_9_detector_model():
     """Dark floor is exact at lam=0; click rate is linear in the efficiency."""
     dark = 0.01
-    cfg0 = ChainConfig.uniform(1.0, 0.0, 1)
-    joint0 = run_chain_full(cfg0)
-    p_dark = condition_on_pattern(
-        joint0, ClickPattern((True,)), DetectorModel(eta=0.6, dark_prob=dark)
-    ).probability
+    click = ClickPattern((True,))
+
+    def probability(cfg, det):
+        return next(walk_patterns(cfg, det, click))[1]
+
+    p_dark = probability(ChainConfig.uniform(1.0, 0.0, 1), DetectorModel(eta=0.6, dark_prob=dark))
     exact_ok = p_dark == dark and click_probability_given_n(
         DetectorModel(eta=0.6, dark_prob=dark), 0
     ) == dark
 
     cfg = ChainConfig.uniform(1.0, 0.01, 1)
-    joint = run_chain_full(cfg)
-    click = ClickPattern((True,))
-    ratio = (
-        condition_on_pattern(joint, click, DetectorModel(eta=0.6)).probability
-        / condition_on_pattern(joint, click, DetectorModel.ideal()).probability
-    )
+    ratio = probability(cfg, DetectorModel(eta=0.6)) / probability(cfg, DetectorModel.ideal())
     ratio_ok = abs(ratio - 0.6) <= 0.02
     ok = exact_ok and ratio_ok
     report(9, ok, f"P(click|lam=0)={p_dark!r} (= dark: {exact_ok}), eta ratio {ratio:.4f}")
@@ -295,16 +283,16 @@ def test_criterion_9_detector_model():
 
 def test_criterion_10_wigner_checks():
     """Known Wigner values and the nonclassicality of the added-photon state."""
-    grid_vac = wigner(fock_state(0, 12), extent=4.0, step=0.1)
-    grid_one = wigner(fock_state(1, 12), extent=4.0, step=0.1)
+    grid_vac = wigner(density(fock_state(0, 12)), extent=4.0, step=0.1)
+    grid_one = wigner(density(fock_state(1, 12)), extent=4.0, step=0.1)
     i0 = np.argmin(np.abs(grid_vac.x_axis))
     j0 = np.argmin(np.abs(grid_vac.p_axis))
     vac_err = abs(grid_vac.values[i0, j0] - 1.0 / math.pi)
     one_err = abs(grid_one.values[i0, j0] + 1.0 / math.pi)
 
     extent = abs(1.0) + 4.0
-    grid_pacs = wigner(pacs_state(1.0, 1, 24), extent=extent, step=0.1)
-    grid_coh = wigner(coherent_state(1.0, 24), extent=extent, step=0.1)
+    grid_pacs = wigner(density(pacs_state(1.0, 1, 24)), extent=extent, step=0.1)
+    grid_coh = wigner(density(coherent_state(1.0, 24)), extent=extent, step=0.1)
     ok = (
         vac_err <= 1e-9
         and one_err <= 1e-9
@@ -325,12 +313,9 @@ def test_criterion_11_povm_completeness():
     worst = 0.0
     for n_stages in (1, 2, 3):
         for lam in (0.05, 0.2):
-            joint = run_chain_full(ChainConfig.uniform(1.0, lam, n_stages))
+            cfg = ChainConfig.uniform(1.0, lam, n_stages)
             for det in DETECTORS:
-                total = sum(
-                    condition_on_pattern(joint, ClickPattern(bits), det).probability
-                    for bits in product((False, True), repeat=n_stages)
-                )
+                total = sum(p for _, p, _ in walk_patterns(cfg, det))
                 worst = max(worst, abs(total - 1.0))
     ok = worst <= 1e-10
     report(11, ok, f"worst |sum - 1| = {worst:.2e}")

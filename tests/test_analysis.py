@@ -16,31 +16,38 @@ from pacsim import (
     PureState,
     TruncationWarning,
     coherent_state,
-    condition_on_pattern,
     default_signal_dim,
     extract_w_state,
     fit_power_law,
     fock_state,
-    herald_idlers,
+    mean_photon_number,
     pacs_state,
     photon_statistics,
-    run_chain_full,
-    w_state_reference,
+    walk_patterns,
     wigner,
 )
 from pacsim.analysis import _beam_splitter_sectors
 from pacsim.fock import single_mode
 
-from oracles import horner_magnitude, tensor, wigner_dense
+from oracles import (
+    conditional_density,
+    density,
+    herald_idlers,
+    horner_magnitude,
+    joint_state,
+    tensor,
+    w_state_reference,
+    wigner_dense,
+)
 
 
 def exact_click_probability(alpha, lam, n_stages, n_clicks):
     """Brute-force oracle: sum of all n_clicks-click pattern probabilities."""
     cfg = ChainConfig.uniform(alpha, lam, n_stages)
-    joint = run_chain_full(cfg)
+    joint = joint_state(cfg)
     det = DetectorModel.ideal()
     return sum(
-        condition_on_pattern(joint, ClickPattern(bits), det).probability
+        conditional_density(joint, ClickPattern(bits), det)[0]
         for bits in product((False, True), repeat=n_stages)
         if sum(bits) == n_clicks
     )
@@ -112,31 +119,32 @@ class TestPhotonStatistics:
         assert stats.mandel_q == 0.0
 
     def test_mode_selection(self):
+        """A state has one mode to read: a joint state is refused, not flattened."""
         joint = tensor(coherent_state(1.0, 20, "signal"), fock_state(2, 4, "idler-1"))
-        stats = photon_statistics(joint, mode=1)
-        assert stats.mean == pytest.approx(2.0)
-        assert stats.mandel_q == -1.0
+        for statistic in (photon_statistics, mean_photon_number):
+            with pytest.raises(ValueError, match="single-mode"):
+                statistic(joint)
 
 
 class TestWigner:
     def test_vacuum_at_origin(self):
-        grid = wigner(fock_state(0, 12), extent=4.0, step=0.1)
+        grid = wigner(density(fock_state(0, 12)), extent=4.0, step=0.1)
         i = np.argmin(np.abs(grid.x_axis))
         j = np.argmin(np.abs(grid.p_axis))
         assert grid.values[i, j] == pytest.approx(1.0 / math.pi, abs=1e-9)
 
     def test_single_photon_at_origin(self):
-        grid = wigner(fock_state(1, 12), extent=4.0, step=0.1)
+        grid = wigner(density(fock_state(1, 12)), extent=4.0, step=0.1)
         i = np.argmin(np.abs(grid.x_axis))
         j = np.argmin(np.abs(grid.p_axis))
         assert grid.values[i, j] == pytest.approx(-1.0 / math.pi, abs=1e-9)
 
     def test_added_photon_is_nonclassical(self):
-        grid = wigner(pacs_state(1.0, 1, 24), extent=5.0, step=0.1)
+        grid = wigner(density(pacs_state(1.0, 1, 24)), extent=5.0, step=0.1)
         assert grid.minimum() < 0.0
 
     def test_coherent_is_nonnegative(self):
-        grid = wigner(coherent_state(1.0, 24), extent=5.0, step=0.1)
+        grid = wigner(density(coherent_state(1.0, 24)), extent=5.0, step=0.1)
         assert grid.minimum() >= -1e-9
 
     @pytest.mark.parametrize(
@@ -149,12 +157,12 @@ class TestWigner:
         ],
     )
     def test_normalization(self, state, extent):
-        grid = wigner(state, extent=extent, step=0.1)
+        grid = wigner(density(state), extent=extent, step=0.1)
         assert 0.98 <= grid.integral() <= 1.02
 
     def test_coherent_peak_location(self):
         """|alpha> peaks at (x, p) = (sqrt(2) Re alpha, sqrt(2) Im alpha)."""
-        grid = wigner(coherent_state(1.0, 24), extent=5.0, step=0.05)
+        grid = wigner(density(coherent_state(1.0, 24)), extent=5.0, step=0.05)
         i, j = np.unravel_index(np.argmax(grid.values), grid.values.shape)
         assert grid.x_axis[i] == pytest.approx(math.sqrt(2.0), abs=0.05)
         assert grid.p_axis[j] == pytest.approx(0.0, abs=0.05)
@@ -163,25 +171,49 @@ class TestWigner:
         assert grid.values[i, j] <= 1.0 / math.pi + 1e-12
 
     def test_default_extent_covers_support(self):
-        grid = wigner(coherent_state(1.0, 24))
+        grid = wigner(density(coherent_state(1.0, 24)))
         assert grid.x_axis[-1] >= abs(1.0) + 4.0 - 0.2
         assert 0.98 <= grid.integral() <= 1.02
 
     def test_multimode_rejected(self):
+        """wigner takes a square density matrix, not amplitudes or a joint state."""
         joint = tensor(fock_state(0, 4, "signal"), fock_state(0, 4, "idler-1"))
-        with pytest.raises(ValueError):
-            wigner(joint, extent=4.0)
+        for bad in (joint.amplitudes, density(joint)[:4], np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError, match="square density matrix"):
+                wigner(bad, extent=4.0)
 
     def test_top_level_occupancy_warns(self):
         with pytest.warns(TruncationWarning):
-            wigner(fock_state(3, 4), extent=4.0, step=0.5)
+            wigner(density(fock_state(3, 4)), extent=4.0, step=0.5)
+
+
+@pytest.mark.filterwarnings("ignore::pacsim.TruncationWarning")
+def test_lossy_pattern_grid_is_its_eigenstates_mixture():
+    """A mixed conditional signal's grid is the weighted sum of its branches'.
+
+    rho / P of a two-click leaf under an imperfect detector has full rank;
+    W is linear in rho, so its grid equals the eigenvalue-weighted sum of the
+    eigenvectors' grids, and it integrates to 1.
+    """
+    config = ChainConfig.uniform(1.0 + 0.5j, 0.1, 2)
+    detector = DetectorModel(eta=0.6, dark_prob=1e-3)
+    _, probability, rho = next(walk_patterns(config, detector, ClickPattern((True, True))))
+    weights, vectors = np.linalg.eigh(rho / probability)
+    assert np.sum(weights > 1e-3) >= 2
+    grid = wigner(rho / probability, extent=7.0, step=0.1)
+    mixed = sum(
+        w * wigner(np.outer(v, v.conj()), extent=7.0, step=0.1).values
+        for w, v in zip(weights, vectors.T)
+    )
+    assert np.max(np.abs(grid.values - mixed)) <= 1e-12
+    assert grid.integral() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestWignerClosedForms:
     @pytest.mark.parametrize("n", range(11))
     def test_fock_state_is_a_laguerre_ring(self, n):
         """W_n = (-1)^n / pi L_n(2 r^2) e^{-r^2} with r^2 = x^2 + p^2."""
-        grid = wigner(fock_state(n, n + 2), extent=5.0, step=0.1)
+        grid = wigner(density(fock_state(n, n + 2)), extent=5.0, step=0.1)
         r2 = grid.x_axis[:, None] ** 2 + grid.p_axis[None, :] ** 2
         exact = (-1) ** n / math.pi * lagval(2.0 * r2, [0.0] * n + [1.0]) * np.exp(-r2)
         assert np.max(np.abs(grid.values - exact)) <= 1e-12
@@ -189,7 +221,7 @@ class TestWignerClosedForms:
     @pytest.mark.parametrize("n", [60, 171, 200])
     def test_many_photon_fock_state_is_a_laguerre_ring(self, n):
         """No level limit: |171> and |200> too, on a +-12 window, to 1e-12."""
-        grid = wigner(fock_state(n, n + 2), extent=12.0, step=0.1)
+        grid = wigner(density(fock_state(n, n + 2)), extent=12.0, step=0.1)
         r2 = grid.x_axis[:, None] ** 2 + grid.p_axis[None, :] ** 2
         exact = (-1) ** n / math.pi * lagval(2.0 * r2, [0.0] * n + [1.0]) * np.exp(-r2)
         assert np.max(np.abs(grid.values - exact)) <= 1e-12
@@ -197,7 +229,7 @@ class TestWignerClosedForms:
     def test_bright_coherent_state_is_a_displaced_gaussian(self):
         """alpha = 3 + 4j occupies 90 levels; W stays within 1e-12 of its Gaussian."""
         alpha = 3 + 4j
-        grid = wigner(coherent_state(alpha, 90), extent=14.0, step=0.1)
+        grid = wigner(density(coherent_state(alpha, 90)), extent=14.0, step=0.1)
         dx = grid.x_axis[:, None] - math.sqrt(2.0) * alpha.real
         dp = grid.p_axis[None, :] - math.sqrt(2.0) * alpha.imag
         exact = np.exp(-(dx**2) - dp**2) / math.pi
@@ -206,7 +238,7 @@ class TestWignerClosedForms:
     @pytest.mark.parametrize("alpha", [1 + 1j, 0.5 - 1.2j])
     def test_coherent_state_is_a_displaced_gaussian(self, alpha):
         """values[i, j] = W(x_i, p_j), centred on sqrt2 (Re alpha, Im alpha)."""
-        grid = wigner(coherent_state(alpha, 30), extent=5.0, step=0.1)
+        grid = wigner(density(coherent_state(alpha, 30)), extent=5.0, step=0.1)
         dx = grid.x_axis[:, None] - math.sqrt(2.0) * alpha.real
         dp = grid.p_axis[None, :] - math.sqrt(2.0) * alpha.imag
         exact = np.exp(-(dx**2) - dp**2) / math.pi
@@ -221,7 +253,7 @@ class TestWignerMatchesDenseSum:
     )
     def test_phase_space_benchmark_grids(self, alpha, m, extent, step):
         state = pacs_state(alpha, m, default_signal_dim(alpha, m))
-        fast = wigner(state, extent, step)
+        fast = wigner(density(state), extent, step)
         dense = wigner_dense(state, extent, step)
         assert fast.values.shape == (401, 401)
         assert np.array_equal(fast.x_axis, dense.x_axis)
@@ -231,7 +263,7 @@ class TestWignerMatchesDenseSum:
     def test_many_occupied_levels(self):
         state = pacs_state(1.0, 1, 64)
         assert np.nonzero(state.amplitudes)[0][-1] + 1 >= 60
-        fast = wigner(state, extent=6.0, step=0.1)
+        fast = wigner(density(state), extent=6.0, step=0.1)
         dense = wigner_dense(state, extent=6.0, step=0.1)
         assert np.max(np.abs(fast.values - dense.values)) <= 1e-12
 
@@ -254,7 +286,7 @@ class TestWignerMatchesDenseSum:
         the closed form; that part is allowed at 4 eps per unit of it.
         """
         state = PureState.from_amplitudes(single_mode(len(amps)), np.array(amps))
-        fast = wigner(state, extent, step)
+        fast = wigner(density(state), extent, step)
         dense = wigner_dense(state, extent, step)
         tol = 1e-12 * max(1.0, float(np.max(np.abs(dense.values))))
         tol += 4 * np.finfo(float).eps * horner_magnitude(state, extent, step)
@@ -350,15 +382,16 @@ class TestExtractWState:
 
     def test_idler_state_space(self):
         config = ChainConfig.uniform(1.0, 0.05, 3)
-        result = herald_idlers(config, pacs_state(1.0, 1, config.signal_dim))
-        assert result.state.space.labels == ("idler-1", "idler-2", "idler-3")
+        _, state = herald_idlers(config, pacs_state(1.0, 1, config.signal_dim))
+        assert state.space.labels == ("idler-1", "idler-2", "idler-3")
 
 
 def test_import_does_not_load_numpy_polynomial(run_python):
     """Neither importing pacsim nor evaluating a Wigner grid loads numpy.polynomial."""
     code = (
         "import sys, pacsim, pacsim.cli; "
-        "pacsim.wigner(pacsim.pacs_state(1.0, 2, 24), extent=3.0, step=0.5); "
+        "psi = pacsim.pacs_state(1.0, 2, 24).amplitudes; "
+        "pacsim.wigner(psi[:, None] * psi.conj(), extent=3.0, step=0.5); "
         "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
     )
     out = run_python("-c", code)

@@ -13,21 +13,26 @@ from pacsim import (
     ChainConfig,
     DetectorModel,
     WignerGrid,
-    condition_on_pattern,
     default_signal_dim,
     extract_w_state,
-    fidelity_ensemble,
     fock_state,
     outcome_probability,
     pacs_state,
-    run_chain_full,
     walk_patterns,
     wigner,
 )
-from pacsim import cli
-from pacsim.cli import emit_wigner, load_wigner, main, run_scenario, wigner_grid_lines
-from pacsim.dynamics import DEFAULT_AMPLITUDE_BUDGET
+from pacsim import cli, dynamics
+from pacsim.cli import (
+    DEFAULT_AMPLITUDE_BUDGET,
+    emit_wigner,
+    load_wigner,
+    main,
+    run_scenario,
+    wigner_grid_lines,
+)
 from pacsim.errors import DimensionBudgetError
+
+from oracles import conditional_density, density, fidelity, joint_state
 
 MINIMAL_SCENARIO = """\
 version: 1
@@ -70,17 +75,16 @@ class TestRunScenario:
         rows = read_csv(out / "patterns.csv")
         assert [r["pattern"] for r in rows] == ["0", "1"]
         cfg = ChainConfig.uniform(1.0, 0.05, 1)
-        joint = run_chain_full(cfg)
+        joint = joint_state(cfg)
         det = DetectorModel.ideal()
         leaves = walk_patterns(cfg, det)
         total = 0.0
         for row, (pattern, probability, _) in zip(rows, leaves, strict=True):
             assert row["pattern"] == str(pattern)
             assert float(row["probability"]) == outcome_probability(probability)
-            cond = condition_on_pattern(joint, pattern, det)
             ref = pacs_state(1.0, int(row["n_clicks"]), cfg.signal_dim)
             assert float(row["fidelity_vs_pacs_m"]) == pytest.approx(
-                fidelity_ensemble(cond.ensemble, ref), abs=1e-15
+                fidelity(*conditional_density(joint, pattern, det), ref), abs=1e-15
             )
             total += float(row["probability"])
         assert total == pytest.approx(1.0, abs=1e-9)
@@ -519,13 +523,13 @@ class TestWignerFiles:
         assert main(["wigner", "--state", "pacs:1+0.5j,2", "--range", "3", "--step", "0.25",
                      "--out", str(quick)]) == 0
         state = pacs_state(alpha, m, default_signal_dim(alpha, m))
-        emit_wigner(wigner(state, 3.0, 0.25), tmp_path / "emit.txt")
+        emit_wigner(wigner(density(state), 3.0, 0.25), tmp_path / "emit.txt")
         expected = (tmp_path / "emit.txt").read_bytes()
         assert (tmp_path / "run" / "w.txt").read_bytes() == expected
         assert quick.read_bytes() == expected
 
     def test_round_trip_identity(self, tmp_path):
-        grid = wigner(fock_state(1, 12), extent=3.0, step=0.5)
+        grid = wigner(density(fock_state(1, 12)), extent=3.0, step=0.5)
         path = tmp_path / "wig.txt"
         emit_wigner(grid, path)
         back = load_wigner(path)
@@ -548,7 +552,7 @@ class TestWignerFiles:
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_header_fields(self, tmp_path):
-        grid = wigner(fock_state(0, 8), extent=2.0, step=1.0)
+        grid = wigner(density(fock_state(0, 8)), extent=2.0, step=1.0)
         text = "".join(wigner_grid_lines(grid))
         lines = text.splitlines()
         assert lines[0] == "# wigner grid"
@@ -558,14 +562,14 @@ class TestWignerFiles:
         assert len(lines[2].split()) == 2 + grid.p_axis.size
 
     def test_grid_dimensions_match(self, tmp_path):
-        grid = wigner(fock_state(0, 8), extent=2.0, step=0.5)
+        grid = wigner(density(fock_state(0, 8)), extent=2.0, step=0.5)
         path = tmp_path / "wig.txt"
         emit_wigner(grid, path)
         back = load_wigner(path)
         assert back.values.shape == (grid.x_axis.size, grid.p_axis.size)
 
     def test_loadable_by_numpy(self, tmp_path):
-        grid = wigner(fock_state(0, 8), extent=2.0, step=0.5)
+        grid = wigner(density(fock_state(0, 8)), extent=2.0, step=0.5)
         path = tmp_path / "wig.txt"
         emit_wigner(grid, path)
         data = np.loadtxt(path)
@@ -717,6 +721,80 @@ class TestQuickCommands:
             main(["wstate", "--alpha", "1", "--lam", "0.05", "--n", "3", "--eta", "0.3"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --eta 0.3" in capsys.readouterr().err
+
+
+def _no_stage(*args, **kwargs):
+    raise AssertionError("a stage unitary was formed")
+
+
+class TestOversizedChain:
+    """A chain whose stage unitary, (signal_dim idler_dim)^2 doubles, would
+    exceed DEFAULT_AMPLITUDE_BUDGET exits 2 naming its field, before any
+    stage is built and before anything is written."""
+
+    @pytest.fixture(autouse=True)
+    def no_stage(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "stage_unitary", _no_stage)
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (["pacs", "--pattern", "1", "--signal-dim", "20000"], "--signal-dim"),
+            (["pacs", "--pattern", "1", "--idler-dim", "5000"], "--idler-dim"),
+            (["pacs", "--pattern", "1", "--alpha", "100"], "--alpha"),
+            (["wstate", "--n", "3", "--alpha", "100"], "--alpha"),
+            (["sweep", "--pattern", "1", "--param", "alpha", "--values", "1,100"], "--values"),
+        ],
+        ids=["signal-dim", "idler-dim", "pacs-alpha", "wstate-alpha", "sweep-values"],
+    )
+    def test_quick_look_flags(self, tmp_path, monkeypatch, capsys, args, field):
+        monkeypatch.chdir(tmp_path)
+        defaults = ["--alpha", "1"] if "--alpha" not in args else []
+        assert main([*args, *defaults, "--lam", "0.05"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: a signal cutoff of ")
+        assert "above the budget of 20000000" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "chain, task, field",
+        [
+            ("{alpha: 1.0, lam: 0.05, n_stages: 1, signal_dim: 20000}", "", "chain.signal_dim"),
+            ("{alpha: 1.0, lam: 0.05, n_stages: 1, idler_dim: 5000}", "", "chain.idler_dim"),
+            ("{alpha: 1.0, stages: [{lam: 0.05}, {lam: 0.05, idler_dim: 5000}]}", "",
+             "chain.stages[1].idler_dim"),
+            ("{alpha: 100, lam: 0.05, n_stages: 1}", "", "chain.alpha"),
+            ("{alpha: 1.0, lam: 0.05, n_stages: 1}",
+             "  - {type: sweep, param: alpha, values: [1, 100], pattern: '1', output: s.csv}\n",
+             "tasks[1].values"),
+        ],
+        ids=["signal_dim", "idler_dim", "stages", "alpha", "values"],
+    )
+    def test_scenario_fields(self, tmp_path, capsys, chain, task, field):
+        config = write_scenario(
+            tmp_path,
+            f"version: 1\nchain: {chain}\ntasks:\n  - {{type: patterns, output: p.csv}}\n{task}",
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--outdir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: a signal cutoff of ")
+        assert not out.exists()
+
+    def test_huge_alpha_refused_before_its_cutoff_is_searched(self, monkeypatch, capsys):
+        """The floor |alpha|^2 + 6|alpha| + 10 + N alone rules alpha = 100 out."""
+        monkeypatch.setattr(cli, "default_signal_dim", _no_stage)
+        assert main(["pacs", "--alpha", "100", "--lam", "0.05", "--pattern", "1"]) == 2
+        assert "a signal cutoff of 10611 " in capsys.readouterr().err
+
+    def test_budget_edge(self):
+        """signal_dim * idler_dim = 4472 fits the 20M-entry budget and 4473 does not;
+        the larger cutoff names the field."""
+        cli._check_chain_size(1.0, 1, 4, 1118, "signal", "idler")
+        with pytest.raises(DimensionBudgetError, match="^signal: .* 20007729 entries"):
+            cli._check_chain_size(1.0, 1, 3, 1491, "signal", "idler")
+        with pytest.raises(DimensionBudgetError, match="^idler: "):
+            cli._check_chain_size(1.0, 1, 1491, 3, "signal", "idler")
 
 
 def test_oversized_wigner_grid_exits_2_without_traceback(run_python):

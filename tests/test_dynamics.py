@@ -10,21 +10,30 @@ from pacsim import (
     ChainConfig,
     ClickPattern,
     DetectorModel,
-    DimensionBudgetError,
     StageParams,
     StrongCouplingWarning,
     coherent_state,
-    condition_on_pattern,
-    fidelity_ensemble,
-    fidelity_pure,
     fock_state,
+    outcome_probability,
     pacs_state,
-    run_chain_full,
-    run_chain_sequential,
     stage_unitary,
+    walk_patterns,
 )
 
-from oracles import orthogonality_defect, perturbative_output, stage_generator
+from oracles import (
+    conditional_density,
+    fidelity,
+    joint_state,
+    orthogonality_defect,
+    perturbative_output,
+    stage_generator,
+)
+
+
+def leaf(cfg, pattern, detector):
+    """(P, rho) of one pattern, from the walk."""
+    _, probability, rho = next(walk_patterns(cfg, detector, pattern))
+    return probability, rho
 
 
 def tmsv_amplitudes(lam: float, dim: int) -> np.ndarray:
@@ -136,7 +145,7 @@ class TestPerturbativeOutput:
 class TestRunChainFull:
     def test_single_stage_reduces_to_stage_unitary(self):
         cfg = ChainConfig.uniform(1.0, 0.08, 1)
-        joint = run_chain_full(cfg)
+        joint = joint_state(cfg)
         ds, di = cfg.signal_dim, cfg.stages[0].idler_dim
         u = stage_unitary(0.08, ds, di)
         vac = np.zeros(di)
@@ -146,7 +155,7 @@ class TestRunChainFull:
 
     def test_mode_layout(self):
         cfg = ChainConfig.uniform(0.5, 0.02, 3)
-        joint = run_chain_full(cfg)
+        joint = joint_state(cfg)
         assert joint.space.labels == ("signal", "idler-1", "idler-2", "idler-3")
 
     def test_two_stage_amplitude_pattern(self):
@@ -154,7 +163,7 @@ class TestRunChainFull:
         photon-added ladder, term by term to O(lam^3)."""
         alpha, lam = 1.0, 0.05
         cfg = ChainConfig.uniform(alpha, lam, 2)
-        view = run_chain_full(cfg).tensor_view()
+        view = joint_state(cfg).tensor_view()
         ds = cfg.signal_dim
         coh = coherent_state(alpha, ds).amplitudes
         p1 = pacs_state(alpha, 1, ds).amplitudes
@@ -170,7 +179,7 @@ class TestRunChainFull:
         lam^m sqrt(m! L_m) weights to O(lam^4)."""
         alpha, lam = 1.0, 0.05
         cfg = ChainConfig.uniform(alpha, lam, 3)
-        view = run_chain_full(cfg).tensor_view()
+        view = joint_state(cfg).tensor_view()
         ds = cfg.signal_dim
         coh = coherent_state(alpha, ds).amplitudes
         p1 = pacs_state(alpha, 1, ds).amplitudes
@@ -193,7 +202,7 @@ class TestRunChainFull:
 
         The composition applies each (signal, idler_j) unitary to the
         pre-expanded vacuum idlers, outside the Kraus propagation, and gives
-        run_chain_full's amplitudes on uniform and mixed-dims chains.
+        the joint-state oracle's amplitudes on uniform and mixed-dims chains.
         """
         chains = [
             ChainConfig.uniform(1.0, 0.2, 2, signal_dim=24),
@@ -214,12 +223,7 @@ class TestRunChainFull:
                 psi = np.moveaxis(pair, 1, j + 1)
             psi = psi.reshape(-1)
             assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-9)
-            assert np.max(np.abs(psi - run_chain_full(cfg).amplitudes)) <= 1e-12
-
-    def test_budget_error_suggests_sequential(self):
-        cfg = ChainConfig.uniform(1.0, 0.05, 12)
-        with pytest.raises(DimensionBudgetError, match="sequential"):
-            run_chain_full(cfg)
+            assert np.max(np.abs(psi - joint_state(cfg).amplitudes)) <= 1e-12
 
     def test_first_order_stage_permutation_symmetry(self):
         """P(click at a given stage) is order-independent up to O(lam^4)."""
@@ -227,12 +231,8 @@ class TestRunChainFull:
         det = DetectorModel.ideal()
         cfg_ab = ChainConfig(1.0, (StageParams(la), StageParams(lb)))
         cfg_ba = ChainConfig(1.0, (StageParams(lb), StageParams(la)))
-        p_first = condition_on_pattern(
-            run_chain_full(cfg_ab), ClickPattern((True, False)), det
-        ).probability
-        p_second = condition_on_pattern(
-            run_chain_full(cfg_ba), ClickPattern((False, True)), det
-        ).probability
+        p_first, _ = leaf(cfg_ab, ClickPattern((True, False)), det)
+        p_second, _ = leaf(cfg_ba, ClickPattern((False, True)), det)
         assert abs(p_first - p_second) / p_first < 5 * (la**2 + lb**2)
 
 
@@ -254,15 +254,15 @@ class TestConservation:
 
 
 class TestRunChainSequential:
+    """One pattern's (P, rho) from the walk's prefix path, against the joint state."""
+
     def test_all_no_click_at_zero_coupling(self):
         cfg = ChainConfig.uniform(1.0, 0.0, 2)
-        cond = run_chain_sequential(
-            cfg, DetectorModel.ideal(), ClickPattern((False, False))
-        )
-        assert cond.probability == pytest.approx(1.0, abs=1e-14)
-        assert len(cond.ensemble.branches) == 1
-        _, state = cond.ensemble.branches[0]
-        assert fidelity_pure(state, coherent_state(1.0, cfg.signal_dim)) == (
+        p, rho = leaf(cfg, ClickPattern((False, False)), DetectorModel.ideal())
+        assert p == pytest.approx(1.0, abs=1e-14)
+        # pure: tr rho^2 / P^2 = 1
+        assert np.sum(np.abs(rho) ** 2) / p**2 == pytest.approx(1.0, abs=1e-14)
+        assert fidelity(p, rho, coherent_state(1.0, cfg.signal_dim)) == (
             pytest.approx(1.0, abs=1e-14)
         )
 
@@ -271,76 +271,66 @@ class TestRunChainSequential:
         cfg = ChainConfig.uniform(1.0, 0.05, 1)
         det = DetectorModel.ideal()
         click = ClickPattern.from_string(pattern)
-        seq = run_chain_sequential(cfg, det, click)
-        full = condition_on_pattern(run_chain_full(cfg), click, det)
-        assert seq.probability == pytest.approx(full.probability, rel=1e-10)
+        seq = leaf(cfg, click, det)
+        full = conditional_density(joint_state(cfg), click, det)
+        assert seq[0] == pytest.approx(full[0], rel=1e-10)
         ref = pacs_state(1.0, click.n_clicks, cfg.signal_dim)
-        assert fidelity_ensemble(seq.ensemble, ref) == pytest.approx(
-            fidelity_ensemble(full.ensemble, ref), abs=1e-10
-        )
+        assert fidelity(*seq, ref) == pytest.approx(fidelity(*full, ref), abs=1e-10)
 
     def test_long_chain_beyond_full_budget(self):
-        """N=10 runs sequentially where the joint space would blow the budget."""
+        """N=10 runs on the signal alone; the joint state would hold 4^10 ds amplitudes."""
         cfg = ChainConfig.uniform(1.0, 0.05, 10)
-        with pytest.raises(DimensionBudgetError):
-            run_chain_full(cfg)
         pattern = ClickPattern.from_string("1000000000")
-        cond = run_chain_sequential(cfg, DetectorModel.ideal(), pattern)
-        assert 0.0 < cond.probability < 1.0
+        p, rho = leaf(cfg, pattern, DetectorModel.ideal())
+        assert 0.0 < p < 1.0
         ref = pacs_state(1.0, 1, cfg.signal_dim)
-        assert fidelity_ensemble(cond.ensemble, ref) > 0.99
+        assert fidelity(p, rho, ref) > 0.99
 
     def test_tiny_click_probability_is_an_outcome(self):
         """P = 6.2e-34 is a sum of nonnegative terms, not rounding: no floor applies."""
         cfg = ChainConfig.uniform(1.0, 1e-3, 6)
         det = DetectorModel(0.6, 0.0)
         pattern = ClickPattern.from_string("111111")
-        seq = run_chain_sequential(cfg, det, pattern)
-        full = condition_on_pattern(run_chain_full(cfg), pattern, det)
-        assert 1e-34 < seq.probability < 1e-33
-        assert seq.probability == pytest.approx(full.probability, rel=1e-12)
+        seq = leaf(cfg, pattern, det)
+        full = conditional_density(joint_state(cfg), pattern, det)
+        assert 1e-34 < outcome_probability(seq[0]) < 1e-33
+        assert seq[0] == pytest.approx(full[0], rel=1e-12)
         ref = pacs_state(1.0, 6, cfg.signal_dim)
-        assert fidelity_ensemble(seq.ensemble, ref) == pytest.approx(
-            fidelity_ensemble(full.ensemble, ref), abs=1e-10
-        )
+        assert fidelity(*seq, ref) == pytest.approx(fidelity(*full, ref), abs=1e-10)
 
     def test_zero_coupling_clicks_stay_impossible(self):
         """At lam = 0 with no dark counts a click has probability exactly 0."""
         cfg = ChainConfig.uniform(1.0, 0.0, 3)
         det = DetectorModel(0.6, 0.0)
         pattern = ClickPattern.from_string("111")
-        seq = run_chain_sequential(cfg, det, pattern)
-        full = condition_on_pattern(run_chain_full(cfg), pattern, det)
-        for cond in (seq, full):
-            assert cond.probability == 0.0
-            assert cond.impossible
+        seq = leaf(cfg, pattern, det)
+        full = conditional_density(joint_state(cfg), pattern, det)
+        for probability, _ in (seq, full):
+            assert probability == 0.0
+            assert outcome_probability(probability) == 0.0
 
     def test_subnormal_click_probability_is_impossible(self):
         """Below 2.2e-308 rho / P overflows, so the outcome is reported impossible."""
         cfg = ChainConfig(0.0, (StageParams(0.0, 2), StageParams(0.25, 2)), 16)
         det = DetectorModel(1.0, np.finfo(float).tiny)
         pattern = ClickPattern.from_string("11")
-        seq = run_chain_sequential(cfg, det, pattern)
-        full = condition_on_pattern(run_chain_full(cfg), pattern, det)
-        for cond in (seq, full):
-            assert cond.probability == 0.0
-            assert cond.impossible
+        seq = leaf(cfg, pattern, det)
+        full = conditional_density(joint_state(cfg), pattern, det)
+        for probability, _ in (seq, full):
+            assert 0.0 < probability < np.finfo(float).tiny
+            assert outcome_probability(probability) == 0.0
 
     def test_impossible_pattern(self):
         cfg = ChainConfig.uniform(1.0, 0.0, 2)
-        cond = run_chain_sequential(
-            cfg, DetectorModel.ideal(), ClickPattern((True, False))
-        )
-        assert cond.impossible
-        assert cond.probability == 0.0
-        assert cond.ensemble is None
+        p, rho = leaf(cfg, ClickPattern((True, False)), DetectorModel.ideal())
+        assert p == 0.0
+        assert outcome_probability(p) == 0.0
+        assert not np.any(rho)
 
     def test_pattern_length_mismatch(self):
         cfg = ChainConfig.uniform(1.0, 0.05, 2)
         with pytest.raises(ValueError):
-            run_chain_sequential(
-                cfg, DetectorModel.ideal(), ClickPattern.from_string("1")
-            )
+            leaf(cfg, ClickPattern.from_string("1"), DetectorModel.ideal())
 
 
 class TestConfigValidation:

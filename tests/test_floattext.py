@@ -98,7 +98,8 @@ def test_row_layout():
 def test_phase_space_benchmark_grids(repr_calls, alpha, m, extent, step, fallbacks):
     """Both benchmark grids' files, byte for byte; repr formats only the axis
     values -8.0 and 2^-47 of pacs:1,2, powers of two, and no grid value."""
-    grid = wigner(pacs_state(alpha, m, default_signal_dim(alpha, m)), extent, step)
+    psi = pacs_state(alpha, m, default_signal_dim(alpha, m)).amplitudes
+    grid = wigner(np.outer(psi, psi.conj()), extent, step)
     text = "".join(wigner_grid_lines(grid))
     assert len(repr_calls) == fallbacks
     head = "# wigner grid\n# x: " + oracle(grid.x_axis[None, :]) + "# p: " + oracle(

@@ -8,22 +8,21 @@ import numpy as np
 import pytest
 
 from pacsim import (
+    ClickPattern,
     ModeSpec,
     MultiMode,
     PureState,
     TruncationError,
     TruncationWarning,
-    WeightedEnsemble,
     coherent_state,
     default_signal_dim,
-    fidelity_ensemble,
     fidelity_pure,
     fock_state,
     mean_photon_number,
     pacs_state,
-    partial_trace_to_marginal,
     single_mode,
 )
+from pacsim.cli import _pattern_row
 from pacsim.fock import _coherent_amplitudes, tail_mass
 
 from oracles import ladder_apply, laguerre, laguerre_recurrence, laguerre_series, tensor
@@ -74,6 +73,19 @@ def raised(state: PureState, m: int) -> PureState:
         for _ in range(m):
             state = PureState.from_amplitudes(state.space, ladder_apply(state, 0, "raise").amplitudes)
     return state
+
+
+def mixture(*branches):
+    """sum_j w_j |s_j><s_j| over (w_j, s_j) branches."""
+    return sum(w * np.outer(s.amplitudes, s.amplitudes.conj()) for w, s in branches)
+
+
+def row_readings(rho, ref, probability=0.3):
+    """Fidelity with ``ref`` and mean photon number that a pattern-table row
+    reads off the unnormalized (P, P rho)."""
+    row = _pattern_row(ClickPattern((True,)), probability, probability * rho,
+                       lambda m: ref.amplitudes)
+    return float(row[3]), float(row[4])
 
 
 class TestLaguerre:
@@ -301,14 +313,14 @@ class TestTensorAndMarginal:
     def test_marginal_of_product_factorizes(self):
         a = coherent_state(1.0, 16, "signal")
         b = coherent_state(0.5, 12, "idler-1")
-        joint = tensor(a, b)
-        marg = partial_trace_to_marginal(joint, [0])
+        marg = (np.abs(tensor(a, b).tensor_view()) ** 2).sum(axis=1)
         assert np.allclose(marg, np.abs(a.amplitudes) ** 2, atol=1e-14)
 
     def test_keep_all_returns_probabilities(self):
-        a = tensor(fock_state(1, 3, "signal"), coherent_state(0.3, 10, "idler-1"))
-        marg = partial_trace_to_marginal(a, [0, 1])
-        assert np.allclose(marg, np.abs(a.tensor_view()) ** 2)
+        """The joint distribution of a product is the product of the marginals."""
+        a, b = fock_state(1, 3, "signal"), coherent_state(0.3, 10, "idler-1")
+        probs = np.abs(tensor(a, b).tensor_view()) ** 2
+        assert np.allclose(probs, np.outer(np.abs(a.amplitudes) ** 2, np.abs(b.amplitudes) ** 2))
 
     def test_two_mode_squeezed_marginal_is_thermal(self):
         """Marginal of sum_k c_k |k,k> is |c_k|^2, cross-checked by brute force."""
@@ -321,7 +333,7 @@ class TestTensorAndMarginal:
         amps[k * dim + k] = c
         space = MultiMode((ModeSpec(dim, "signal"), ModeSpec(dim, "idler-1")))
         state = PureState(space, amps)
-        marg = partial_trace_to_marginal(state, [1])
+        marg = (np.abs(state.tensor_view()) ** 2).sum(axis=0)
         brute = np.zeros(dim)
         for ns in range(dim):
             for ni in range(dim):
@@ -330,14 +342,6 @@ class TestTensorAndMarginal:
         assert marg.sum() == pytest.approx(1.0, abs=1e-12)
         ratio = marg[1:6] / marg[0:5]
         assert np.allclose(ratio, np.tanh(lam) ** 2, atol=1e-12)
-
-    def test_invalid_keep(self):
-        state = coherent_state(1.0, 16)
-        with pytest.raises(ValueError):
-            partial_trace_to_marginal(state, [1])
-        with pytest.raises(ValueError):
-            partial_trace_to_marginal(state, [])
-
 
 class TestFidelity:
     def test_self_fidelity(self):
@@ -359,27 +363,23 @@ class TestFidelity:
     def test_single_branch_reduces_to_pure(self):
         s = pacs_state(1.0, 1, 24)
         ref = coherent_state(1.0, 24)
-        ens = WeightedEnsemble.pure(s)
-        assert fidelity_ensemble(ens, ref) == pytest.approx(fidelity_pure(s, ref))
+        fid, _ = row_readings(mixture((1.0, s)), ref)
+        assert fid == pytest.approx(fidelity_pure(s, ref))
 
     def test_equal_mixture_with_orthogonal_state(self):
         ref = fock_state(0, 4)
-        other = fock_state(2, 4)
-        ens = WeightedEnsemble(ref.space, ((0.5, ref), (0.5, other)))
-        assert fidelity_ensemble(ens, ref) == pytest.approx(0.5, abs=1e-14)
+        fid, mean = row_readings(mixture((0.5, ref), (0.5, fock_state(2, 4))), ref)
+        assert fid == pytest.approx(0.5, abs=1e-14)
+        assert mean == pytest.approx(1.0, abs=1e-14)
 
     def test_against_dense_density_matrix(self):
-        """fidelity_ensemble equals <ref|rho|ref> with rho built explicitly."""
-        s1 = tensor(coherent_state(0.7, 14, "signal"), fock_state(0, 3, "idler-1"))
-        s2 = tensor(coherent_state(0.7j, 14, "signal"), fock_state(1, 3, "idler-1"))
-        s3 = tensor(fock_state(2, 14, "signal"), fock_state(2, 3, "idler-1"))
-        ens = WeightedEnsemble(s1.space, ((0.5, s1), (0.3, s2), (0.2, s3)))
-        ref = tensor(coherent_state(0.5, 14, "signal"), fock_state(0, 3, "idler-1"))
-        rho = sum(
-            w * np.outer(s.amplitudes, s.amplitudes.conj()) for w, s in ens.branches
-        )
-        oracle = float(np.real(ref.amplitudes.conj() @ rho @ ref.amplitudes))
-        assert fidelity_ensemble(ens, ref) == pytest.approx(oracle, abs=1e-14)
+        """<ref|rho|ref> / P read off rho equals the branch-weighted pure fidelities."""
+        branches = ((0.5, coherent_state(0.7, 14)), (0.3, coherent_state(0.7j, 14)),
+                    (0.2, fock_state(2, 14)))
+        ref = coherent_state(0.5, 14)
+        fid, _ = row_readings(mixture(*branches), ref)
+        oracle = sum(w * fidelity_pure(s, ref) for w, s in branches)
+        assert fid == pytest.approx(oracle, abs=1e-14)
 
 
 class TestInvariantsAndValidation:
@@ -399,15 +399,6 @@ class TestInvariantsAndValidation:
     def test_duplicate_mode_labels(self):
         with pytest.raises(ValueError):
             MultiMode((ModeSpec(2, "m"), ModeSpec(3, "m")))
-
-    def test_ensemble_weight_sum_guard(self):
-        s = fock_state(0, 4)
-        with pytest.raises(ValueError):
-            WeightedEnsemble(s.space, ((0.4, s), (0.4, s)))
-
-    def test_ensemble_space_mismatch(self):
-        with pytest.raises(ValueError):
-            WeightedEnsemble(single_mode(4), ((1.0, fock_state(0, 5)),))
 
     def test_amplitudes_read_only(self):
         s = fock_state(0, 4)

@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import types
 from itertools import product
 
 import numpy as np
@@ -14,27 +15,30 @@ import pacsim
 from pacsim import (
     IMPOSSIBLE_PROBABILITY,
     ChainConfig,
-    ClickPattern,
     DetectorModel,
-    DimensionBudgetError,
+    MultiMode,
+    PureState,
     StageParams,
-    condition_on_pattern,
     extract_w_state,
-    fidelity_ensemble,
     fidelity_pure,
-    herald_idlers,
     herald_summary,
+    orthogonalized_reference,
+    outcome_probability,
     pacs_state,
-    project_signal,
-    run_chain_full,
-    run_chain_sequential,
     stage_kraus,
     stage_unitary,
-    w_state_reference,
+    walk_patterns,
 )
 from pacsim.cli import main
 
-from oracles import stage_generator
+from oracles import (
+    conditional_density,
+    fidelity,
+    herald_idlers,
+    joint_state,
+    stage_generator,
+    w_state_reference,
+)
 
 
 class TestStageKraus:
@@ -125,28 +129,25 @@ def chains(draw):
 @settings(max_examples=60, deadline=None)
 @given(chains())
 def test_sequential_matches_full_on_random_chains(chain):
-    """Criterion 7's tolerances, POVM completeness and the ensemble rank bound."""
+    """Criterion 7's tolerances, POVM completeness and Hermitian, trace-P rho."""
     config, detector = chain
-    joint = run_chain_full(config)
+    joint = joint_state(config)
     total_seq = total_full = 0.0
-    for bits in product((False, True), repeat=config.n_stages):
-        pattern = ClickPattern(bits)
-        seq = run_chain_sequential(config, detector, pattern)
-        full = condition_on_pattern(joint, pattern, detector)
-        total_seq += seq.probability
-        total_full += full.probability
-        if seq.impossible or full.impossible:
+    for pattern, p_seq, rho_seq in walk_patterns(config, detector):
+        p_full, rho_full = conditional_density(joint, pattern, detector)
+        total_seq += p_seq
+        total_full += p_full
+        if outcome_probability(p_seq) == 0.0 or outcome_probability(p_full) == 0.0:
             # both sit at the impossibility floor, up to criterion 7's 1e-8
-            assert max(seq.probability, full.probability) < 1e-30 * (1 + 1e-8)
+            assert max(p_seq, p_full) < 1e-30 * (1 + 1e-8)
             continue
-        assert abs(seq.probability - full.probability) <= 1e-8 * full.probability
-        for cond in (seq, full):
-            assert len(cond.ensemble.branches) <= config.signal_dim
+        assert abs(p_seq - p_full) <= 1e-8 * p_full
+        for p, rho in ((p_seq, rho_seq), (p_full, rho_full)):
+            assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12 * p
+            assert abs(np.trace(rho).real - p) <= 1e-12 * p
         for ref_m in (0, pattern.n_clicks):
             ref = pacs_state(config.alpha, ref_m, config.signal_dim)
-            assert abs(
-                fidelity_ensemble(seq.ensemble, ref) - fidelity_ensemble(full.ensemble, ref)
-            ) <= 1e-8
+            assert abs(fidelity(p_seq, rho_seq, ref) - fidelity(p_full, rho_full, ref)) <= 1e-8
     assert abs(total_seq - 1.0) <= 1e-12
     assert abs(total_full - 1.0) <= 1e-12
 
@@ -163,6 +164,16 @@ HERALD_CHAINS = [
 ]
 
 
+def project_signal(config, reference, orthogonal_to):
+    """P and heralded idler state of the joint state projected onto r."""
+    ref = orthogonalized_reference(reference, orthogonal_to) if orthogonal_to else reference
+    joint = joint_state(config)
+    amps = ref.amplitudes.conj() @ joint.amplitudes.reshape(config.signal_dim, -1)
+    probability = float(np.vdot(amps, amps).real)
+    idlers = MultiMode(joint.space.modes[1:])
+    return probability, PureState(idlers, amps / np.sqrt(probability))
+
+
 class TestHeraldIdlers:
     @pytest.mark.parametrize(
         "config, m, plain",
@@ -174,54 +185,31 @@ class TestHeraldIdlers:
         ],
     )
     def test_matches_joint_state_projection(self, config, m, plain):
-        """Same P, W fidelity and idler amplitudes as run_chain_full + project_signal."""
+        """Same P, W fidelity and idler amplitudes as projecting the joint state."""
         reference = pacs_state(config.alpha, m, config.signal_dim)
         others = () if plain else ladder(config, m, config.n_stages)
-        new = herald_idlers(config, reference, others)
-        old = project_signal(run_chain_full(config), reference, others)
-        assert new.probability == pytest.approx(old.probability, rel=1e-10)
-        assert new.state.space == old.state.space
-        assert np.max(np.abs(new.state.amplitudes - old.state.amplitudes)) <= 1e-10
-        dims = new.state.space.dims
+        probability, state = herald_idlers(config, reference, others)
+        old_probability, old_state = project_signal(config, reference, others)
+        assert probability == pytest.approx(old_probability, rel=1e-10)
+        assert state.space == old_state.space
+        assert np.max(np.abs(state.amplitudes - old_state.amplitudes)) <= 1e-10
+        dims = state.space.dims
         if len(set(dims)) == 1:
             w_ref = w_state_reference(len(dims), dims[0])
-            assert abs(
-                fidelity_pure(new.state, w_ref) - fidelity_pure(old.state, w_ref)
-            ) <= 1e-10
+            assert abs(fidelity_pure(state, w_ref) - fidelity_pure(old_state, w_ref)) <= 1e-10
 
     def test_reference_dim_mismatch(self):
         config = ChainConfig.uniform(1.0, 0.05, 2)
         with pytest.raises(ValueError):
             herald_idlers(config, pacs_state(1.0, 1, config.signal_dim + 1))
 
-    def test_budget_binds_on_all_but_the_last_idler(self):
-        """The peak is ds times the idler dims of stages 1..N-1, not 2..N."""
-        config = ChainConfig(1.0, (StageParams(0.05, 2), StageParams(0.05, 6)), signal_dim=24)
-        reference = pacs_state(1.0, 1, 24)
-        budget = 100  # ds * 2 = 48 < budget < ds * 6 = 144
-        assert herald_idlers(config, reference, budget=budget).probability > 0.0
-        with pytest.raises(DimensionBudgetError):
-            herald_idlers(config, reference, budget=47)
 
-    def test_budget_caps_the_largest_intermediate(self):
-        """A budget between ds di^(N-1) and ds di^N stops only the joint state."""
-        config = ChainConfig.uniform(1.0, 0.05, 5, signal_dim=24)
-        budget = 12_000  # ds di^4 = 6144 < budget < ds di^5 = 24576
-        with pytest.raises(DimensionBudgetError):
-            run_chain_full(config, budget)
-        reference, others = pacs_state(1.0, 1, 24), ladder(config, 1, config.n_stages)
-        result = herald_idlers(config, reference, others, budget=budget)
-        assert fidelity_pure(result.state, w_state_reference(5, 4)) > 0.99
-        with pytest.raises(DimensionBudgetError):
-            herald_idlers(config, reference, others, budget=6_143)
-
-
-def dense_w_fidelity(proj):
-    """F_W of herald_idlers' state, or None where herald_summary gives None."""
-    dims = proj.state.space.dims
+def dense_w_fidelity(state):
+    """F_W of a heralded idler state, or None where herald_summary gives None."""
+    dims = state.space.dims
     if len(set(dims)) > 1:
         return None
-    return fidelity_pure(proj.state, w_state_reference(len(dims), dims[0]))
+    return fidelity_pure(state, w_state_reference(len(dims), dims[0]))
 
 
 class TestHeraldSummary:
@@ -235,16 +223,16 @@ class TestHeraldSummary:
         ],
     )
     def test_matches_joint_state_projection(self, config, m, plain):
-        """P and F_W of run_chain_full + project_signal to 1e-10, up to N = 7."""
+        """P and F_W of the projected joint state to 1e-10, up to N = 7."""
         reference = pacs_state(config.alpha, m, config.signal_dim)
         others = () if plain else ladder(config, m, config.n_stages)
         probability, w_fidelity = herald_summary(config, reference, others)
-        old = project_signal(run_chain_full(config), reference, others)
-        assert probability == pytest.approx(old.probability, rel=1e-10)
+        old_probability, old_state = project_signal(config, reference, others)
+        assert probability == pytest.approx(old_probability, rel=1e-10)
         if w_fidelity is None:
-            assert dense_w_fidelity(old) is None
+            assert dense_w_fidelity(old_state) is None
         else:
-            assert abs(w_fidelity - dense_w_fidelity(old)) <= 1e-10
+            assert abs(w_fidelity - dense_w_fidelity(old_state)) <= 1e-10
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     @pytest.mark.parametrize("lam", [0.05, 1e-3, 1e-6])
@@ -258,10 +246,10 @@ class TestHeraldSummary:
         reference = pacs_state(1.0, m, 20)
         others = ladder(config, m, 3)
         probability, w_fidelity = herald_summary(config, reference, others)
-        dense = herald_idlers(config, reference, others)
+        dense_probability, dense_state = herald_idlers(config, reference, others)
         rel = 1e-7 if (lam, m) == (1e-6, 2) else 1e-10
-        assert probability == pytest.approx(dense.probability, rel=rel)
-        assert abs(w_fidelity - dense_w_fidelity(dense)) <= 1e-10
+        assert probability == pytest.approx(dense_probability, rel=rel)
+        assert abs(w_fidelity - dense_w_fidelity(dense_state)) <= 1e-10
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_sectors_stop_at_the_signal_cutoff(self, m):
@@ -273,9 +261,9 @@ class TestHeraldSummary:
         config = ChainConfig.uniform(0.0, 0.3, 4, idler_dim=5, signal_dim=4)
         reference = pacs_state(0.0, m, 4)
         probability, w_fidelity = herald_summary(config, reference)
-        dense = herald_idlers(config, reference)
-        assert probability == pytest.approx(dense.probability, rel=1e-10)
-        assert abs(w_fidelity - dense_w_fidelity(dense)) <= 1e-10
+        dense_probability, dense_state = herald_idlers(config, reference)
+        assert probability == pytest.approx(dense_probability, rel=1e-10)
+        assert abs(w_fidelity - dense_w_fidelity(dense_state)) <= 1e-10
 
     def test_zero_coupling_is_impossible(self):
         config = ChainConfig.uniform(1.0, 0.0, 3)
@@ -311,30 +299,20 @@ def test_herald_summary_matches_herald_idlers(case):
     reference = pacs_state(config.alpha, m, config.signal_dim)
     others = () if plain else ladder(config, m, config.n_stages)
     probability, w_fidelity = herald_summary(config, reference, others)
-    dense = herald_idlers(config, reference, others)
-    if probability == 0.0 or dense.impossible:
+    dense_probability, dense_state = herald_idlers(config, reference, others)
+    if probability == 0.0 or dense_state is None:
         # both sit at the impossibility floor, up to the 1e-10 tolerance
-        assert max(probability, dense.probability) < IMPOSSIBLE_PROBABILITY * (1 + 1e-10)
+        assert max(probability, dense_probability) < IMPOSSIBLE_PROBABILITY * (1 + 1e-10)
         return
-    assert probability == pytest.approx(dense.probability, rel=1e-10)
-    expected = dense_w_fidelity(dense)
+    assert probability == pytest.approx(dense_probability, rel=1e-10)
+    expected = dense_w_fidelity(dense_state)
     if expected is None:
         assert w_fidelity is None
     else:
         assert abs(w_fidelity - expected) <= 1e-10
 
 
-@pytest.fixture
-def no_idler_records(monkeypatch):
-    """Make the propagation that keeps every idler record raise."""
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("_propagate was called")
-
-    monkeypatch.setattr(pacsim.dynamics, "_propagate", forbidden)
-
-
-def test_w_heralding_keeps_no_idler_records(no_idler_records, tmp_path, capsys):
+def test_w_heralding_keeps_no_idler_records(no_multimode_state, tmp_path, capsys):
     """extract_w_state, pacsim wstate and every project variant contract instead."""
     assert extract_w_state(ChainConfig.uniform(1.0, 0.05, 3)).w_fidelity >= 0.995
     assert main(["wstate", "--alpha", "1", "--lam", "0.05", "--n", "3"]) == 0
@@ -367,14 +345,14 @@ def test_twelve_stages_need_no_budget(tmp_path, capsys):
     assert f"heralding probability = {payload['probability']!r}" in capsys.readouterr().out
 
 
-def test_extract_w_state_never_builds_the_joint_state(no_joint_state):
+def test_extract_w_state_never_builds_the_joint_state(no_multimode_state):
     result = extract_w_state(ChainConfig.uniform(1.0, 0.05, 3))
     assert result.w_fidelity >= 0.995
 
 
 @pytest.mark.parametrize("mode", ["full", "sequential"])
 @pytest.mark.parametrize("extra", ["", "reference_m: 2", "plain: true"])
-def test_project_task_never_builds_the_joint_state(no_joint_state, tmp_path, mode, extra):
+def test_project_task_never_builds_the_joint_state(no_multimode_state, tmp_path, mode, extra):
     config = tmp_path / "scenario.yaml"
     config.write_text(
         f"version: 1\nchain: {{alpha: 1.0, lam: 0.05, n_stages: 3}}\nmode: {mode}\n"
@@ -391,3 +369,31 @@ def test_import_does_not_load_scipy(run_python):
     out = run_python("-c", code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+PUBLIC_NAMES = {
+    # analysis
+    "PhotonStatistics", "ScalingFit", "WStateResult", "WignerGrid", "extract_w_state",
+    "fit_power_law", "photon_statistics", "wigner",
+    # detection
+    "ClickPattern", "DetectorModel", "orthogonalized_reference", "outcome_probability",
+    # dynamics
+    "IMPOSSIBLE_PROBABILITY", "ChainConfig", "StageParams", "herald_summary", "stage_kraus",
+    "stage_unitary", "walk_patterns",
+    # errors
+    "DimensionBudgetError", "ScenarioError", "StrongCouplingWarning", "TruncationError",
+    "TruncationWarning",
+    # fock
+    "ModeSpec", "MultiMode", "PureState", "coherent_state", "default_signal_dim",
+    "fidelity_pure", "fock_state", "mean_photon_number", "pacs_state", "single_mode",
+}
+
+
+def test_public_surface():
+    """The names pacsim exports, exactly: the joint-state path and the ensemble
+    types it once exported stay out."""
+    exported = {
+        name for name, value in vars(pacsim).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == PUBLIC_NAMES

@@ -1,6 +1,7 @@
 """The depth-first click-prefix walk and the pattern table read from its leaves."""
 
 import functools
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,17 +14,20 @@ from pacsim import (
     ClickPattern,
     DetectorModel,
     StageParams,
-    conditional_density,
-    fidelity_ensemble,
-    mean_photon_number,
+    outcome_probability,
     pacs_state,
-    run_chain_full,
-    run_chain_sequential,
     walk_patterns,
 )
 from pacsim.cli import _pattern_row, _pattern_rows, main
 
+from oracles import conditional_density, joint_state
+
 TINY = np.finfo(float).tiny
+
+
+def all_patterns(n_stages):
+    """Every pattern in lexicographic order, no-click first."""
+    return [ClickPattern(bits) for bits in product((False, True), repeat=n_stages)]
 
 
 def table(config, detector, pattern=None):
@@ -33,11 +37,11 @@ def table(config, detector, pattern=None):
 
 def dense_table(config, detector, pattern=None):
     """The same rows read from the conditioned joint state: the dense oracle."""
-    joint = run_chain_full(config)
+    joint = joint_state(config)
     reference = functools.cache(
         lambda m: pacs_state(config.alpha, m, config.signal_dim).amplitudes
     )
-    patterns = ClickPattern.all(config.n_stages) if pattern is None else [pattern]
+    patterns = all_patterns(config.n_stages) if pattern is None else [pattern]
     return [
         _pattern_row(p, *conditional_density(joint, p, detector), reference)
         for p in patterns
@@ -75,22 +79,26 @@ def walk_chains(draw):
 @settings(max_examples=40, deadline=None)
 @given(walk_chains())
 def test_walk_rows_match_the_ensemble_and_the_dense_oracle(chain):
-    """Rows read from rho agree with run_chain_sequential's eigen-ensemble (1e-12)
-    and with the rows of the conditioned joint state (1e-10)."""
+    """Rows read from rho agree with rho's eigen-ensemble (1e-12) and with the
+    rows of the conditioned joint state (1e-10)."""
     config, detector = chain
     seq = table(config, detector)
     full = dense_table(config, detector)
-    patterns = ClickPattern.all(config.n_stages)
+    leaves = list(walk_patterns(config, detector))
+    patterns = all_patterns(config.n_stages)
     assert [r[0] for r in seq] == [r[0] for r in full] == [str(p) for p in patterns]
-    for row, pattern in zip(seq, patterns):
-        cond = run_chain_sequential(config, detector, pattern)
-        if cond.impossible:
+    for row, (pattern, probability, rho) in zip(seq, leaves):
+        if outcome_probability(probability) == 0.0:
             assert row[2:] == ["0.0", "", ""]
             continue
-        ref = pacs_state(config.alpha, pattern.n_clicks, config.signal_dim)
-        mean = sum(w * mean_photon_number(s) for w, s in cond.ensemble.branches)
-        assert float(row[2]) == cond.probability
-        assert close(row[3], fidelity_ensemble(cond.ensemble, ref), 1e-12)
+        # the branches of the eigendecomposition, weighted sums over them
+        weights, vectors = np.linalg.eigh(rho / probability)
+        ref = pacs_state(config.alpha, pattern.n_clicks, config.signal_dim).amplitudes
+        levels = np.arange(config.signal_dim)
+        fid = sum(w * abs(np.vdot(ref, v)) ** 2 for w, v in zip(weights, vectors.T))
+        mean = sum(w * levels @ np.abs(v) ** 2 for w, v in zip(weights, vectors.T))
+        assert float(row[2]) == probability
+        assert close(row[3], fid, 1e-12)
         assert close(row[4], mean, 1e-12)
     for s, f in zip(seq, full):
         if "" in (s[3], f[3]):
@@ -122,9 +130,9 @@ def test_walk_folds_each_prefix_once(fold_counter, n_stages):
     detector = DetectorModel(0.6, 1e-4)
     leaves = list(walk_patterns(config, detector))
     assert len(fold_counter) == 2 ** (n_stages + 1) - 2
-    assert [p for p, _, _ in leaves] == ClickPattern.all(n_stages)
+    assert [p for p, _, _ in leaves] == all_patterns(n_stages)
     fold_counter.clear()
-    pattern = ClickPattern.all(n_stages)[-1]
+    pattern = all_patterns(n_stages)[-1]
     assert len(list(walk_patterns(config, detector, pattern))) == 1
     assert len(fold_counter) == n_stages
 
@@ -132,7 +140,7 @@ def test_walk_folds_each_prefix_once(fold_counter, n_stages):
 @pytest.mark.parametrize("mode", ["sequential", "full"])
 def test_filtered_task_is_the_same_row(tmp_path, fold_counter, mode):
     """A `pattern:` task gives the unfiltered table's row, from one path's work."""
-    patterns = ClickPattern.all(3)
+    patterns = all_patterns(3)
     tasks = "".join(
         f"  - {{type: patterns, pattern: '{p}', output: p{p}.csv}}\n" for p in patterns
     )
@@ -177,9 +185,9 @@ tasks:
 """
 
 
-def test_click_answers_come_from_the_walk_alone(no_joint_state, tmp_path, capsys):
-    """Both modes write the same bytes with run_chain_full raising, and the
-    quick-look sweep and pacs commands need it no more than the tables do."""
+def test_click_answers_come_from_the_walk_alone(no_multimode_state, tmp_path, capsys):
+    """Both modes write the same bytes with no multimode state formed, and the
+    quick-look sweep and pacs commands need one no more than the tables do."""
     outputs = {}
     for mode in ("full", "sequential"):
         config = tmp_path / f"{mode}.yaml"

@@ -246,12 +246,17 @@ def extract_w_state(config: ChainConfig, ladder_max: int | None = None) -> WStat
     """
     if ladder_max is None:
         ladder_max = config.n_stages
-    ds = config.signal_dim
-    reference = pacs_state(config.alpha, 1, ds)
-    others = [
-        pacs_state(config.alpha, m, ds)
-        for m in range(ladder_max + 1)
-        if m != 1
-    ]
-    probability, w_fidelity = herald_summary(config, reference, orthogonal_to=others)
+    probability, w_fidelity = _herald_on_ladder(config, 1, ladder_max, plain=False)
     return WStateResult(probability=probability, w_fidelity=w_fidelity)
+
+
+def _herald_on_ladder(
+    config: ChainConfig, m: int, ladder_max: int, plain: bool
+) -> tuple[float, float | None]:
+    """herald_summary on |alpha, m>, orthogonalized against the other
+    photon-added states |alpha, k> (k <= ladder_max) unless ``plain``."""
+    ds = config.signal_dim
+    others = () if plain else tuple(
+        pacs_state(config.alpha, k, ds) for k in range(ladder_max + 1) if k != m
+    )
+    return herald_summary(config, pacs_state(config.alpha, m, ds), orthogonal_to=others)

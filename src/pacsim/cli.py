@@ -7,6 +7,11 @@ Subcommands:
   wigner   Wigner grid of a named state, written as a plain-text matrix
   sweep    pattern probability across parameter values, with power-law fit
 
+Each quick-look command (pacs, wstate, wigner, sweep) is a one-task
+scenario: it builds the mapping a scenario file would hold, checks it with
+the scenario validators and runs the same task code as ``run``. An error
+names the flag that set the field, by one table (_FIELD_FLAGS).
+
 All outputs are deterministic: identical configs produce byte-identical
 files. Every click probability and conditional signal comes from one
 walk over the click prefixes (dynamics.walk_patterns). Task runners return
@@ -25,7 +30,6 @@ environment variable PACSIM_MAX_WORKERS caps task parallelism.
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import functools
 import io
@@ -34,21 +38,16 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 import yaml
 
-from .analysis import (
-    WignerGrid,
-    extract_w_state,
-    fit_power_law,
-    wigner,
-)
+from .analysis import WignerGrid, _herald_on_ladder, fit_power_law, wigner
 from .detection import ClickPattern, DetectorModel, outcome_probability
-from .dynamics import ChainConfig, StageParams, herald_summary, walk_patterns
+from .dynamics import ChainConfig, StageParams, walk_patterns
 from .errors import DimensionBudgetError, ScenarioError, TruncationError
 from .fock import (
     PureState,
@@ -92,8 +91,9 @@ def _parse_alpha(value: Any, where: str) -> complex:
             raise ScenarioError(f"{where}: cannot parse {value!r} as a complex number")
     else:
         raise ScenarioError(f"{where}: expected a number or complex string, got {value!r}")
-    if not cmath.isfinite(alpha):
-        raise ScenarioError(f"{where}: expected a finite amplitude, got {value!r}")
+    # |alpha|^2 sets the default cutoff (fock._signal_dim_floor)
+    if not math.isfinite(abs(alpha) * abs(alpha)):
+        raise ScenarioError(f"{where}: expected an amplitude with finite |alpha|^2, got {value!r}")
     return alpha
 
 
@@ -125,14 +125,24 @@ def _check_fields(mapping: dict, known: set[str], where: str) -> None:
             raise ScenarioError(f"{where}: unknown field {key!r}")
 
 
+def _construct(cls, where: str, **fields):
+    """``cls(**fields)``, built one field at a time, so that a ValueError
+    names the field ``where.<name>`` that the constructor rejected."""
+    given = {}
+    for name, value in fields.items():
+        given[name] = value
+        try:
+            built = cls(**given)
+        except ValueError as exc:
+            raise ScenarioError(f"{where}.{name}: {exc}") from None
+    return built
+
+
 def _parse_stage(raw: dict, where: str) -> StageParams:
     """The ``lam`` and ``idler_dim`` of one stage entry, or of a uniform chain."""
     lam = _typed(_require(raw, "lam", where), _is_number, f"{where}.lam", "a number")
     idler_dim = _typed(raw.get("idler_dim", 4), _is_int, f"{where}.idler_dim", "an integer")
-    try:
-        return StageParams(float(lam), idler_dim)
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
+    return _construct(StageParams, where, lam=float(lam), idler_dim=idler_dim)
 
 
 def _parse_chain(raw: Any) -> ChainConfig:
@@ -168,7 +178,13 @@ def _parse_chain(raw: Any) -> ChainConfig:
             raise ScenarioError(f"chain.n_stages: expected a positive integer, got {n_stages!r}")
         stages = [stage] * n_stages
         idler_field = "chain.idler_dim"
-    signal_field = "chain.alpha" if signal_dim is None else "chain.signal_dim"
+    if signal_dim is not None:
+        signal_field = "chain.signal_dim"
+    elif len(stages) > _signal_dim_floor(alpha):
+        # N is the larger part of the default cutoff's floor
+        signal_field = "chain.stages" if "stages" in raw else "chain.n_stages"
+    else:
+        signal_field = "chain.alpha"
     idler_dim = max(s.idler_dim for s in stages)
     _check_chain_size(alpha, len(stages), idler_dim, signal_dim, signal_field, idler_field)
     try:
@@ -217,14 +233,10 @@ def _parse_detector(raw: Any) -> DetectorModel:
     if not isinstance(raw, dict):
         raise ScenarioError("detector: expected a mapping")
     _check_fields(raw, {"eta", "dark_prob"}, "detector")
-    eta, dark_prob = (
-        float(_typed(raw.get(key, default), _is_number, f"detector.{key}", "a number"))
+    return _construct(DetectorModel, "detector", **{
+        key: float(_typed(raw.get(key, default), _is_number, f"detector.{key}", "a number"))
         for key, default in (("eta", 1.0), ("dark_prob", 0.0))
-    )
-    try:
-        return DetectorModel(eta=eta, dark_prob=dark_prob)
-    except ValueError as exc:
-        raise ScenarioError(f"detector: {exc}")
+    })
 
 
 def _parse_pattern(text: Any, n_stages: int, where: str) -> ClickPattern:
@@ -268,32 +280,38 @@ def parse_scenario(raw: Any) -> Scenario:
     rawtasks = _require(raw, "tasks", "scenario")
     if not isinstance(rawtasks, list) or not rawtasks:
         raise ScenarioError("tasks: expected a nonempty list")
-    tasks = []
     seen_outputs: set[str] = set()
-    for i, entry in enumerate(rawtasks):
-        where = f"tasks[{i}]"
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"{where}: expected a mapping")
-        ttype = _require(entry, "type", where)
-        if ttype not in _TASK_TYPES:
-            raise ScenarioError(f"{where}.type: expected one of {_TASK_TYPES}, got {ttype!r}")
-        _check_fields(entry, _TASK_FIELDS[ttype] | {"type", "output"}, where)
-        task = dict(entry)
-        output = _require(entry, "output", where)
-        if not isinstance(output, str) or not output:
-            raise ScenarioError(f"{where}.output: expected a file path")
-        for path_field in ("output", "fit_output"):
-            p = task.get(path_field)
-            if p is not None:
-                if p in seen_outputs:
-                    raise ScenarioError(f"{where}.{path_field}: duplicate output path {p!r}")
-                seen_outputs.add(p)
-        _validate_task(task, chain, where)
-        tasks.append(task)
-    return Scenario(chain=chain, detector=detector, tasks=tuple(tasks))
+    tasks = tuple(
+        _parse_task(entry, chain, f"tasks[{i}]", seen_outputs) for i, entry in enumerate(rawtasks)
+    )
+    return Scenario(chain=chain, detector=detector, tasks=tasks)
 
 
-def _validate_task(task: dict, chain: ChainConfig, where: str) -> None:
+def _parse_task(entry: Any, chain: ChainConfig | None, where: str, seen_outputs: set[str]) -> dict:
+    """One validated task entry; its output paths join ``seen_outputs``."""
+    if not isinstance(entry, dict):
+        raise ScenarioError(f"{where}: expected a mapping")
+    ttype = _require(entry, "type", where)
+    if ttype not in _TASK_TYPES:
+        raise ScenarioError(f"{where}.type: expected one of {_TASK_TYPES}, got {ttype!r}")
+    _check_fields(entry, _TASK_FIELDS[ttype] | {"type", "output"}, where)
+    _require(entry, "output", where)
+    for path_field in ("output", "fit_output"):
+        p = entry.get(path_field)
+        if p is None and path_field == "fit_output":
+            continue
+        if not isinstance(p, str) or not p:
+            raise ScenarioError(f"{where}.{path_field}: expected a file path")
+        if p in seen_outputs:
+            raise ScenarioError(f"{where}.{path_field}: duplicate output path {p!r}")
+        seen_outputs.add(p)
+    task = dict(entry)
+    _validate_task(task, chain, where)
+    return task
+
+
+def _validate_task(task: dict, chain: ChainConfig | None, where: str) -> None:
+    """Check a task's own fields; only a wigner task may have no chain."""
     ttype = task["type"]
     if ttype == "patterns":
         if "pattern" in task and task["pattern"] is not None:
@@ -318,12 +336,20 @@ def _validate_task(task: dict, chain: ChainConfig, where: str) -> None:
         fit = task.get("fit_output") is not None
         if fit and param != "lam":
             raise ScenarioError(f"{where}.fit_output: fits are only defined for lam sweeps")
-        try:
-            _check_sweep_values(_require(task, "values", where), fit)
-        except ValueError as exc:
-            raise ScenarioError(f"{where}.values: {exc}") from None
+        values, field = _require(task, "values", where), f"{where}.values"
+        if not isinstance(values, list) or not values:
+            raise ScenarioError(f"{field}: expected a nonempty list")
+        for v in values:
+            if not _is_number(v) or not 0 < v < math.inf:
+                raise ScenarioError(f"{field}: expected positive numbers, got {v!r}")
+        if fit and (len(values) < 3 or len(set(values)) != len(values)):
+            raise ScenarioError(f"{field}: a fit needs >= 3 distinct values")
         if param == "alpha":
-            _check_alpha_sweep(chain, task["values"], f"{where}.values")
+            # every chain of the sweep, at its default cutoff, must fit the budget
+            idler_dim = max(s.idler_dim for s in chain.stages)
+            for v in values:
+                alpha = _parse_alpha(v, field)
+                _check_chain_size(alpha, chain.n_stages, idler_dim, None, field, field)
         _parse_pattern(_require(task, "pattern", where), chain.n_stages, f"{where}.pattern")
     elif ttype == "wigner":
         _parse_state_spec(str(_require(task, "state", where)), f"{where}.state")
@@ -334,24 +360,6 @@ def _validate_task(task: dict, chain: ChainConfig, where: str) -> None:
         _check_grid(
             task.get("extent", 5.0), task.get("step", 0.1), f"{where}.extent", f"{where}.step"
         )
-
-
-def _check_sweep_values(values: Any, fit: bool) -> None:
-    """Raise ValueError unless ``values`` can be swept (and fitted when ``fit``)."""
-    if not isinstance(values, list) or not values:
-        raise ValueError("expected a nonempty list")
-    for v in values:
-        if not _is_number(v) or not 0 < v < math.inf:
-            raise ValueError(f"expected positive numbers, got {v!r}")
-    if fit and (len(values) < 3 or len(set(values)) != len(values)):
-        raise ValueError("a fit needs >= 3 distinct values")
-
-
-def _check_alpha_sweep(chain: ChainConfig, values: list[float], field: str) -> None:
-    """Refuse an alpha sweep any of whose chains (at its default cutoff) is oversized."""
-    idler_dim = max(s.idler_dim for s in chain.stages)
-    for value in values:
-        _check_chain_size(complex(value), chain.n_stages, idler_dim, None, field, field)
 
 
 def _check_grid(extent: float, step: float, extent_field: str, step_field: str) -> None:
@@ -556,39 +564,33 @@ def _run_patterns_task(task: dict, scenario: Scenario) -> Outputs:
     return {task["output"]: [_csv_text(header, rows)]}
 
 
-def _run_project_task(task: dict, scenario: Scenario) -> Outputs:
+def _project_payload(task: dict, scenario: Scenario) -> dict[str, Any]:
     """Signal-side heralding by herald_summary: no joint or idler state, no budget."""
     chain = scenario.chain
     m = task.get("reference_m", 1)
     plain = task.get("plain", False)
-    ladder_max = task.get("ladder_max", chain.n_stages)
-    ds = chain.signal_dim
-    others = () if plain else tuple(
-        pacs_state(chain.alpha, k, ds) for k in range(ladder_max + 1) if k != m
+    probability, w_fid = _herald_on_ladder(
+        chain, m, task.get("ladder_max", chain.n_stages), plain
     )
-    probability, w_fid = herald_summary(
-        chain, pacs_state(chain.alpha, m, ds), orthogonal_to=others
-    )
-    payload: dict[str, Any] = {
+    return {
         "n_stages": chain.n_stages,
         "reference_m": m,
         "plain_projector": plain,
         "probability": probability,
         "w_fidelity": w_fid if m == 1 else None,
     }
-    return {task["output"]: [_json_text(payload)]}
 
 
-def _sweep_samples(
-    chain: ChainConfig,
-    detector: DetectorModel,
-    param: str,
-    values: list[float],
-    pattern: ClickPattern,
-) -> list[tuple[float, float]]:
-    """(value, probability of ``pattern``) with ``param`` set to each value."""
+def _run_project_task(task: dict, scenario: Scenario) -> Outputs:
+    return {task["output"]: [_json_text(_project_payload(task, scenario))]}
+
+
+def _run_sweep_task(task: dict, scenario: Scenario) -> Outputs:
+    """The pattern's probability with ``param`` set to each value, and its fit."""
+    chain, param = scenario.chain, task.get("param", "lam")
+    pattern = ClickPattern.from_string(task["pattern"])
     samples = []
-    for value in values:
+    for value in (float(v) for v in task["values"]):
         if param == "lam":
             cfg = ChainConfig(
                 chain.alpha,
@@ -597,19 +599,13 @@ def _sweep_samples(
             )
         else:
             cfg = ChainConfig(complex(value), chain.stages, None)
-        _, probability, _ = next(walk_patterns(cfg, detector, pattern))
+        _, probability, _ = next(walk_patterns(cfg, scenario.detector, pattern))
         samples.append((value, outcome_probability(probability)))
-    return samples
-
-
-def _sweep_outputs(
-    samples: list[tuple[float, float]], param: str, output: str, fit_output: str | None
-) -> Outputs:
     rows = [[_fmt(v), _fmt(p)] for v, p in samples]
-    outputs = {output: [_csv_text([param, "probability"], rows)]}
-    if fit_output:
+    outputs = {task["output"]: [_csv_text([param, "probability"], rows)]}
+    if task.get("fit_output"):
         fit = fit_power_law(samples)
-        outputs[fit_output] = [_json_text(
+        outputs[task["fit_output"]] = [_json_text(
             {
                 "exponent": fit.exponent,
                 "prefactor": fit.prefactor,
@@ -620,24 +616,18 @@ def _sweep_outputs(
     return outputs
 
 
-def _run_sweep_task(task: dict, scenario: Scenario) -> Outputs:
-    param = task.get("param", "lam")
-    samples = _sweep_samples(
-        scenario.chain,
-        scenario.detector,
-        param,
-        [float(v) for v in task["values"]],
-        ClickPattern.from_string(task["pattern"]),
-    )
-    return _sweep_outputs(samples, param, task["output"], task.get("fit_output"))
-
-
-def _run_wigner_task(task: dict, scenario: Scenario) -> Outputs:
-    psi = _parse_state_spec(str(task["state"]))[0].amplitudes
+def _wigner_grid(task: dict) -> tuple[WignerGrid, float]:
+    """The task's grid and the probability mass its state's cutoff dropped."""
+    state, dropped = _parse_state_spec(str(task["state"]))
+    psi = state.amplitudes
     grid = wigner(
         np.outer(psi, psi.conj()), float(task.get("extent", 5.0)), float(task.get("step", 0.1))
     )
-    return {task["output"]: wigner_grid_lines(grid)}
+    return grid, dropped
+
+
+def _run_wigner_task(task: dict, scenario: Scenario) -> Outputs:
+    return {task["output"]: wigner_grid_lines(_wigner_grid(task)[0])}
 
 
 _TASK_RUNNERS = {
@@ -699,45 +689,47 @@ def _cmd_run(args) -> int:
     return run_scenario(args.config, args.outdir)
 
 
-def _from_flag(flag: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``; a ValueError it raises names ``flag`` (exit 1)."""
-    try:
-        return build(*args, **kwargs)
-    except ValueError as exc:
-        raise ScenarioError(f"{flag}: {exc}") from None
+#: scenario field -> the quick-look flag that sets it. The pattern
+#: commands (pacs, sweep) set chain.n_stages by the length of --pattern.
+_FIELD_FLAGS = {
+    "chain.alpha": "--alpha",
+    "chain.lam": "--lam",
+    "chain.idler_dim": "--idler-dim",
+    "chain.signal_dim": "--signal-dim",
+    "chain.n_stages": "--n",
+    "detector.eta": "--eta",
+    "detector.dark_prob": "--dark-prob",
+    "tasks[0].pattern": "--pattern",
+    "tasks[0].values": "--values",
+    "tasks[0].output": "--out",
+    "tasks[0].fit_output": "--fit-out",
+    "tasks[0].state": "--state",
+    "tasks[0].extent": "--range",
+    "tasks[0].step": "--step",
+}
 
 
-def _chain_from_flags(args, n_stages: int, n_flag: str) -> ChainConfig:
-    """Chain of a quick-look command, built one flag at a time.
-
-    Each constructor call takes one flag more than the call before it, so a
-    rejected value is reported under the flag that carried it; ``n_flag`` is
-    the flag that set ``n_stages``.
-    """
-    alpha = _parse_alpha(args.alpha, "--alpha")
-    _from_flag("--lam", StageParams, args.lam)
-    stage = _from_flag("--idler-dim", StageParams, args.lam, args.idler_dim)
-    if args.signal_dim is None:
-        _check_chain_size(alpha, n_stages, stage.idler_dim, None, "--alpha", "--idler-dim")
-    chain = _from_flag(n_flag, ChainConfig, alpha, (stage,) * n_stages)
-    if args.signal_dim is not None:
-        chain = _from_flag("--signal-dim", replace, chain, signal_dim=args.signal_dim)
-        _check_chain_size(
-            alpha, n_stages, stage.idler_dim, chain.signal_dim, "--signal-dim", "--idler-dim"
-        )
-    return chain
-
-
-def _detector_from_flags(args) -> DetectorModel:
-    _from_flag("--eta", DetectorModel, args.eta)
-    return _from_flag("--dark-prob", DetectorModel, args.eta, args.dark_prob)
+def _one_task_scenario(args, task: dict, n_stages: int) -> Scenario:
+    """The one-task scenario a quick-look command stands for, validated by
+    parse_scenario; main names each field in an error by its flag."""
+    chain = {"alpha": args.alpha, "lam": args.lam, "n_stages": n_stages,
+             "idler_dim": args.idler_dim, "signal_dim": args.signal_dim}
+    raw = {"version": SCHEMA_VERSION, "chain": chain, "tasks": [task]}
+    if hasattr(args, "eta"):  # wstate has no detector flags
+        raw["detector"] = {"eta": args.eta, "dark_prob": args.dark_prob}
+    return parse_scenario(raw)
 
 
 def _cmd_pacs(args) -> int:
-    pattern = _from_flag("--pattern", ClickPattern.from_string, args.pattern)
-    config = _chain_from_flags(args, len(pattern), "--pattern")
+    # pacs and wstate print their answer, so their output path ("-") is
+    # never written; an empty pattern gets one stage for the pattern check
+    scenario = _one_task_scenario(
+        args, {"type": "patterns", "pattern": args.pattern, "output": "-"},
+        max(1, len(args.pattern)),
+    )
+    pattern = ClickPattern.from_string(args.pattern)
     [[_, n_clicks, probability, fid, _]] = _pattern_rows(
-        config, _detector_from_flags(args), pattern
+        scenario.chain, scenario.detector, pattern
     )
     print(f"pattern {pattern}: probability = {probability}")
     if fid:
@@ -748,24 +740,21 @@ def _cmd_pacs(args) -> int:
 
 
 def _cmd_wstate(args) -> int:
-    config = _chain_from_flags(args, args.n, "--n")
-    result = extract_w_state(config)
-    print(f"heralding probability = {result.probability!r}")
-    if result.impossible:
+    task = {"type": "project", "reference_m": 1, "output": "-"}
+    payload = _project_payload(task, _one_task_scenario(args, task, args.n))
+    print(f"heralding probability = {payload['probability']!r}")
+    if payload["probability"] == 0.0:
         print("impossible outcome")
     else:
-        print(f"fidelity vs {args.n}-mode W state = {result.w_fidelity!r}")
+        print(f"fidelity vs {args.n}-mode W state = {payload['w_fidelity']!r}")
     return 0
 
 
 def _cmd_wigner(args) -> int:
-    state, dropped = _parse_state_spec(args.state, "--state")
-    for flag, value in (("--range", args.range), ("--step", args.step)):
-        if not 0 < value < math.inf:
-            raise ScenarioError(f"{flag}: expected a positive number, got {value!r}")
-    _check_grid(args.range, args.step, "--range", "--step")
-    psi = state.amplitudes
-    grid = wigner(np.outer(psi, psi.conj()), args.range, args.step)
+    task = {"type": "wigner", "state": args.state, "extent": args.range, "step": args.step,
+            "output": args.out}
+    _parse_task(task, None, "tasks[0]", set())
+    grid, dropped = _wigner_grid(task)
     emit_wigner(grid, args.out)
     print(
         f"wrote {args.out}: {grid.values.shape[0]}x{grid.values.shape[1]} grid, "
@@ -778,21 +767,25 @@ def _cmd_wigner(args) -> int:
     return 0
 
 
+def _flag_number(text: str) -> float | str:
+    """``text`` as a float, or as itself for the validators to refuse."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def _cmd_sweep(args) -> int:
-    pattern = _from_flag("--pattern", ClickPattern.from_string, args.pattern)
-    values = _from_flag(
-        "--values", lambda: [float(v) for v in args.values.split(",") if v.strip()]
-    )
-    chain = _chain_from_flags(args, len(pattern), "--pattern")
-    detector = _detector_from_flags(args)
-    fit = args.fit_out is not None
-    if fit and args.param != "lam":
-        raise ScenarioError("--fit-out: fits are only defined for lam sweeps")
-    _from_flag("--values", _check_sweep_values, values, fit)
-    if args.param == "alpha":
-        _check_alpha_sweep(chain, values, "--values")
-    samples = _sweep_samples(chain, detector, args.param, values, pattern)
-    outputs = _sweep_outputs(samples, args.param, args.out, args.fit_out)
+    task = {
+        "type": "sweep",
+        "param": args.param,
+        "values": [_flag_number(v) for v in args.values.split(",") if v.strip()],
+        "pattern": args.pattern,
+        "output": args.out,
+        "fit_output": args.fit_out,
+    }
+    scenario = _one_task_scenario(args, task, max(1, len(args.pattern)))
+    outputs = _run_sweep_task(task, scenario)
     _write_outputs(outputs)
     for rel_path in outputs:
         print(f"wrote {rel_path}")
@@ -811,6 +804,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--outdir", default=None, help="directory for output files")
     p_run.set_defaults(func=_cmd_run)
 
+    pattern_flags = {**_FIELD_FLAGS, "chain.n_stages": "--pattern"}
+
     def add_chain_args(p):
         p.add_argument("--alpha", required=True, help="seed coherent amplitude")
         p.add_argument("--lam", "--lambda", dest="lam", type=float, required=True,
@@ -826,12 +821,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_chain_args(p_pacs)
     add_detector_args(p_pacs)
     p_pacs.add_argument("--pattern", required=True, help="click pattern, e.g. 10")
-    p_pacs.set_defaults(func=_cmd_pacs)
+    p_pacs.set_defaults(func=_cmd_pacs, flags=pattern_flags)
 
     p_w = sub.add_parser("wstate", help="extract the N-mode W state")
     add_chain_args(p_w)
     p_w.add_argument("--n", type=int, required=True, help="number of stages")
-    p_w.set_defaults(func=_cmd_wstate)
+    p_w.set_defaults(func=_cmd_wstate, flags=_FIELD_FLAGS)
 
     p_wig = sub.add_parser(
         "wigner",
@@ -852,7 +847,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="grid half-width in x and p")
     p_wig.add_argument("--step", type=float, default=0.1)
     p_wig.add_argument("--out", default="wigner.txt")
-    p_wig.set_defaults(func=_cmd_wigner)
+    p_wig.set_defaults(func=_cmd_wigner, flags=_FIELD_FLAGS)
 
     p_sweep = sub.add_parser("sweep", help="sweep a parameter and fit the scaling")
     add_chain_args(p_sweep)
@@ -862,7 +857,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--pattern", required=True)
     p_sweep.add_argument("--out", default="sweep.csv")
     p_sweep.add_argument("--fit-out", default=None, dest="fit_out")
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.set_defaults(func=_cmd_sweep, flags=pattern_flags)
     return parser
 
 
@@ -870,16 +865,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except TruncationError as exc:
-        field = "chain.signal_dim" if args.command == "run" else "--signal-dim"
-        print(f"error: {field}: {exc}", file=sys.stderr)
-        return 1
-    except DimensionBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (ScenarioError, TruncationError, DimensionBudgetError) as exc:
+        message = str(exc)
+        if isinstance(exc, TruncationError):
+            message = f"chain.signal_dim: {message}"
+        # a quick-look command names each field by the flag that set it
+        for field, flag in getattr(args, "flags", {}).items():
+            message = message.replace(field, flag)
+        print(f"error: {message}", file=sys.stderr)
+        return 2 if isinstance(exc, DimensionBudgetError) else 1
 
 
 if __name__ == "__main__":

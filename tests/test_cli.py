@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -305,6 +306,8 @@ class TestValidationFailures:
             ("lam: 0.05", "lam: true", "chain.lam"),
             ("alpha: 1.0", "alpha: true", "chain.alpha"),
             ("alpha: 1.0", "alpha: .inf", "chain.alpha"),
+            ("alpha: 1.0", "alpha: 1.0e+200", "chain.alpha"),
+            ("alpha: 1.0", "alpha: 1.0e+200\n  signal_dim: 30", "chain.alpha"),
             ("n_stages: 1", "n_stages: 1\n  idler_dim: 3.9", "chain.idler_dim"),
             ("lam: 0.05\n  n_stages: 1", "stages: [{lam: 0.05}, {lam: true}]",
              "chain.stages[1].lam"),
@@ -313,7 +316,8 @@ class TestValidationFailures:
             ("eta: 1.0", "eta: true", "detector.eta"),
             ("dark_prob: 0.0", "dark_prob: '0'", "detector.dark_prob"),
         ],
-        ids=["n_stages", "signal_dim", "lam", "alpha", "alpha-inf", "idler_dim", "stages-lam",
+        ids=["n_stages", "signal_dim", "lam", "alpha", "alpha-inf", "alpha-square-overflows",
+             "alpha-square-overflows-signal_dim", "idler_dim", "stages-lam",
              "stages-idler_dim", "eta", "dark_prob"],
     )
     def test_boolean_chain_size_rejected(self, tmp_path, capsys, old, new, field):
@@ -383,11 +387,14 @@ class TestValidationFailures:
             ("{type: sweep, values: [true, 0.02, 0.04], pattern: '1', output: s.csv}",
              "values"),
             ("{type: sweep, values: [0.01, .nan], pattern: '1', output: s.csv}", "values"),
+            ("{type: sweep, param: alpha, values: [1, 1.0e+200], pattern: '1', output: s.csv}",
+             "values"),
             ("{type: wigner, state: 'fock:1', output: w.txt, extent: true}", "extent"),
             ("{type: wigner, state: 'fock:1', output: w.txt, step: .inf}", "step"),
             ("{type: wigner, state: 'fock:1', output: w.txt, extent: 0.01}", "extent"),
         ],
-        ids=["sweep-bool", "sweep-nan", "wigner-bool", "wigner-inf", "wigner-one-point"],
+        ids=["sweep-bool", "sweep-nan", "sweep-alpha-square-overflows", "wigner-bool",
+             "wigner-inf", "wigner-one-point"],
     )
     def test_task_number_rejected(self, tmp_path, capsys, task, field):
         self.run_expecting_error(
@@ -401,8 +408,8 @@ class TestValidationFailures:
     @pytest.mark.parametrize(
         "chain, field",
         [
-            ("{alpha: 1.0, lam: .nan, n_stages: 1}", "chain: "),
-            ("{alpha: 1.0, stages: [{lam: 0.05}, {lam: .inf}]}", "chain.stages[1]: "),
+            ("{alpha: 1.0, lam: .nan, n_stages: 1}", "chain.lam: "),
+            ("{alpha: 1.0, stages: [{lam: 0.05}, {lam: .inf}]}", "chain.stages[1].lam: "),
         ],
         ids=["nan", "inf"],
     )
@@ -854,6 +861,11 @@ def test_truncation_exits_1_without_traceback(run_python, args):
         (["wigner", "--state", "coherent:1e300"], "--state"),
         (["wigner", "--state", "fock:1", "--range", "0.01", "--step", "0.1"], "--range"),
         (["pacs", "--alpha", "nan", "--lam", "0.05", "--pattern", "1"], "--alpha"),
+        (["pacs", "--alpha", "1e200", "--lam", "0.05", "--pattern", "1"], "--alpha"),
+        (["pacs", "--alpha", "1e200", "--lam", "0.05", "--pattern", "1", "--signal-dim", "30"],
+         "--alpha"),
+        (["sweep", "--alpha", "1", "--lam", "0.05", "--pattern", "1", "--param", "alpha",
+          "--values", "1,1e200"], "--values"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )
@@ -863,3 +875,133 @@ def test_bad_flag_exits_1_naming_it(run_python, args, flag):
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith(f"error: {flag}: ")
+
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("the default signal cutoff was searched")
+
+
+def test_chain_flags_set_the_cutoff_and_name_its_larger_part(tmp_path, monkeypatch, capsys):
+    """--signal-dim is the cutoff, so none is searched; without it, a chain
+    whose default cutoff's floor |alpha|^2 + 6|alpha| + 10 + N is too large
+    names N when N is its larger part (and alpha otherwise, TestOversizedChain)."""
+    monkeypatch.setattr(dynamics, "default_signal_dim", _no_search)
+    monkeypatch.setattr(cli, "default_signal_dim", _no_search)
+    chain = ["--alpha", "1", "--lam", "0.05"]
+    for args in (["wstate", "--n", "3"], ["pacs", "--pattern", "101"]):
+        assert main([*args, *chain, "--signal-dim", "30"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(dynamics, "stage_unitary", _no_stage)
+    assert main(["wstate", "--n", "100000", *chain]) == 2
+    assert capsys.readouterr().err.startswith("error: --n: a signal cutoff of 100017 ")
+    config = write_scenario(
+        tmp_path,
+        "version: 1\nchain: {alpha: 1.0, lam: 0.05, n_stages: 100000}\n"
+        "tasks:\n  - {type: project, output: p.json}\n",
+    )
+    assert main(["run", str(config), "--outdir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: chain.n_stages: a signal cutoff of ")
+
+
+# (field, flag) -> a quick-look command with one bad value, and the chain,
+# detector and task of the one-task scenario that gives that value
+_BAD_FIELD_CASES = {
+    ("chain.alpha", "--alpha"): (
+        ["pacs", "--alpha", "1e200", "--lam", "0.05", "--pattern", "1"],
+        "{alpha: '1e200', lam: 0.05, n_stages: 1}", None, "{type: patterns, pattern: '1'}"),
+    ("chain.lam", "--lam"): (
+        ["pacs", "--alpha", "1", "--lam", "nan", "--pattern", "1"],
+        "{alpha: '1', lam: .nan, n_stages: 1}", None, "{type: patterns, pattern: '1'}"),
+    ("chain.idler_dim", "--idler-dim"): (
+        ["pacs", "--alpha", "1", "--lam", "0.05", "--pattern", "1", "--idler-dim", "1"],
+        "{alpha: '1', lam: 0.05, n_stages: 1, idler_dim: 1}", None,
+        "{type: patterns, pattern: '1'}"),
+    ("chain.signal_dim", "--signal-dim"): (
+        ["wstate", "--alpha", "1", "--lam", "0.05", "--n", "7", "--signal-dim", "24"],
+        "{alpha: '1', lam: 0.05, n_stages: 7, signal_dim: 24}", None,
+        "{type: project, reference_m: 1}"),
+    ("chain.n_stages", "--n"): (
+        ["wstate", "--alpha", "1", "--lam", "0.05", "--n", "0"],
+        "{alpha: '1', lam: 0.05, n_stages: 0}", None, "{type: project, reference_m: 1}"),
+    ("chain.n_stages", "--pattern"): (
+        ["pacs", "--alpha", "1", "--lam", "0.05", "--pattern", "1" * 5000],
+        "{alpha: '1', lam: 0.05, n_stages: 5000}", None,
+        "{type: patterns, pattern: '" + "1" * 5000 + "'}"),
+    ("detector.eta", "--eta"): (
+        ["pacs", "--alpha", "1", "--lam", "0.05", "--pattern", "1", "--eta", "2"],
+        "{alpha: '1', lam: 0.05, n_stages: 1}", "{eta: 2.0}", "{type: patterns, pattern: '1'}"),
+    ("detector.dark_prob", "--dark-prob"): (
+        ["pacs", "--alpha", "1", "--lam", "0.05", "--pattern", "1", "--dark-prob", "1"],
+        "{alpha: '1', lam: 0.05, n_stages: 1}", "{dark_prob: 1.0}",
+        "{type: patterns, pattern: '1'}"),
+    ("tasks[0].pattern", "--pattern"): (
+        ["pacs", "--alpha", "1", "--lam", "0.05", "--pattern", "012"],
+        "{alpha: '1', lam: 0.05, n_stages: 3}", None, "{type: patterns, pattern: '012'}"),
+    ("tasks[0].values", "--values"): (
+        ["sweep", "--alpha", "1", "--lam", "0.05", "--pattern", "1", "--values", "0.01,a"],
+        "{alpha: '1', lam: 0.05, n_stages: 1}", None,
+        "{type: sweep, values: [0.01, a], pattern: '1'}"),
+    ("tasks[0].output", "--out"): (
+        ["sweep", "--alpha", "1", "--lam", "0.05", "--pattern", "1", "--values", "0.01",
+         "--out", ""],
+        "{alpha: '1', lam: 0.05, n_stages: 1}", None,
+        "{type: sweep, values: [0.01], pattern: '1', output: ''}"),
+    ("tasks[0].fit_output", "--fit-out"): (
+        ["sweep", "--alpha", "1", "--lam", "0.05", "--pattern", "1", "--param", "alpha",
+         "--values", "0.5,1,2", "--fit-out", "f.json"],
+        "{alpha: '1', lam: 0.05, n_stages: 1}", None,
+        "{type: sweep, param: alpha, values: [0.5, 1.0, 2.0], pattern: '1',"
+        " fit_output: f.json}"),
+    ("tasks[0].state", "--state"): (
+        ["wigner", "--state", "coherent:1e6"],
+        "{alpha: '1', lam: 0.05, n_stages: 1}", None, "{type: wigner, state: 'coherent:1e6'}"),
+    ("tasks[0].extent", "--range"): (
+        ["wigner", "--state", "fock:1", "--range", "-1"],
+        "{alpha: '1', lam: 0.05, n_stages: 1}", None,
+        "{type: wigner, state: 'fock:1', extent: -1.0}"),
+    ("tasks[0].step", "--step"): (
+        ["wigner", "--state", "fock:1", "--step", "0"],
+        "{alpha: '1', lam: 0.05, n_stages: 1}", None,
+        "{type: wigner, state: 'fock:1', step: 0.0}"),
+}
+
+
+def test_bad_field_cases_cover_the_flag_table():
+    flag_table = set(cli._FIELD_FLAGS.items()) | {("chain.n_stages", "--pattern")}
+    assert set(_BAD_FIELD_CASES) == flag_table
+
+
+@pytest.mark.parametrize("field, flag", _BAD_FIELD_CASES, ids=lambda v: v)
+def test_flag_and_scenario_give_the_same_error(tmp_path, monkeypatch, capsys, field, flag):
+    """A quick-look command is its one-task scenario: one bad value gives the
+    same exit code and message either way, the field renamed to its flag."""
+    args, chain, detector, task = _BAD_FIELD_CASES[field, flag]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(dynamics, "stage_unitary", _no_stage)
+    code = main(args)
+    flag_err = capsys.readouterr().err
+    if not re.search(r"\boutput:", task):
+        task = task[:-1] + ", output: task.out}"
+    config = write_scenario(
+        tmp_path,
+        f"version: 1\nchain: {chain}\n"
+        + (f"detector: {detector}\n" if detector else "")
+        + f"tasks:\n  - {task}\n",
+    )
+    assert main(["run", str(config), "--outdir", "out"]) == code
+    scenario_err = capsys.readouterr().err
+    assert code in (1, 2)
+    assert scenario_err.startswith(f"error: {field}: ")
+    assert flag_err == scenario_err.replace(field, flag)
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.yaml"]
+
+
+def test_fit_output_must_be_a_path(tmp_path, capsys):
+    config = write_scenario(
+        tmp_path,
+        "version: 1\nchain: {alpha: 1.0, lam: 0.05, n_stages: 1}\ntasks:\n"
+        "  - {type: sweep, values: [0.01, 0.02, 0.04], pattern: '1', output: s.csv,"
+        " fit_output: 3}\n",
+    )
+    assert main(["run", str(config), "--outdir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: tasks[0].fit_output: expected a file path\n"

@@ -29,7 +29,6 @@ from .dynamics import (
     StageParams,
     herald_summary,
     stage_kraus,
-    stage_unitary,
     walk_patterns,
 )
 from .errors import (
@@ -40,8 +39,6 @@ from .errors import (
     TruncationWarning,
 )
 from .fock import (
-    ModeSpec,
-    MultiMode,
     PureState,
     coherent_state,
     default_signal_dim,
@@ -49,7 +46,6 @@ from .fock import (
     fock_state,
     mean_photon_number,
     pacs_state,
-    single_mode,
 )
 
 __version__ = "0.1.0"

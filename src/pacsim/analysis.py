@@ -80,8 +80,6 @@ class PhotonStatistics:
 
 
 def photon_statistics(state: PureState) -> PhotonStatistics:
-    if state.space.n_modes != 1:
-        raise ValueError(f"expected a single-mode state, got modes {state.space.labels}")
     dist = np.abs(state.amplitudes) ** 2
     n = np.arange(dist.size)
     mean = float(np.dot(n, dist))
@@ -132,6 +130,8 @@ def wigner(rho: np.ndarray, extent: float | None = None, step: float = 0.1) -> W
     """
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"wigner expects a square density matrix, got shape {rho.shape}")
+    if not np.any(rho):
+        raise ValueError("rho has no occupied level: every entry is zero")
     occupations = np.diagonal(rho).real
     if occupations[-1] > 1e-8:
         warnings.warn(

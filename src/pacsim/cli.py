@@ -21,10 +21,11 @@ returned; a Wigner grid's chunks are blocks of about _BLOCK_VALUES values,
 each formatted by floattext.rows_text as the file is written, so a grid
 needs about one block of text and its temporaries beyond its array. Exit
 codes: 0 success, 1 validation or truncation error (the message names the
-field to change), 2 an oversized chain, Wigner spec or grid (a stage
-unitary, a state's Wigner coefficients, or a grid's points beyond
-DEFAULT_AMPLITUDE_BUDGET), refused before any such array is formed. The
-environment variable PACSIM_MAX_WORKERS caps task parallelism.
+field to change), 2 an oversized chain, Wigner spec or grid (a chain's
+(signal_dim idler_dim)^2, a state's Wigner coefficients, or a grid's points
+beyond DEFAULT_AMPLITUDE_BUDGET), refused before any stage, amplitude or
+grid is formed. The environment variable PACSIM_MAX_WORKERS caps task
+parallelism.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ from .fock import (
 )
 
 SCHEMA_VERSION = 1
-#: Largest array a command may form, in elements: a chain's stage unitary,
-#: a Wigner state's coefficients or a grid's points
+#: Largest size a command may reach, in elements: a chain's
+#: (signal_dim idler_dim)^2, a Wigner state's coefficients or a grid's points
 DEFAULT_AMPLITUDE_BUDGET = 20_000_000
 # the fields each task type accepts besides "type" and "output"
 _TASK_FIELDS = {
@@ -201,16 +202,18 @@ def _check_chain_size(
     signal_field: str,
     idler_field: str,
 ) -> None:
-    """Refuse a chain whose stage unitary would exceed DEFAULT_AMPLITUDE_BUDGET.
+    """Refuse a chain whose (signal_dim idler_dim)^2 exceeds DEFAULT_AMPLITUDE_BUDGET.
 
-    A stage unitary holds (signal_dim idler_dim)^2 doubles
-    (dynamics.stage_unitary), the largest array of any command, so the
-    chain is refused with DimensionBudgetError before any stage is built.
-    With no ``signal_dim`` the default cutoff's floor
-    (fock._signal_dim_floor) is checked before the cutoff is searched, then
-    the cutoff itself. ``idler_dim`` is the widest idler's cutoff; the
-    message names ``idler_field`` when it is the larger one, and
-    ``signal_field`` otherwise.
+    The largest arrays a chain forms are its Kraus stacks
+    (dynamics.stage_kraus) and the walk's products K_k rho, idler_dim
+    signal_dim^2 doubles each, so the bound on (signal_dim idler_dim)^2
+    covers them with a factor idler_dim to spare; it stays on that square
+    so that the same chains are refused. The chain is refused with
+    DimensionBudgetError before any stage is built. With no ``signal_dim``
+    the default cutoff's floor (fock._signal_dim_floor) is checked before
+    the cutoff is searched, then the cutoff itself. ``idler_dim`` is the
+    widest idler's cutoff; the message names ``idler_field`` when it is the
+    larger one, and ``signal_field`` otherwise.
     """
     if signal_dim is None:
         dims = (cutoff(alpha, n_stages) for cutoff in (_signal_dim_floor, default_signal_dim))
@@ -222,7 +225,7 @@ def _check_chain_size(
             field = idler_field if idler_dim > dim else signal_field
             raise DimensionBudgetError(
                 f"{field}: a signal cutoff of {dim} and an idler cutoff of {idler_dim} "
-                f"make a stage unitary of {entries} entries, above the budget of "
+                f"give (signal_dim idler_dim)^2 = {entries} entries, above the budget of "
                 f"{DEFAULT_AMPLITUDE_BUDGET}"
             )
 
@@ -256,11 +259,16 @@ def _parse_pattern(text: Any, n_stages: int, where: str) -> ClickPattern:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated scenario: chain, detector and task list."""
+    """Validated scenario: chain, detector and task list.
+
+    ``signal_dim`` is the given chain.signal_dim, the cutoff of every chain
+    the scenario runs, or None where each takes its default cutoff.
+    """
 
     chain: ChainConfig
     detector: DetectorModel
     tasks: tuple[dict, ...]
+    signal_dim: int | None
 
 
 def parse_scenario(raw: Any) -> Scenario:
@@ -270,7 +278,8 @@ def parse_scenario(raw: Any) -> Scenario:
     if version != SCHEMA_VERSION:
         raise ScenarioError(f"version: expected {SCHEMA_VERSION}, got {version!r}")
     _check_fields(raw, {"version", "chain", "detector", "mode", "tasks"}, "scenario")
-    chain = _parse_chain(_require(raw, "chain", "scenario"))
+    raw_chain = _require(raw, "chain", "scenario")
+    chain = _parse_chain(raw_chain)
     detector = _parse_detector(raw.get("detector"))
     # schema 1 names an evolution mode; both give the same click statistics,
     # so it is checked and selects nothing: every table comes from one walk
@@ -280,15 +289,23 @@ def parse_scenario(raw: Any) -> Scenario:
     rawtasks = _require(raw, "tasks", "scenario")
     if not isinstance(rawtasks, list) or not rawtasks:
         raise ScenarioError("tasks: expected a nonempty list")
+    signal_dim = raw_chain.get("signal_dim")
     seen_outputs: set[str] = set()
     tasks = tuple(
-        _parse_task(entry, chain, f"tasks[{i}]", seen_outputs) for i, entry in enumerate(rawtasks)
+        _parse_task(entry, chain, f"tasks[{i}]", seen_outputs, signal_dim)
+        for i, entry in enumerate(rawtasks)
     )
-    return Scenario(chain=chain, detector=detector, tasks=tasks)
+    return Scenario(chain=chain, detector=detector, tasks=tasks, signal_dim=signal_dim)
 
 
-def _parse_task(entry: Any, chain: ChainConfig | None, where: str, seen_outputs: set[str]) -> dict:
-    """One validated task entry; its output paths join ``seen_outputs``."""
+def _parse_task(
+    entry: Any,
+    chain: ChainConfig | None,
+    where: str,
+    seen_outputs: set[str],
+    signal_dim: int | None = None,
+) -> dict:
+    """One validated task entry; its normalized output paths join ``seen_outputs``."""
     if not isinstance(entry, dict):
         raise ScenarioError(f"{where}: expected a mapping")
     ttype = _require(entry, "type", where)
@@ -302,16 +319,23 @@ def _parse_task(entry: Any, chain: ChainConfig | None, where: str, seen_outputs:
             continue
         if not isinstance(p, str) or not p:
             raise ScenarioError(f"{where}.{path_field}: expected a file path")
-        if p in seen_outputs:
+        # "a.csv" and "./a.csv" name one file
+        path = os.path.normpath(p)
+        if path in seen_outputs:
             raise ScenarioError(f"{where}.{path_field}: duplicate output path {p!r}")
-        seen_outputs.add(p)
+        seen_outputs.add(path)
     task = dict(entry)
-    _validate_task(task, chain, where)
+    _validate_task(task, chain, where, signal_dim)
     return task
 
 
-def _validate_task(task: dict, chain: ChainConfig | None, where: str) -> None:
-    """Check a task's own fields; only a wigner task may have no chain."""
+def _validate_task(
+    task: dict, chain: ChainConfig | None, where: str, signal_dim: int | None
+) -> None:
+    """Check a task's own fields; only a wigner task may have no chain.
+
+    ``signal_dim`` is the given cutoff (Scenario.signal_dim).
+    """
     ttype = task["type"]
     if ttype == "patterns":
         if "pattern" in task and task["pattern"] is not None:
@@ -345,11 +369,12 @@ def _validate_task(task: dict, chain: ChainConfig | None, where: str) -> None:
         if fit and (len(values) < 3 or len(set(values)) != len(values)):
             raise ScenarioError(f"{field}: a fit needs >= 3 distinct values")
         if param == "alpha":
-            # every chain of the sweep, at its default cutoff, must fit the budget
+            # every chain of the sweep, at the given cutoff or else at its
+            # default, must fit the budget
             idler_dim = max(s.idler_dim for s in chain.stages)
             for v in values:
                 alpha = _parse_alpha(v, field)
-                _check_chain_size(alpha, chain.n_stages, idler_dim, None, field, field)
+                _check_chain_size(alpha, chain.n_stages, idler_dim, signal_dim, field, field)
         _parse_pattern(_require(task, "pattern", where), chain.n_stages, f"{where}.pattern")
     elif ttype == "wigner":
         _parse_state_spec(str(_require(task, "state", where)), f"{where}.state")
@@ -598,7 +623,8 @@ def _run_sweep_task(task: dict, scenario: Scenario) -> Outputs:
                 chain.signal_dim,
             )
         else:
-            cfg = ChainConfig(complex(value), chain.stages, None)
+            # a given cutoff holds every value or raises TruncationError
+            cfg = ChainConfig(complex(value), chain.stages, scenario.signal_dim)
         _, probability, _ = next(walk_patterns(cfg, scenario.detector, pattern))
         samples.append((value, outcome_probability(probability)))
     rows = [[_fmt(v), _fmt(p)] for v, p in samples]

@@ -95,8 +95,8 @@ def orthogonalized_reference(
     vec = reference.amplitudes.astype(np.complex128)
     basis: list[np.ndarray] = []
     for other in orthogonal_to:
-        if other.space.dims != reference.space.dims:
-            raise ValueError("orthogonal_to states must share the reference space")
+        if other.dim != reference.dim:
+            raise ValueError("orthogonal_to states must share the reference cutoff")
         w = other.amplitudes.astype(np.complex128)
         for b in basis:
             w = w - np.vdot(b, w) * b
@@ -108,4 +108,4 @@ def orthogonalized_reference(
     norm = np.linalg.norm(vec)
     if norm < 1e-12:
         raise ValueError("reference lies in the span of orthogonal_to")
-    return PureState(reference.space, vec / norm)
+    return PureState(vec / norm)

@@ -8,11 +8,13 @@ signal once and is then detected, a stage is fully described by its Kraus
 operators K_k = <k|U|0> acting on the signal (the sequential-ancilla picture
 of Schoen, Solano, Verstraete, Cirac and Wolf, PRL 95, 110503 (2005)), and
 every answer is a probability P and a conditional signal reached through
-them. walk_patterns folds the signal's density matrix through them depth
-first over the click prefixes and yields every pattern's (P, rho), so every
-pattern of a table shares its prefixes' folds; herald_summary contracts them
-into the heralding probability and W fidelity. Neither forms the joint
-signal-idler state or any array indexed by idler records.
+them. stage_kraus builds them from the vacuum-idler columns of U's blocks,
+without forming U. walk_patterns folds the signal's density matrix through
+them depth first over the click prefixes and yields every pattern's
+(P, rho), so every pattern of a table shares its prefixes' folds;
+herald_summary contracts them into the heralding probability and W
+fidelity. Neither forms the joint signal-idler state or any array indexed
+by idler records.
 """
 
 from __future__ import annotations
@@ -98,32 +100,6 @@ class ChainConfig:
         return len(self.stages)
 
 
-def stage_unitary(lam: float, signal_dim: int, idler_dim: int) -> np.ndarray:
-    """Exact stage unitary exp(G) as a dense real-orthogonal matrix.
-
-    G conserves the photon-number difference n_s - n_i, so the exponential is
-    assembled from one small tridiagonal block per difference value instead of
-    exponentiating the full (signal x idler)-sized generator; blocks of equal
-    size are exponentiated together. The result is identical to the
-    exponential of the full generator lam (a_s+ a_i+ - a_s a_i) up to
-    roundoff but stays cheap at large cutoffs.
-    """
-    u = np.zeros((signal_dim * idler_dim, signal_dim * idler_dim))
-    blocks: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for delta in range(-(idler_dim - 1), signal_dim):
-        ks = np.arange(max(0, -delta), min(idler_dim, signal_dim - delta))
-        couplings = lam * np.sqrt((delta + ks[:-1] + 1.0) * (ks[:-1] + 1.0))
-        blocks.setdefault(ks.size, []).append(((delta + ks) * idler_dim + ks, couplings))
-    for size, members in blocks.items():
-        idx = np.array([i for i, _ in members])
-        gens = np.zeros((len(members), size, size))
-        rows = np.arange(size - 1)
-        gens[:, rows + 1, rows] = [couplings for _, couplings in members]
-        gens[:, rows, rows + 1] = -gens[:, rows + 1, rows]
-        u[idx[:, :, None], idx[:, None, :]] = _expm_antisymmetric(gens)
-    return u
-
-
 def _expm_antisymmetric(gens: np.ndarray) -> np.ndarray:
     """exp of a stack of real antisymmetric matrices, by scaling and squaring.
 
@@ -152,16 +128,27 @@ def stage_kraus(lam: float, signal_dim: int, idler_dim: int) -> np.ndarray:
     """Kraus operators K_k = <k|U|0> of one stage on the signal, stacked.
 
     Returns a real, read-only (idler_dim, signal_dim, signal_dim) array: the
-    stage maps a signal state psi to sum_k K_k psi (x) |k>. U conserves
-    n_s - n_i, so K_k is nonzero only on its k-th subdiagonal, and
-    sum_k K_k^T K_k = I because the columns of U are orthonormal. Results are
-    memoized, so every runner, pattern and CLI thread shares one stack per
-    distinct stage.
+    stage maps a signal state psi to sum_k K_k psi (x) |k>. The generator
+    conserves n = n_s - n_i, and a vacuum idler enters each block n >= 0 at
+    |n, 0>, so with G_n the tridiagonal block on the states |n + k, k>,
+    K_k[n + k, n] = exp(G_n)[k, 0]: K_k is nonzero only on its k-th
+    subdiagonal, and U itself is never formed. Blocks of equal size are
+    exponentiated together. sum_k K_k^T K_k = I because these are
+    orthonormal columns of U. Results are memoized, so every runner,
+    pattern and CLI thread shares one stack per distinct stage.
     """
-    u = stage_unitary(lam, signal_dim, idler_dim)
-    kraus = np.ascontiguousarray(
-        u[:, ::idler_dim].reshape(signal_dim, idler_dim, signal_dim).transpose(1, 0, 2)
-    )
+    kraus = np.zeros((idler_dim, signal_dim, signal_dim))
+    blocks: dict[int, list[int]] = {}
+    for n in range(signal_dim):
+        blocks.setdefault(min(idler_dim, signal_dim - n), []).append(n)
+    for size, members in blocks.items():
+        ns = np.array(members)[:, None]
+        ks = np.arange(size)
+        gens = np.zeros((ns.size, size, size))
+        rows = np.arange(size - 1)
+        gens[:, rows + 1, rows] = lam * np.sqrt((ns + ks[:-1] + 1.0) * (ks[:-1] + 1.0))
+        gens[:, rows, rows + 1] = -gens[:, rows + 1, rows]
+        kraus[ks, ns + ks, ns] = _expm_antisymmetric(gens)[:, :, 0]
     kraus.setflags(write=False)
     return kraus
 
@@ -236,10 +223,8 @@ def _heralding_reference(
 ) -> np.ndarray:
     """Amplitudes of the reference, orthogonalized against ``orthogonal_to``."""
     ds = config.signal_dim
-    if reference.space.dims != (ds,):
-        raise ValueError(
-            f"reference dim {reference.space.dims} does not match signal dim ({ds},)"
-        )
+    if reference.dim != ds:
+        raise ValueError(f"reference dim {reference.dim} does not match signal dim {ds}")
     if orthogonal_to:
         reference = orthogonalized_reference(reference, orthogonal_to)
     return reference.amplitudes

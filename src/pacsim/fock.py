@@ -1,11 +1,10 @@
-"""Truncated Fock-space representation: modes, pure states, state constructors.
+"""Truncated Fock-space states of the signal mode and their constructors.
 
-Every mode lives in a finite window |0>..|dim-1>. Multimode amplitudes are
-flattened row-major in mode order, with mode 0 (the signal, by convention)
-varying slowest; ``amplitudes.reshape(space.dims)`` therefore yields a tensor
-indexed by occupation numbers. States are stored normalized. No package
-function returns a multimode state: a conditional state is a probability
-and a signal density matrix (dynamics.walk_patterns).
+The signal lives in a finite window |0>..|dim-1>, and a PureState holds its
+normalized amplitudes there. Every state the package builds is a signal
+state: the idlers are detected as they leave, so a conditional state is a
+probability and a signal density matrix (dynamics.walk_patterns), and no
+joint signal-idler or idler state is formed.
 """
 
 from __future__ import annotations
@@ -23,65 +22,16 @@ NORM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class ModeSpec:
-    """One bosonic mode with Fock truncation ``dim`` and a human label."""
-
-    dim: int
-    label: str
-
-    def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError(f"mode {self.label!r}: dim must be >= 2, got {self.dim}")
-
-
-@dataclass(frozen=True)
-class MultiMode:
-    """Ordered mode list; index 0 is the signal, 1..N are idlers in stage order."""
-
-    modes: tuple[ModeSpec, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(self.modes))
-        labels = [m.label for m in self.modes]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"mode labels must be unique, got {labels}")
-        if self.total_dim > np.iinfo(np.intp).max:
-            raise ValueError("total dimension overflows the addressable index range")
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(m.dim for m in self.modes)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(m.label for m in self.modes)
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.modes)
-
-    @property
-    def total_dim(self) -> int:
-        return math.prod(self.dims)
-
-
-def single_mode(dim: int, label: str = "signal") -> MultiMode:
-    return MultiMode((ModeSpec(dim, label),))
-
-
-@dataclass(frozen=True)
 class PureState:
-    """Normalized complex amplitude vector over a MultiMode space."""
+    """Normalized complex amplitudes of one mode on the levels 0..dim-1."""
 
-    space: MultiMode
     amplitudes: np.ndarray
 
     def __post_init__(self):
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (self.space.total_dim,):
+        if amps.ndim != 1 or amps.size < 2:
             raise ValueError(
-                f"amplitude vector has shape {amps.shape}, "
-                f"space needs ({self.space.total_dim},)"
+                f"amplitudes must be a vector of two or more levels, got shape {amps.shape}"
             )
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > NORM_TOL:
@@ -90,17 +40,18 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
-    def from_amplitudes(cls, space: MultiMode, raw: np.ndarray) -> "PureState":
+    def from_amplitudes(cls, raw: np.ndarray) -> "PureState":
         """Build a state from an unnormalized vector, dividing out its norm."""
         raw = np.asarray(raw, dtype=np.complex128)
         norm = np.linalg.norm(raw)
         if norm == 0.0:
             raise ValueError("cannot normalize a zero vector")
-        return cls(space, raw / norm)
+        return cls(raw / norm)
 
-    def tensor_view(self) -> np.ndarray:
-        """Amplitudes reshaped to one axis per mode (read-only view)."""
-        return self.amplitudes.reshape(self.space.dims)
+    @property
+    def dim(self) -> int:
+        """The Fock cutoff: the number of levels in the window."""
+        return self.amplitudes.size
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +126,7 @@ def tail_mass(alpha: complex, added_photons: int, dim: int) -> float:
     return float(terms[max(dim - m, 0):].sum() / terms.sum())
 
 
-def coherent_state(alpha: complex, dim: int, label: str = "signal") -> PureState:
+def coherent_state(alpha: complex, dim: int) -> PureState:
     """Coherent state |alpha> truncated at ``dim``, renormalized.
 
     Amplitudes follow c_n = exp(-|alpha|^2/2) alpha^n / sqrt(n!). Raises
@@ -185,7 +136,7 @@ def coherent_state(alpha: complex, dim: int, label: str = "signal") -> PureState
     if problem is not None:
         start = max(dim + 1, _signal_dim_floor(alpha))
         raise TruncationError(problem, suggested_dim=_smallest_window(alpha, 0, start))
-    return PureState.from_amplitudes(single_mode(dim, label), amps)
+    return PureState.from_amplitudes(amps)
 
 
 def _coherent_amplitudes(alpha: complex, dim: int) -> tuple[np.ndarray, str | None]:
@@ -203,16 +154,16 @@ def _coherent_amplitudes(alpha: complex, dim: int) -> tuple[np.ndarray, str | No
     return amps, None
 
 
-def fock_state(n: int, dim: int, label: str = "signal") -> PureState:
+def fock_state(n: int, dim: int) -> PureState:
     """Number state |n>."""
     if not 0 <= n < dim:
         raise ValueError(f"photon number {n} outside the window [0, {dim})")
     amps = np.zeros(dim, dtype=np.complex128)
     amps[n] = 1.0
-    return PureState(single_mode(dim, label), amps)
+    return PureState(amps)
 
 
-def pacs_state(alpha: complex, m: int, dim: int, label: str = "signal") -> PureState:
+def pacs_state(alpha: complex, m: int, dim: int) -> PureState:
     """Photon-added coherent state: m creation operators on |alpha>, normalized.
 
     The squared norm removed by normalization equals m! L_m(-|alpha|^2);
@@ -221,13 +172,13 @@ def pacs_state(alpha: complex, m: int, dim: int, label: str = "signal") -> PureS
     if m < 0:
         raise ValueError(f"photon-addition order must be nonnegative, got {m}")
     if m == 0:
-        return coherent_state(alpha, dim, label)
+        return coherent_state(alpha, dim)
     if alpha == 0:
-        return fock_state(m, dim, label)
+        return fock_state(m, dim)
     raw, problem = _photon_added(alpha, m, dim)
     if problem is not None:
         raise TruncationError(problem, suggested_dim=_smallest_window(alpha, m, dim + 1))
-    return PureState.from_amplitudes(single_mode(dim, label), raw)
+    return PureState.from_amplitudes(raw)
 
 
 def _photon_added(alpha: complex, m: int, dim: int) -> tuple[np.ndarray, str | None]:
@@ -261,14 +212,12 @@ def _photon_added(alpha: complex, m: int, dim: int) -> tuple[np.ndarray, str | N
 
 def fidelity_pure(a: PureState, b: PureState) -> float:
     """Overlap fidelity |<a|b>|^2."""
-    if a.space.dims != b.space.dims:
-        raise ValueError(f"incompatible spaces {a.space.dims} vs {b.space.dims}")
+    if a.dim != b.dim:
+        raise ValueError(f"incompatible cutoffs {a.dim} vs {b.dim}")
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
 def mean_photon_number(state: PureState) -> float:
-    """<n> of a single-mode state."""
-    if state.space.n_modes != 1:
-        raise ValueError(f"expected a single-mode state, got modes {state.space.labels}")
+    """<n> of a state."""
     probs = np.abs(state.amplitudes) ** 2
     return float(np.dot(np.arange(probs.size), probs))

@@ -25,18 +25,25 @@ def run_python():
     return run
 
 
+#: More levels than any signal cutoff of the chains the guarded tests run
+#: (at most 25 there), and fewer than the flattened idler state of a
+#: three-stage chain (4^3 = 64) or its joint signal-idler state (ds 4^3).
+SIGNAL_LEVELS_MAX = 32
+
+
 @pytest.fixture
-def no_multimode_state(monkeypatch):
-    """Make building any multimode PureState raise.
+def signal_states_only(monkeypatch):
+    """Make building any PureState of more than SIGNAL_LEVELS_MAX levels raise.
 
     No package path forms the joint signal-idler state or an idler state:
-    every answer is read off the signal.
+    every answer is read off the signal, and a PureState holds one mode, so
+    such a state could only be smuggled in as a long flattened vector.
     """
     post_init = pacsim.PureState.__post_init__
 
-    def single_mode_only(state):
-        if state.space.n_modes > 1:
-            raise AssertionError(f"a multimode state was built: {state.space.labels}")
+    def signal_sized(state):
         post_init(state)
+        if state.dim > SIGNAL_LEVELS_MAX:
+            raise AssertionError(f"a state of {state.dim} levels was built")
 
-    monkeypatch.setattr(pacsim.PureState, "__post_init__", single_mode_only)
+    monkeypatch.setattr(pacsim.PureState, "__post_init__", signal_sized)

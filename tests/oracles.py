@@ -1,12 +1,14 @@
 """Reference implementations that only the tests use.
 
-Each one builds its result the literal way (a dense generator, a Kronecker
-product, a scalar formula, the joint signal-idler state), so the tests can
-hold the package's faster paths against it.
+Each one builds its result the literal way (a dense generator or stage
+unitary, a Kronecker product, a scalar formula, the joint signal-idler
+state on its own multimode type), so the tests can hold the package's
+faster paths against it.
 """
 
 import math
 import warnings
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, NamedTuple, Sequence
 
@@ -17,8 +19,6 @@ from pacsim import (
     ChainConfig,
     ClickPattern,
     DetectorModel,
-    ModeSpec,
-    MultiMode,
     PureState,
     TruncationWarning,
     WignerGrid,
@@ -27,12 +27,55 @@ from pacsim import (
     orthogonalized_reference,
     stage_kraus,
 )
+from pacsim.dynamics import _expm_antisymmetric
 
 #: Ladder leakage above this triggers a TruncationWarning.
 LEAKAGE_WARN_LIMIT = 1e-10
 
 _LAGUERRE_SERIES_MAX = 12
 _LAGUERRE_ORDER_GUARD = 170
+
+
+@dataclass(frozen=True)
+class MultiModeState:
+    """Normalized amplitudes over several modes with cutoffs ``dims``.
+
+    The package's PureState holds one mode; the joint signal-idler state and
+    the heralded idler states of the references live here. Amplitudes are
+    flattened row-major, the first mode varying slowest, so tensor_view()
+    is indexed by occupation numbers.
+    """
+
+    dims: tuple[int, ...]
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "dims", tuple(self.dims))
+        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        if amps.shape != (math.prod(self.dims),):
+            raise ValueError(f"amplitudes of shape {amps.shape} for modes {self.dims}")
+        if abs(np.linalg.norm(amps) - 1.0) > 1e-12:
+            raise ValueError(f"state must be normalized, got norm {np.linalg.norm(amps)!r}")
+        object.__setattr__(self, "amplitudes", amps)
+
+    @classmethod
+    def normalized(cls, dims: Sequence[int], raw: np.ndarray) -> "MultiModeState":
+        return cls(tuple(dims), raw / np.linalg.norm(raw))
+
+    def tensor_view(self) -> np.ndarray:
+        return self.amplitudes.reshape(self.dims)
+
+
+def mode_dims(state: PureState | MultiModeState) -> tuple[int, ...]:
+    """The cutoff of each mode: one for a package PureState."""
+    return state.dims if isinstance(state, MultiModeState) else (state.dim,)
+
+
+def overlap_fidelity(a: MultiModeState, b: MultiModeState) -> float:
+    """|<a|b>|^2 of two states on the same modes."""
+    if a.dims != b.dims:
+        raise ValueError(f"incompatible modes {a.dims} vs {b.dims}")
+    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
 class LadderResult(NamedTuple):
@@ -48,20 +91,20 @@ class LadderResult(NamedTuple):
 
 
 def ladder_apply(
-    state: PureState, mode: int, kind: Literal["raise", "lower"]
+    state: PureState | MultiModeState, mode: int, kind: Literal["raise", "lower"]
 ) -> LadderResult:
     """Apply a creation or annihilation operator to one mode.
 
     Raising drops the amplitude that leaves the window; the input mass at the
     top level is reported as ``leakage`` and warned about above 1e-10.
     """
-    dims = state.space.dims
+    dims = mode_dims(state)
     if not 0 <= mode < len(dims):
         raise ValueError(f"mode index {mode} outside 0..{len(dims) - 1}")
     if kind not in ("raise", "lower"):
         raise ValueError(f"kind must be 'raise' or 'lower', got {kind!r}")
     d = dims[mode]
-    tensor = np.moveaxis(state.tensor_view().copy(), mode, 0)
+    tensor = np.moveaxis(state.amplitudes.reshape(dims).copy(), mode, 0)
     out = np.zeros_like(tensor)
     factors = np.sqrt(np.arange(1, d))
     leakage = 0.0
@@ -143,6 +186,32 @@ def stage_generator(lam: float, signal_dim: int, idler_dim: int) -> np.ndarray:
     return lam * (np.kron(a_s.T, a_i.T) - np.kron(a_s, a_i))
 
 
+def stage_unitary(lam: float, signal_dim: int, idler_dim: int) -> np.ndarray:
+    """Exact stage unitary exp(G) as a dense real-orthogonal matrix.
+
+    G conserves the photon-number difference n_s - n_i, so the exponential is
+    assembled from one small tridiagonal block per difference value instead of
+    exponentiating the full (signal x idler)-sized generator; blocks of equal
+    size are exponentiated together. The result is identical to the
+    exponential of the full generator lam (a_s+ a_i+ - a_s a_i) up to
+    roundoff but stays cheap at large cutoffs.
+    """
+    u = np.zeros((signal_dim * idler_dim, signal_dim * idler_dim))
+    blocks: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    for delta in range(-(idler_dim - 1), signal_dim):
+        ks = np.arange(max(0, -delta), min(idler_dim, signal_dim - delta))
+        couplings = lam * np.sqrt((delta + ks[:-1] + 1.0) * (ks[:-1] + 1.0))
+        blocks.setdefault(ks.size, []).append(((delta + ks) * idler_dim + ks, couplings))
+    for size, members in blocks.items():
+        idx = np.array([i for i, _ in members])
+        gens = np.zeros((len(members), size, size))
+        rows = np.arange(size - 1)
+        gens[:, rows + 1, rows] = [couplings for _, couplings in members]
+        gens[:, rows, rows + 1] = -gens[:, rows + 1, rows]
+        u[idx[:, :, None], idx[:, None, :]] = _expm_antisymmetric(gens)
+    return u
+
+
 def orthogonality_defect(u: np.ndarray) -> float:
     """max |U^T U - I|, the full-space unitarity defect."""
     g = u.T @ u
@@ -156,7 +225,7 @@ def perturbative_output(
     order: int,
     signal_dim: int | None = None,
     idler_dim: int = 4,
-) -> PureState:
+) -> MultiModeState:
     """Taylor expansion of the stage output through ``order`` in lam.
 
     Expands exp(G)|alpha>|0> literally as (I + G + G^2/2 + ...)|alpha>|0> and
@@ -176,14 +245,12 @@ def perturbative_output(
     for k in range(1, order + 1):
         term = (g @ term) / k
         psi = psi + term
-    space = MultiMode((ModeSpec(signal_dim, "signal"), ModeSpec(idler_dim, "idler-1")))
-    return PureState.from_amplitudes(space, psi)
+    return MultiModeState.normalized((signal_dim, idler_dim), psi)
 
 
-def tensor(a: PureState, b: PureState) -> PureState:
+def tensor(a: PureState | MultiModeState, b: PureState | MultiModeState) -> MultiModeState:
     """Kronecker composition; modes of ``a`` come first (and vary slowest)."""
-    space = MultiMode(a.space.modes + b.space.modes)
-    return PureState(space, np.kron(a.amplitudes, b.amplitudes))
+    return MultiModeState(mode_dims(a) + mode_dims(b), np.kron(a.amplitudes, b.amplitudes))
 
 
 def click_probability_given_n(detector: DetectorModel, n: int) -> float:
@@ -269,19 +336,18 @@ def _propagate(config: ChainConfig, n_stages: int) -> np.ndarray:
     return state
 
 
-def _idler_modes(config: ChainConfig) -> tuple[ModeSpec, ...]:
-    return tuple(ModeSpec(s.idler_dim, f"idler-{j + 1}") for j, s in enumerate(config.stages))
+def _idler_dims(config: ChainConfig) -> tuple[int, ...]:
+    return tuple(s.idler_dim for s in config.stages)
 
 
-def joint_state(config: ChainConfig) -> PureState:
-    """The chain's output on the joint space, modes signal, idler-1 .. idler-N."""
-    space = MultiMode((ModeSpec(config.signal_dim, "signal"),) + _idler_modes(config))
+def joint_state(config: ChainConfig) -> MultiModeState:
+    """The chain's output on the joint space, modes signal, idler 1 .. idler N."""
     amplitudes = _propagate(config, config.n_stages).T.reshape(-1)
-    return PureState.from_amplitudes(space, amplitudes)
+    return MultiModeState.normalized((config.signal_dim,) + _idler_dims(config), amplitudes)
 
 
 def conditional_density(
-    joint: PureState, pattern: ClickPattern, detector: DetectorModel
+    joint: MultiModeState, pattern: ClickPattern, detector: DetectorModel
 ) -> tuple[float, np.ndarray]:
     """Pattern probability and unnormalized conditional signal density matrix.
 
@@ -290,9 +356,9 @@ def conditional_density(
     idlers. P is the POVM-weighted column mass over the total mass, not
     tr rho, which keeps the dark-count floor bit-exact at zero coupling.
     """
-    ds = joint.space.dims[0]
+    ds = joint.dims[0]
     povm = np.ones(1)
-    for clicked, dim in zip(pattern.clicks, joint.space.dims[1:], strict=True):
+    for clicked, dim in zip(pattern.clicks, joint.dims[1:], strict=True):
         p_click = detector.click_probability(np.arange(dim))
         povm = np.multiply.outer(povm, p_click if clicked else 1.0 - p_click).reshape(-1)
     columns = joint.amplitudes.reshape(ds, -1)
@@ -304,7 +370,7 @@ def conditional_density(
 
 def herald_idlers(
     config: ChainConfig, reference: PureState, orthogonal_to: Sequence[PureState] = ()
-) -> tuple[float, PureState | None]:
+) -> tuple[float, MultiModeState | None]:
     """Heralding probability and idler state, c[k1..kN] = <r|K_kN .. K_k1|alpha>.
 
     r is the reference orthogonalized against ``orthogonal_to``. The seed
@@ -319,20 +385,19 @@ def herald_idlers(
     probability = float(np.vdot(amps, amps).real)
     if probability < IMPOSSIBLE_PROBABILITY:
         return 0.0, None
-    return probability, PureState(MultiMode(_idler_modes(config)), amps / math.sqrt(probability))
+    return probability, MultiModeState(_idler_dims(config), amps / math.sqrt(probability))
 
 
-def w_state_reference(n_modes: int, dim: int = 2) -> PureState:
+def w_state_reference(n_modes: int, dim: int = 2) -> MultiModeState:
     """Equal superposition of the single-excitation states over n_modes modes."""
     if n_modes < 1:
         raise ValueError(f"need at least one mode, got {n_modes}")
-    space = MultiMode(tuple(ModeSpec(dim, f"idler-{j + 1}") for j in range(n_modes)))
     amps = np.zeros(dim**n_modes)
     amps[[dim**j for j in range(n_modes)]] = 1.0 / math.sqrt(n_modes)
-    return PureState(space, amps)
+    return MultiModeState((dim,) * n_modes, amps)
 
 
-def density(state: PureState) -> np.ndarray:
+def density(state: PureState | MultiModeState) -> np.ndarray:
     """psi psi^+ of a state's amplitudes."""
     return np.outer(state.amplitudes, state.amplitudes.conj())
 

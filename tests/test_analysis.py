@@ -20,14 +20,12 @@ from pacsim import (
     extract_w_state,
     fit_power_law,
     fock_state,
-    mean_photon_number,
     pacs_state,
     photon_statistics,
     walk_patterns,
     wigner,
 )
 from pacsim.analysis import _beam_splitter_sectors
-from pacsim.fock import single_mode
 
 from oracles import (
     conditional_density,
@@ -119,11 +117,10 @@ class TestPhotonStatistics:
         assert stats.mandel_q == 0.0
 
     def test_mode_selection(self):
-        """A state has one mode to read: a joint state is refused, not flattened."""
-        joint = tensor(coherent_state(1.0, 20, "signal"), fock_state(2, 4, "idler-1"))
-        for statistic in (photon_statistics, mean_photon_number):
-            with pytest.raises(ValueError, match="single-mode"):
-                statistic(joint)
+        """A state has one mode to read: a joint state's tensor is refused, not flattened."""
+        joint = tensor(coherent_state(1.0, 20), fock_state(2, 4))
+        with pytest.raises(ValueError, match="must be a vector"):
+            PureState(joint.tensor_view())
 
 
 class TestWigner:
@@ -177,10 +174,15 @@ class TestWigner:
 
     def test_multimode_rejected(self):
         """wigner takes a square density matrix, not amplitudes or a joint state."""
-        joint = tensor(fock_state(0, 4, "signal"), fock_state(0, 4, "idler-1"))
+        joint = tensor(fock_state(0, 4), fock_state(0, 4))
         for bad in (joint.amplitudes, density(joint)[:4], np.zeros((2, 2, 2))):
             with pytest.raises(ValueError, match="square density matrix"):
                 wigner(bad, extent=4.0)
+
+    def test_zero_rho_rejected(self):
+        """The rho of an impossible outcome is all zero: a named error, not an IndexError."""
+        with pytest.raises(ValueError, match="rho has no occupied level"):
+            wigner(np.zeros((4, 4)), extent=2.0)
 
     def test_top_level_occupancy_warns(self):
         with pytest.warns(TruncationWarning):
@@ -285,7 +287,7 @@ class TestWignerMatchesDenseSum:
         so its rounding error alone reaches 1.2e-12 for |11> (dim 12) against
         the closed form; that part is allowed at 4 eps per unit of it.
         """
-        state = PureState.from_amplitudes(single_mode(len(amps)), np.array(amps))
+        state = PureState.from_amplitudes(np.array(amps))
         fast = wigner(density(state), extent, step)
         dense = wigner_dense(state, extent, step)
         tol = 1e-12 * max(1.0, float(np.max(np.abs(dense.values))))
@@ -383,7 +385,7 @@ class TestExtractWState:
     def test_idler_state_space(self):
         config = ChainConfig.uniform(1.0, 0.05, 3)
         _, state = herald_idlers(config, pacs_state(1.0, 1, config.signal_dim))
-        assert state.space.labels == ("idler-1", "idler-2", "idler-3")
+        assert state.dims == (4, 4, 4)
 
 
 def test_import_does_not_load_numpy_polynomial(run_python):

@@ -12,6 +12,7 @@ import pytest
 
 from pacsim import (
     ChainConfig,
+    ClickPattern,
     DetectorModel,
     WignerGrid,
     default_signal_dim,
@@ -19,6 +20,7 @@ from pacsim import (
     fock_state,
     outcome_probability,
     pacs_state,
+    stage_kraus,
     walk_patterns,
     wigner,
 )
@@ -267,6 +269,25 @@ class TestValidationFailures:
             tmp_path,
             MINIMAL_SCENARIO + "  - type: patterns\n    output: patterns.csv\n",
             "duplicate",
+            capsys,
+        )
+
+    @pytest.mark.parametrize(
+        "tasks, field",
+        [
+            ("  - {type: patterns, output: a.csv}\n  - {type: patterns, output: ./a.csv}\n",
+             "tasks[1].output"),
+            ("  - {type: sweep, values: [0.01, 0.02, 0.04], pattern: '1', output: s.csv,"
+             " fit_output: out/../s.csv}\n", "tasks[0].fit_output"),
+        ],
+        ids=["dot-slash", "parent-dir"],
+    )
+    def test_duplicate_output_spellings_rejected(self, tmp_path, capsys, tasks, field):
+        """Paths that differ only in spelling name one file: the later one is refused."""
+        self.run_expecting_error(
+            tmp_path,
+            "version: 1\nchain: {alpha: 1.0, lam: 0.05, n_stages: 1}\ntasks:\n" + tasks,
+            f"error: {field}: duplicate output path",
             capsys,
         )
 
@@ -731,17 +752,31 @@ class TestQuickCommands:
 
 
 def _no_stage(*args, **kwargs):
-    raise AssertionError("a stage unitary was formed")
+    raise AssertionError("a stage's Kraus stack was built")
 
 
+def _forbid_stages(monkeypatch) -> None:
+    """Make building a stage's Kraus stack raise.
+
+    The memoized stacks are dropped first, so an empty cache afterwards also
+    shows that no stack was built through another name.
+    """
+    stage_kraus.cache_clear()
+    monkeypatch.setattr(dynamics, "stage_kraus", _no_stage)
+
+
+@pytest.fixture
+def no_stage(monkeypatch):
+    _forbid_stages(monkeypatch)
+    yield
+    assert stage_kraus.cache_info().currsize == 0
+
+
+@pytest.mark.usefixtures("no_stage")
 class TestOversizedChain:
-    """A chain whose stage unitary, (signal_dim idler_dim)^2 doubles, would
-    exceed DEFAULT_AMPLITUDE_BUDGET exits 2 naming its field, before any
-    stage is built and before anything is written."""
-
-    @pytest.fixture(autouse=True)
-    def no_stage(self, monkeypatch):
-        monkeypatch.setattr(dynamics, "stage_unitary", _no_stage)
+    """A chain whose (signal_dim idler_dim)^2 would exceed
+    DEFAULT_AMPLITUDE_BUDGET exits 2 naming its field, before any stage is
+    built and before anything is written."""
 
     @pytest.mark.parametrize(
         "args, field",
@@ -891,7 +926,7 @@ def test_chain_flags_set_the_cutoff_and_name_its_larger_part(tmp_path, monkeypat
     for args in (["wstate", "--n", "3"], ["pacs", "--pattern", "101"]):
         assert main([*args, *chain, "--signal-dim", "30"]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(dynamics, "stage_unitary", _no_stage)
+    _forbid_stages(monkeypatch)
     assert main(["wstate", "--n", "100000", *chain]) == 2
     assert capsys.readouterr().err.startswith("error: --n: a signal cutoff of 100017 ")
     config = write_scenario(
@@ -901,6 +936,36 @@ def test_chain_flags_set_the_cutoff_and_name_its_larger_part(tmp_path, monkeypat
     )
     assert main(["run", str(config), "--outdir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: chain.n_stages: a signal cutoff of ")
+    assert stage_kraus.cache_info().currsize == 0
+
+
+def test_alpha_sweep_keeps_a_given_cutoff(tmp_path, monkeypatch, capsys):
+    """A given signal_dim is the cutoff of every chain of an alpha sweep:
+    none is searched, and a value it cannot hold exits 1 naming it."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(dynamics, "default_signal_dim", _no_search)
+    monkeypatch.setattr(cli, "default_signal_dim", _no_search)
+    flags = ["--alpha", "1", "--lam", "0.05", "--pattern", "11", "--param", "alpha"]
+    assert main(["sweep", *flags, "--signal-dim", "40", "--values", "0.5,2",
+                 "--out", "s.csv"]) == 0
+    for row in read_csv(Path("s.csv")):
+        config = ChainConfig.uniform(float(row["alpha"]), 0.05, 2, signal_dim=40)
+        pattern = ClickPattern.from_string("11")
+        _, probability, _ = next(walk_patterns(config, DetectorModel.ideal(), pattern))
+        assert row["probability"] == repr(probability)
+    capsys.readouterr()
+    assert main(["sweep", *flags, "--signal-dim", "20", "--values", "0.5,5",
+                 "--out", "t.csv"]) == 1
+    flag_err = capsys.readouterr().err
+    assert flag_err.startswith("error: --signal-dim: coherent state with |alpha|=5 ")
+    config = write_scenario(
+        tmp_path,
+        "version: 1\nchain: {alpha: 1.0, lam: 0.05, n_stages: 2, signal_dim: 20}\ntasks:\n"
+        "  - {type: sweep, param: alpha, values: [0.5, 5.0], pattern: '11', output: t.csv}\n",
+    )
+    assert main(["run", str(config), "--outdir", "out"]) == 1
+    assert capsys.readouterr().err == flag_err.replace("--signal-dim", "chain.signal_dim")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "scenario.yaml"]
 
 
 # (field, flag) -> a quick-look command with one bad value, and the chain,
@@ -972,12 +1037,12 @@ def test_bad_field_cases_cover_the_flag_table():
 
 
 @pytest.mark.parametrize("field, flag", _BAD_FIELD_CASES, ids=lambda v: v)
-def test_flag_and_scenario_give_the_same_error(tmp_path, monkeypatch, capsys, field, flag):
+def test_flag_and_scenario_give_the_same_error(tmp_path, monkeypatch, capsys, no_stage,
+                                               field, flag):
     """A quick-look command is its one-task scenario: one bad value gives the
     same exit code and message either way, the field renamed to its flag."""
     args, chain, detector, task = _BAD_FIELD_CASES[field, flag]
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(dynamics, "stage_unitary", _no_stage)
     code = main(args)
     flag_err = capsys.readouterr().err
     if not re.search(r"\boutput:", task):

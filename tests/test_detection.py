@@ -8,7 +8,6 @@ from pacsim import (
     ClickPattern,
     DetectorModel,
     coherent_state,
-    fidelity_pure,
     herald_summary,
     orthogonalized_reference,
     pacs_state,
@@ -21,6 +20,7 @@ from oracles import (
     fidelity,
     herald_idlers,
     joint_state,
+    overlap_fidelity,
     w_state_reference,
 )
 
@@ -213,7 +213,7 @@ class TestProjectSignal:
         others = [pacs_state(1.0, m, ds) for m in (0, 2, 3)]
         _, state = herald_idlers(cfg, pacs_state(1.0, 1, ds), orthogonal_to=others)
         w_ref = w_state_reference(3, dim=4)
-        assert fidelity_pure(state, w_ref) >= 0.995
+        assert overlap_fidelity(state, w_ref) >= 0.995
         _, w_fidelity = herald_summary(cfg, pacs_state(1.0, 1, ds), orthogonal_to=others)
         assert w_fidelity >= 0.995
 

@@ -16,42 +16,49 @@ from pacsim import (
     IMPOSSIBLE_PROBABILITY,
     ChainConfig,
     DetectorModel,
-    MultiMode,
-    PureState,
     StageParams,
     extract_w_state,
-    fidelity_pure,
     herald_summary,
     orthogonalized_reference,
     outcome_probability,
     pacs_state,
     stage_kraus,
-    stage_unitary,
     walk_patterns,
 )
 from pacsim.cli import main
 
 from oracles import (
+    MultiModeState,
     conditional_density,
     fidelity,
     herald_idlers,
     joint_state,
+    overlap_fidelity,
     stage_generator,
+    stage_unitary,
     w_state_reference,
 )
 
 
 class TestStageKraus:
-    @pytest.mark.parametrize("lam, ds, di", [(0.05, 8, 4), (0.3, 6, 5), (1.0, 7, 3)])
+    @pytest.mark.parametrize(
+        "lam, ds, di", [(0.05, 8, 4), (0.3, 6, 5), (1.0, 7, 3), (0.3, 3, 5)]
+    )
     def test_columns_of_stage_unitary(self, lam, ds, di):
-        """K_k[a, b] = <a, k| U |b, 0>."""
+        """K_k[a, b] = <a, k| U |b, 0>, bit for bit where di <= ds.
+
+        Where di > ds the unitary's batches also hold blocks n_s - n_i < 0,
+        which no vacuum idler reaches; they can change the scaling of a
+        batch's exponential, and with it the last bits.
+        """
         kraus = stage_kraus(lam, ds, di)
         u = stage_unitary(lam, ds, di)
         assert kraus.shape == (di, ds, ds)
+        tol = 2e-15 if di > ds else 0.0
         for k in range(di):
             for a in range(ds):
                 for b in range(ds):
-                    assert kraus[k, a, b] == u[a * di + k, b * di]
+                    assert abs(kraus[k, a, b] - u[a * di + k, b * di]) <= tol
 
     def test_memoized_and_read_only(self):
         """Runners and CLI threads share one stack, so nobody may write to it."""
@@ -61,16 +68,8 @@ class TestStageKraus:
         with pytest.raises(ValueError):
             kraus[0, 0, 0] = 1.0
 
-    def test_sequential_table_builds_the_stage_once(self, monkeypatch, tmp_path):
-        """A 3-stage sequential table conditions 8 patterns on one stage unitary."""
-        calls = []
-        original = pacsim.dynamics.stage_unitary
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(pacsim.dynamics, "stage_unitary", counting)
+    def test_sequential_table_builds_the_stage_once(self, tmp_path):
+        """A 3-stage sequential table conditions 8 patterns on one Kraus stack."""
         stage_kraus.cache_clear()
         config = tmp_path / "scenario.yaml"
         config.write_text(
@@ -79,7 +78,7 @@ class TestStageKraus:
             encoding="utf-8",
         )
         assert main(["run", str(config), "--outdir", str(tmp_path / "out")]) == 0
-        assert len(calls) == 1
+        assert stage_kraus.cache_info().misses == 1
 
     def test_kth_subdiagonal(self):
         """n_s - n_i is conserved, so K_k only maps |b> to |b + k>."""
@@ -100,10 +99,12 @@ class TestStageKraus:
         with mpmath.workdps(40):
             exact = mpmath.expm(mpmath.matrix(stage_generator(lam, ds, di).tolist()))
             exact = np.array(exact.tolist(), dtype=float)
-        u = stage_unitary(lam, ds, di)
-        assert np.array_equal(u != 0.0, exact != 0.0)
-        nonzero = exact != 0.0
-        assert np.max(np.abs(u[nonzero] / exact[nonzero] - 1.0)) < 1e-14
+        # the vacuum-idler columns: exact_kraus[k, a, b] = <a, k| U |b, 0>
+        exact_kraus = exact[:, ::di].reshape(ds, di, ds).transpose(1, 0, 2)
+        kraus = stage_kraus(lam, ds, di)
+        assert np.array_equal(kraus != 0.0, exact_kraus != 0.0)
+        nonzero = exact_kraus != 0.0
+        assert np.max(np.abs(kraus[nonzero] / exact_kraus[nonzero] - 1.0)) < 1e-14
 
     @pytest.mark.parametrize("lam", [0.0, 0.05, 0.5])
     def test_completeness(self, lam):
@@ -170,8 +171,7 @@ def project_signal(config, reference, orthogonal_to):
     joint = joint_state(config)
     amps = ref.amplitudes.conj() @ joint.amplitudes.reshape(config.signal_dim, -1)
     probability = float(np.vdot(amps, amps).real)
-    idlers = MultiMode(joint.space.modes[1:])
-    return probability, PureState(idlers, amps / np.sqrt(probability))
+    return probability, MultiModeState(joint.dims[1:], amps / np.sqrt(probability))
 
 
 class TestHeraldIdlers:
@@ -191,12 +191,13 @@ class TestHeraldIdlers:
         probability, state = herald_idlers(config, reference, others)
         old_probability, old_state = project_signal(config, reference, others)
         assert probability == pytest.approx(old_probability, rel=1e-10)
-        assert state.space == old_state.space
+        assert state.dims == old_state.dims
         assert np.max(np.abs(state.amplitudes - old_state.amplitudes)) <= 1e-10
-        dims = state.space.dims
+        dims = state.dims
         if len(set(dims)) == 1:
             w_ref = w_state_reference(len(dims), dims[0])
-            assert abs(fidelity_pure(state, w_ref) - fidelity_pure(old_state, w_ref)) <= 1e-10
+            old_fidelity = overlap_fidelity(old_state, w_ref)
+            assert abs(overlap_fidelity(state, w_ref) - old_fidelity) <= 1e-10
 
     def test_reference_dim_mismatch(self):
         config = ChainConfig.uniform(1.0, 0.05, 2)
@@ -206,10 +207,10 @@ class TestHeraldIdlers:
 
 def dense_w_fidelity(state):
     """F_W of a heralded idler state, or None where herald_summary gives None."""
-    dims = state.space.dims
+    dims = state.dims
     if len(set(dims)) > 1:
         return None
-    return fidelity_pure(state, w_state_reference(len(dims), dims[0]))
+    return overlap_fidelity(state, w_state_reference(len(dims), dims[0]))
 
 
 class TestHeraldSummary:
@@ -312,7 +313,7 @@ def test_herald_summary_matches_herald_idlers(case):
         assert abs(w_fidelity - expected) <= 1e-10
 
 
-def test_w_heralding_keeps_no_idler_records(no_multimode_state, tmp_path, capsys):
+def test_w_heralding_keeps_no_idler_records(signal_states_only, tmp_path, capsys):
     """extract_w_state, pacsim wstate and every project variant contract instead."""
     assert extract_w_state(ChainConfig.uniform(1.0, 0.05, 3)).w_fidelity >= 0.995
     assert main(["wstate", "--alpha", "1", "--lam", "0.05", "--n", "3"]) == 0
@@ -345,14 +346,14 @@ def test_twelve_stages_need_no_budget(tmp_path, capsys):
     assert f"heralding probability = {payload['probability']!r}" in capsys.readouterr().out
 
 
-def test_extract_w_state_never_builds_the_joint_state(no_multimode_state):
+def test_extract_w_state_never_builds_the_joint_state(signal_states_only):
     result = extract_w_state(ChainConfig.uniform(1.0, 0.05, 3))
     assert result.w_fidelity >= 0.995
 
 
 @pytest.mark.parametrize("mode", ["full", "sequential"])
 @pytest.mark.parametrize("extra", ["", "reference_m: 2", "plain: true"])
-def test_project_task_never_builds_the_joint_state(no_multimode_state, tmp_path, mode, extra):
+def test_project_task_never_builds_the_joint_state(signal_states_only, tmp_path, mode, extra):
     config = tmp_path / "scenario.yaml"
     config.write_text(
         f"version: 1\nchain: {{alpha: 1.0, lam: 0.05, n_stages: 3}}\nmode: {mode}\n"
@@ -365,7 +366,11 @@ def test_project_task_never_builds_the_joint_state(no_multimode_state, tmp_path,
 
 
 def test_import_does_not_load_scipy(run_python):
-    code = "import sys, pacsim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    """The test references (scipy, mpmath, hypothesis) stay out of the runtime."""
+    code = (
+        "import sys, pacsim.cli; print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('scipy', 'mpmath', 'hypothesis')))"
+    )
     out = run_python("-c", code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
@@ -379,19 +384,19 @@ PUBLIC_NAMES = {
     "ClickPattern", "DetectorModel", "orthogonalized_reference", "outcome_probability",
     # dynamics
     "IMPOSSIBLE_PROBABILITY", "ChainConfig", "StageParams", "herald_summary", "stage_kraus",
-    "stage_unitary", "walk_patterns",
+    "walk_patterns",
     # errors
     "DimensionBudgetError", "ScenarioError", "StrongCouplingWarning", "TruncationError",
     "TruncationWarning",
     # fock
-    "ModeSpec", "MultiMode", "PureState", "coherent_state", "default_signal_dim",
-    "fidelity_pure", "fock_state", "mean_photon_number", "pacs_state", "single_mode",
+    "PureState", "coherent_state", "default_signal_dim", "fidelity_pure", "fock_state",
+    "mean_photon_number", "pacs_state",
 }
 
 
 def test_public_surface():
-    """The names pacsim exports, exactly: the joint-state path and the ensemble
-    types it once exported stay out."""
+    """The names pacsim exports, exactly: the joint-state path, the multimode
+    types and the ensemble types it once exported stay out."""
     exported = {
         name for name, value in vars(pacsim).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)

@@ -185,7 +185,7 @@ tasks:
 """
 
 
-def test_click_answers_come_from_the_walk_alone(no_multimode_state, tmp_path, capsys):
+def test_click_answers_come_from_the_walk_alone(signal_states_only, tmp_path, capsys):
     """Both modes write the same bytes with no multimode state formed, and the
     quick-look sweep and pacs commands need one no more than the tables do."""
     outputs = {}

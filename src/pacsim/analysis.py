@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,16 +23,22 @@ import numpy as np
 from .dynamics import ChainConfig, herald_summary
 from .errors import TruncationWarning
 from .fock import PureState, pacs_state
+from .records import Record
 
 
-@dataclass(frozen=True)
-class ScalingFit:
+class ScalingFit(Record):
     """Power-law fit p = prefactor * lam^exponent from log-log least squares."""
 
-    exponent: float
-    prefactor: float
-    r_squared: float
-    samples: tuple[tuple[float, float], ...]
+    __slots__ = ("exponent", "prefactor", "r_squared", "samples")
+
+    def __init__(
+        self,
+        exponent: float,
+        prefactor: float,
+        r_squared: float,
+        samples: tuple[tuple[float, float], ...],
+    ):
+        super().__init__(exponent, prefactor, r_squared, samples)
 
 
 def fit_power_law(samples: Sequence[tuple[float, float]]) -> ScalingFit:
@@ -66,17 +71,17 @@ def fit_power_law(samples: Sequence[tuple[float, float]]) -> ScalingFit:
     )
 
 
-@dataclass(frozen=True)
-class PhotonStatistics:
+class PhotonStatistics(Record):
     """Photon-number distribution of one mode with mean and Mandel Q.
 
     Q = (<n^2> - <n>^2)/<n> - 1: zero for coherent light, -1 for a number
     state; values in between witness the coherent-to-Fock transition.
     """
 
-    distribution: np.ndarray
-    mean: float
-    mandel_q: float
+    __slots__ = ("distribution", "mean", "mandel_q")
+
+    def __init__(self, distribution: np.ndarray, mean: float, mandel_q: float):
+        super().__init__(distribution, mean, mandel_q)
 
 
 def photon_statistics(state: PureState) -> PhotonStatistics:
@@ -91,13 +96,13 @@ def photon_statistics(state: PureState) -> PhotonStatistics:
     return PhotonStatistics(distribution=dist, mean=mean, mandel_q=q)
 
 
-@dataclass(frozen=True)
-class WignerGrid:
+class WignerGrid(Record):
     """W(x, p) sampled on a uniform grid; values[i, j] = W(x_axis[i], p_axis[j])."""
 
-    x_axis: np.ndarray
-    p_axis: np.ndarray
-    values: np.ndarray
+    __slots__ = ("x_axis", "p_axis", "values")
+
+    def __init__(self, x_axis: np.ndarray, p_axis: np.ndarray, values: np.ndarray):
+        super().__init__(x_axis, p_axis, values)
 
     def integral(self) -> float:
         dx = float(self.x_axis[1] - self.x_axis[0])
@@ -221,12 +226,13 @@ def _hermite_functions(u: np.ndarray, n_basis: int) -> np.ndarray:
     return phi
 
 
-@dataclass(frozen=True)
-class WStateResult:
+class WStateResult(Record):
     """Heralding on one added photon: probability and idlers' W fidelity."""
 
-    probability: float
-    w_fidelity: float | None
+    __slots__ = ("probability", "w_fidelity")
+
+    def __init__(self, probability: float, w_fidelity: float | None):
+        super().__init__(probability, w_fidelity)
 
     @property
     def impossible(self) -> bool:

@@ -32,6 +32,7 @@ PACSIM_MAX_WORKERS caps task parallelism.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import functools
 import io
@@ -39,8 +40,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+import threading
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -59,6 +59,7 @@ from .fock import (
     pacs_state,
     tail_mass,
 )
+from .records import Record
 
 SCHEMA_VERSION = 1
 #: Largest size a command may reach, in elements: a chain's
@@ -259,18 +260,23 @@ def _parse_pattern(text: Any, n_stages: int, where: str) -> ClickPattern:
     return pattern
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """Validated scenario: chain, detector and task list.
 
     ``signal_dim`` is the given chain.signal_dim, the cutoff of every chain
     the scenario runs, or None where each takes its default cutoff.
     """
 
-    chain: ChainConfig
-    detector: DetectorModel
-    tasks: tuple[dict, ...]
-    signal_dim: int | None
+    __slots__ = ("chain", "detector", "tasks", "signal_dim")
+
+    def __init__(
+        self,
+        chain: ChainConfig,
+        detector: DetectorModel,
+        tasks: tuple[dict, ...],
+        signal_dim: int | None,
+    ):
+        super().__init__(chain, detector, tasks, signal_dim)
 
 
 def parse_scenario(raw: Any) -> Scenario:
@@ -693,6 +699,57 @@ def _max_workers(n_tasks: int) -> int:
     return max(1, min(cap, n_tasks))
 
 
+def _run_tasks(run_one: Callable[[dict], Outputs], tasks: tuple[dict, ...]) -> list[Outputs]:
+    """``[run_one(task) for task in tasks]`` on _max_workers threads, the
+    calling thread among them.
+
+    Each thread takes the next task in order until none is left or one has
+    failed; tasks taken before a failure run to the end. Then the exception
+    of the lowest-index task that failed is raised, as ThreadPoolExecutor.map
+    raises it.
+    """
+    results: list[Outputs | None] = [None] * len(tasks)
+    failures: dict[int, BaseException] = {}
+    pending = collections.deque(enumerate(tasks))  # popleft is thread-safe
+
+    def work() -> None:
+        while not failures:
+            try:
+                i, task = pending.popleft()
+            except IndexError:
+                return
+            try:
+                results[i] = run_one(task)
+            except BaseException as exc:  # re-raised below, on the calling thread
+                failures[i] = exc
+
+    threads = [threading.Thread(target=work) for _ in range(_max_workers(len(tasks)) - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
+def _load_yaml(text: str) -> Any:
+    """``yaml.safe_load(text)``, parsed by libyaml where PyYAML has it.
+
+    CSafeLoader shares SafeLoader's constructor and resolver, so both give
+    the same mapping for a well-formed file. Text that libyaml refuses is
+    parsed again by SafeLoader, so its error keeps SafeLoader's message,
+    line and column. libyaml accepts a few forms that SafeLoader refuses,
+    such as a tab after ``key:``; those files take libyaml's reading (the
+    README lists the forms).
+    """
+    try:
+        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except yaml.YAMLError:
+        return yaml.load(text, Loader=yaml.SafeLoader)
+
+
 def run_scenario(config_path: str | Path, outdir: str | Path | None = None) -> int:
     """Execute a scenario file; writes nothing unless every task succeeds."""
     config_path = Path(config_path)
@@ -700,7 +757,7 @@ def run_scenario(config_path: str | Path, outdir: str | Path | None = None) -> i
         outdir = Path.cwd()
     outdir = Path(outdir)
     try:
-        raw = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+        raw = _load_yaml(config_path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ScenarioError(f"{config_path}: no such file")
     except yaml.YAMLError as exc:
@@ -708,16 +765,7 @@ def run_scenario(config_path: str | Path, outdir: str | Path | None = None) -> i
         loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ScenarioError(f"{config_path}: YAML parse error{loc}: {exc}")
     scenario = parse_scenario(raw)
-
-    def run_one(task: dict) -> Outputs:
-        return _TASK_RUNNERS[task["type"]](task, scenario)
-
-    workers = _max_workers(len(scenario.tasks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, scenario.tasks))
-    else:
-        results = [run_one(task) for task in scenario.tasks]
+    results = _run_tasks(lambda task: _TASK_RUNNERS[task["type"]](task, scenario), scenario.tasks)
 
     # all tasks succeeded; only now format and write (grids row by row)
     for i, (task, outputs) in enumerate(zip(scenario.tasks, results)):

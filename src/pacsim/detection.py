@@ -13,26 +13,25 @@ dynamics.herald_summary projects the signal onto.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .fock import PureState
+from .records import Record
 
 
-@dataclass(frozen=True)
-class DetectorModel:
+class DetectorModel(Record):
     """On/off detector: quantum efficiency and per-gate dark-count probability."""
 
-    eta: float = 1.0
-    dark_prob: float = 0.0
+    __slots__ = ("eta", "dark_prob")
 
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if not 0.0 <= self.dark_prob < 1.0:
-            raise ValueError(f"dark_prob must lie in [0, 1), got {self.dark_prob}")
+    def __init__(self, eta: float = 1.0, dark_prob: float = 0.0):
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError(f"eta must lie in [0, 1], got {eta}")
+        if not 0.0 <= dark_prob < 1.0:
+            raise ValueError(f"dark_prob must lie in [0, 1), got {dark_prob}")
+        super().__init__(eta, dark_prob)
 
     @classmethod
     def ideal(cls) -> "DetectorModel":
@@ -49,14 +48,13 @@ class DetectorModel:
         return self.dark_prob + (1.0 - self.dark_prob) * (1.0 - miss)
 
 
-@dataclass(frozen=True)
-class ClickPattern:
+class ClickPattern(Record):
     """One binary outcome per idler detector, in stage order."""
 
-    clicks: tuple[bool, ...]
+    __slots__ = ("clicks",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "clicks", tuple(bool(c) for c in self.clicks))
+    def __init__(self, clicks: tuple[bool, ...]):
+        super().__init__(tuple(bool(c) for c in clicks))
 
     @classmethod
     def from_string(cls, text: str) -> "ClickPattern":

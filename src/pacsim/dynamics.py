@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -30,6 +29,7 @@ import numpy as np
 from .detection import ClickPattern, DetectorModel, orthogonalized_reference
 from .errors import StrongCouplingWarning
 from .fock import PureState, coherent_state, default_signal_dim
+from .records import Record
 
 #: Weak-coupling regime bound; beyond it leading-order scaling claims degrade.
 WEAK_COUPLING_LIMIT = 0.3
@@ -40,47 +40,44 @@ WEAK_COUPLING_LIMIT = 0.3
 IMPOSSIBLE_PROBABILITY = 1e-30
 
 
-@dataclass(frozen=True)
-class StageParams:
+class StageParams(Record):
     """One amplifier stage: effective interaction strength and idler cutoff."""
 
-    lam: float
-    idler_dim: int = 4
+    __slots__ = ("lam", "idler_dim")
 
-    def __post_init__(self):
-        if not math.isfinite(self.lam):
-            raise ValueError(f"lam must be finite, got {self.lam}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
-        if self.idler_dim < 2:
-            raise ValueError(f"idler_dim must be >= 2, got {self.idler_dim}")
-        if self.lam > WEAK_COUPLING_LIMIT:
+    def __init__(self, lam: float, idler_dim: int = 4):
+        if not math.isfinite(lam):
+            raise ValueError(f"lam must be finite, got {lam}")
+        if lam < 0:
+            raise ValueError(f"lam must be nonnegative, got {lam}")
+        if idler_dim < 2:
+            raise ValueError(f"idler_dim must be >= 2, got {idler_dim}")
+        if lam > WEAK_COUPLING_LIMIT:
             warnings.warn(
-                f"lam={self.lam} is outside the weak-coupling regime "
+                f"lam={lam} is outside the weak-coupling regime "
                 f"(> {WEAK_COUPLING_LIMIT}); exact evolution remains valid",
                 StrongCouplingWarning,
                 stacklevel=2,
             )
+        super().__init__(lam, idler_dim)
 
 
-@dataclass(frozen=True)
-class ChainConfig:
+class ChainConfig(Record):
     """Seed coherent amplitude plus the ordered amplifier stages."""
 
-    alpha: complex
-    stages: tuple[StageParams, ...]
-    signal_dim: int | None = None
+    __slots__ = ("alpha", "stages", "signal_dim")
 
-    def __post_init__(self):
-        object.__setattr__(self, "stages", tuple(self.stages))
-        if not self.stages:
+    def __init__(
+        self, alpha: complex, stages: tuple[StageParams, ...], signal_dim: int | None = None
+    ):
+        stages = tuple(stages)
+        if not stages:
             raise ValueError("chain needs at least one stage")
-        if self.signal_dim is None:
-            object.__setattr__(
-                self, "signal_dim", default_signal_dim(self.alpha, len(self.stages))
-            )
-        elif self.signal_dim < 2:
-            raise ValueError(f"signal_dim must be >= 2, got {self.signal_dim}")
+        if signal_dim is None:
+            signal_dim = default_signal_dim(alpha, len(stages))
+        elif signal_dim < 2:
+            raise ValueError(f"signal_dim must be >= 2, got {signal_dim}")
+        super().__init__(alpha, stages, signal_dim)
 
     @classmethod
     def uniform(

@@ -10,10 +10,11 @@ joint signal-idler or idler state is formed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import TruncationError
+from .records import Record
 
 #: Largest probability mass allowed outside the truncation window.
 TAIL_MASS_LIMIT = 1e-12
@@ -21,11 +22,18 @@ TAIL_MASS_LIMIT = 1e-12
 NORM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PureState:
-    """Normalized complex amplitudes of one mode on the levels 0..dim-1."""
+class PureState(Record):
+    """Normalized complex amplitudes of one mode on the levels 0..dim-1.
 
-    amplitudes: np.ndarray
+    Every construction runs ``__post_init__``, looked up on the class, which
+    validates the amplitudes and stores them read-only.
+    """
+
+    __slots__ = ("amplitudes",)
+
+    def __init__(self, amplitudes: np.ndarray):
+        super().__init__(amplitudes)
+        self.__post_init__()
 
     def __post_init__(self):
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)

@@ -6,6 +6,8 @@ import json
 import math
 import os
 import re
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -35,7 +37,7 @@ from pacsim.cli import (
     run_scenario,
     wigner_grid_lines,
 )
-from pacsim.errors import DimensionBudgetError
+from pacsim.errors import DimensionBudgetError, ScenarioError
 
 from oracles import conditional_density, density, fidelity, joint_state
 
@@ -189,6 +191,56 @@ tasks:
         assert main(["run", str(config), "--outdir", str(out2)]) == 0
         assert (out1 / "patterns.csv").read_bytes() == (out2 / "patterns.csv").read_bytes()
 
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    def test_lowest_failing_task_reported(self, tmp_path, monkeypatch, capsys, workers):
+        """tasks[1] and tasks[2] fail; tasks[1]'s error is the one printed,
+        even when it fails last, and no task's file is written."""
+        config = write_scenario(
+            tmp_path,
+            MINIMAL_SCENARIO + "  - {type: project, output: b.json}\n"
+            "  - {type: project, output: c.json}\n",
+        )
+        later_failed = threading.Event()
+
+        def fail(task, scenario):
+            if task["output"] == "b.json":
+                # with a thread to spare, c.json fails first
+                later_failed.wait(timeout=10 if workers != "1" else 0)
+            else:
+                later_failed.set()
+            raise ScenarioError(f"{task['output']}: failed")
+
+        monkeypatch.setitem(cli._TASK_RUNNERS, "project", fail)
+        monkeypatch.setenv("PACSIM_MAX_WORKERS", workers)
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--outdir", str(out)]) == 1
+        assert capsys.readouterr().err == "error: b.json: failed\n"
+        assert not out.exists()
+
+
+def test_task_threads_run_every_task_once():
+    """More threads than cores, switching threads every microsecond: every
+    task runs exactly once and its result lands at its own index."""
+    tasks = tuple({"i": i} for i in range(400))
+    ran = []
+
+    def run(task):
+        ran.append(task["i"])
+        return task["i"]
+
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("PACSIM_MAX_WORKERS", "8")
+            results = cli._run_tasks(run, tasks)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == list(range(400))
+    assert sorted(ran) == list(range(400))
+    assert threading.active_count() == threads
+
 
 def test_wigner_task_beyond_level_170(tmp_path):
     """A scenario's fock:200 grid runs: W_200(0, 0) = (-1)^200 / pi."""
@@ -204,8 +256,9 @@ def test_wigner_task_beyond_level_170(tmp_path):
 
 
 def test_streamed_grid_peaks_below_its_file_size(tmp_path):
-    """The benchmark's 401x401 pacs:2,1 grid is formatted one row at a time
-    as it is written, so tracing run_scenario peaks below the file's size."""
+    """The benchmark's 401x401 pacs:2,1 grid is formatted a block of about
+    cli._BLOCK_VALUES values at a time as it is written, so tracing
+    run_scenario peaks below the file's size."""
     config = write_scenario(
         tmp_path,
         "version: 1\nchain: {alpha: 1.0, lam: 0.05, n_stages: 1}\ntasks:\n"

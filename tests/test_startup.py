@@ -1,0 +1,123 @@
+"""What starting the CLI costs: the modules it loads, its records and its YAML parser."""
+
+import copy
+import pickle
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+import yaml
+
+import pacsim
+from pacsim import cli
+from pacsim.cli import Scenario, main
+
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+SCENARIOS = {
+    **{f"bench/{p.name}": p.read_text(encoding="utf-8")
+       for p in sorted((ROOT / "bench" / "scenarios").glob("*.yaml"))},
+    **{f"README[{i}]": block
+       for i, block in enumerate(re.findall(r"```yaml\n(.*?)```", README, re.DOTALL))},
+}
+
+
+def test_import_loads_no_pool_or_dataclass_machinery(run_python):
+    """concurrent.futures (with the logging and queue it pulls in) and
+    dataclasses cost milliseconds on every start; the CLI needs neither."""
+    code = (
+        "import sys, pacsim.cli; print(sorted(m for m in sys.modules if m in "
+        "('concurrent.futures', 'dataclasses', 'logging', 'queue')))"
+    )
+    out = run_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+CHAIN = pacsim.ChainConfig.uniform(1.0, 0.05, 2)
+STAGE_REPR = "StageParams(lam=0.05, idler_dim=4)"
+CHAIN_REPR = f"ChainConfig(alpha=1.0, stages=({STAGE_REPR}, {STAGE_REPR}), signal_dim=19)"
+#: one record of each type and its repr, the one a frozen dataclass showed;
+#: the first six hold hashable fields only, so they are values
+RECORDS = [
+    (pacsim.StageParams(0.05), STAGE_REPR),
+    (CHAIN, CHAIN_REPR),
+    (pacsim.DetectorModel(0.5), "DetectorModel(eta=0.5, dark_prob=0.0)"),
+    (pacsim.ClickPattern.from_string("10"), "ClickPattern(clicks=(True, False))"),
+    (pacsim.WStateResult(0.1, None), "WStateResult(probability=0.1, w_fidelity=None)"),
+    (pacsim.ScalingFit(2.0, 1.0, 1.0, ((0.1, 0.2),)),
+     "ScalingFit(exponent=2.0, prefactor=1.0, r_squared=1.0, samples=((0.1, 0.2),))"),
+    (Scenario(CHAIN, pacsim.DetectorModel(), ({"type": "project"},), None),
+     f"Scenario(chain={CHAIN_REPR}, detector=DetectorModel(eta=1.0, dark_prob=0.0), "
+     "tasks=({'type': 'project'},), signal_dim=None)"),
+    (pacsim.PureState(np.array([1.0, 0.0])), "PureState(amplitudes=array([1.+0.j, 0.+0.j]))"),
+    (pacsim.PhotonStatistics(np.array([1.0]), 0.0, 0.0),
+     "PhotonStatistics(distribution=array([1.]), mean=0.0, mandel_q=0.0)"),
+    (pacsim.WignerGrid(np.zeros(1), np.zeros(1), np.zeros((1, 1))),
+     "WignerGrid(x_axis=array([0.]), p_axis=array([0.]), values=array([[0.]]))"),
+]
+
+
+RECORD_IDS = [type(record).__name__ for record, _ in RECORDS]
+
+
+@pytest.mark.parametrize("record, shown", RECORDS, ids=RECORD_IDS)
+def test_record_is_frozen_and_shows_its_fields(record, shown):
+    assert repr(record) == shown
+    name = shown[shown.index("(") + 1:shown.index("=")]
+    with pytest.raises(AttributeError):
+        setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.other = None
+
+
+@pytest.mark.parametrize("record, _", RECORDS[:6], ids=RECORD_IDS[:6])
+def test_value_record_compares_and_hashes_by_fields(record, _):
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert twin == record and twin is not record
+        assert hash(twin) == hash(record)
+
+
+def test_records_differ_by_field_and_class():
+    assert pacsim.StageParams(0.05) != pacsim.StageParams(0.05, 5)
+    assert CHAIN != pacsim.ChainConfig.uniform(1.0, 0.05, 2, signal_dim=20)
+    assert pacsim.DetectorModel(0.25) != pacsim.StageParams(0.25)
+
+
+def _parse_both_ways(monkeypatch, parse):
+    """``parse()`` with PyYAML's libyaml loader, then with it absent."""
+    fast = parse()
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    return fast, parse()
+
+
+@pytest.mark.parametrize("text", SCENARIOS.values(), ids=SCENARIOS.keys())
+def test_yaml_parsers_give_the_same_mapping(monkeypatch, text):
+    fast, pure = _parse_both_ways(monkeypatch, lambda: cli._load_yaml(text))
+    assert fast == pure == yaml.safe_load(text)
+    assert isinstance(fast, dict)
+
+
+@pytest.mark.parametrize("text", [
+    "version: 1\nchain: [unclosed\n",
+    "version: 1\nchain:\n\talpha: 1.0\n",
+    "version: 1\n  chain: {alpha: 1}\n",
+    "version: 1\nchain: {alpha: 1, alpha: *missing}\n",
+    "version: 1\nchain: !!python/object:os.system {}\n",
+    "version: 1\ntasks: [{a: 1}, {b: 2}\n",
+])
+def test_malformed_yaml_gives_the_same_error(tmp_path, monkeypatch, capsys, text):
+    config = tmp_path / "scenario.yaml"
+    config.write_text(text, encoding="utf-8")
+
+    def stderr_of_run() -> str:
+        assert main(["run", str(config), "--outdir", str(tmp_path / "out")]) == 1
+        return capsys.readouterr().err
+
+    fast, pure = _parse_both_ways(monkeypatch, stderr_of_run)
+    assert fast == pure
+    assert fast.startswith(f"error: {config}: YAML parse error")
+    assert not (tmp_path / "out").exists()

@@ -7,10 +7,15 @@ Subcommands:
   wigner   Wigner grid of a named state, written as a plain-text matrix
   sweep    pattern probability across parameter values, with power-law fit
 
-Each quick-look command (pacs, wstate, wigner, sweep) is a one-task
-scenario: it builds the mapping a scenario file would hold, checks it with
-the scenario validators and runs the same task code as ``run``. An error
-names the flag that set the field, by one table (_FIELD_FLAGS).
+Each section of a scenario is checked against one table of its fields and
+their defaults (_SCENARIO, _UNIFORM_CHAIN or _STAGED_CHAIN, _STAGE,
+_DETECTOR, _TASK and _TASK_TYPES), and a validated task holds every field
+of its type, defaults filled in and values parsed, so the task code parses
+nothing again. Each quick-look command (pacs, wstate, wigner, sweep) is a
+one-task scenario: it builds the mapping a scenario file would hold from
+the flags it was given, checks it with the scenario validators and runs
+the same task code as ``run``. An error names the flag that set the field,
+by one table (_FIELD_FLAGS).
 
 All outputs are deterministic: identical configs produce byte-identical
 files. Every click probability and conditional signal comes from one
@@ -49,7 +54,7 @@ import yaml
 
 from .analysis import WignerGrid, _herald_on_ladder, fit_power_law, wigner
 from .detection import ClickPattern, DetectorModel, outcome_probability
-from .dynamics import ChainConfig, StageParams, walk_patterns
+from .dynamics import MAX_LAM, ChainConfig, StageParams, walk_patterns
 from .errors import DimensionBudgetError, ScenarioError, TruncationError
 from .fock import (
     PureState,
@@ -65,14 +70,6 @@ SCHEMA_VERSION = 1
 #: Largest size a command may reach, in elements: a chain's
 #: (signal_dim idler_dim)^2, a Wigner state's coefficients or a grid's points
 DEFAULT_AMPLITUDE_BUDGET = 20_000_000
-# the fields each task type accepts besides "type" and "output"
-_TASK_FIELDS = {
-    "patterns": {"pattern"},
-    "project": {"reference_m", "ladder_max", "plain"},
-    "sweep": {"param", "values", "pattern", "fit_output"},
-    "wigner": {"state", "extent", "step"},
-}
-_TASK_TYPES = tuple(_TASK_FIELDS)
 #: output path -> the file's text as chunks, written in order
 Outputs = dict[str, Iterable[str]]
 #: values per chunk of a Wigner grid's text: floattext.rows_text's
@@ -80,10 +77,51 @@ Outputs = dict[str, Iterable[str]]
 #: a chunk needs at most 1.5 MB; chunks of 12k to 32k values format equally fast
 _BLOCK_VALUES = 16384
 
+# Each section of a scenario is one table, field -> default or _REQUIRED;
+# _fields fills the defaults in, so each is written here and nowhere else.
+_REQUIRED = object()
+#: the default of a project task's ladder_max: the chain's stage count
+_N_STAGES = object()
+_SCENARIO = {
+    "version": _REQUIRED, "chain": _REQUIRED, "detector": None, "mode": "full",
+    "tasks": _REQUIRED,
+}
+_STAGE = {"lam": _REQUIRED, "idler_dim": 4}
+# a chain either sets every stage alike or lists them
+_UNIFORM_CHAIN = {"alpha": _REQUIRED, **_STAGE, "n_stages": _REQUIRED, "signal_dim": None}
+_STAGED_CHAIN = {"alpha": _REQUIRED, "stages": _REQUIRED, "signal_dim": None}
+_DETECTOR = {"eta": 1.0, "dark_prob": 0.0}
+_TASK = {"type": _REQUIRED, "output": _REQUIRED}
+#: task type -> its fields besides those of _TASK
+_TASK_TYPES = {
+    "patterns": {"pattern": None},
+    "project": {"reference_m": 1, "ladder_max": _N_STAGES, "plain": False},
+    "sweep": {"param": "lam", "values": _REQUIRED, "pattern": _REQUIRED, "fit_output": None},
+    "wigner": {"state": _REQUIRED, "extent": 5.0, "step": 0.1},
+}
+
 
 # ---------------------------------------------------------------------------
 # scenario parsing and validation
 # ---------------------------------------------------------------------------
+
+def _fields(raw: Any, table: dict[str, Any], where: str) -> dict[str, Any]:
+    """Each field of ``table`` -> its value in the mapping ``raw``, or its
+    default where ``raw`` leaves it out.
+
+    A ScenarioError names ``where`` for a ``raw`` that is not a mapping, a
+    required field it leaves out or a field ``table`` does not have.
+    """
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{where}: expected a mapping")
+    for key, default in table.items():
+        if default is _REQUIRED and key not in raw:
+            raise ScenarioError(f"{where}: missing required field {key!r}")
+    for key in raw:
+        if key not in table:
+            raise ScenarioError(f"{where}: unknown field {key!r}")
+    return {key: raw.get(key, default) for key, default in table.items()}
+
 
 def _parse_alpha(value: Any, where: str) -> complex:
     if _is_number(value):
@@ -110,10 +148,8 @@ def _is_number(value: Any) -> bool:
     return _is_int(value) or isinstance(value, float)
 
 
-def _require(mapping: dict, key: str, where: str) -> Any:
-    if key not in mapping:
-        raise ScenarioError(f"{where}: missing required field {key!r}")
-    return mapping[key]
+def _is_positive(value: Any) -> bool:
+    return _is_number(value) and 0 < value < math.inf
 
 
 def _typed(value: Any, is_valid: Callable[[Any], bool], where: str, expected: str) -> Any:
@@ -121,12 +157,6 @@ def _typed(value: Any, is_valid: Callable[[Any], bool], where: str, expected: st
     if not is_valid(value):
         raise ScenarioError(f"{where}: expected {expected}, got {value!r}")
     return value
-
-
-def _check_fields(mapping: dict, known: set[str], where: str) -> None:
-    for key in mapping:
-        if key not in known:
-            raise ScenarioError(f"{where}: unknown field {key!r}")
 
 
 def _construct(cls, where: str, **fields):
@@ -142,57 +172,52 @@ def _construct(cls, where: str, **fields):
     return built
 
 
-def _parse_stage(raw: dict, where: str) -> StageParams:
+def _parse_stage(fields: dict, where: str) -> StageParams:
     """The ``lam`` and ``idler_dim`` of one stage entry, or of a uniform chain."""
-    lam = _typed(_require(raw, "lam", where), _is_number, f"{where}.lam", "a number")
-    idler_dim = _typed(raw.get("idler_dim", 4), _is_int, f"{where}.idler_dim", "an integer")
+    lam = _typed(fields["lam"], _is_number, f"{where}.lam", "a number")
+    idler_dim = _typed(fields["idler_dim"], _is_int, f"{where}.idler_dim", "an integer")
     return _construct(StageParams, where, lam=float(lam), idler_dim=idler_dim)
 
 
-def _parse_chain(raw: Any) -> ChainConfig:
-    if not isinstance(raw, dict):
-        raise ScenarioError("chain: expected a mapping")
-    uniform = ("lam", "n_stages", "idler_dim")
-    _check_fields(raw, {"alpha", "signal_dim", "stages", *uniform}, "chain")
-    alpha = _parse_alpha(_require(raw, "alpha", "chain"), "chain.alpha")
-    signal_dim = raw.get("signal_dim")
-    if signal_dim is not None and (not _is_int(signal_dim) or signal_dim < 2):
-        raise ScenarioError(f"chain.signal_dim: expected an integer >= 2, got {signal_dim!r}")
-    if "stages" in raw:
-        for key in uniform:
-            if key in raw:
+def _parse_chain(raw: Any) -> tuple[ChainConfig, int | None]:
+    """The chain, and its given signal_dim or None."""
+    staged = isinstance(raw, dict) and "stages" in raw
+    if staged:
+        for key in raw:
+            if key in _UNIFORM_CHAIN and key not in _STAGED_CHAIN:
                 raise ScenarioError(
                     f"chain.{key}: not allowed next to chain.stages, which sets every stage"
                 )
-        if not isinstance(raw["stages"], list) or not raw["stages"]:
+    fields = _fields(raw, _STAGED_CHAIN if staged else _UNIFORM_CHAIN, "chain")
+    alpha = _parse_alpha(fields["alpha"], "chain.alpha")
+    signal_dim = _typed(fields["signal_dim"], lambda v: v is None or _is_int(v) and v >= 2,
+                        "chain.signal_dim", "an integer >= 2")
+    if staged:
+        if not isinstance(fields["stages"], list) or not fields["stages"]:
             raise ScenarioError("chain.stages: expected a nonempty list")
-        stages = []
-        for i, entry in enumerate(raw["stages"]):
-            where = f"chain.stages[{i}]"
-            if not isinstance(entry, dict):
-                raise ScenarioError(f"{where}: expected a mapping")
-            _check_fields(entry, {"lam", "idler_dim"}, where)
-            stages.append(_parse_stage(entry, where))
+        stages = [
+            _parse_stage(_fields(entry, _STAGE, f"chain.stages[{i}]"), f"chain.stages[{i}]")
+            for i, entry in enumerate(fields["stages"])
+        ]
         widest = max(range(len(stages)), key=lambda i: stages[i].idler_dim)
         idler_field = f"chain.stages[{widest}].idler_dim"
     else:
-        stage = _parse_stage(raw, "chain")
-        n_stages = _require(raw, "n_stages", "chain")
-        if not _is_int(n_stages) or n_stages < 1:
-            raise ScenarioError(f"chain.n_stages: expected a positive integer, got {n_stages!r}")
+        stage = _parse_stage(fields, "chain")
+        n_stages = _typed(fields["n_stages"], lambda v: _is_int(v) and v >= 1,
+                          "chain.n_stages", "a positive integer")
         stages = [stage] * n_stages
         idler_field = "chain.idler_dim"
     if signal_dim is not None:
         signal_field = "chain.signal_dim"
     elif len(stages) > _signal_dim_floor(alpha):
         # N is the larger part of the default cutoff's floor
-        signal_field = "chain.stages" if "stages" in raw else "chain.n_stages"
+        signal_field = "chain.stages" if staged else "chain.n_stages"
     else:
         signal_field = "chain.alpha"
     idler_dim = max(s.idler_dim for s in stages)
     _check_chain_size(alpha, len(stages), idler_dim, signal_dim, signal_field, idler_field)
     try:
-        return ChainConfig(alpha, tuple(stages), signal_dim)
+        return ChainConfig(alpha, tuple(stages), signal_dim), signal_dim
     except ValueError as exc:
         raise ScenarioError(f"chain: {exc}")
 
@@ -236,12 +261,9 @@ def _check_chain_size(
 def _parse_detector(raw: Any) -> DetectorModel:
     if raw is None:
         return DetectorModel.ideal()
-    if not isinstance(raw, dict):
-        raise ScenarioError("detector: expected a mapping")
-    _check_fields(raw, {"eta", "dark_prob"}, "detector")
     return _construct(DetectorModel, "detector", **{
-        key: float(_typed(raw.get(key, default), _is_number, f"detector.{key}", "a number"))
-        for key, default in (("eta", 1.0), ("dark_prob", 0.0))
+        key: float(_typed(value, _is_number, f"detector.{key}", "a number"))
+        for key, value in _fields(raw, _DETECTOR, "detector").items()
     })
 
 
@@ -263,8 +285,13 @@ def _parse_pattern(text: Any, n_stages: int, where: str) -> ClickPattern:
 class Scenario(Record):
     """Validated scenario: chain, detector and task list.
 
-    ``signal_dim`` is the given chain.signal_dim, the cutoff of every chain
-    the scenario runs, or None where each takes its default cutoff.
+    Each task is a dict with every field of its type, defaults filled in,
+    and every value parsed: ``pattern`` a ClickPattern (or None for a whole
+    table), ``values``, ``extent`` and ``step`` floats, ``ladder_max`` an
+    integer, ``state`` the (PureState, dropped mass) pair of
+    _parse_state_spec. ``signal_dim`` is the given chain.signal_dim, the
+    cutoff of every chain the scenario runs, or None where each takes its
+    default cutoff.
     """
 
     __slots__ = ("chain", "detector", "tasks", "signal_dim")
@@ -282,26 +309,20 @@ class Scenario(Record):
 def parse_scenario(raw: Any) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError("scenario: expected a mapping at the top level")
-    version = _require(raw, "version", "scenario")
-    if version != SCHEMA_VERSION:
-        raise ScenarioError(f"version: expected {SCHEMA_VERSION}, got {version!r}")
-    _check_fields(raw, {"version", "chain", "detector", "mode", "tasks"}, "scenario")
-    raw_chain = _require(raw, "chain", "scenario")
-    chain = _parse_chain(raw_chain)
-    detector = _parse_detector(raw.get("detector"))
+    fields = _fields(raw, _SCENARIO, "scenario")
+    _typed(fields["version"], lambda v: _is_int(v) and v == SCHEMA_VERSION,
+           "version", str(SCHEMA_VERSION))
+    chain, signal_dim = _parse_chain(fields["chain"])
+    detector = _parse_detector(fields["detector"])
     # schema 1 names an evolution mode; both give the same click statistics,
     # so it is checked and selects nothing: every table comes from one walk
-    mode = raw.get("mode", "full")
-    if mode not in ("full", "sequential"):
-        raise ScenarioError(f"mode: expected 'full' or 'sequential', got {mode!r}")
-    rawtasks = _require(raw, "tasks", "scenario")
-    if not isinstance(rawtasks, list) or not rawtasks:
+    _typed(fields["mode"], ("full", "sequential").__contains__, "mode", "'full' or 'sequential'")
+    if not isinstance(fields["tasks"], list) or not fields["tasks"]:
         raise ScenarioError("tasks: expected a nonempty list")
-    signal_dim = raw_chain.get("signal_dim")
     seen_outputs: set[str] = set()
     tasks = tuple(
         _parse_task(entry, chain, f"tasks[{i}]", seen_outputs, signal_dim)
-        for i, entry in enumerate(rawtasks)
+        for i, entry in enumerate(fields["tasks"])
     )
     return Scenario(chain=chain, detector=detector, tasks=tasks, signal_dim=signal_dim)
 
@@ -313,16 +334,16 @@ def _parse_task(
     seen_outputs: set[str],
     signal_dim: int | None = None,
 ) -> dict:
-    """One validated task entry; its normalized output paths join ``seen_outputs``."""
-    if not isinstance(entry, dict):
-        raise ScenarioError(f"{where}: expected a mapping")
-    ttype = _require(entry, "type", where)
-    if ttype not in _TASK_TYPES:
-        raise ScenarioError(f"{where}.type: expected one of {_TASK_TYPES}, got {ttype!r}")
-    _check_fields(entry, _TASK_FIELDS[ttype] | {"type", "output"}, where)
-    _require(entry, "output", where)
+    """One task entry, checked and parsed (see Scenario); only a wigner task
+    may have no chain. Its normalized output paths join ``seen_outputs``, and
+    ``signal_dim`` is the given cutoff (Scenario.signal_dim)."""
+    types = tuple(_TASK_TYPES)
+    ttype = entry.get("type") if isinstance(entry, dict) else None
+    if isinstance(entry, dict) and "type" in entry:
+        _typed(ttype, types.__contains__, f"{where}.type", f"one of {types}")
+    task = _fields(entry, {**_TASK, **_TASK_TYPES.get(ttype, {})}, where)
     for path_field in ("output", "fit_output"):
-        p = entry.get(path_field)
+        p = task.get(path_field)
         if p is None and path_field == "fit_output":
             continue
         if not isinstance(p, str) or not p:
@@ -332,48 +353,30 @@ def _parse_task(
         if path in seen_outputs:
             raise ScenarioError(f"{where}.{path_field}: duplicate output path {p!r}")
         seen_outputs.add(path)
-    task = dict(entry)
-    _validate_task(task, chain, where, signal_dim)
-    return task
-
-
-def _validate_task(
-    task: dict, chain: ChainConfig | None, where: str, signal_dim: int | None
-) -> None:
-    """Check a task's own fields; only a wigner task may have no chain.
-
-    ``signal_dim`` is the given cutoff (Scenario.signal_dim).
-    """
-    ttype = task["type"]
-    if ttype == "patterns":
-        if "pattern" in task and task["pattern"] is not None:
-            _parse_pattern(task["pattern"], chain.n_stages, f"{where}.pattern")
+    if ttype == "patterns" and task["pattern"] is not None:
+        task["pattern"] = _parse_pattern(task["pattern"], chain.n_stages, f"{where}.pattern")
     elif ttype == "project":
-        m = task.get("reference_m", 1)
-        if not _is_int(m) or m < 0 or m > chain.n_stages:
-            raise ScenarioError(
-                f"{where}.reference_m: expected an integer in 0..{chain.n_stages}, got {m!r}"
-            )
-        ladder_max = task.get("ladder_max", chain.n_stages)
-        if not _is_int(ladder_max) or ladder_max < 0:
-            raise ScenarioError(
-                f"{where}.ladder_max: expected an integer >= 0, got {ladder_max!r}"
-            )
-        if not isinstance(task.get("plain", False), bool):
-            raise ScenarioError(f"{where}.plain: expected true or false, got {task['plain']!r}")
+        n = chain.n_stages
+        _typed(task["reference_m"], lambda v: _is_int(v) and 0 <= v <= n,
+               f"{where}.reference_m", f"an integer in 0..{n}")
+        if task["ladder_max"] is _N_STAGES:
+            task["ladder_max"] = n
+        _typed(task["ladder_max"], lambda v: _is_int(v) and v >= 0,
+               f"{where}.ladder_max", "an integer >= 0")
+        _typed(task["plain"], lambda v: isinstance(v, bool), f"{where}.plain", "true or false")
     elif ttype == "sweep":
-        param = task.get("param", "lam")
-        if param not in ("lam", "alpha"):
-            raise ScenarioError(f"{where}.param: expected 'lam' or 'alpha', got {param!r}")
-        fit = task.get("fit_output") is not None
+        param = _typed(task["param"], ("lam", "alpha").__contains__,
+                       f"{where}.param", "'lam' or 'alpha'")
+        fit = task["fit_output"] is not None
         if fit and param != "lam":
             raise ScenarioError(f"{where}.fit_output: fits are only defined for lam sweeps")
-        values, field = _require(task, "values", where), f"{where}.values"
+        values, field = task["values"], f"{where}.values"
         if not isinstance(values, list) or not values:
             raise ScenarioError(f"{field}: expected a nonempty list")
         for v in values:
-            if not _is_number(v) or not 0 < v < math.inf:
-                raise ScenarioError(f"{field}: expected positive numbers, got {v!r}")
+            _typed(v, _is_positive, field, "positive numbers")
+            if param == "lam" and v > MAX_LAM:
+                raise ScenarioError(f"{field}: lam must be at most {MAX_LAM}, got {v!r}")
         if fit and (len(values) < 3 or len(set(values)) != len(values)):
             raise ScenarioError(f"{field}: a fit needs >= 3 distinct values")
         if param == "alpha":
@@ -383,16 +386,15 @@ def _validate_task(
             for v in values:
                 alpha = _parse_alpha(v, field)
                 _check_chain_size(alpha, chain.n_stages, idler_dim, signal_dim, field, field)
-        _parse_pattern(_require(task, "pattern", where), chain.n_stages, f"{where}.pattern")
+        task["values"] = [float(v) for v in values]
+        task["pattern"] = _parse_pattern(task["pattern"], chain.n_stages, f"{where}.pattern")
     elif ttype == "wigner":
-        _parse_state_spec(str(_require(task, "state", where)), f"{where}.state")
-        for field, default in (("extent", 5.0), ("step", 0.1)):
-            v = task.get(field, default)
-            if not _is_number(v) or not 0 < v < math.inf:
-                raise ScenarioError(f"{where}.{field}: expected a positive number, got {v!r}")
-        _check_grid(
-            task.get("extent", 5.0), task.get("step", 0.1), f"{where}.extent", f"{where}.step"
-        )
+        task["state"] = _parse_state_spec(str(task["state"]), f"{where}.state")
+        for field in ("extent", "step"):
+            _typed(task[field], _is_positive, f"{where}.{field}", "a positive number")
+        _check_grid(task["extent"], task["step"], f"{where}.extent", f"{where}.step")
+        task["extent"], task["step"] = float(task["extent"]), float(task["step"])
+    return task
 
 
 def _check_grid(extent: float, step: float, extent_field: str, step_field: str) -> None:
@@ -605,22 +607,15 @@ def _pattern_rows(
 
 
 def _run_patterns_task(task: dict, scenario: Scenario) -> Outputs:
-    pattern = task.get("pattern")
-    if pattern is not None:
-        pattern = ClickPattern.from_string(pattern)
-    rows = _pattern_rows(scenario.chain, scenario.detector, pattern)
+    rows = _pattern_rows(scenario.chain, scenario.detector, task["pattern"])
     header = ["pattern", "n_clicks", "probability", "fidelity_vs_pacs_m", "mean_signal_photons"]
     return {task["output"]: [_csv_text(header, rows)]}
 
 
 def _project_payload(task: dict, scenario: Scenario) -> dict[str, Any]:
     """Signal-side heralding by herald_summary: no joint or idler state, no budget."""
-    chain = scenario.chain
-    m = task.get("reference_m", 1)
-    plain = task.get("plain", False)
-    probability, w_fid = _herald_on_ladder(
-        chain, m, task.get("ladder_max", chain.n_stages), plain
-    )
+    chain, m, plain = scenario.chain, task["reference_m"], task["plain"]
+    probability, w_fid = _herald_on_ladder(chain, m, task["ladder_max"], plain)
     return {
         "n_stages": chain.n_stages,
         "reference_m": m,
@@ -636,10 +631,9 @@ def _run_project_task(task: dict, scenario: Scenario) -> Outputs:
 
 def _run_sweep_task(task: dict, scenario: Scenario) -> Outputs:
     """The pattern's probability with ``param`` set to each value, and its fit."""
-    chain, param = scenario.chain, task.get("param", "lam")
-    pattern = ClickPattern.from_string(task["pattern"])
+    chain, param, pattern = scenario.chain, task["param"], task["pattern"]
     samples = []
-    for value in (float(v) for v in task["values"]):
+    for value in task["values"]:
         if param == "lam":
             cfg = ChainConfig(
                 chain.alpha,
@@ -653,7 +647,7 @@ def _run_sweep_task(task: dict, scenario: Scenario) -> Outputs:
         samples.append((value, outcome_probability(probability)))
     rows = [[_fmt(v), _fmt(p)] for v, p in samples]
     outputs = {task["output"]: [_csv_text([param, "probability"], rows)]}
-    if task.get("fit_output"):
+    if task["fit_output"]:
         fit = fit_power_law(samples)
         outputs[task["fit_output"]] = [_json_text(
             {
@@ -668,12 +662,9 @@ def _run_sweep_task(task: dict, scenario: Scenario) -> Outputs:
 
 def _wigner_grid(task: dict) -> tuple[WignerGrid, float]:
     """The task's grid and the probability mass its state's cutoff dropped."""
-    state, dropped = _parse_state_spec(str(task["state"]))
+    state, dropped = task["state"]
     psi = state.amplitudes
-    grid = wigner(
-        np.outer(psi, psi.conj()), float(task.get("extent", 5.0)), float(task.get("step", 0.1))
-    )
-    return grid, dropped
+    return wigner(np.outer(psi, psi.conj()), task["extent"], task["step"]), dropped
 
 
 def _run_wigner_task(task: dict, scenario: Scenario) -> Outputs:
@@ -801,14 +792,20 @@ _FIELD_FLAGS = {
 }
 
 
+def _given(**fields) -> dict:
+    """The fields a command's flags set: an unset flag (None) is left out,
+    so that the field takes its scenario default."""
+    return {key: value for key, value in fields.items() if value is not None}
+
+
 def _one_task_scenario(args, task: dict, n_stages: int) -> Scenario:
     """The one-task scenario a quick-look command stands for, validated by
     parse_scenario; main names each field in an error by its flag."""
-    chain = {"alpha": args.alpha, "lam": args.lam, "n_stages": n_stages,
-             "idler_dim": args.idler_dim, "signal_dim": args.signal_dim}
-    raw = {"version": SCHEMA_VERSION, "chain": chain, "tasks": [task]}
+    chain = _given(alpha=args.alpha, lam=args.lam, n_stages=n_stages,
+                   idler_dim=args.idler_dim, signal_dim=args.signal_dim)
+    raw = {"version": SCHEMA_VERSION, "chain": chain, "tasks": [_given(**task)]}
     if hasattr(args, "eta"):  # wstate has no detector flags
-        raw["detector"] = {"eta": args.eta, "dark_prob": args.dark_prob}
+        raw["detector"] = _given(eta=args.eta, dark_prob=args.dark_prob)
     return parse_scenario(raw)
 
 
@@ -819,7 +816,7 @@ def _cmd_pacs(args) -> int:
         args, {"type": "patterns", "pattern": args.pattern, "output": "-"},
         max(1, len(args.pattern)),
     )
-    pattern = ClickPattern.from_string(args.pattern)
+    pattern = scenario.tasks[0]["pattern"]
     [[_, n_clicks, probability, fid, _]] = _pattern_rows(
         scenario.chain, scenario.detector, pattern
     )
@@ -832,8 +829,8 @@ def _cmd_pacs(args) -> int:
 
 
 def _cmd_wstate(args) -> int:
-    task = {"type": "project", "reference_m": 1, "output": "-"}
-    payload = _project_payload(task, _one_task_scenario(args, task, args.n))
+    scenario = _one_task_scenario(args, {"type": "project", "output": "-"}, args.n)
+    payload = _project_payload(scenario.tasks[0], scenario)
     print(f"heralding probability = {payload['probability']!r}")
     if payload["probability"] == 0.0:
         print("impossible outcome")
@@ -843,9 +840,11 @@ def _cmd_wstate(args) -> int:
 
 
 def _cmd_wigner(args) -> int:
-    task = {"type": "wigner", "state": args.state, "extent": args.range, "step": args.step,
-            "output": args.out}
-    _parse_task(task, None, "tasks[0]", set())
+    task = _parse_task(
+        _given(type="wigner", state=args.state, extent=args.range, step=args.step,
+               output=args.out),
+        None, "tasks[0]", set(),
+    )
     grid, dropped = _wigner_grid(task)
     _write_outputs({args.out: wigner_grid_lines(grid)}, _output_fields(task, "tasks[0]"))
     print(
@@ -877,8 +876,8 @@ def _cmd_sweep(args) -> int:
         "fit_output": args.fit_out,
     }
     scenario = _one_task_scenario(args, task, max(1, len(args.pattern)))
-    outputs = _run_sweep_task(task, scenario)
-    _write_outputs(outputs, _output_fields(task, "tasks[0]"))
+    outputs = _run_sweep_task(scenario.tasks[0], scenario)
+    _write_outputs(outputs, _output_fields(scenario.tasks[0], "tasks[0]"))
     for rel_path in outputs:
         print(f"wrote {rel_path}")
     return 0
@@ -893,7 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a YAML scenario file")
     p_run.add_argument("config", help="path to the scenario file")
-    p_run.add_argument("--outdir", default=None, help="directory for output files")
+    p_run.add_argument("--outdir", help="directory for output files")
     p_run.set_defaults(func=_cmd_run)
 
     pattern_flags = {**_FIELD_FLAGS, "chain.n_stages": "--pattern"}
@@ -902,12 +901,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", required=True, help="seed coherent amplitude")
         p.add_argument("--lam", "--lambda", dest="lam", type=float, required=True,
                        help="effective interaction strength per stage")
-        p.add_argument("--idler-dim", type=int, default=4, dest="idler_dim")
-        p.add_argument("--signal-dim", type=int, default=None, dest="signal_dim")
+        p.add_argument("--idler-dim", type=int, dest="idler_dim")
+        p.add_argument("--signal-dim", type=int, dest="signal_dim")
 
     def add_detector_args(p):
-        p.add_argument("--eta", type=float, default=1.0, help="detector efficiency")
-        p.add_argument("--dark-prob", type=float, default=0.0, dest="dark_prob")
+        p.add_argument("--eta", type=float, help="detector efficiency")
+        p.add_argument("--dark-prob", type=float, dest="dark_prob")
 
     p_pacs = sub.add_parser("pacs", help="condition a chain on a click pattern")
     add_chain_args(p_pacs)
@@ -935,20 +934,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_wig.add_argument("--state", required=True,
                        help="state spec: coherent:A | fock:N | pacs:A,M")
-    p_wig.add_argument("--range", type=float, default=5.0,
-                       help="grid half-width in x and p")
-    p_wig.add_argument("--step", type=float, default=0.1)
+    p_wig.add_argument("--range", type=float, help="grid half-width in x and p")
+    p_wig.add_argument("--step", type=float)
     p_wig.add_argument("--out", default="wigner.txt")
     p_wig.set_defaults(func=_cmd_wigner, flags=_FIELD_FLAGS)
 
     p_sweep = sub.add_parser("sweep", help="sweep a parameter and fit the scaling")
     add_chain_args(p_sweep)
     add_detector_args(p_sweep)
-    p_sweep.add_argument("--param", choices=("lam", "alpha"), default="lam")
+    p_sweep.add_argument("--param", choices=("lam", "alpha"))
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.add_argument("--pattern", required=True)
     p_sweep.add_argument("--out", default="sweep.csv")
-    p_sweep.add_argument("--fit-out", default=None, dest="fit_out")
+    p_sweep.add_argument("--fit-out", dest="fit_out")
     p_sweep.set_defaults(func=_cmd_sweep, flags=pattern_flags)
     return parser
 

@@ -33,6 +33,11 @@ from .records import Record
 
 #: Weak-coupling regime bound; beyond it leading-order scaling claims degrade.
 WEAK_COUPLING_LIMIT = 0.3
+#: Largest lam a stage accepts. The rounding of stage_kraus grows about
+#: linearly with lam: max |sum_k K_k^T K_k - I| is 5e-13 at lam = 100 for
+#: cutoffs (19, 4) and below 5e-12 up to (100, 20), but 4e-5 at 1e10 and
+#: of order 1 at 1e14, and from about 1e18 the stacks are nan.
+MAX_LAM = 100.0
 #: Heralding probabilities below this are reported as impossible outcomes: a
 #: projection's probability comes out of cancellation, so a value this small
 #: is rounding. Click probabilities are not held to it (see
@@ -50,6 +55,8 @@ class StageParams(Record):
             raise ValueError(f"lam must be finite, got {lam}")
         if lam < 0:
             raise ValueError(f"lam must be nonnegative, got {lam}")
+        if lam > MAX_LAM:
+            raise ValueError(f"lam must be at most {MAX_LAM}, got {lam}")
         if idler_dim < 2:
             raise ValueError(f"idler_dim must be >= 2, got {idler_dim}")
         if lam > WEAK_COUPLING_LIMIT:

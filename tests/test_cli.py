@@ -37,7 +37,7 @@ from pacsim.cli import (
     run_scenario,
     wigner_grid_lines,
 )
-from pacsim.errors import DimensionBudgetError, ScenarioError
+from pacsim.errors import DimensionBudgetError, ScenarioError, StrongCouplingWarning
 
 from oracles import conditional_density, density, fidelity, joint_state
 
@@ -391,15 +391,47 @@ class TestValidationFailures:
              "chain.stages[0].idler_dim"),
             ("eta: 1.0", "eta: true", "detector.eta"),
             ("dark_prob: 0.0", "dark_prob: '0'", "detector.dark_prob"),
+            ("version: 1", "version: true", "version"),
+            ("version: 1", "version: 1.0", "version"),
         ],
         ids=["n_stages", "signal_dim", "lam", "alpha", "alpha-inf", "alpha-square-overflows",
              "alpha-square-overflows-signal_dim", "idler_dim", "stages-lam",
-             "stages-idler_dim", "eta", "dark_prob"],
+             "stages-idler_dim", "eta", "dark_prob", "version-bool", "version-float"],
     )
     def test_boolean_chain_size_rejected(self, tmp_path, capsys, old, new, field):
         """Chain and detector numbers are type-checked, not coerced by float() or int()."""
         self.run_expecting_error(
             tmp_path, MINIMAL_SCENARIO.replace(old, new), f"{field}: expected", capsys
+        )
+
+    @pytest.mark.parametrize("value", ["[]", "0", "''", "false"])
+    def test_falsy_detector_is_not_a_mapping(self, tmp_path, capsys, value):
+        """A detector that is empty or false but not null is refused, not taken as ideal."""
+        self.run_expecting_error(
+            tmp_path,
+            MINIMAL_SCENARIO.replace("detector:\n  eta: 1.0\n  dark_prob: 0.0",
+                                     f"detector: {value}"),
+            "error: detector: expected a mapping\n",
+            capsys,
+        )
+
+    @pytest.mark.parametrize(
+        "chain, task, field",
+        [
+            ("{alpha: 1.0, lam: 100.5, n_stages: 1}", "{type: patterns, output: p.csv}",
+             "chain.lam"),
+            ("{alpha: 1.0, lam: 0.05, n_stages: 1}",
+             "{type: sweep, values: [0.01, 100.5], pattern: '1', output: s.csv}",
+             "tasks[0].values"),
+        ],
+        ids=["chain", "sweep"],
+    )
+    def test_lam_above_its_bound_rejected(self, tmp_path, capsys, chain, task, field):
+        self.run_expecting_error(
+            tmp_path,
+            f"version: 1\nchain: {chain}\ntasks:\n  - {task}\n",
+            f"error: {field}: lam must be at most 100.0, got 100.5\n",
+            capsys,
         )
 
     def test_truncation_names_signal_dim(self, tmp_path, capsys):
@@ -564,6 +596,59 @@ class TestUnwritableOutputs:
         captured = capsys.readouterr()
         assert captured.err == f"error: --out: {tmp_path}: {os.strerror(errno.EISDIR)}\n"
         assert captured.out == ""
+
+
+def test_null_detector_is_ideal(tmp_path):
+    out = tmp_path / "out"
+    ideal = MINIMAL_SCENARIO.replace("patterns.csv", "ideal.csv")
+    null = ideal.replace("detector:\n  eta: 1.0\n  dark_prob: 0.0", "detector: null")
+    assert null != ideal
+    for name, text in (("ideal", ideal), ("null", null)):
+        config = tmp_path / f"{name}.yaml"
+        config.write_text(text.replace("ideal.csv", f"{name}.csv"), encoding="utf-8")
+        assert main(["run", str(config), "--outdir", str(out)]) == 0
+    assert (out / "null.csv").read_bytes() == (out / "ideal.csv").read_bytes()
+
+
+def test_lam_at_its_bound_runs(tmp_path, monkeypatch):
+    """lam = MAX_LAM is accepted in a chain and in a lam sweep."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.warns(StrongCouplingWarning):
+        assert main(["pacs", "--alpha", "1", "--lam", "100", "--pattern", "1"]) == 0
+        assert main(["sweep", "--alpha", "1", "--lam", "0.05", "--pattern", "1",
+                     "--values", "0.05,100", "--out", "s.csv"]) == 0
+    assert [row["lam"] for row in read_csv(tmp_path / "s.csv")] == ["0.05", "100.0"]
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Replace ``owner.name`` by a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_wigner_task_builds_its_state_once(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, cli, "_parse_state_spec")
+    config = write_scenario(
+        tmp_path,
+        "version: 1\nchain: {alpha: 1.0, lam: 0.05, n_stages: 1}\ntasks:\n"
+        "  - {type: wigner, state: 'pacs:1,1', extent: 1.0, step: 0.5, output: w.txt}\n",
+    )
+    assert main(["run", str(config), "--outdir", str(tmp_path / "out")]) == 0
+    assert calls == [("pacs:1,1", "tasks[0].state")]
+
+
+def test_pacs_parses_its_pattern_once(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, ClickPattern, "from_string")
+    assert main(["pacs", "--alpha", "1", "--lam", "0.05", "--pattern", "10"]) == 0
+    assert calls == [("10",)]
+    assert capsys.readouterr().out.startswith("pattern 10: probability = ")
 
 
 def test_ladder_max_zero_means_zero(tmp_path):
@@ -986,6 +1071,9 @@ def test_truncation_exits_1_without_traceback(run_python, args):
          "--alpha"),
         (["sweep", "--alpha", "1", "--lam", "0.05", "--pattern", "1", "--param", "alpha",
           "--values", "1,1e200"], "--values"),
+        (["sweep", "--alpha", "1", "--lam", "0.05", "--pattern", "1", "--values", "1e308"],
+         "--values"),
+        (["pacs", "--alpha", "1", "--lam", "1e300", "--pattern", "1"], "--lam"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )

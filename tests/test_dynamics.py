@@ -16,8 +16,10 @@ from pacsim import (
     fock_state,
     outcome_probability,
     pacs_state,
+    stage_kraus,
     walk_patterns,
 )
+from pacsim.dynamics import MAX_LAM
 
 from oracles import (
     conditional_density,
@@ -352,6 +354,18 @@ class TestConfigValidation:
     def test_small_idler_rejected(self):
         with pytest.raises(ValueError):
             StageParams(0.1, idler_dim=1)
+
+    def test_lam_bound(self):
+        """At MAX_LAM a stage's Kraus stack is still complete to rounding; a
+        larger lam is refused, where the stacks drift and then turn nan."""
+        kraus = stage_kraus(MAX_LAM, 19, 4)
+        completeness = np.einsum("kij,kil->jl", kraus, kraus)
+        assert np.abs(completeness - np.eye(19)).max() < 1e-11
+        with pytest.warns(StrongCouplingWarning):
+            assert StageParams(MAX_LAM).lam == 100.0
+        for lam in (math.nextafter(MAX_LAM, math.inf), 1e300):
+            with pytest.raises(ValueError, match="lam must be at most 100.0, got "):
+                StageParams(lam)
 
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError):

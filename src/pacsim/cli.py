@@ -14,8 +14,11 @@ of its type, defaults filled in and values parsed, so the task code parses
 nothing again. Each quick-look command (pacs, wstate, wigner, sweep) is a
 one-task scenario: it builds the mapping a scenario file would hold from
 the flags it was given, checks it with the scenario validators and runs
-the same task code as ``run``. An error names the flag that set the field,
-by one table (_FIELD_FLAGS).
+the same task code as ``run``. Each flag is declared once, in _FLAGS (the
+field it sets and its argparse options), and each command once, in
+_COMMANDS (its task, flags and handler); the subparsers, a command's
+one-task scenario and the flag that an error names for a field are all
+built from these two tables.
 
 All outputs are deterministic: identical configs produce byte-identical
 files. Every click probability and conditional signal comes from one
@@ -38,12 +41,11 @@ from __future__ import annotations
 
 import argparse
 import collections
-import csv
 import functools
-import io
 import json
 import math
 import os
+import re
 import sys
 import threading
 from pathlib import Path
@@ -215,9 +217,9 @@ def _parse_chain(raw: Any) -> tuple[ChainConfig, int | None]:
     else:
         signal_field = "chain.alpha"
     idler_dim = max(s.idler_dim for s in stages)
-    _check_chain_size(alpha, len(stages), idler_dim, signal_dim, signal_field, idler_field)
+    dim = _check_chain_size(alpha, len(stages), idler_dim, signal_dim, signal_field, idler_field)
     try:
-        return ChainConfig(alpha, tuple(stages), signal_dim), signal_dim
+        return ChainConfig(alpha, tuple(stages), dim), signal_dim
     except ValueError as exc:
         raise ScenarioError(f"chain: {exc}")
 
@@ -229,8 +231,10 @@ def _check_chain_size(
     signal_dim: int | None,
     signal_field: str,
     idler_field: str,
-) -> None:
-    """Refuse a chain whose (signal_dim idler_dim)^2 exceeds DEFAULT_AMPLITUDE_BUDGET.
+) -> int:
+    """The chain's signal cutoff: ``signal_dim``, or else the default cutoff,
+    searched once. A chain whose (signal_dim idler_dim)^2 exceeds
+    DEFAULT_AMPLITUDE_BUDGET is refused.
 
     The largest arrays a chain forms are its Kraus stacks
     (dynamics.stage_kraus) and the walk's products K_k rho, idler_dim
@@ -256,6 +260,7 @@ def _check_chain_size(
                 f"give (signal_dim idler_dim)^2 = {entries} entries, above the budget of "
                 f"{DEFAULT_AMPLITUDE_BUDGET}"
             )
+    return dim
 
 
 def _parse_detector(raw: Any) -> DetectorModel:
@@ -482,11 +487,9 @@ def _fmt(value: float | None) -> str:
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    # no field needs quoting: 0/1 patterns, integers, float reprs, "" and
+    # header names, two or more to a row
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
 
 
 def _json_text(payload: dict) -> str:
@@ -772,53 +775,9 @@ def _cmd_run(args) -> int:
     return run_scenario(args.config, args.outdir)
 
 
-#: scenario field -> the quick-look flag that sets it. The pattern
-#: commands (pacs, sweep) set chain.n_stages by the length of --pattern.
-_FIELD_FLAGS = {
-    "chain.alpha": "--alpha",
-    "chain.lam": "--lam",
-    "chain.idler_dim": "--idler-dim",
-    "chain.signal_dim": "--signal-dim",
-    "chain.n_stages": "--n",
-    "detector.eta": "--eta",
-    "detector.dark_prob": "--dark-prob",
-    "tasks[0].pattern": "--pattern",
-    "tasks[0].values": "--values",
-    "tasks[0].output": "--out",
-    "tasks[0].fit_output": "--fit-out",
-    "tasks[0].state": "--state",
-    "tasks[0].extent": "--range",
-    "tasks[0].step": "--step",
-}
-
-
-def _given(**fields) -> dict:
-    """The fields a command's flags set: an unset flag (None) is left out,
-    so that the field takes its scenario default."""
-    return {key: value for key, value in fields.items() if value is not None}
-
-
-def _one_task_scenario(args, task: dict, n_stages: int) -> Scenario:
-    """The one-task scenario a quick-look command stands for, validated by
-    parse_scenario; main names each field in an error by its flag."""
-    chain = _given(alpha=args.alpha, lam=args.lam, n_stages=n_stages,
-                   idler_dim=args.idler_dim, signal_dim=args.signal_dim)
-    raw = {"version": SCHEMA_VERSION, "chain": chain, "tasks": [_given(**task)]}
-    if hasattr(args, "eta"):  # wstate has no detector flags
-        raw["detector"] = _given(eta=args.eta, dark_prob=args.dark_prob)
-    return parse_scenario(raw)
-
-
-def _cmd_pacs(args) -> int:
-    # pacs and wstate print their answer, so their output path ("-") is
-    # never written; an empty pattern gets one stage for the pattern check
-    scenario = _one_task_scenario(
-        args, {"type": "patterns", "pattern": args.pattern, "output": "-"},
-        max(1, len(args.pattern)),
-    )
-    pattern = scenario.tasks[0]["pattern"]
-    [[_, n_clicks, probability, fid, _]] = _pattern_rows(
-        scenario.chain, scenario.detector, pattern
+def _cmd_pacs(task: dict, scenario: Scenario) -> int:
+    [[pattern, n_clicks, probability, fid, _]] = _pattern_rows(
+        scenario.chain, scenario.detector, task["pattern"]
     )
     print(f"pattern {pattern}: probability = {probability}")
     if fid:
@@ -828,33 +787,35 @@ def _cmd_pacs(args) -> int:
     return 0
 
 
-def _cmd_wstate(args) -> int:
-    scenario = _one_task_scenario(args, {"type": "project", "output": "-"}, args.n)
-    payload = _project_payload(scenario.tasks[0], scenario)
+def _cmd_wstate(task: dict, scenario: Scenario) -> int:
+    payload = _project_payload(task, scenario)
     print(f"heralding probability = {payload['probability']!r}")
     if payload["probability"] == 0.0:
         print("impossible outcome")
     else:
-        print(f"fidelity vs {args.n}-mode W state = {payload['w_fidelity']!r}")
+        print(f"fidelity vs {scenario.chain.n_stages}-mode W state = {payload['w_fidelity']!r}")
     return 0
 
 
-def _cmd_wigner(args) -> int:
-    task = _parse_task(
-        _given(type="wigner", state=args.state, extent=args.range, step=args.step,
-               output=args.out),
-        None, "tasks[0]", set(),
-    )
+def _cmd_wigner(task: dict, scenario: None) -> int:
     grid, dropped = _wigner_grid(task)
-    _write_outputs({args.out: wigner_grid_lines(grid)}, _output_fields(task, "tasks[0]"))
+    _write_outputs({task["output"]: wigner_grid_lines(grid)}, _output_fields(task, "tasks[0]"))
     print(
-        f"wrote {args.out}: {grid.values.shape[0]}x{grid.values.shape[1]} grid, "
+        f"wrote {task['output']}: {grid.values.shape[0]}x{grid.values.shape[1]} grid, "
         f"min = {grid.minimum()!r}, integral = {grid.integral()!r}"
     )
     # W = tr[rho D Pi D^+] / pi with D Pi D^+ unitary, so the cutoff moves W by
     # at most |psi psi^+ - phi phi^+|_1 / pi = (2 / pi) sqrt(1 - |<psi|phi>|^2)
     bound = 2.0 / math.pi * math.sqrt(dropped)
     print(f"truncation bound: |W - W_exact| <= {bound!r} (cutoff dropped mass {dropped!r})")
+    return 0
+
+
+def _cmd_sweep(task: dict, scenario: Scenario) -> int:
+    outputs = _run_sweep_task(task, scenario)
+    _write_outputs(outputs, _output_fields(task, "tasks[0]"))
+    for rel_path in outputs:
+        print(f"wrote {rel_path}")
     return 0
 
 
@@ -866,28 +827,102 @@ def _flag_number(text: str) -> float | str:
         return text
 
 
-def _cmd_sweep(args) -> int:
-    task = {
-        "type": "sweep",
-        "param": args.param,
-        "values": [_flag_number(v) for v in args.values.split(",") if v.strip()],
-        "pattern": args.pattern,
-        "output": args.out,
-        "fit_output": args.fit_out,
-    }
-    scenario = _one_task_scenario(args, task, max(1, len(args.pattern)))
-    outputs = _run_sweep_task(scenario.tasks[0], scenario)
-    _write_outputs(outputs, _output_fields(scenario.tasks[0], "tasks[0]"))
-    for rel_path in outputs:
-        print(f"wrote {rel_path}")
-    return 0
+def _flag_values(text: str) -> list[float | str]:
+    """The comma-separated values of ``text``, each through _flag_number."""
+    return [_flag_number(v) for v in text.split(",") if v.strip()]
+
+
+#: quick-look flag -> (the scenario field it sets, its add_argument keywords,
+#: with "aliases" its other spellings). A flag left unset leaves its field
+#: out, so that the field takes its scenario default.
+_FLAGS = {
+    "--alpha": ("chain.alpha", {"required": True, "help": "seed coherent amplitude"}),
+    "--lam": ("chain.lam", {"aliases": ("--lambda",), "type": float, "required": True,
+                            "help": "effective interaction strength per stage"}),
+    "--idler-dim": ("chain.idler_dim", {"type": int}),
+    "--signal-dim": ("chain.signal_dim", {"type": int}),
+    "--n": ("chain.n_stages", {"type": int, "required": True, "help": "number of stages"}),
+    "--eta": ("detector.eta", {"type": float, "help": "detector efficiency"}),
+    "--dark-prob": ("detector.dark_prob", {"type": float}),
+    "--state": ("tasks[0].state", {"required": True,
+                                   "help": "state spec: coherent:A | fock:N | pacs:A,M"}),
+    "--range": ("tasks[0].extent", {"type": float, "help": "grid half-width in x and p"}),
+    "--step": ("tasks[0].step", {"type": float}),
+    "--param": ("tasks[0].param", {"choices": ("lam", "alpha")}),
+    "--values": ("tasks[0].values", {"type": _flag_values, "required": True,
+                                     "help": "comma-separated values"}),
+    # pacs and sweep also set chain.n_stages by its length, so an error in
+    # chain.n_stages names --pattern there
+    "--pattern": ("tasks[0].pattern", {"required": True, "help": "click pattern, e.g. 10"}),
+    "--out": ("tasks[0].output", {}),
+    "--fit-out": ("tasks[0].fit_output", {}),
+}
+_CHAIN_FLAGS = ("--alpha", "--lam", "--idler-dim", "--signal-dim")
+_DETECTOR_FLAGS = ("--eta", "--dark-prob")
+
+#: quick-look command -> (its add_parser keywords, the fields of its one task
+#: that no flag gives, its flags in --help order, its handler). pacs and
+#: wstate print their answer, so their output path ("-") is never written.
+_COMMANDS = {
+    "pacs": ({"help": "condition a chain on a click pattern"},
+             {"type": "patterns", "output": "-"},
+             (*_CHAIN_FLAGS, *_DETECTOR_FLAGS, "--pattern"), _cmd_pacs),
+    "wstate": ({"help": "extract the N-mode W state"}, {"type": "project", "output": "-"},
+               (*_CHAIN_FLAGS, "--n"), _cmd_wstate),
+    "wigner": ({"help": "write a Wigner grid to a text file", "description": (
+        "Write the Wigner grid of a named state to a text file. The time grows "
+        "as the cube of the state's Fock cutoff: fock:500 takes about 3 s and "
+        "fock:1000 about 26 s on one core. A spec whose (2 dim - 1)^2 Wigner "
+        "coefficients exceed 20M exits 2; that bounds memory, not time: "
+        "fock:2235, just inside it, would run for about 5 min by the cube law. "
+        "A --range and --step whose grid has more than 20M points (x points "
+        "times p points) also exit 2, before any array is formed.")},
+               {"type": "wigner", "output": "wigner.txt"},
+               ("--state", "--range", "--step", "--out"), _cmd_wigner),
+    "sweep": ({"help": "sweep a parameter and fit the scaling"},
+              {"type": "sweep", "output": "sweep.csv"},
+              (*_CHAIN_FLAGS, *_DETECTOR_FLAGS, "--param", "--values", "--pattern", "--out",
+               "--fit-out"), _cmd_sweep),
+}
+
+
+def _quick_look(command: str, args) -> int:
+    """Run the one-task scenario a quick-look command stands for, validated
+    as ``pacsim run`` validates a file (a wigner task alone, with no chain)."""
+    _, task, flags, handler = _COMMANDS[command]
+    sections = {"tasks[0]": dict(task)}
+    for flag in flags:
+        section, _, key = _FLAGS[flag][0].rpartition(".")
+        fields = sections.setdefault(section, {})
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            fields[key] = value
+    task = sections.pop("tasks[0]")
+    if "chain" not in sections:
+        return handler(_parse_task(task, None, "tasks[0]", set()), None)
+    if "--pattern" in flags:  # an empty pattern gets one stage for the pattern check
+        sections["chain"]["n_stages"] = max(1, len(args.pattern))
+    scenario = parse_scenario({"version": SCHEMA_VERSION, **sections, "tasks": [task]})
+    return handler(scenario.tasks[0], scenario)
+
+
+def _name_flags(message: str, command: str) -> str:
+    """``message`` with each field that ``command``'s flags set renamed to its
+    flag, where the field leads the message before a colon or stands as a
+    word of its own; a quoted value (a repr of what the user gave) is kept."""
+    flags = _COMMANDS[command][2]
+    names = {_FLAGS[flag][0]: flag for flag in flags}
+    if "--pattern" in flags:
+        names["chain.n_stages"] = "--pattern"
+    fields = "|".join(map(re.escape, names))
+    quoted = r"'(?:[^'\\\n]|\\.)*'|\"(?:[^\"\\\n]|\\.)*\""
+    token = re.compile(rf"{quoted}|^(?:{fields})(?=:)|(?<= )(?:{fields})(?= |$)")
+    return token.sub(lambda match: names.get(match[0], match[0]), message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pacsim",
-        description="cascaded parametric-amplifier simulator",
-    )
+    parser = argparse.ArgumentParser(prog="pacsim",
+                                     description="cascaded parametric-amplifier simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute a YAML scenario file")
@@ -895,59 +930,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--outdir", help="directory for output files")
     p_run.set_defaults(func=_cmd_run)
 
-    pattern_flags = {**_FIELD_FLAGS, "chain.n_stages": "--pattern"}
-
-    def add_chain_args(p):
-        p.add_argument("--alpha", required=True, help="seed coherent amplitude")
-        p.add_argument("--lam", "--lambda", dest="lam", type=float, required=True,
-                       help="effective interaction strength per stage")
-        p.add_argument("--idler-dim", type=int, dest="idler_dim")
-        p.add_argument("--signal-dim", type=int, dest="signal_dim")
-
-    def add_detector_args(p):
-        p.add_argument("--eta", type=float, help="detector efficiency")
-        p.add_argument("--dark-prob", type=float, dest="dark_prob")
-
-    p_pacs = sub.add_parser("pacs", help="condition a chain on a click pattern")
-    add_chain_args(p_pacs)
-    add_detector_args(p_pacs)
-    p_pacs.add_argument("--pattern", required=True, help="click pattern, e.g. 10")
-    p_pacs.set_defaults(func=_cmd_pacs, flags=pattern_flags)
-
-    p_w = sub.add_parser("wstate", help="extract the N-mode W state")
-    add_chain_args(p_w)
-    p_w.add_argument("--n", type=int, required=True, help="number of stages")
-    p_w.set_defaults(func=_cmd_wstate, flags=_FIELD_FLAGS)
-
-    p_wig = sub.add_parser(
-        "wigner",
-        help="write a Wigner grid to a text file",
-        description=(
-            "Write the Wigner grid of a named state to a text file. The time grows "
-            "as the cube of the state's Fock cutoff: fock:500 takes about 3 s and "
-            "fock:1000 about 26 s on one core. A spec whose (2 dim - 1)^2 Wigner "
-            "coefficients exceed 20M exits 2; that bounds memory, not time: "
-            "fock:2235, just inside it, would run for about 5 min by the cube law. "
-            "A --range and --step whose grid has more than 20M points (x points "
-            "times p points) also exit 2, before any array is formed."
-        ),
-    )
-    p_wig.add_argument("--state", required=True,
-                       help="state spec: coherent:A | fock:N | pacs:A,M")
-    p_wig.add_argument("--range", type=float, help="grid half-width in x and p")
-    p_wig.add_argument("--step", type=float)
-    p_wig.add_argument("--out", default="wigner.txt")
-    p_wig.set_defaults(func=_cmd_wigner, flags=_FIELD_FLAGS)
-
-    p_sweep = sub.add_parser("sweep", help="sweep a parameter and fit the scaling")
-    add_chain_args(p_sweep)
-    add_detector_args(p_sweep)
-    p_sweep.add_argument("--param", choices=("lam", "alpha"))
-    p_sweep.add_argument("--values", required=True, help="comma-separated values")
-    p_sweep.add_argument("--pattern", required=True)
-    p_sweep.add_argument("--out", default="sweep.csv")
-    p_sweep.add_argument("--fit-out", dest="fit_out")
-    p_sweep.set_defaults(func=_cmd_sweep, flags=pattern_flags)
+    for command, (keywords, _, flags, _) in _COMMANDS.items():
+        p = sub.add_parser(command, **keywords)
+        for flag in flags:
+            options = dict(_FLAGS[flag][1])
+            p.add_argument(flag, *options.pop("aliases", ()), **options)
+        p.set_defaults(func=functools.partial(_quick_look, command))
     return parser
 
 
@@ -959,9 +947,8 @@ def main(argv: list[str] | None = None) -> int:
         message = str(exc)
         if isinstance(exc, TruncationError):
             message = f"chain.signal_dim: {message}"
-        # a quick-look command names each field by the flag that set it
-        for field, flag in getattr(args, "flags", {}).items():
-            message = message.replace(field, flag)
+        if args.command in _COMMANDS:  # a quick-look names each field by its flag
+            message = _name_flags(message, args.command)
         print(f"error: {message}", file=sys.stderr)
         return 2 if isinstance(exc, DimensionBudgetError) else 1
 

@@ -28,7 +28,7 @@ from pacsim import (
     walk_patterns,
     wigner,
 )
-from pacsim import cli, dynamics
+from pacsim import cli, dynamics, fock
 from pacsim.cli import (
     DEFAULT_AMPLITUDE_BUDGET,
     emit_wigner,
@@ -40,6 +40,8 @@ from pacsim.cli import (
 from pacsim.errors import DimensionBudgetError, ScenarioError, StrongCouplingWarning
 
 from oracles import conditional_density, density, fidelity, joint_state
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MINIMAL_SCENARIO = """\
 version: 1
@@ -1205,8 +1207,12 @@ _BAD_FIELD_CASES = {
 
 
 def test_bad_field_cases_cover_the_flag_table():
-    flag_table = set(cli._FIELD_FLAGS.items()) | {("chain.n_stages", "--pattern")}
+    """Each flag whose value reaches a validator has a case: argparse itself
+    refuses a --param outside its choices."""
+    flag_table = {(field, flag) for flag, (field, options) in cli._FLAGS.items()
+                  if "choices" not in options} | {("chain.n_stages", "--pattern")}
     assert set(_BAD_FIELD_CASES) == flag_table
+    assert len(flag_table) == 15
 
 
 @pytest.mark.parametrize("field, flag", _BAD_FIELD_CASES, ids=lambda v: v)
@@ -1232,6 +1238,63 @@ def test_flag_and_scenario_give_the_same_error(tmp_path, monkeypatch, capsys, no
     assert scenario_err.startswith(f"error: {field}: ")
     assert flag_err == scenario_err.replace(field, flag)
     assert [p.name for p in tmp_path.iterdir()] == ["scenario.yaml"]
+
+
+@pytest.mark.parametrize(
+    "args, err",
+    [
+        (["wigner", "--state", "chain.alpha"],
+         "--state: unknown state kind 'chain.alpha' (use coherent:A, fock:N or pacs:A,M)"),
+        (["sweep", "--alpha", "1", "--lam", "0.05", "--pattern", "1", "--values",
+          "0.01,0.02,0.04", "--out", "tasks[0].output.csv", "--fit-out", "tasks[0].output.csv"],
+         "--fit-out: duplicate output path 'tasks[0].output.csv'"),
+        (["pacs", "--alpha", "chain.alpha", "--lam", "0.05", "--pattern", "1"],
+         "--alpha: cannot parse 'chain.alpha' as a complex number"),
+        (["pacs", "--alpha", "it's chain.alpha", "--lam", "0.05", "--pattern", "1"],
+         "--alpha: cannot parse \"it's chain.alpha\" as a complex number"),
+    ],
+    ids=["other-command-field", "own-field", "own-field-first", "double-quoted"],
+)
+def test_error_names_flags_but_keeps_the_users_values(tmp_path, monkeypatch, capsys, args, err):
+    """Only the command's own fields are renamed, and never inside a quoted value."""
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def _subparser(command: str):
+    [subparsers] = cli.build_parser()._subparsers._group_actions
+    return subparsers.choices[command]
+
+
+@pytest.mark.parametrize("command", cli._COMMANDS)
+def test_quick_look_parser_is_the_flag_table(command):
+    """Each option of a quick-look is its flag's row: spellings, required-ness
+    and help; its dest is the name argparse derives from the flag."""
+    flags = cli._COMMANDS[command][2]
+    actions = [a for a in _subparser(command)._actions if "--help" not in a.option_strings]
+    assert [action.option_strings[0] for action in actions] == list(flags)
+    for flag, action in zip(flags, actions):
+        options = cli._FLAGS[flag][1]
+        assert action.option_strings == [flag, *options.get("aliases", ())]
+        assert action.required == options.get("required", False)
+        assert action.help == options.get("help")
+        assert action.dest == flag[2:].replace("-", "_")
+
+
+def test_default_cutoff_is_searched_once_per_chain(monkeypatch):
+    """The cutoff the size check searched is the chain's; the scenario keeps
+    the given signal_dim (None), so an alpha sweep still takes per-value cutoffs."""
+    calls = []
+    search = fock._smallest_window
+    monkeypatch.setattr(fock, "_smallest_window", lambda *a: calls.append(a) or search(*a))
+    scenario = cli.parse_scenario(cli._load_yaml(
+        (ROOT / "bench" / "scenarios" / "patterns_full.yaml").read_text(encoding="utf-8")
+    ))
+    assert calls == [(1 + 0j, 5, 22)]
+    assert scenario.chain.signal_dim == default_signal_dim(1.0, 5)
+    assert scenario.signal_dim is None
 
 
 def test_fit_output_must_be_a_path(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The depth-first click-prefix walk and the pattern table read from its leaves."""
 
 import functools
+import math
 from itertools import product
 
 import numpy as np
@@ -19,6 +20,7 @@ from pacsim import (
     walk_patterns,
 )
 from pacsim.cli import _pattern_row, _pattern_rows, main
+from pacsim.errors import StrongCouplingWarning
 
 from oracles import conditional_density, joint_state
 
@@ -233,3 +235,21 @@ def test_wigner_help_states_the_cost(capsys):
         main(["wigner", "--help"])
     text = " ".join(capsys.readouterr().out.split())
     assert "cube" in text and "fock:1000" in text
+
+
+def test_one_stage_click_probability_at_strong_coupling():
+    """At lam = 2 one stage clicks with 1 - e^{-|a|^2} sum_n |a|^{2n}/n! cosh^{-2(n+1)} lam
+    (0.972106 at alpha = 1); the walk meets it once the idler holds 48 levels and
+    the signal 120. The default idler cutoff 4 gives 0.624, with no dropped mass
+    reported, only a StrongCouplingWarning."""
+    alpha, lam = 1.0, 2.0
+    exact = 1.0 - math.exp(-alpha**2) * math.fsum(
+        alpha ** (2 * n) / math.factorial(n) * math.cosh(lam) ** (-2 * (n + 1))
+        for n in range(100)
+    )
+    with pytest.warns(StrongCouplingWarning):
+        config = ChainConfig(alpha, (StageParams(lam, 48),), 120)
+    _, probability, _ = next(
+        walk_patterns(config, DetectorModel.ideal(), ClickPattern.from_string("1"))
+    )
+    assert probability == pytest.approx(exact, rel=0, abs=1e-9)

@@ -40,6 +40,18 @@ def test_cli_quick_look_runs(tmp_path, monkeypatch, args):
     assert main(args[1:]) == 0
 
 
+def test_flag_table_is_the_parsers():
+    """The README's flag -> field table lists each (field, flag) pair that the
+    quick-looks' flag table gives, the length of --pattern among them."""
+    section = README.split("| flag | scenario field |\n| --- | --- |\n", 1)[1]
+    shown = set()
+    for row in section.split("\n\n", 1)[0].splitlines():
+        flags, field = row.strip("| ").split(" | ")
+        shown |= {(field.strip("`"), flag) for flag in re.findall(r"`(--[\w-]+)`", flags)}
+    table = {(field, flag) for flag, (field, _) in cli._FLAGS.items()}
+    assert shown == table | {("chain.n_stages", "--pattern")}
+
+
 SCHEMA = code_block("Scenario schema (version 1)", "yaml", level="###")
 
 

@@ -24,11 +24,11 @@ SCENARIOS = {
 
 
 def test_import_loads_no_pool_or_dataclass_machinery(run_python):
-    """concurrent.futures (with the logging and queue it pulls in) and
-    dataclasses cost milliseconds on every start; the CLI needs neither."""
+    """concurrent.futures (with the logging and queue it pulls in),
+    dataclasses and csv cost milliseconds on every start; the CLI needs none."""
     code = (
         "import sys, pacsim.cli; print(sorted(m for m in sys.modules if m in "
-        "('concurrent.futures', 'dataclasses', 'logging', 'queue')))"
+        "('concurrent.futures', 'dataclasses', 'logging', 'queue', 'csv')))"
     )
     out = run_python("-c", code)
     assert out.returncode == 0, out.stderr

@@ -22,32 +22,31 @@ built from these two tables.
 
 All outputs are deterministic: identical configs produce byte-identical
 files. Every click probability and conditional signal comes from one
-walk over the click prefixes (dynamics.walk_patterns). Task runners return
-each output path's text as an iterable of chunks, and one writer
-(_write_outputs) writes them for every command, only after every task has
-returned; a Wigner grid's chunks are blocks of about _BLOCK_VALUES (16384)
-values, each formatted by floattext.rows_text as the file is written, so a
-grid needs about one block of text and its temporaries (below 90 bytes a
-value, 1.5 MB a block) beyond its array. Exit codes: 0 success, 1
-validation or truncation error or an output path that cannot be written
-(the message names the field to change), 2 an oversized chain, Wigner spec
-or grid (a chain's (signal_dim idler_dim)^2, a state's Wigner coefficients,
+walk over the click prefixes (dynamics.walk_patterns). ``run`` runs its
+tasks in file order on the calling thread and stops at the first that
+fails. Task runners return each output path's text as an iterable of
+chunks, and one writer (_write_outputs) writes them for every command,
+only after every task has returned; a Wigner grid's chunks are blocks of
+about _BLOCK_VALUES (16384) values, each formatted by floattext.rows_text
+as the file is written, so a grid needs about one block of text and its
+temporaries (below 90 bytes a value, 1.5 MB a block) beyond its array.
+Exit codes: 0 success, 1 validation or truncation error, an output path
+that cannot be written or a power-law fit over a zero probability (the
+message names the field to change), 2 an oversized chain, Wigner spec or
+grid (a chain's (signal_dim idler_dim)^2, a state's Wigner coefficients,
 or a grid's points beyond DEFAULT_AMPLITUDE_BUDGET), refused before any
-stage, amplitude or grid is formed. The environment variable
-PACSIM_MAX_WORKERS caps task parallelism.
+stage, amplitude or grid is formed.
 """
 
 from __future__ import annotations
 
 import argparse
-import collections
 import functools
 import json
 import math
 import os
 import re
 import sys
-import threading
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -294,9 +293,10 @@ class Scenario(Record):
     and every value parsed: ``pattern`` a ClickPattern (or None for a whole
     table), ``values``, ``extent`` and ``step`` floats, ``ladder_max`` an
     integer, ``state`` the (PureState, dropped mass) pair of
-    _parse_state_spec. ``signal_dim`` is the given chain.signal_dim, the
-    cutoff of every chain the scenario runs, or None where each takes its
-    default cutoff.
+    _parse_state_spec. A sweep task also holds ``signal_dims``, the signal
+    cutoff of each value's chain. ``signal_dim`` is the given
+    chain.signal_dim, the cutoff of every chain the scenario runs, or None
+    where each takes its default cutoff.
     """
 
     __slots__ = ("chain", "detector", "tasks", "signal_dim")
@@ -386,11 +386,16 @@ def _parse_task(
             raise ScenarioError(f"{field}: a fit needs >= 3 distinct values")
         if param == "alpha":
             # every chain of the sweep, at the given cutoff or else at its
-            # default, must fit the budget
+            # default, must fit the budget, and runs at the cutoff checked
             idler_dim = max(s.idler_dim for s in chain.stages)
-            for v in values:
-                alpha = _parse_alpha(v, field)
-                _check_chain_size(alpha, chain.n_stages, idler_dim, signal_dim, field, field)
+            task["signal_dims"] = [
+                _check_chain_size(
+                    _parse_alpha(v, field), chain.n_stages, idler_dim, signal_dim, field, field
+                )
+                for v in values
+            ]
+        else:
+            task["signal_dims"] = [chain.signal_dim] * len(values)
         task["values"] = [float(v) for v in values]
         task["pattern"] = _parse_pattern(task["pattern"], chain.n_stages, f"{where}.pattern")
     elif ttype == "wigner":
@@ -542,7 +547,9 @@ def _write_outputs(outputs: Outputs, fields: dict[str, str], outdir: Path | None
             with open(target, "w", encoding="utf-8") as fh:
                 fh.writelines(chunks)
         except OSError as exc:
-            raise ScenarioError(f"{fields[rel_path]}: {target}: {exc.strerror or exc}") from None
+            raise ScenarioError(
+                f"{fields[rel_path]}: {str(target)!r}: {exc.strerror or exc}"
+            ) from None
 
 
 def load_wigner(path: str | Path) -> WignerGrid:
@@ -609,7 +616,7 @@ def _pattern_rows(
     ]
 
 
-def _run_patterns_task(task: dict, scenario: Scenario) -> Outputs:
+def _run_patterns_task(task: dict, scenario: Scenario, where: str) -> Outputs:
     rows = _pattern_rows(scenario.chain, scenario.detector, task["pattern"])
     header = ["pattern", "n_clicks", "probability", "fidelity_vs_pacs_m", "mean_signal_photons"]
     return {task["output"]: [_csv_text(header, rows)]}
@@ -628,29 +635,36 @@ def _project_payload(task: dict, scenario: Scenario) -> dict[str, Any]:
     }
 
 
-def _run_project_task(task: dict, scenario: Scenario) -> Outputs:
+def _run_project_task(task: dict, scenario: Scenario, where: str) -> Outputs:
     return {task["output"]: [_json_text(_project_payload(task, scenario))]}
 
 
-def _run_sweep_task(task: dict, scenario: Scenario) -> Outputs:
-    """The pattern's probability with ``param`` set to each value, and its fit."""
+def _run_sweep_task(task: dict, scenario: Scenario, where: str) -> Outputs:
+    """The pattern's probability with ``param`` set to each value, and its
+    fit; a zero probability, which has no logarithm, refuses the fit."""
     chain, param, pattern = scenario.chain, task["param"], task["pattern"]
     samples = []
-    for value in task["values"]:
+    for value, dim in zip(task["values"], task["signal_dims"]):
         if param == "lam":
             cfg = ChainConfig(
                 chain.alpha,
                 tuple(StageParams(value, s.idler_dim) for s in chain.stages),
-                chain.signal_dim,
+                dim,
             )
         else:
             # a given cutoff holds every value or raises TruncationError
-            cfg = ChainConfig(complex(value), chain.stages, scenario.signal_dim)
+            cfg = ChainConfig(complex(value), chain.stages, dim)
         _, probability, _ = next(walk_patterns(cfg, scenario.detector, pattern))
         samples.append((value, outcome_probability(probability)))
     rows = [[_fmt(v), _fmt(p)] for v, p in samples]
     outputs = {task["output"]: [_csv_text([param, "probability"], rows)]}
     if task["fit_output"]:
+        for value, p in samples:
+            if p == 0.0:
+                raise ScenarioError(
+                    f"{where}.fit_output: a power-law fit needs every probability > 0, "
+                    f"got {p!r} at lam {value!r}"
+                )
         fit = fit_power_law(samples)
         outputs[task["fit_output"]] = [_json_text(
             {
@@ -670,62 +684,18 @@ def _wigner_grid(task: dict) -> tuple[WignerGrid, float]:
     return wigner(np.outer(psi, psi.conj()), task["extent"], task["step"]), dropped
 
 
-def _run_wigner_task(task: dict, scenario: Scenario) -> Outputs:
+def _run_wigner_task(task: dict, scenario: Scenario, where: str) -> Outputs:
     return {task["output"]: wigner_grid_lines(_wigner_grid(task)[0])}
 
 
+#: task type -> its runner(task, scenario, where); ``where`` is the task's
+#: place in the file, tasks[i], which the runner's errors name
 _TASK_RUNNERS = {
     "patterns": _run_patterns_task,
     "project": _run_project_task,
     "sweep": _run_sweep_task,
     "wigner": _run_wigner_task,
 }
-
-
-def _max_workers(n_tasks: int) -> int:
-    env = os.environ.get("PACSIM_MAX_WORKERS", "")
-    cap = min(4, os.cpu_count() or 1)
-    if env.strip():
-        try:
-            cap = max(1, int(env))
-        except ValueError:
-            raise ScenarioError(f"PACSIM_MAX_WORKERS: expected an integer, got {env!r}")
-    return max(1, min(cap, n_tasks))
-
-
-def _run_tasks(run_one: Callable[[dict], Outputs], tasks: tuple[dict, ...]) -> list[Outputs]:
-    """``[run_one(task) for task in tasks]`` on _max_workers threads, the
-    calling thread among them.
-
-    Each thread takes the next task in order until none is left or one has
-    failed; tasks taken before a failure run to the end. Then the exception
-    of the lowest-index task that failed is raised, as ThreadPoolExecutor.map
-    raises it.
-    """
-    results: list[Outputs | None] = [None] * len(tasks)
-    failures: dict[int, BaseException] = {}
-    pending = collections.deque(enumerate(tasks))  # popleft is thread-safe
-
-    def work() -> None:
-        while not failures:
-            try:
-                i, task = pending.popleft()
-            except IndexError:
-                return
-            try:
-                results[i] = run_one(task)
-            except BaseException as exc:  # re-raised below, on the calling thread
-                failures[i] = exc
-
-    threads = [threading.Thread(target=work) for _ in range(_max_workers(len(tasks)) - 1)]
-    for thread in threads:
-        thread.start()
-    work()
-    for thread in threads:
-        thread.join()
-    if failures:
-        raise failures[min(failures)]
-    return results
 
 
 def _load_yaml(text: str) -> Any:
@@ -759,7 +729,11 @@ def run_scenario(config_path: str | Path, outdir: str | Path | None = None) -> i
         loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ScenarioError(f"{config_path}: YAML parse error{loc}: {exc}")
     scenario = parse_scenario(raw)
-    results = _run_tasks(lambda task: _TASK_RUNNERS[task["type"]](task, scenario), scenario.tasks)
+    # in file order; the first task that fails raises, and the rest never run
+    results = [
+        _TASK_RUNNERS[task["type"]](task, scenario, f"tasks[{i}]")
+        for i, task in enumerate(scenario.tasks)
+    ]
 
     # all tasks succeeded; only now format and write (grids row by row)
     for i, (task, outputs) in enumerate(zip(scenario.tasks, results)):
@@ -812,7 +786,7 @@ def _cmd_wigner(task: dict, scenario: None) -> int:
 
 
 def _cmd_sweep(task: dict, scenario: Scenario) -> int:
-    outputs = _run_sweep_task(task, scenario)
+    outputs = _run_sweep_task(task, scenario, "tasks[0]")
     _write_outputs(outputs, _output_fields(task, "tasks[0]"))
     for rel_path in outputs:
         print(f"wrote {rel_path}")

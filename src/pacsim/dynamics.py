@@ -139,7 +139,8 @@ def stage_kraus(lam: float, signal_dim: int, idler_dim: int) -> np.ndarray:
     subdiagonal, and U itself is never formed. Blocks of equal size are
     exponentiated together. sum_k K_k^T K_k = I because these are
     orthonormal columns of U. Results are memoized, so every runner,
-    pattern and CLI thread shares one stack per distinct stage.
+    pattern and task shares one stack per distinct stage; the stack is
+    read-only, so no caller can change what the others see.
     """
     kraus = np.zeros((idler_dim, signal_dim, signal_dim))
     blocks: dict[int, list[int]] = {}

@@ -6,8 +6,6 @@ import json
 import math
 import os
 import re
-import sys
-import threading
 import tracemalloc
 from pathlib import Path
 
@@ -57,6 +55,9 @@ tasks:
   - type: patterns
     output: patterns.csv
 """
+#: a quick-look lam sweep that a fit can take
+SWEEP_FLAGS = ["sweep", "--alpha", "1", "--lam", "0.05", "--pattern", "1",
+               "--values", "0.01,0.02,0.04"]
 
 
 def write_scenario(tmp_path: Path, text: str) -> Path:
@@ -185,63 +186,26 @@ tasks:
         assert payload["w_fidelity"] >= 0.995
         assert 0.0 < payload["probability"] < 0.01
 
-    def test_worker_env_does_not_change_bytes(self, tmp_path, monkeypatch):
-        config = write_scenario(tmp_path, MINIMAL_SCENARIO)
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["run", str(config), "--outdir", str(out1)]) == 0
-        monkeypatch.setenv("PACSIM_MAX_WORKERS", "3")
-        assert main(["run", str(config), "--outdir", str(out2)]) == 0
-        assert (out1 / "patterns.csv").read_bytes() == (out2 / "patterns.csv").read_bytes()
-
-    @pytest.mark.parametrize("workers", ["1", "2", "3"])
-    def test_lowest_failing_task_reported(self, tmp_path, monkeypatch, capsys, workers):
-        """tasks[1] and tasks[2] fail; tasks[1]'s error is the one printed,
-        even when it fails last, and no task's file is written."""
+    def test_lowest_failing_task_reported(self, tmp_path, monkeypatch, capsys):
+        """tasks[1] and tasks[2] would fail; tasks[1]'s error is printed,
+        tasks[2] never runs, and no task's file is written."""
         config = write_scenario(
             tmp_path,
             MINIMAL_SCENARIO + "  - {type: project, output: b.json}\n"
             "  - {type: project, output: c.json}\n",
         )
-        later_failed = threading.Event()
+        ran = []
 
-        def fail(task, scenario):
-            if task["output"] == "b.json":
-                # with a thread to spare, c.json fails first
-                later_failed.wait(timeout=10 if workers != "1" else 0)
-            else:
-                later_failed.set()
+        def fail(task, scenario, where):
+            ran.append(where)
             raise ScenarioError(f"{task['output']}: failed")
 
         monkeypatch.setitem(cli._TASK_RUNNERS, "project", fail)
-        monkeypatch.setenv("PACSIM_MAX_WORKERS", workers)
         out = tmp_path / "out"
         assert main(["run", str(config), "--outdir", str(out)]) == 1
         assert capsys.readouterr().err == "error: b.json: failed\n"
+        assert ran == ["tasks[1]"]
         assert not out.exists()
-
-
-def test_task_threads_run_every_task_once():
-    """More threads than cores, switching threads every microsecond: every
-    task runs exactly once and its result lands at its own index."""
-    tasks = tuple({"i": i} for i in range(400))
-    ran = []
-
-    def run(task):
-        ran.append(task["i"])
-        return task["i"]
-
-    threads = threading.active_count()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setenv("PACSIM_MAX_WORKERS", "8")
-            results = cli._run_tasks(run, tasks)
-    finally:
-        sys.setswitchinterval(interval)
-    assert results == list(range(400))
-    assert sorted(ran) == list(range(400))
-    assert threading.active_count() == threads
 
 
 def test_wigner_task_beyond_level_170(tmp_path):
@@ -588,7 +552,7 @@ class TestUnwritableOutputs:
         (out / "sub").mkdir(parents=True)
         assert main(["run", str(config), "--outdir", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: tasks[1].output: {out / 'sub'}: {os.strerror(errno.EISDIR)}\n"
+        assert err == f"error: tasks[1].output: {str(out / 'sub')!r}: {os.strerror(errno.EISDIR)}\n"
         assert read_csv(out / "patterns.csv")
 
     def test_wigner_out_names_a_directory(self, tmp_path, capsys):
@@ -596,8 +560,18 @@ class TestUnwritableOutputs:
                      "--out", str(tmp_path)])
         assert code == 1
         captured = capsys.readouterr()
-        assert captured.err == f"error: --out: {tmp_path}: {os.strerror(errno.EISDIR)}\n"
+        assert captured.err == f"error: --out: {str(tmp_path)!r}: {os.strerror(errno.EISDIR)}\n"
         assert captured.out == ""
+
+    def test_out_path_keeps_the_field_names_it_holds(self, tmp_path, monkeypatch, capsys):
+        """The path is quoted, so a field name inside it is not renamed to a flag."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f").write_text("")
+        code = main([*SWEEP_FLAGS, "--out", "f/a chain.lam b.csv"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --out: 'f/a chain.lam b.csv': {os.strerror(errno.EEXIST)}\n"
+        )
 
 
 def test_null_detector_is_ideal(tmp_path):
@@ -1306,3 +1280,46 @@ def test_fit_output_must_be_a_path(tmp_path, capsys):
     )
     assert main(["run", str(config), "--outdir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == "error: tasks[0].fit_output: expected a file path\n"
+
+
+def test_alpha_sweep_runs_at_the_cutoffs_its_parse_searched(tmp_path, monkeypatch):
+    """One search for the chain's cutoff and one per alpha value, all at
+    parse; the sweep's chains run at the cutoffs found."""
+    config = write_scenario(
+        tmp_path,
+        "version: 1\nchain: {alpha: 1.0, lam: 0.05, n_stages: 2}\ntasks:\n"
+        "  - {type: sweep, param: alpha, values: [0.5, 2.0], pattern: '11', output: s.csv}\n",
+    )
+    calls = []
+    search = fock._smallest_window
+    monkeypatch.setattr(fock, "_smallest_window", lambda *a: calls.append(a) or search(*a))
+    assert main(["run", str(config), "--outdir", str(tmp_path / "out")]) == 0
+    assert len(calls) == 3
+
+
+def test_fit_over_a_zero_probability_is_refused(tmp_path, capsys):
+    config = write_scenario(
+        tmp_path,
+        "version: 1\nchain: {alpha: 1.0, lam: 0.05, n_stages: 1}\ndetector: {eta: 0.0}\n"
+        "tasks:\n  - {type: patterns, output: p.csv}\n"
+        "  - {type: sweep, values: [0.01, 0.02, 0.04], pattern: '1', output: s.csv,"
+        " fit_output: f.json}\n",
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--outdir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: tasks[1].fit_output: a power-law fit needs every probability > 0, "
+        "got 0.0 at lam 0.01\n"
+    )
+    assert not out.exists()
+
+
+def test_fit_out_over_a_zero_probability_is_refused(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main([*SWEEP_FLAGS, "--fit-out", "f.json", "--eta", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: --fit-out: a power-law fit needs every probability > 0, got 0.0 at lam 0.01\n"
+    )
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []

@@ -61,7 +61,7 @@ class TestStageKraus:
                     assert abs(kraus[k, a, b] - u[a * di + k, b * di]) <= tol
 
     def test_memoized_and_read_only(self):
-        """Runners and CLI threads share one stack, so nobody may write to it."""
+        """Every runner, pattern and task shares one stack, so nobody may write to it."""
         kraus = stage_kraus(0.05, 8, 4)
         assert stage_kraus(0.05, 8, 4) is kraus
         assert not kraus.flags.writeable

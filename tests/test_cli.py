@@ -186,13 +186,16 @@ tasks:
         assert payload["w_fidelity"] >= 0.995
         assert 0.0 < payload["probability"] < 0.01
 
-    def test_lowest_failing_task_reported(self, tmp_path, monkeypatch, capsys):
-        """tasks[1] and tasks[2] would fail; tasks[1]'s error is printed,
-        tasks[2] never runs, and no task's file is written."""
+    @pytest.mark.parametrize("failing", [1, 2, 3])
+    def test_lowest_failing_task_reported(self, tmp_path, monkeypatch, capsys, failing):
+        """tasks[1] .. tasks[failing] would fail; tasks[1]'s error is printed,
+        the tasks after it never run, and no task's file is written."""
         config = write_scenario(
             tmp_path,
-            MINIMAL_SCENARIO + "  - {type: project, output: b.json}\n"
-            "  - {type: project, output: c.json}\n",
+            MINIMAL_SCENARIO + "".join(
+                f"  - {{type: project, output: t{i}.json}}\n"
+                for i in range(1, failing + 1)
+            ),
         )
         ran = []
 
@@ -203,7 +206,7 @@ tasks:
         monkeypatch.setitem(cli._TASK_RUNNERS, "project", fail)
         out = tmp_path / "out"
         assert main(["run", str(config), "--outdir", str(out)]) == 1
-        assert capsys.readouterr().err == "error: b.json: failed\n"
+        assert capsys.readouterr().err == "error: t1.json: failed\n"
         assert ran == ["tasks[1]"]
         assert not out.exists()
 

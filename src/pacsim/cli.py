@@ -18,7 +18,8 @@ the same task code as ``run``. Each flag is declared once, in _FLAGS (the
 field it sets and its argparse options), and each command once, in
 _COMMANDS (its task, flags and handler); the subparsers, a command's
 one-task scenario and the flag that an error names for a field are all
-built from these two tables.
+built from these two tables. ``main`` builds the invoked command's
+subparser alone.
 
 All outputs are deterministic: identical configs produce byte-identical
 files. Every click probability and conditional signal comes from one
@@ -294,21 +295,13 @@ class Scenario(Record):
     table), ``values``, ``extent`` and ``step`` floats, ``ladder_max`` an
     integer, ``state`` the (PureState, dropped mass) pair of
     _parse_state_spec. A sweep task also holds ``signal_dims``, the signal
-    cutoff of each value's chain. ``signal_dim`` is the given
-    chain.signal_dim, the cutoff of every chain the scenario runs, or None
-    where each takes its default cutoff.
+    cutoff of each value's chain.
     """
 
-    __slots__ = ("chain", "detector", "tasks", "signal_dim")
+    __slots__ = ("chain", "detector", "tasks")
 
-    def __init__(
-        self,
-        chain: ChainConfig,
-        detector: DetectorModel,
-        tasks: tuple[dict, ...],
-        signal_dim: int | None,
-    ):
-        super().__init__(chain, detector, tasks, signal_dim)
+    def __init__(self, chain: ChainConfig, detector: DetectorModel, tasks: tuple[dict, ...]):
+        super().__init__(chain, detector, tasks)
 
 
 def parse_scenario(raw: Any) -> Scenario:
@@ -329,7 +322,7 @@ def parse_scenario(raw: Any) -> Scenario:
         _parse_task(entry, chain, f"tasks[{i}]", seen_outputs, signal_dim)
         for i, entry in enumerate(fields["tasks"])
     )
-    return Scenario(chain=chain, detector=detector, tasks=tasks, signal_dim=signal_dim)
+    return Scenario(chain=chain, detector=detector, tasks=tasks)
 
 
 def _parse_task(
@@ -341,7 +334,7 @@ def _parse_task(
 ) -> dict:
     """One task entry, checked and parsed (see Scenario); only a wigner task
     may have no chain. Its normalized output paths join ``seen_outputs``, and
-    ``signal_dim`` is the given cutoff (Scenario.signal_dim)."""
+    ``signal_dim`` is the given chain.signal_dim, or None for default cutoffs."""
     types = tuple(_TASK_TYPES)
     ttype = entry.get("type") if isinstance(entry, dict) else None
     if isinstance(entry, dict) and "type" in entry:
@@ -717,13 +710,13 @@ def _load_yaml(text: str) -> Any:
 def run_scenario(config_path: str | Path, outdir: str | Path | None = None) -> int:
     """Execute a scenario file; writes nothing unless every task succeeds."""
     config_path = Path(config_path)
-    if outdir is None:
-        outdir = Path.cwd()
-    outdir = Path(outdir)
+    outdir = Path.cwd() if outdir is None else Path(outdir)
     try:
         raw = _load_yaml(config_path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ScenarioError(f"{config_path}: no such file")
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not UTF-8
+        raise ScenarioError(f"{config_path}: {getattr(exc, 'strerror', None) or exc}") from None
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -744,10 +737,6 @@ def run_scenario(config_path: str | Path, outdir: str | Path | None = None) -> i
 # ---------------------------------------------------------------------------
 # quick-look subcommands
 # ---------------------------------------------------------------------------
-
-def _cmd_run(args) -> int:
-    return run_scenario(args.config, args.outdir)
-
 
 def _cmd_pacs(task: dict, scenario: Scenario) -> int:
     [[pattern, n_clicks, probability, fid, _]] = _pattern_rows(
@@ -894,27 +883,35 @@ def _name_flags(message: str, command: str) -> str:
     return token.sub(lambda match: names.get(match[0], match[0]), message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``pacsim`` parser. Where ``command`` names a command it holds that
+    subparser alone, the one its parse reads (the others cost about 1 ms a
+    start), and the usage line an error prints still lists every command. The
+    full parser sets no metavar, which would rename its "required: command"."""
     parser = argparse.ArgumentParser(prog="pacsim",
                                      description="cascaded parametric-amplifier simulator")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="execute a YAML scenario file")
-    p_run.add_argument("config", help="path to the scenario file")
-    p_run.add_argument("--outdir", help="directory for output files")
-    p_run.set_defaults(func=_cmd_run)
-
-    for command, (keywords, _, flags, _) in _COMMANDS.items():
-        p = sub.add_parser(command, **keywords)
+    names = ("run", *_COMMANDS)
+    metavar = "{" + ",".join(names) + "}" if command in names else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names if metavar is None else (command,):
+        if name == "run":
+            p = sub.add_parser("run", help="execute a YAML scenario file")
+            p.add_argument("config", help="path to the scenario file")
+            p.add_argument("--outdir", help="directory for output files")
+            p.set_defaults(func=lambda args: run_scenario(args.config, args.outdir))
+            continue
+        keywords, _, flags, _ = _COMMANDS[name]
+        p = sub.add_parser(name, **keywords)
         for flag in flags:
             options = dict(_FLAGS[flag][1])
             p.add_argument(flag, *options.pop("aliases", ()), **options)
-        p.set_defaults(func=functools.partial(_quick_look, command))
+        p.set_defaults(func=functools.partial(_quick_look, name))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ScenarioError, TruncationError, DimensionBudgetError) as exc:

@@ -121,9 +121,9 @@ def tail_mass(alpha: complex, added_photons: int, dim: int) -> float:
     its default dim 27).
     """
     m = added_photons
-    if alpha == 0:
-        return 0.0
     a2 = abs(alpha) ** 2
+    if a2 == 0.0:  # alpha 0, or |alpha|^2 below the smallest float
+        return 0.0
     # from j = 4 (|alpha|^2 + m) the term ratio |alpha|^2 (j+m+1)/(j+1)^2 is
     # below 1/3, so 200 more terms leave nothing a float can hold
     j = np.arange(max(dim - m, math.ceil(4 * (a2 + m))) + 200)

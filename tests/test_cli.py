@@ -534,7 +534,24 @@ class TestValidationFailures:
     def test_missing_file(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "nope.yaml")])
         assert code == 1
-        assert "no such file" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {tmp_path / 'nope.yaml'}: no such file\n"
+
+    def test_directory_for_a_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(tmp_path), "--outdir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+        assert not out.exists()
+
+    def test_file_that_is_not_utf8(self, tmp_path, capsys):
+        config = tmp_path / "scenario.yaml"
+        config.write_bytes(b"\xff\xfe" + MINIMAL_SCENARIO.encode("utf-16-le"))
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--outdir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n"
+        )
+        assert not out.exists()
 
 
 class TestUnwritableOutputs:
@@ -819,6 +836,14 @@ class TestQuickCommands:
         x, p = np.meshgrid(grid.x_axis, grid.p_axis, indexing="ij")
         exact = np.exp(-((x - 3 * np.sqrt(2)) ** 2) - p**2) / np.pi
         assert np.max(np.abs(grid.values - exact)) < bound
+
+    @pytest.mark.parametrize("spec", ["coherent:1e-200", "coherent:1e-300j", "pacs:1e-170,1"])
+    def test_wigner_state_whose_alpha_squared_underflows(self, tmp_path, capsys, spec):
+        """|alpha|^2 below the smallest float: the cutoff drops no mass."""
+        assert main(["wigner", "--state", spec, "--out", str(tmp_path / "w.txt")]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "truncation bound: |W - W_exact| <= 0.0 (cutoff dropped mass 0.0)"
+        )
 
     @pytest.mark.parametrize("spec", ["coherent:3", "pacs:3,1", "coherent:11.9"])
     def test_wigner_bright_state_at_default_cutoff(self, tmp_path, spec):
@@ -1240,9 +1265,14 @@ def test_error_names_flags_but_keeps_the_users_values(tmp_path, monkeypatch, cap
     assert not list(tmp_path.iterdir())
 
 
+def _subparsers(command: str | None = None):
+    """The subcommand action of ``cli.build_parser(command)``."""
+    [subparsers] = cli.build_parser(command)._subparsers._group_actions
+    return subparsers
+
+
 def _subparser(command: str):
-    [subparsers] = cli.build_parser()._subparsers._group_actions
-    return subparsers.choices[command]
+    return _subparsers().choices[command]
 
 
 @pytest.mark.parametrize("command", cli._COMMANDS)
@@ -1260,9 +1290,79 @@ def test_quick_look_parser_is_the_flag_table(command):
         assert action.dest == flag[2:].replace("-", "_")
 
 
+COMMANDS = ["run", *cli._COMMANDS]
+
+
+def _action_fields(parser) -> list[dict]:
+    """Each action's settings, without the parser that holds it."""
+    return [{k: v for k, v in vars(a).items() if k != "container"} for a in parser._actions]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_alone_gets_the_full_parsers_subparser(command):
+    """The subparser built alone is the one the full parser holds, and the
+    top-level usage, which an unrecognized argument prints, is the same."""
+    full, alone = _subparsers(), _subparsers(command)
+    assert list(full.choices) == COMMANDS
+    assert list(alone.choices) == [command]
+    ours, theirs = alone.choices[command], full.choices[command]
+    assert _action_fields(ours) == _action_fields(theirs)
+    assert ours.format_usage() == theirs.format_usage()
+    assert ours.format_help() == theirs.format_help()
+    assert cli.build_parser(command).format_usage() == cli.build_parser().format_usage()
+
+
+@pytest.mark.parametrize("word", [None, "-h", "--help", "bogus", "ru", "--outdir"])
+def test_other_first_words_get_every_command(word):
+    """No metavar: "required: command" and "invalid choice" keep their words."""
+    subparsers = _subparsers(word)
+    assert list(subparsers.choices) == COMMANDS
+    assert subparsers.metavar is None
+
+
+#: argv whose help, usage or argparse error is printed before any task runs
+PARSER_CORPUS = [
+    [], ["-h"], ["--help"], ["bogus"], ["ru"], ["--bogus", "run", "x.yaml"],
+    ["run", "-h"], ["pacs", "-h"], ["wstate", "--help"], ["wigner", "-h"], ["sweep", "-h"],
+    ["run"], ["run", "--outdir"], ["run", "x.yaml", "--bogus"], ["run", "x.yaml", "y.yaml"],
+    ["pacs", "--alpha", "1", "--lam", "0.05", "--pattern", "1", "extra"],
+    ["pacs", "--alpha", "1"], ["pacs", "--alpha", "1", "--lam", "x", "--pattern", "1"],
+    ["wstate", "--eta", "0.5"], ["wigner", "--state"],
+    [*SWEEP_FLAGS, "--param", "beta"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=lambda argv: " ".join(argv) or "none")
+def test_parser_prints_what_the_full_parser_prints(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+
+    def outcome() -> tuple:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, *capsys.readouterr()
+
+    built = outcome()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert outcome() == built
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_module_run_reads_its_arguments(run_python, tmp_path):
+    """``python -m pacsim.cli run``, whose main reads sys.argv, writes what
+    main(argv) writes."""
+    scenario = str(ROOT / "bench" / "scenarios" / "patterns_seq.yaml")
+    result = run_python("-m", "pacsim.cli", "run", scenario, "--outdir", str(tmp_path / "a"))
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+    assert main(["run", scenario, "--outdir", str(tmp_path / "b")]) == 0
+    written = {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()}
+    assert written and written == {p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()}
+
+
 def test_default_cutoff_is_searched_once_per_chain(monkeypatch):
-    """The cutoff the size check searched is the chain's; the scenario keeps
-    the given signal_dim (None), so an alpha sweep still takes per-value cutoffs."""
+    """The cutoff the size check searched is the chain's."""
     calls = []
     search = fock._smallest_window
     monkeypatch.setattr(fock, "_smallest_window", lambda *a: calls.append(a) or search(*a))
@@ -1271,7 +1371,6 @@ def test_default_cutoff_is_searched_once_per_chain(monkeypatch):
     ))
     assert calls == [(1 + 0j, 5, 22)]
     assert scenario.chain.signal_dim == default_signal_dim(1.0, 5)
-    assert scenario.signal_dim is None
 
 
 def test_fit_output_must_be_a_path(tmp_path, capsys):

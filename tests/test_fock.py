@@ -246,6 +246,9 @@ class TestPacsState:
     def test_tail_mass_edge_cases(self):
         assert tail_mass(0, 3, 8) == 0.0
         assert tail_mass(1.0, 3, 3) == 1.0
+        # |alpha|^2 underflows to 0.0, which has no logarithm
+        assert tail_mass(1e-200, 1, 16) == 0.0
+        assert tail_mass(1e-300j, 0, 8) == 0.0
 
 
 class TestLadderApply:

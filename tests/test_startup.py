@@ -48,9 +48,9 @@ RECORDS = [
     (pacsim.WStateResult(0.1, None), "WStateResult(probability=0.1, w_fidelity=None)"),
     (pacsim.ScalingFit(2.0, 1.0, 1.0, ((0.1, 0.2),)),
      "ScalingFit(exponent=2.0, prefactor=1.0, r_squared=1.0, samples=((0.1, 0.2),))"),
-    (Scenario(CHAIN, pacsim.DetectorModel(), ({"type": "project"},), None),
+    (Scenario(CHAIN, pacsim.DetectorModel(), ({"type": "project"},)),
      f"Scenario(chain={CHAIN_REPR}, detector=DetectorModel(eta=1.0, dark_prob=0.0), "
-     "tasks=({'type': 'project'},), signal_dim=None)"),
+     "tasks=({'type': 'project'},))"),
     (pacsim.PureState(np.array([1.0, 0.0])), "PureState(amplitudes=array([1.+0.j, 0.+0.j]))"),
     (pacsim.PhotonStatistics(np.array([1.0]), 0.0, 0.0),
      "PhotonStatistics(distribution=array([1.]), mean=0.0, mandel_q=0.0)"),

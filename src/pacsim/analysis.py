@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import ChainConfig, herald_summary
 from .errors import TruncationWarning
-from .fock import PureState, pacs_state
+from .fock import PureState, pacs_ladder
 from .records import Record
 
 
@@ -261,8 +261,6 @@ def _herald_on_ladder(
 ) -> tuple[float, float | None]:
     """herald_summary on |alpha, m>, orthogonalized against the other
     photon-added states |alpha, k> (k <= ladder_max) unless ``plain``."""
-    ds = config.signal_dim
-    others = () if plain else tuple(
-        pacs_state(config.alpha, k, ds) for k in range(ladder_max + 1) if k != m
-    )
-    return herald_summary(config, pacs_state(config.alpha, m, ds), orthogonal_to=others)
+    ladder = pacs_ladder(config.alpha, m if plain else max(m, ladder_max), config.signal_dim)
+    others = () if plain else tuple(s for k, s in enumerate(ladder[:ladder_max + 1]) if k != m)
+    return herald_summary(config, ladder[m], orthogonal_to=others)

@@ -56,13 +56,14 @@ import yaml
 
 from .analysis import WignerGrid, _herald_on_ladder, fit_power_law, wigner
 from .detection import ClickPattern, DetectorModel, outcome_probability
-from .dynamics import MAX_LAM, ChainConfig, StageParams, walk_patterns
+from .dynamics import MAX_LAM, ChainConfig, StageParams, _walk_batches, walk_patterns
 from .errors import DimensionBudgetError, ScenarioError, TruncationError
 from .fock import (
     PureState,
     _signal_dim_floor,
     default_signal_dim,
     fock_state,
+    pacs_ladder,
     pacs_state,
     tail_mass,
 )
@@ -237,10 +238,10 @@ def _check_chain_size(
     DEFAULT_AMPLITUDE_BUDGET is refused.
 
     The largest arrays a chain forms are its Kraus stacks
-    (dynamics.stage_kraus) and the walk's products K_k rho, idler_dim
-    signal_dim^2 doubles each, so the bound on (signal_dim idler_dim)^2
-    covers them with a factor idler_dim to spare; it stays on that square
-    so that the same chains are refused. The chain is refused with
+    (dynamics.stage_kraus), idler_dim signal_dim^2 doubles each, and the
+    walk's stacked products K_k rho, up to dynamics._WALK_ENTRIES doubles or
+    one such stack; the bound stays on (signal_dim idler_dim)^2 so that the
+    same chains are refused. The chain is refused with
     DimensionBudgetError before any stage is built. With no ``signal_dim``
     the default cutoff's floor (fock._signal_dim_floor) is checked before
     the cutoff is searched, then the cutoff itself. ``idler_dim`` is the
@@ -574,25 +575,28 @@ def load_wigner(path: str | Path) -> WignerGrid:
 # task execution
 # ---------------------------------------------------------------------------
 
-def _pattern_row(
-    pattern: ClickPattern,
-    probability: float,
-    rho: np.ndarray,
-    reference: Callable[[int], np.ndarray],
-) -> list[str]:
-    """CSV row of one pattern, read straight from its conditional signal rho.
+def _batch_rows(patterns: list[ClickPattern], probabilities: Iterable[float], rhos: np.ndarray,
+                ladder: Callable[[int], list[PureState]]) -> list[list[str]]:
+    """CSV rows of a run of patterns, read straight from their conditional signals rho.
 
-    ``reference(m)`` gives the amplitudes of the m-photon-added state. An
-    impossible outcome reads "0.0" with no fidelity or mean.
+    ``ladder(top)`` lists the m-photon-added states from m = 0 to ``top``.
+    An impossible outcome reads "0.0" with no fidelity or mean. Each row is
+    reduced on its own, so its bytes do not depend on the run it comes in.
     """
-    probability = outcome_probability(probability)
-    fid = mean_n = None
-    if probability > 0.0:
-        ref = reference(pattern.n_clicks)
-        fid = float((ref.conj() @ rho @ ref).real) / probability
-        mean_n = float(np.arange(rho.shape[0]) @ np.diagonal(rho).real) / probability
+    probabilities = [outcome_probability(float(p)) for p in probabilities]
+    live = [i for i, p in enumerate(probabilities) if p > 0.0]
+    fid = mean_n = {}
+    if live:
+        clicks = [patterns[i].n_clicks for i in live]
+        rungs = ladder(max(clicks))
+        refs = np.array([rungs[m].amplitudes for m in clicks])
+        rho, live_p = rhos[live], np.take(probabilities, live)
+        f = (refs.conj() * (rho @ refs[:, :, None])[:, :, 0]).sum(axis=-1).real / live_p
+        n = (np.diagonal(rho, 0, 1, 2).real * np.arange(rho.shape[-1])).sum(axis=-1) / live_p
+        fid, mean_n = dict(zip(live, f.tolist())), dict(zip(live, n.tolist()))
     return [
-        str(pattern), str(pattern.n_clicks), _fmt(probability), _fmt(fid), _fmt(mean_n)
+        [str(pattern), str(pattern.n_clicks), _fmt(p), _fmt(fid.get(i)), _fmt(mean_n.get(i))]
+        for i, (pattern, p) in enumerate(zip(patterns, probabilities))
     ]
 
 
@@ -600,13 +604,9 @@ def _pattern_rows(
     chain: ChainConfig, detector: DetectorModel, pattern: ClickPattern | None = None
 ) -> list[list[str]]:
     """Rows of every click pattern in lexicographic order, or of ``pattern`` alone."""
-    reference = functools.cache(
-        lambda m: pacs_state(chain.alpha, m, chain.signal_dim).amplitudes
-    )
-    return [
-        _pattern_row(p, probability, rho, reference)
-        for p, probability, rho in walk_patterns(chain, detector, pattern)
-    ]
+    ladder = functools.cache(lambda top: pacs_ladder(chain.alpha, top, chain.signal_dim))
+    return [row for batch in _walk_batches(chain, detector, pattern)
+            for row in _batch_rows(*batch, ladder)]
 
 
 def _run_patterns_task(task: dict, scenario: Scenario, where: str) -> Outputs:

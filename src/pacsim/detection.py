@@ -20,6 +20,8 @@ import numpy as np
 from .fock import PureState
 from .records import Record
 
+_TINY = np.finfo(float).tiny
+
 
 class DetectorModel(Record):
     """On/off detector: quantum efficiency and per-gate dark-count probability."""
@@ -83,7 +85,7 @@ def outcome_probability(probability: float) -> float:
     subnormal, below 2.2e-308, where the conditional density matrix has lost
     its precision and rho / probability overflows.
     """
-    return 0.0 if probability < np.finfo(float).tiny else probability
+    return 0.0 if probability < _TINY else probability
 
 
 def orthogonalized_reference(

@@ -10,8 +10,9 @@ of Schoen, Solano, Verstraete, Cirac and Wolf, PRL 95, 110503 (2005)), and
 every answer is a probability P and a conditional signal reached through
 them. stage_kraus builds them from the vacuum-idler columns of U's blocks,
 without forming U. walk_patterns folds the signal's density matrix through
-them depth first over the click prefixes and yields every pattern's
-(P, rho), so every pattern of a table shares its prefixes' folds;
+them level by level over the click prefixes, a depth's prefixes in stacked
+products, and yields every pattern's (P, rho), so every pattern of a table
+shares its prefixes' folds;
 herald_summary contracts them into the heralding probability and W
 fidelity. Neither forms the joint signal-idler state or any array indexed
 by idler records.
@@ -118,10 +119,10 @@ def _expm_antisymmetric(gens: np.ndarray) -> np.ndarray:
     norm = float(np.abs(gens).sum(axis=-2).max())
     squarings = max(0, math.ceil(math.log2(norm)) + 1) if norm > 0.0 else 0
     scaled = gens / 2.0**squarings
-    result = term = np.broadcast_to(np.eye(n), gens.shape)
-    for j in range(1, n + 18):
-        term = term @ scaled / j
-        result = result + term
+    result, term, buf = np.eye(n) + scaled, scaled.copy(), np.empty_like(scaled)
+    for j in range(2, n + 18 if norm > 0.0 else 0):  # in place; exp(0) = I
+        np.divide(np.matmul(term, scaled, out=buf), j, out=term)
+        result += term
     for _ in range(squarings):
         result = result @ result
     return result
@@ -170,10 +171,11 @@ def walk_patterns(
     Idlers never interact again once their stage has fired, so the chain
     acts on the signal's density matrix alone: each stage applies
     rho -> sum_k POVM(k) K_k rho K_k^T with the detector POVM of that stage's
-    click outcome. The walk runs depth first over the click prefixes: each
-    prefix's rho is folded once and shared by every pattern that extends
-    it, and the products K_k rho of a node serve both its children. So a
-    table of all 2^N patterns costs 2^(N+1) - 2 folds, not N 2^N.
+    click outcome. The walk goes level by level over the click prefixes:
+    each prefix's rho is folded once and shared by every pattern that
+    extends it, the products K_k rho of a prefix serve both its children,
+    and a depth's prefixes are folded together, in stacks of bounded size.
+    So a table of all 2^N patterns costs 2^(N+1) - 2 prefix folds, not N 2^N.
 
     Yields (pattern, P, rho) per leaf, with rho unnormalized and
     P = tr rho, in lexicographic order with no-click first ("00..",
@@ -182,57 +184,70 @@ def walk_patterns(
     (see detection.outcome_probability).
     """
     if pattern is not None and len(pattern) != config.n_stages:
-        raise ValueError(
-            f"pattern has {len(pattern)} outcomes for {config.n_stages} stages"
-        )
-    ds = config.signal_dim
-    stages = []
-    for kraus in _chain_kraus(config):
-        p_click = detector.click_probability(np.arange(kraus.shape[0]))
-        # [povm(k) K_k^T] stacked over k, for no click and for a click
-        stages.append((kraus, [
-            (povm[:, None, None] * kraus).transpose(0, 2, 1).reshape(-1, ds)
-            for povm in (1.0 - p_click, p_click)
-        ]))
+        raise ValueError(f"pattern has {len(pattern)} outcomes for {config.n_stages} stages")
+    return ((p, float(probability), rho) for batch in _walk_batches(config, detector, pattern)
+            for p, probability, rho in zip(*batch))
+
+
+#: Most K_k rho entries (float64, 2 MB) a fold of the walk stacks: a stack of
+#: prefixes whose last fold would pass it is split in halves, walked in turn,
+#: so the walk's memory stays within a few times this whatever N is.
+_WALK_ENTRIES = 2**18
+
+
+def _walk_batches(
+    config: ChainConfig, detector: DetectorModel, pattern: ClickPattern | None = None
+) -> Iterator[tuple[list[ClickPattern], np.ndarray, np.ndarray]]:
+    """walk_patterns' leaves in lexicographic runs, (patterns, P, rho) stacked, each
+    bit for bit as walked alone; ``pattern``, if given, has one outcome per stage."""
+    ds, n = config.signal_dim, config.n_stages
+    stages, stacks = [], {}
+    for depth, kraus in enumerate(_chain_kraus(config)):
+        if id(kraus) not in stacks:  # equal stages share one stack
+            p_click = detector.click_probability(np.arange(kraus.shape[0]))
+            # [povm(k) K_k^T] stacked over k, for no click and for a click
+            stacks[id(kraus)] = np.stack([
+                (povm[:, None, None] * kraus).transpose(0, 2, 1).reshape(-1, ds)
+                for povm in (1.0 - p_click, p_click)
+            ])
+        # an integer index: [True] would be a boolean mask
+        outcomes = slice(None) if pattern is None else [int(pattern.clicks[depth])]
+        stages.append((kraus, stacks[id(kraus)][outcomes]))
+    most = max(1, _WALK_ENTRIES // max(kraus.size for kraus, _ in stages))
     # every K_k is real and raises the level by k, so the fold commutes with
     # rho -> D rho D^+, D = diag(e^{in arg alpha}): the walk runs in real
     # arithmetic from |abs(alpha)> and puts the phases back at the leaves
     phase = np.exp(1j * np.angle(config.alpha) * np.arange(ds))
     rotation = np.outer(phase, phase.conj())
     psi = coherent_state(abs(config.alpha), ds).amplitudes.real
-
-    def descend(rho: np.ndarray, clicks: tuple[bool, ...]):
-        depth = len(clicks)
-        if depth == len(stages):
-            yield ClickPattern(clicks), float(np.trace(rho)), rho * rotation
-            return
-        kraus, weighted = stages[depth]
-        kraus_rho = kraus @ rho
-        for clicked in (False, True) if pattern is None else (pattern.clicks[depth],):
-            yield from descend(_fold(kraus_rho, weighted[clicked]), clicks + (clicked,))
-
-    return descend(np.outer(psi, psi), ())
-
-
-def _fold(kraus_rho: np.ndarray, weighted: np.ndarray) -> np.ndarray:
-    """sum_k POVM(k) K_k rho K_k^T from the products K_k rho, as one matrix product.
-
-    ``weighted`` stacks the POVM(k) K_k^T over k.
-    """
-    ds = kraus_rho.shape[-1]
-    return kraus_rho.transpose(1, 0, 2).reshape(ds, -1) @ weighted
+    # (depth, index of the stack's first prefix among its depth's, rho
+    # stack); the last is walked next, so the leaves come out in order
+    todo = [(0, 0, np.outer(psi, psi)[None])]
+    while todo:
+        depth, first, rhos = todo.pop()
+        if depth == n:
+            bits = (np.arange(first, first + len(rhos))[:, None] >> np.arange(n)[::-1]) & 1
+            patterns = [ClickPattern(b) for b in bits.tolist()] if pattern is None else [pattern]
+            leaves = rhos.astype(complex)
+            leaves *= rotation  # rhos * rotation, without a mixed-type product
+            yield patterns, np.trace(rhos, axis1=1, axis2=2), leaves
+        elif len(rhos) > 1 and len(rhos) << (n - 1 - depth) > most:
+            half = len(rhos) // 2
+            todo += [(depth, first + half, rhos[half:]), (depth, first, rhos[:half])]
+        else:
+            kraus, weighted = stages[depth]
+            children = _fold(kraus[None] @ rhos[:, None], weighted)
+            todo.append((depth + 1, first * len(weighted), children))
 
 
-def _heralding_reference(
-    config: ChainConfig, reference: PureState, orthogonal_to: Sequence[PureState]
-) -> np.ndarray:
-    """Amplitudes of the reference, orthogonalized against ``orthogonal_to``."""
-    ds = config.signal_dim
-    if reference.dim != ds:
-        raise ValueError(f"reference dim {reference.dim} does not match signal dim {ds}")
-    if orthogonal_to:
-        reference = orthogonalized_reference(reference, orthogonal_to)
-    return reference.amplitudes
+def _fold(kraus_rhos: np.ndarray, weighted: np.ndarray) -> np.ndarray:
+    """sum_k POVM(k) K_k rho K_k^T of every prefix and outcome, as one stacked product:
+    the products K_k rho of B prefixes, (B, di, ds, ds), and the POVM(k) K_k^T
+    stacked over k per outcome, (outcomes, di ds, ds), give the children
+    (B outcomes, ds, ds), prefix-major."""
+    b, di, ds, _ = kraus_rhos.shape
+    flat = kraus_rhos.transpose(0, 2, 1, 3).reshape(b, 1, ds, di * ds)
+    return (flat @ weighted).reshape(-1, ds, ds)
 
 
 def herald_summary(
@@ -266,12 +281,15 @@ def herald_summary(
     u <- K_0 u + K_1 v, v <- K_0 v.
     """
     ds = config.signal_dim
-    ref = _heralding_reference(config, reference, orthogonal_to)
+    if reference.dim != ds:
+        raise ValueError(f"reference dim {reference.dim} does not match signal dim {ds}")
+    if orthogonal_to:
+        reference = orthogonalized_reference(reference, orthogonal_to)
     # every K_k is real and raises the level by k, so level n of a record
     # with excitation K has the phase e^{i(n - K) arg alpha}; e^{-iK arg alpha}
     # drops out of |<r|psi>|, and moving e^{in arg alpha} onto the bra leaves
     # every factor real
-    bra = ref * np.exp(-1j * np.angle(config.alpha) * np.arange(ds))
+    bra = reference.amplitudes * np.exp(-1j * np.angle(config.alpha) * np.arange(ds))
     bra = np.stack([bra.real, bra.imag], axis=1)
     seed = coherent_state(abs(config.alpha), ds).amplitudes.real
     # factors[K] is A_K^T restricted to levels K..ds-1: (width, ds - K)

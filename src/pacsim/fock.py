@@ -99,7 +99,7 @@ def _smallest_window(alpha: complex, m: int, start: int) -> int | None:
     if math.exp(-abs(alpha) ** 2 / 2.0) == 0.0:
         return None
     stop = start + 2 * _signal_dim_floor(alpha, m)
-    return next((d for d in range(start, stop) if _photon_added(alpha, m, d)[1] is None), None)
+    return next((d for d in range(start, stop) if _photon_added(alpha, m, d)[-1][1] is None), None)
 
 
 def tail_mass(alpha: complex, added_photons: int, dim: int) -> float:
@@ -183,35 +183,49 @@ def pacs_state(alpha: complex, m: int, dim: int) -> PureState:
         return coherent_state(alpha, dim)
     if alpha == 0:
         return fock_state(m, dim)
-    raw, problem = _photon_added(alpha, m, dim)
+    raw, problem = _photon_added(alpha, m, dim)[-1]
     if problem is not None:
         raise TruncationError(problem, suggested_dim=_smallest_window(alpha, m, dim + 1))
     return PureState.from_amplitudes(raw)
 
 
-def _photon_added(alpha: complex, m: int, dim: int) -> tuple[np.ndarray, str | None]:
-    """Unnormalized a+^m |alpha> on the window, and why ``dim`` is too small.
+def pacs_ladder(alpha: complex, m_max: int, dim: int) -> list[PureState]:
+    """pacs_state(alpha, m, dim) for m = 0..m_max, bit for bit, from one run
+    of raises; raises pacs_state's TruncationError of the first m that leaks."""
+    if alpha == 0:
+        return [fock_state(m, dim) for m in range(m_max + 1)]
+    ladder = []
+    for m, (raw, problem) in enumerate(_photon_added(alpha, m_max, dim)):
+        if problem is not None:
+            pacs_state(alpha, m, dim)  # raises its error for this m
+        ladder.append(PureState.from_amplitudes(raw))
+    return ladder
+
+
+def _photon_added(alpha: complex, m: int, dim: int) -> list[tuple[np.ndarray, str | None]]:
+    """Unnormalized a+^j |alpha> on the window for j = 0..m, each with why
+    ``dim`` is too small for it (or None); j = 0 alone if that is already.
 
     Renormalizes before each raise and sums the mass each raise pushes past
     the top level.
     """
     amps, problem = _coherent_amplitudes(alpha, dim)
+    rungs = [(amps, problem)]
     if problem is not None:
-        return amps, problem
+        return rungs
     raw = amps / np.linalg.norm(amps)
     factors = np.sqrt(np.arange(1, dim))
     leak_total = 0.0
-    for _ in range(m):
+    for j in range(1, m + 1):
         unit = raw / np.linalg.norm(raw)
         leak_total += float(abs(unit[-1]) ** 2)
         raw = np.zeros_like(unit)
         raw[1:] = factors * unit[:-1]
-    if leak_total > TAIL_MASS_LIMIT:
-        return raw, (
-            f"adding {m} photons to |alpha|={abs(alpha):.4g} leaks mass "
+        rungs.append((raw, (
+            f"adding {j} photons to |alpha|={abs(alpha):.4g} leaks mass "
             f"{leak_total:.3e} past dim {dim}"
-        )
-    return raw, None
+        ) if leak_total > TAIL_MASS_LIMIT else None))
+    return rungs
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from pacsim import (
     mean_photon_number,
     pacs_state,
 )
-from pacsim.cli import _pattern_row
-from pacsim.fock import _coherent_amplitudes, tail_mass
+from pacsim.cli import _batch_rows
+from pacsim.fock import _coherent_amplitudes, pacs_ladder, tail_mass
 
 from oracles import (
     MultiModeState,
@@ -87,8 +87,8 @@ def mixture(*branches):
 def row_readings(rho, ref, probability=0.3):
     """Fidelity with ``ref`` and mean photon number that a pattern-table row
     reads off the unnormalized (P, P rho)."""
-    row = _pattern_row(ClickPattern((True,)), probability, probability * rho,
-                       lambda m: ref.amplitudes)
+    [row] = _batch_rows([ClickPattern((True,))], [probability], (probability * rho)[None],
+                        lambda top: [ref] * (top + 1))
     return float(row[3]), float(row[4])
 
 
@@ -208,6 +208,32 @@ class TestPacsState:
     def test_negative_order(self):
         with pytest.raises(ValueError):
             pacs_state(1.0, -1, 16)
+
+    @pytest.mark.parametrize("alpha", [1.3, 0.6 - 0.9j, 0.0])
+    def test_ladder_is_pacs_state_bit_for_bit(self, alpha):
+        dim = default_signal_dim(alpha, 6)
+        ladder = pacs_ladder(alpha, 6, dim)
+        assert len(ladder) == 7
+        for m, state in enumerate(ladder):
+            assert np.array_equal(state.amplitudes, pacs_state(alpha, m, dim).amplitudes)
+
+    @pytest.mark.parametrize(
+        "alpha, dim, first",
+        [(0.5, 14, 4), (1.0, 16, 2), (0.6 - 0.9j, 16, 1), (2.0, 14, 0)],
+    )
+    def test_ladder_raises_at_the_first_m_that_leaks(self, alpha, dim, first):
+        """pacs_state's TruncationError of the first m that leaks, message
+        and suggested_dim alike; the rungs below it are built."""
+        for m in range(first):
+            pacs_state(alpha, m, dim)
+        with pytest.raises(TruncationError) as want:
+            pacs_state(alpha, first, dim)
+        with pytest.raises(TruncationError) as got:
+            pacs_ladder(alpha, 8, dim)
+        assert str(got.value) == str(want.value)
+        assert got.value.suggested_dim == want.value.suggested_dim is not None
+        if first:
+            assert len(pacs_ladder(alpha, first - 1, dim)) == first
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("m", range(1, 9))

@@ -1,7 +1,7 @@
-"""The depth-first click-prefix walk and the pattern table read from its leaves."""
+"""The level-by-level click-prefix walk and the pattern table read from its leaves."""
 
-import functools
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -19,7 +19,7 @@ from pacsim import (
     pacs_state,
     walk_patterns,
 )
-from pacsim.cli import _pattern_row, _pattern_rows, main
+from pacsim.cli import _batch_rows, _pattern_rows, main
 from pacsim.errors import StrongCouplingWarning
 
 from oracles import conditional_density, joint_state
@@ -38,16 +38,18 @@ def table(config, detector, pattern=None):
 
 
 def dense_table(config, detector, pattern=None):
-    """The same rows read from the conditioned joint state: the dense oracle."""
+    """The same rows read from the conditioned joint state: the dense oracle.
+
+    Its references are built one pacs_state at a time, not from the ladder."""
     joint = joint_state(config)
-    reference = functools.cache(
-        lambda m: pacs_state(config.alpha, m, config.signal_dim).amplitudes
-    )
     patterns = all_patterns(config.n_stages) if pattern is None else [pattern]
-    return [
-        _pattern_row(p, *conditional_density(joint, p, detector), reference)
-        for p in patterns
-    ]
+    leaves = [conditional_density(joint, p, detector) for p in patterns]
+    return _batch_rows(
+        patterns,
+        [probability for probability, _ in leaves],
+        np.stack([rho for _, rho in leaves]),
+        lambda top: [pacs_state(config.alpha, m, config.signal_dim) for m in range(top + 1)],
+    )
 
 
 def close(got: str, want: float, tol: float) -> bool:
@@ -114,29 +116,70 @@ def test_walk_rows_match_the_ensemble_and_the_dense_oracle(chain):
 
 @pytest.fixture
 def fold_counter(monkeypatch):
-    calls = []
+    """The prefixes folded: for each _fold call, its stack's prefixes times
+    its outcomes, one entry per call."""
+    folded = []
     fold = dynamics._fold
 
-    def counting(*args):
-        calls.append(1)
-        return fold(*args)
+    def counting(kraus_rhos, weighted):
+        folded.append(len(kraus_rhos) * len(weighted))
+        return fold(kraus_rhos, weighted)
 
     monkeypatch.setattr(dynamics, "_fold", counting)
-    return calls
+    return folded
 
 
 @pytest.mark.parametrize("n_stages", [1, 2, 5, 8])
 def test_walk_folds_each_prefix_once(fold_counter, n_stages):
-    """2^(N+1) - 2 folds for the table, N for one pattern."""
+    """2^(N+1) - 2 prefix folds for the table, N for one pattern."""
     config = ChainConfig.uniform(1.0, 0.05, n_stages)
     detector = DetectorModel(0.6, 1e-4)
     leaves = list(walk_patterns(config, detector))
-    assert len(fold_counter) == 2 ** (n_stages + 1) - 2
+    assert sum(fold_counter) == 2 ** (n_stages + 1) - 2
     assert [p for p, _, _ in leaves] == all_patterns(n_stages)
     fold_counter.clear()
     pattern = all_patterns(n_stages)[-1]
     assert len(list(walk_patterns(config, detector, pattern))) == 1
-    assert len(fold_counter) == n_stages
+    assert sum(fold_counter) == n_stages
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_split_walk_is_the_unsplit_walk(fold_counter, monkeypatch, batch):
+    """With the stack limit at ``batch`` prefixes the walk splits its stacks
+    (at every depth past the first for batch 1); the leaves and the table
+    keep every bit, in order, and each prefix is still folded once."""
+    config = ChainConfig((0.8 + 0.3j), (StageParams(0.1, 3), StageParams(0.05, 4),
+                                        StageParams(0.2, 2), StageParams(0.1, 4)))
+    detector = DetectorModel(0.4, 1e-3)
+    whole = list(walk_patterns(config, detector))
+    rows = table(config, detector)
+    fold_counter.clear()
+    widest = 4 * config.signal_dim**2
+    monkeypatch.setattr(dynamics, "_WALK_ENTRIES", batch * widest)
+    split = list(walk_patterns(config, detector))
+    assert sum(fold_counter) == 2**5 - 2
+    assert max(fold_counter) <= 2 * batch and len(fold_counter) > 4
+    assert [p for p, _, _ in split] == [p for p, _, _ in whole] == all_patterns(4)
+    for (_, p_split, rho_split), (_, p_whole, rho_whole) in zip(split, whole):
+        assert p_split == p_whole and rho_split.tobytes() == rho_whole.tobytes()
+    assert table(config, detector) == rows
+
+
+def test_walk_memory_is_bounded_by_the_stack_limit():
+    """The 2^14 leaves of an N = 14 table at the default cutoff (signal_dim
+    34) are walked in under four stack limits of float64: the K_k rho stack,
+    its reshaped copy, the children and the halves still to walk. The whole
+    last depth at once would take 2^14 * 4 * 34^2 * 8 B = 606 MB."""
+    config = ChainConfig.uniform(1.0, 0.05, 14)
+    assert config.signal_dim == 34
+    tracemalloc.start()
+    try:
+        leaves = sum(1 for _ in walk_patterns(config, DetectorModel(0.6, 1e-4)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert leaves == 2**14
+    assert peak < 4 * 8 * dynamics._WALK_ENTRIES
 
 
 @pytest.mark.parametrize("mode", ["sequential", "full"])
@@ -160,8 +203,8 @@ def test_filtered_task_is_the_same_row(tmp_path, fold_counter, mode):
         assert (out / f"p{p}.csv").read_text(encoding="utf-8").splitlines() == [
             lines[0], line
         ]
-    # either mode: 14 folds for the table, 3 for each of the 8 single patterns
-    assert len(fold_counter) == 14 + 8 * 3
+    # either mode: 14 prefix folds for the table, 3 for each of the 8 single patterns
+    assert sum(fold_counter) == 14 + 8 * 3
 
 
 @pytest.mark.parametrize("rows_of", [table, dense_table], ids=["sequential", "full"])

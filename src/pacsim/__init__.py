@@ -8,13 +8,11 @@ signal state, reached through per-stage Kraus operators on the signal.
 """
 
 from .analysis import (
-    PhotonStatistics,
     ScalingFit,
     WignerGrid,
     WStateResult,
     extract_w_state,
     fit_power_law,
-    photon_statistics,
     wigner,
 )
 from .detection import (
@@ -42,9 +40,7 @@ from .fock import (
     PureState,
     coherent_state,
     default_signal_dim,
-    fidelity_pure,
     fock_state,
-    mean_photon_number,
     pacs_state,
 )
 

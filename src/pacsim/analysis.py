@@ -1,4 +1,4 @@
-"""Derived quantities: scaling fits, photon statistics, Wigner grids, W states.
+"""Derived quantities: scaling fits, Wigner grids, W states.
 
 Wigner grids come straight from the density matrix: each two-mode photon
 sector of rho is turned by a 50:50 beam splitter into the coefficients of W
@@ -69,31 +69,6 @@ def fit_power_law(samples: Sequence[tuple[float, float]]) -> ScalingFit:
         r_squared=min(max(r_squared, 0.0), 1.0),
         samples=samples,
     )
-
-
-class PhotonStatistics(Record):
-    """Photon-number distribution of one mode with mean and Mandel Q.
-
-    Q = (<n^2> - <n>^2)/<n> - 1: zero for coherent light, -1 for a number
-    state; values in between witness the coherent-to-Fock transition.
-    """
-
-    __slots__ = ("distribution", "mean", "mandel_q")
-
-    def __init__(self, distribution: np.ndarray, mean: float, mandel_q: float):
-        super().__init__(distribution, mean, mandel_q)
-
-
-def photon_statistics(state: PureState) -> PhotonStatistics:
-    dist = np.abs(state.amplitudes) ** 2
-    n = np.arange(dist.size)
-    mean = float(np.dot(n, dist))
-    if mean == 0.0:
-        q = 0.0
-    else:
-        var = float(np.dot(n**2, dist)) - mean**2
-        q = var / mean - 1.0
-    return PhotonStatistics(distribution=dist, mean=mean, mandel_q=q)
 
 
 class WignerGrid(Record):

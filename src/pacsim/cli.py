@@ -25,12 +25,14 @@ All outputs are deterministic: identical configs produce byte-identical
 files. Every click probability and conditional signal comes from one
 walk over the click prefixes (dynamics.walk_patterns). ``run`` runs its
 tasks in file order on the calling thread and stops at the first that
-fails. Task runners return each output path's text as an iterable of
-chunks, and one writer (_write_outputs) writes them for every command,
-only after every task has returned; a Wigner grid's chunks are blocks of
-about _BLOCK_VALUES (16384) values, each formatted by floattext.rows_text
-as the file is written, so a grid needs about one block of text and its
-temporaries (below 90 bytes a value, 1.5 MB a block) beyond its array.
+fails. Task runners return values, output path -> a Table, a JSON payload
+or a WignerGrid; one writer (_write_outputs) writes them for ``run``, only
+after every task has returned, and for the quick-looks, which then print
+from the same values. _result_text alone turns a result into text, a
+grid's in blocks of about _BLOCK_VALUES (16384) values, each formatted by
+floattext.rows_text as the file is written, so a grid needs about one block
+of text and its temporaries (below 90 bytes a value, 1.5 MB a block) beyond
+its array.
 Exit codes: 0 success, 1 validation or truncation error, an output path
 that cannot be written or a power-law fit over a zero probability (the
 message names the field to change), 2 an oversized chain, Wigner spec or
@@ -73,8 +75,6 @@ SCHEMA_VERSION = 1
 #: Largest size a command may reach, in elements: a chain's
 #: (signal_dim idler_dim)^2, a Wigner state's coefficients or a grid's points
 DEFAULT_AMPLITUDE_BUDGET = 20_000_000
-#: output path -> the file's text as chunks, written in order
-Outputs = dict[str, Iterable[str]]
 #: values per chunk of a Wigner grid's text: floattext.rows_text's
 #: temporaries stay below 90 bytes a value (80 on the benchmark grids), so
 #: a chunk needs at most 1.5 MB; chunks of 12k to 32k values format equally fast
@@ -478,21 +478,40 @@ def _parse_state_spec(spec: str, where: str = "state") -> tuple[PureState, float
 
 
 # ---------------------------------------------------------------------------
-# formatting helpers
+# task results and their text
 # ---------------------------------------------------------------------------
 
-def _fmt(value: float | None) -> str:
+class Table(Record):
+    """A CSV table's values: its header and its rows of str, int, float or None."""
+
+    __slots__ = ("header", "rows")
+
+    def __init__(self, header: tuple[str, ...], rows: list[list]):
+        super().__init__(header, rows)
+
+
+#: what a task writes to one path: a CSV table, a JSON payload or a Wigner grid
+Result = Table | dict | WignerGrid
+
+
+def _field_text(value: str | int | float | None) -> str:
+    if isinstance(value, (str, int)):
+        return str(value)
     return "" if value is None else repr(float(value))
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    # no field needs quoting: 0/1 patterns, integers, float reprs, "" and
-    # header names, two or more to a row
-    return "".join(",".join(row) + "\n" for row in [header, *rows])
-
-
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _result_text(result: Result) -> Iterable[str]:
+    """The text of ``result``'s file, in chunks: a table's CSV with each
+    float by repr and None as an empty field, a payload's sorted JSON, or a
+    grid's lines (wigner_grid_lines)."""
+    if isinstance(result, WignerGrid):
+        return wigner_grid_lines(result)
+    if isinstance(result, Table):
+        # no field needs quoting: 0/1 patterns, integers, float reprs, "" and
+        # header names, two or more to a row
+        return ["".join(",".join(map(_field_text, row)) + "\n"
+                        for row in [result.header, *result.rows])]
+    return [json.dumps(result, indent=2, sort_keys=True) + "\n"]
 
 
 def wigner_grid_lines(grid: WignerGrid) -> Iterator[str]:
@@ -516,7 +535,7 @@ def wigner_grid_lines(grid: WignerGrid) -> Iterator[str]:
 
 
 def emit_wigner(grid: WignerGrid, path: str | Path) -> None:
-    _write_outputs({path: wigner_grid_lines(grid)}, {path: "path"})
+    _write_outputs({path: grid}, {path: "path"})
 
 
 def _output_fields(task: dict, where: str) -> dict[str, str]:
@@ -524,22 +543,23 @@ def _output_fields(task: dict, where: str) -> dict[str, str]:
     return {task[key]: f"{where}.{key}" for key in ("output", "fit_output") if task.get(key)}
 
 
-def _write_outputs(outputs: Outputs, fields: dict[str, str], outdir: Path | None = None) -> None:
-    """Write each output's chunks to its path, in order, under ``outdir`` when
-    given. A path that cannot be written raises ScenarioError naming the field
-    that set it, ``--outdir`` or ``fields[path]``; the outputs before it are
-    written by then."""
+def _write_outputs(results: dict[str, Result], fields: dict[str, str],
+                   outdir: Path | None = None) -> None:
+    """Write each result's text (_result_text) to its path, in order, under
+    ``outdir`` when given. A path that cannot be written raises ScenarioError
+    naming the field that set it, ``--outdir`` or ``fields[path]``; the
+    results before it are written by then."""
     if outdir is not None:
         try:
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ScenarioError(f"--outdir: {outdir}: {exc.strerror or exc}") from None
-    for rel_path, chunks in outputs.items():
+    for rel_path, result in results.items():
         target = Path(outdir or "", rel_path)
         try:
             target.parent.mkdir(parents=True, exist_ok=True)
             with open(target, "w", encoding="utf-8") as fh:
-                fh.writelines(chunks)
+                fh.writelines(_result_text(result))
         except OSError as exc:
             raise ScenarioError(
                 f"{fields[rel_path]}: {str(target)!r}: {exc.strerror or exc}"
@@ -576,12 +596,12 @@ def load_wigner(path: str | Path) -> WignerGrid:
 # ---------------------------------------------------------------------------
 
 def _batch_rows(patterns: list[ClickPattern], probabilities: Iterable[float], rhos: np.ndarray,
-                ladder: Callable[[int], list[PureState]]) -> list[list[str]]:
-    """CSV rows of a run of patterns, read straight from their conditional signals rho.
+                ladder: Callable[[int], list[PureState]]) -> list[list]:
+    """Table rows of a run of patterns, read straight from their conditional signals rho.
 
     ``ladder(top)`` lists the m-photon-added states from m = 0 to ``top``.
-    An impossible outcome reads "0.0" with no fidelity or mean. Each row is
-    reduced on its own, so its bytes do not depend on the run it comes in.
+    An impossible outcome reads 0.0 with None for its fidelity and mean. Each
+    row is reduced on its own, so its values do not depend on the run it comes in.
     """
     probabilities = [outcome_probability(float(p)) for p in probabilities]
     live = [i for i, p in enumerate(probabilities) if p > 0.0]
@@ -595,62 +615,49 @@ def _batch_rows(patterns: list[ClickPattern], probabilities: Iterable[float], rh
         n = (np.diagonal(rho, 0, 1, 2).real * np.arange(rho.shape[-1])).sum(axis=-1) / live_p
         fid, mean_n = dict(zip(live, f.tolist())), dict(zip(live, n.tolist()))
     return [
-        [str(pattern), str(pattern.n_clicks), _fmt(p), _fmt(fid.get(i)), _fmt(mean_n.get(i))]
+        [str(pattern), pattern.n_clicks, p, fid.get(i), mean_n.get(i)]
         for i, (pattern, p) in enumerate(zip(patterns, probabilities))
     ]
 
 
-def _pattern_rows(
-    chain: ChainConfig, detector: DetectorModel, pattern: ClickPattern | None = None
-) -> list[list[str]]:
-    """Rows of every click pattern in lexicographic order, or of ``pattern`` alone."""
+def _run_patterns_task(task: dict, scenario: Scenario, where: str) -> dict[str, Table]:
+    """Rows of every click pattern in lexicographic order, or of the task's pattern alone."""
+    chain = scenario.chain
     ladder = functools.cache(lambda top: pacs_ladder(chain.alpha, top, chain.signal_dim))
-    return [row for batch in _walk_batches(chain, detector, pattern)
+    rows = [row for batch in _walk_batches(chain, scenario.detector, task["pattern"])
             for row in _batch_rows(*batch, ladder)]
+    header = ("pattern", "n_clicks", "probability", "fidelity_vs_pacs_m", "mean_signal_photons")
+    return {task["output"]: Table(header, rows)}
 
 
-def _run_patterns_task(task: dict, scenario: Scenario, where: str) -> Outputs:
-    rows = _pattern_rows(scenario.chain, scenario.detector, task["pattern"])
-    header = ["pattern", "n_clicks", "probability", "fidelity_vs_pacs_m", "mean_signal_photons"]
-    return {task["output"]: [_csv_text(header, rows)]}
-
-
-def _project_payload(task: dict, scenario: Scenario) -> dict[str, Any]:
+def _run_project_task(task: dict, scenario: Scenario, where: str) -> dict[str, dict]:
     """Signal-side heralding by herald_summary: no joint or idler state, no budget."""
     chain, m, plain = scenario.chain, task["reference_m"], task["plain"]
     probability, w_fid = _herald_on_ladder(chain, m, task["ladder_max"], plain)
-    return {
+    return {task["output"]: {
         "n_stages": chain.n_stages,
         "reference_m": m,
         "plain_projector": plain,
         "probability": probability,
         "w_fidelity": w_fid if m == 1 else None,
-    }
+    }}
 
 
-def _run_project_task(task: dict, scenario: Scenario, where: str) -> Outputs:
-    return {task["output"]: [_json_text(_project_payload(task, scenario))]}
-
-
-def _run_sweep_task(task: dict, scenario: Scenario, where: str) -> Outputs:
+def _run_sweep_task(task: dict, scenario: Scenario, where: str) -> dict[str, Result]:
     """The pattern's probability with ``param`` set to each value, and its
     fit; a zero probability, which has no logarithm, refuses the fit."""
     chain, param, pattern = scenario.chain, task["param"], task["pattern"]
     samples = []
     for value, dim in zip(task["values"], task["signal_dims"]):
         if param == "lam":
-            cfg = ChainConfig(
-                chain.alpha,
-                tuple(StageParams(value, s.idler_dim) for s in chain.stages),
-                dim,
-            )
+            stages = tuple(StageParams(value, s.idler_dim) for s in chain.stages)
+            cfg = ChainConfig(chain.alpha, stages, dim)
         else:
             # a given cutoff holds every value or raises TruncationError
             cfg = ChainConfig(complex(value), chain.stages, dim)
         _, probability, _ = next(walk_patterns(cfg, scenario.detector, pattern))
-        samples.append((value, outcome_probability(probability)))
-    rows = [[_fmt(v), _fmt(p)] for v, p in samples]
-    outputs = {task["output"]: [_csv_text([param, "probability"], rows)]}
+        samples.append([value, outcome_probability(probability)])
+    results = {task["output"]: Table((param, "probability"), samples)}
     if task["fit_output"]:
         for value, p in samples:
             if p == 0.0:
@@ -659,26 +666,18 @@ def _run_sweep_task(task: dict, scenario: Scenario, where: str) -> Outputs:
                     f"got {p!r} at lam {value!r}"
                 )
         fit = fit_power_law(samples)
-        outputs[task["fit_output"]] = [_json_text(
-            {
-                "exponent": fit.exponent,
-                "prefactor": fit.prefactor,
-                "r_squared": fit.r_squared,
-                "samples": [[l, p] for l, p in fit.samples],
-            }
-        )]
-    return outputs
+        results[task["fit_output"]] = {
+            "exponent": fit.exponent,
+            "prefactor": fit.prefactor,
+            "r_squared": fit.r_squared,
+            "samples": [[l, p] for l, p in fit.samples],
+        }
+    return results
 
 
-def _wigner_grid(task: dict) -> tuple[WignerGrid, float]:
-    """The task's grid and the probability mass its state's cutoff dropped."""
-    state, dropped = task["state"]
-    psi = state.amplitudes
-    return wigner(np.outer(psi, psi.conj()), task["extent"], task["step"]), dropped
-
-
-def _run_wigner_task(task: dict, scenario: Scenario, where: str) -> Outputs:
-    return {task["output"]: wigner_grid_lines(_wigner_grid(task)[0])}
+def _run_wigner_task(task: dict, scenario: Scenario | None, where: str) -> dict[str, WignerGrid]:
+    psi = task["state"][0].amplitudes
+    return {task["output"]: wigner(np.outer(psi, psi.conj()), task["extent"], task["step"])}
 
 
 #: task type -> its runner(task, scenario, where); ``where`` is the task's
@@ -729,8 +728,8 @@ def run_scenario(config_path: str | Path, outdir: str | Path | None = None) -> i
     ]
 
     # all tasks succeeded; only now format and write (grids row by row)
-    for i, (task, outputs) in enumerate(zip(scenario.tasks, results)):
-        _write_outputs(outputs, _output_fields(task, f"tasks[{i}]"), outdir)
+    for i, (task, task_results) in enumerate(zip(scenario.tasks, results)):
+        _write_outputs(task_results, _output_fields(task, f"tasks[{i}]"), outdir)
     return 0
 
 
@@ -738,31 +737,26 @@ def run_scenario(config_path: str | Path, outdir: str | Path | None = None) -> i
 # quick-look subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_pacs(task: dict, scenario: Scenario) -> int:
-    [[pattern, n_clicks, probability, fid, _]] = _pattern_rows(
-        scenario.chain, scenario.detector, task["pattern"]
-    )
-    print(f"pattern {pattern}: probability = {probability}")
-    if fid:
-        print(f"fidelity vs {n_clicks}-photon-added state = {fid}")
+def _cmd_pacs(task: dict, results: dict[str, Result]) -> None:
+    [[pattern, n_clicks, probability, fid, _]] = results[task["output"]].rows
+    print(f"pattern {pattern}: probability = {probability!r}")
+    if fid is not None:
+        print(f"fidelity vs {n_clicks}-photon-added state = {fid!r}")
     else:
         print("impossible outcome")
-    return 0
 
 
-def _cmd_wstate(task: dict, scenario: Scenario) -> int:
-    payload = _project_payload(task, scenario)
+def _cmd_wstate(task: dict, results: dict[str, Result]) -> None:
+    payload = results[task["output"]]
     print(f"heralding probability = {payload['probability']!r}")
     if payload["probability"] == 0.0:
         print("impossible outcome")
     else:
-        print(f"fidelity vs {scenario.chain.n_stages}-mode W state = {payload['w_fidelity']!r}")
-    return 0
+        print(f"fidelity vs {payload['n_stages']}-mode W state = {payload['w_fidelity']!r}")
 
 
-def _cmd_wigner(task: dict, scenario: None) -> int:
-    grid, dropped = _wigner_grid(task)
-    _write_outputs({task["output"]: wigner_grid_lines(grid)}, _output_fields(task, "tasks[0]"))
+def _cmd_wigner(task: dict, results: dict[str, Result]) -> None:
+    grid, (_, dropped) = results[task["output"]], task["state"]
     print(
         f"wrote {task['output']}: {grid.values.shape[0]}x{grid.values.shape[1]} grid, "
         f"min = {grid.minimum()!r}, integral = {grid.integral()!r}"
@@ -771,15 +765,11 @@ def _cmd_wigner(task: dict, scenario: None) -> int:
     # at most |psi psi^+ - phi phi^+|_1 / pi = (2 / pi) sqrt(1 - |<psi|phi>|^2)
     bound = 2.0 / math.pi * math.sqrt(dropped)
     print(f"truncation bound: |W - W_exact| <= {bound!r} (cutoff dropped mass {dropped!r})")
-    return 0
 
 
-def _cmd_sweep(task: dict, scenario: Scenario) -> int:
-    outputs = _run_sweep_task(task, scenario, "tasks[0]")
-    _write_outputs(outputs, _output_fields(task, "tasks[0]"))
-    for rel_path in outputs:
+def _cmd_sweep(task: dict, results: dict[str, Result]) -> None:
+    for rel_path in results:
         print(f"wrote {rel_path}")
-    return 0
 
 
 def _flag_number(text: str) -> float | str:
@@ -824,8 +814,9 @@ _CHAIN_FLAGS = ("--alpha", "--lam", "--idler-dim", "--signal-dim")
 _DETECTOR_FLAGS = ("--eta", "--dark-prob")
 
 #: quick-look command -> (its add_parser keywords, the fields of its one task
-#: that no flag gives, its flags in --help order, its handler). pacs and
-#: wstate print their answer, so their output path ("-") is never written.
+#: that no flag gives, its flags in --help order, its handler, which prints
+#: from the task and its results). pacs and wstate have no --out and print
+#: their answer, so their output path ("-") is never written.
 _COMMANDS = {
     "pacs": ({"help": "condition a chain on a click pattern"},
              {"type": "patterns", "output": "-"},
@@ -851,7 +842,9 @@ _COMMANDS = {
 
 def _quick_look(command: str, args) -> int:
     """Run the one-task scenario a quick-look command stands for, validated
-    as ``pacsim run`` validates a file (a wigner task alone, with no chain)."""
+    as ``pacsim run`` validates a file (a wigner task alone, with no chain)
+    and run by the task runner of ``pacsim run``; then write its files and
+    print its summary."""
     _, task, flags, handler = _COMMANDS[command]
     sections = {"tasks[0]": dict(task)}
     for flag in flags:
@@ -861,12 +854,18 @@ def _quick_look(command: str, args) -> int:
         if value is not None:
             fields[key] = value
     task = sections.pop("tasks[0]")
-    if "chain" not in sections:
-        return handler(_parse_task(task, None, "tasks[0]", set()), None)
-    if "--pattern" in flags:  # an empty pattern gets one stage for the pattern check
-        sections["chain"]["n_stages"] = max(1, len(args.pattern))
-    scenario = parse_scenario({"version": SCHEMA_VERSION, **sections, "tasks": [task]})
-    return handler(scenario.tasks[0], scenario)
+    if "chain" in sections:
+        if "--pattern" in flags:  # an empty pattern gets one stage for the pattern check
+            sections["chain"]["n_stages"] = max(1, len(args.pattern))
+        scenario = parse_scenario({"version": SCHEMA_VERSION, **sections, "tasks": [task]})
+        task = scenario.tasks[0]
+    else:
+        scenario, task = None, _parse_task(task, None, "tasks[0]", set())
+    results = _TASK_RUNNERS[task["type"]](task, scenario, "tasks[0]")
+    if "--out" in flags:
+        _write_outputs(results, _output_fields(task, "tasks[0]"))
+    handler(task, results)
+    return 0
 
 
 def _name_flags(message: str, command: str) -> str:

@@ -61,9 +61,13 @@ class StageParams(Record):
         if idler_dim < 2:
             raise ValueError(f"idler_dim must be >= 2, got {idler_dim}")
         if lam > WEAK_COUPLING_LIMIT:
+            # from any signal state the idler number of one stage is at least
+            # as spread as its geometric law from vacuum, P(k >= K) = tanh^2K
             warnings.warn(
-                f"lam={lam} is outside the weak-coupling regime "
-                f"(> {WEAK_COUPLING_LIMIT}); exact evolution remains valid",
+                f"lam={lam} is outside the weak-coupling regime (> {WEAK_COUPLING_LIMIT}); "
+                f"one exact stage puts at least tanh(lam)^(2 idler_dim) = "
+                f"{math.tanh(lam) ** (2 * idler_dim):.3g} of the probability on idler "
+                f"numbers that idler_dim={idler_dim} does not hold",
                 StrongCouplingWarning,
                 stacklevel=2,
             )

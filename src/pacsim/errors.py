@@ -21,7 +21,10 @@ class TruncationWarning(UserWarning):
 class StrongCouplingWarning(UserWarning):
     """Interaction strength outside the weak-coupling regime (lam > 0.3).
 
-    Exact evolution stays valid; only leading-order scaling claims degrade.
+    Leading-order scaling claims degrade, and the idler cutoff drops mass:
+    one exact stage puts at least tanh(lam)^(2 idler_dim) of the probability
+    on idler numbers that the cutoff does not hold (0.113 at lam = 1 and
+    5.2e-5 at lam = 0.3, both at idler_dim 4).
     """
 
 

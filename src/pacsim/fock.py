@@ -191,15 +191,15 @@ def pacs_state(alpha: complex, m: int, dim: int) -> PureState:
 
 def pacs_ladder(alpha: complex, m_max: int, dim: int) -> list[PureState]:
     """pacs_state(alpha, m, dim) for m = 0..m_max, bit for bit, from one run
-    of raises; raises pacs_state's TruncationError of the first m that leaks."""
+    of raises. Where any m leaks, raises pacs_state(alpha, m_max, dim)'s
+    TruncationError: the summed leak only grows with m, so its suggested
+    cutoff holds every rung, where the first leaking rung's may not."""
     if alpha == 0:
         return [fock_state(m, dim) for m in range(m_max + 1)]
-    ladder = []
-    for m, (raw, problem) in enumerate(_photon_added(alpha, m_max, dim)):
-        if problem is not None:
-            pacs_state(alpha, m, dim)  # raises its error for this m
-        ladder.append(PureState.from_amplitudes(raw))
-    return ladder
+    rungs = _photon_added(alpha, m_max, dim)
+    if any(problem is not None for _, problem in rungs):
+        pacs_state(alpha, m_max, dim)  # raises its error for the top rung
+    return [PureState.from_amplitudes(raw) for raw, _ in rungs]
 
 
 def _photon_added(alpha: complex, m: int, dim: int) -> list[tuple[np.ndarray, str | None]]:
@@ -227,19 +227,3 @@ def _photon_added(alpha: complex, m: int, dim: int) -> list[tuple[np.ndarray, st
         ) if leak_total > TAIL_MASS_LIMIT else None))
     return rungs
 
-
-# ---------------------------------------------------------------------------
-# Fidelity and moments
-# ---------------------------------------------------------------------------
-
-def fidelity_pure(a: PureState, b: PureState) -> float:
-    """Overlap fidelity |<a|b>|^2."""
-    if a.dim != b.dim:
-        raise ValueError(f"incompatible cutoffs {a.dim} vs {b.dim}")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-
-
-def mean_photon_number(state: PureState) -> float:
-    """<n> of a state."""
-    probs = np.abs(state.amplitudes) ** 2
-    return float(np.dot(np.arange(probs.size), probs))

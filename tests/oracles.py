@@ -71,11 +71,43 @@ def mode_dims(state: PureState | MultiModeState) -> tuple[int, ...]:
     return state.dims if isinstance(state, MultiModeState) else (state.dim,)
 
 
-def overlap_fidelity(a: MultiModeState, b: MultiModeState) -> float:
+def overlap_fidelity(
+    a: PureState | MultiModeState, b: PureState | MultiModeState
+) -> float:
     """|<a|b>|^2 of two states on the same modes."""
-    if a.dims != b.dims:
-        raise ValueError(f"incompatible modes {a.dims} vs {b.dims}")
+    if mode_dims(a) != mode_dims(b):
+        raise ValueError(f"incompatible modes {mode_dims(a)} vs {mode_dims(b)}")
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+
+
+def mean_photon_number(state: PureState) -> float:
+    """<n> of a state."""
+    probs = np.abs(state.amplitudes) ** 2
+    return float(np.dot(np.arange(probs.size), probs))
+
+
+class PhotonStatistics(NamedTuple):
+    """Photon-number distribution of one mode with mean and Mandel Q.
+
+    Q = (<n^2> - <n>^2)/<n> - 1: zero for coherent light, -1 for a number
+    state; values in between witness the coherent-to-Fock transition.
+    """
+
+    distribution: np.ndarray
+    mean: float
+    mandel_q: float
+
+
+def photon_statistics(state: PureState) -> PhotonStatistics:
+    dist = np.abs(state.amplitudes) ** 2
+    n = np.arange(dist.size)
+    mean = float(np.dot(n, dist))
+    if mean == 0.0:
+        q = 0.0
+    else:
+        var = float(np.dot(n**2, dist)) - mean**2
+        q = var / mean - 1.0
+    return PhotonStatistics(distribution=dist, mean=mean, mandel_q=q)
 
 
 class LadderResult(NamedTuple):

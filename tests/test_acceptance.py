@@ -18,7 +18,6 @@ from pacsim import (
     coherent_state,
     default_signal_dim,
     extract_w_state,
-    fidelity_pure,
     fit_power_law,
     fock_state,
     outcome_probability,
@@ -35,6 +34,7 @@ from oracles import (
     fidelity,
     joint_state,
     ladder_apply,
+    overlap_fidelity,
 )
 
 # m! L_m(-|alpha|^2) for |alpha|^2 in {0, 1/4, 1, 4}, m in 0..4, frozen from
@@ -93,10 +93,10 @@ def test_criterion_2_reduction_limits():
     worst_coh = 0.0
     for alpha in (0.5, 1.0, 2.0):
         dim = default_signal_dim(alpha)
-        fid = fidelity_pure(pacs_state(alpha, 0, dim), coherent_state(alpha, dim))
+        fid = overlap_fidelity(pacs_state(alpha, 0, dim), coherent_state(alpha, dim))
         worst_coh = max(worst_coh, abs(fid - 1.0))
     fock_exact = all(
-        fidelity_pure(pacs_state(0, m, 8), fock_state(m, 8)) == 1.0
+        overlap_fidelity(pacs_state(0, m, 8), fock_state(m, 8)) == 1.0
         for m in range(1, 5)
     )
     ok = worst_coh <= 1e-12 and fock_exact

@@ -21,7 +21,6 @@ from pacsim import (
     fit_power_law,
     fock_state,
     pacs_state,
-    photon_statistics,
     walk_patterns,
     wigner,
 )
@@ -33,6 +32,7 @@ from oracles import (
     herald_idlers,
     horner_magnitude,
     joint_state,
+    photon_statistics,
     tensor,
     w_state_reference,
     wigner_dense,

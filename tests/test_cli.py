@@ -403,6 +403,15 @@ class TestValidationFailures:
             capsys,
         )
 
+    def test_ladder_truncation_suggests_a_cutoff_for_every_rung(self, tmp_path, capsys):
+        """References up to m = 3 that leak at signal_dim 16 suggest m = 3's
+        cutoff, 19, not that of m = 2, the first rung that leaks (18)."""
+        text = ("version: 1\nchain: {alpha: 1.0, lam: 0.05, n_stages: 3, signal_dim: %d}\n"
+                "tasks:\n  - {type: project, output: p.json, reference_m: 3, plain: true}\n")
+        self.run_expecting_error(tmp_path, text % 16, "(suggested dim: 19)\n", capsys)
+        config = write_scenario(tmp_path, text % 19)
+        assert main(["run", str(config), "--outdir", str(tmp_path / "out")]) == 0
+
     def test_truncation_names_signal_dim(self, tmp_path, capsys):
         self.run_expecting_error(
             tmp_path,
@@ -788,6 +797,17 @@ class TestQuickCommands:
         out = capsys.readouterr().out
         fidelity = float(out.rsplit("=", 1)[1])
         assert fidelity >= 0.995
+
+    @pytest.mark.parametrize("args, out", [
+        (["pacs", "--alpha", "1", "--lam", "0", "--pattern", "1"],
+         "pattern 1: probability = 0.0\nimpossible outcome\n"),
+        (["wstate", "--alpha", "1", "--lam", "0", "--n", "3"],
+         "heralding probability = 0.0\nimpossible outcome\n"),
+    ], ids=["pacs", "wstate"])
+    def test_impossible_outcome(self, capsys, args, out):
+        """At lam = 0 no idler photon is made: the summary says so, with no fidelity."""
+        assert main(args) == 0
+        assert capsys.readouterr().out == out
 
     def test_wigner_command(self, tmp_path, capsys):
         target = tmp_path / "w.txt"

@@ -340,6 +340,15 @@ class TestConfigValidation:
         with pytest.warns(StrongCouplingWarning):
             StageParams(0.5)
 
+    def test_strong_coupling_warning_states_the_idler_tail(self):
+        """At lam = 1 one stage from vacuum puts tanh(1)^8 = 0.113 of its
+        probability on idler numbers 4 and up, which idler_dim 4 drops."""
+        with pytest.warns(StrongCouplingWarning, match=(
+            r"lam=1\.0 .* at least tanh\(lam\)\^\(2 idler_dim\) = 0\.113 of the "
+            r"probability on idler numbers that idler_dim=4 does not hold"
+        )):
+            StageParams(1.0)
+
     def test_weak_coupling_silent(self):
         import warnings
 

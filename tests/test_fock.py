@@ -14,9 +14,7 @@ from pacsim import (
     TruncationWarning,
     coherent_state,
     default_signal_dim,
-    fidelity_pure,
     fock_state,
-    mean_photon_number,
     pacs_state,
 )
 from pacsim.cli import _batch_rows
@@ -28,6 +26,8 @@ from oracles import (
     laguerre,
     laguerre_recurrence,
     laguerre_series,
+    mean_photon_number,
+    overlap_fidelity,
     tensor,
 )
 
@@ -222,16 +222,22 @@ class TestPacsState:
         [(0.5, 14, 4), (1.0, 16, 2), (0.6 - 0.9j, 16, 1), (2.0, 14, 0)],
     )
     def test_ladder_raises_at_the_first_m_that_leaks(self, alpha, dim, first):
-        """pacs_state's TruncationError of the first m that leaks, message
-        and suggested_dim alike; the rungs below it are built."""
+        """A ladder that reaches the first m that leaks raises pacs_state's
+        TruncationError for its top m, message and suggested_dim alike, and
+        the suggested cutoff builds the whole ladder; the rungs below the
+        first that leaks are built."""
         for m in range(first):
             pacs_state(alpha, m, dim)
-        with pytest.raises(TruncationError) as want:
+        with pytest.raises(TruncationError):
             pacs_state(alpha, first, dim)
-        with pytest.raises(TruncationError) as got:
-            pacs_ladder(alpha, 8, dim)
-        assert str(got.value) == str(want.value)
-        assert got.value.suggested_dim == want.value.suggested_dim is not None
+        for top in (first, 8):
+            with pytest.raises(TruncationError) as want:
+                pacs_state(alpha, top, dim)
+            with pytest.raises(TruncationError) as got:
+                pacs_ladder(alpha, top, dim)
+            assert str(got.value) == str(want.value)
+            assert got.value.suggested_dim == want.value.suggested_dim is not None
+            assert len(pacs_ladder(alpha, top, got.value.suggested_dim)) == top + 1
         if first:
             assert len(pacs_ladder(alpha, first - 1, dim)) == first
 
@@ -373,25 +379,25 @@ class TestTensorAndMarginal:
 class TestFidelity:
     def test_self_fidelity(self):
         s = coherent_state(1.0, 24)
-        assert fidelity_pure(s, s) == pytest.approx(1.0, abs=1e-14)
+        assert overlap_fidelity(s, s) == pytest.approx(1.0, abs=1e-14)
 
     def test_orthogonal_fock_states(self):
-        assert fidelity_pure(fock_state(0, 4), fock_state(1, 4)) == 0.0
+        assert overlap_fidelity(fock_state(0, 4), fock_state(1, 4)) == 0.0
 
     def test_pacs_vs_fock_frozen_value(self):
         """|<1|alpha=1, m=1>|^2 = e^-1 / 2, from the brute-force overlap."""
-        got = fidelity_pure(pacs_state(1.0, 1, 32), fock_state(1, 32))
+        got = overlap_fidelity(pacs_state(1.0, 1, 32), fock_state(1, 32))
         assert got == pytest.approx(math.exp(-1.0) / 2.0, rel=1e-10)
 
     def test_incompatible_spaces(self):
         with pytest.raises(ValueError):
-            fidelity_pure(fock_state(0, 4), fock_state(0, 5))
+            overlap_fidelity(fock_state(0, 4), fock_state(0, 5))
 
     def test_single_branch_reduces_to_pure(self):
         s = pacs_state(1.0, 1, 24)
         ref = coherent_state(1.0, 24)
         fid, _ = row_readings(mixture((1.0, s)), ref)
-        assert fid == pytest.approx(fidelity_pure(s, ref))
+        assert fid == pytest.approx(overlap_fidelity(s, ref))
 
     def test_equal_mixture_with_orthogonal_state(self):
         ref = fock_state(0, 4)
@@ -405,7 +411,7 @@ class TestFidelity:
                     (0.2, fock_state(2, 14)))
         ref = coherent_state(0.5, 14)
         fid, _ = row_readings(mixture(*branches), ref)
-        oracle = sum(w * fidelity_pure(s, ref) for w, s in branches)
+        oracle = sum(w * overlap_fidelity(s, ref) for w, s in branches)
         assert fid == pytest.approx(oracle, abs=1e-14)
 
 

@@ -378,8 +378,7 @@ def test_import_does_not_load_scipy(run_python):
 
 PUBLIC_NAMES = {
     # analysis
-    "PhotonStatistics", "ScalingFit", "WStateResult", "WignerGrid", "extract_w_state",
-    "fit_power_law", "photon_statistics", "wigner",
+    "ScalingFit", "WStateResult", "WignerGrid", "extract_w_state", "fit_power_law", "wigner",
     # detection
     "ClickPattern", "DetectorModel", "orthogonalized_reference", "outcome_probability",
     # dynamics
@@ -389,8 +388,7 @@ PUBLIC_NAMES = {
     "DimensionBudgetError", "ScenarioError", "StrongCouplingWarning", "TruncationError",
     "TruncationWarning",
     # fock
-    "PureState", "coherent_state", "default_signal_dim", "fidelity_pure", "fock_state",
-    "mean_photon_number", "pacs_state",
+    "PureState", "coherent_state", "default_signal_dim", "fock_state", "pacs_state",
 }
 
 

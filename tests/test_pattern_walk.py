@@ -19,7 +19,7 @@ from pacsim import (
     pacs_state,
     walk_patterns,
 )
-from pacsim.cli import _batch_rows, _pattern_rows, main
+from pacsim.cli import Scenario, _batch_rows, _run_patterns_task, main
 from pacsim.errors import StrongCouplingWarning
 
 from oracles import conditional_density, joint_state
@@ -33,8 +33,9 @@ def all_patterns(n_stages):
 
 
 def table(config, detector, pattern=None):
-    """The CLI's rows, read from the walk's leaves."""
-    return _pattern_rows(config, detector, pattern)
+    """The rows of the CLI's pattern table, read from the walk's leaves."""
+    task = {"type": "patterns", "pattern": pattern, "output": "t.csv"}
+    return _run_patterns_task(task, Scenario(config, detector, (task,)), "tasks[0]")["t.csv"].rows
 
 
 def dense_table(config, detector, pattern=None):
@@ -52,14 +53,14 @@ def dense_table(config, detector, pattern=None):
     )
 
 
-def close(got: str, want: float, tol: float) -> bool:
+def close(got: float, want: float, tol: float) -> bool:
     """Within ``tol`` relative to max(|want|, 1).
 
     A fidelity is at most 1 and read from a unit-trace state, so its
     rounding is absolute: a fidelity far below 1 is a cancellation
     against the reference and only its distance from 1 is resolved.
     """
-    return abs(float(got) - want) <= tol * max(abs(want), 1.0)
+    return abs(got - want) <= tol * max(abs(want), 1.0)
 
 
 @st.composite
@@ -93,7 +94,7 @@ def test_walk_rows_match_the_ensemble_and_the_dense_oracle(chain):
     assert [r[0] for r in seq] == [r[0] for r in full] == [str(p) for p in patterns]
     for row, (pattern, probability, rho) in zip(seq, leaves):
         if outcome_probability(probability) == 0.0:
-            assert row[2:] == ["0.0", "", ""]
+            assert row[2:] == [0.0, None, None]
             continue
         # the branches of the eigendecomposition, weighted sums over them
         weights, vectors = np.linalg.eigh(rho / probability)
@@ -101,17 +102,17 @@ def test_walk_rows_match_the_ensemble_and_the_dense_oracle(chain):
         levels = np.arange(config.signal_dim)
         fid = sum(w * abs(np.vdot(ref, v)) ** 2 for w, v in zip(weights, vectors.T))
         mean = sum(w * levels @ np.abs(v) ** 2 for w, v in zip(weights, vectors.T))
-        assert float(row[2]) == probability
+        assert row[2] == probability
         assert close(row[3], fid, 1e-12)
         assert close(row[4], mean, 1e-12)
     for s, f in zip(seq, full):
-        if "" in (s[3], f[3]):
+        if None in (s[3], f[3]):
             # impossible on one path: both sit at the subnormal boundary
-            assert max(float(s[2]), float(f[2])) <= TINY * (1 + 1e-10)
+            assert max(s[2], f[2]) <= TINY * (1 + 1e-10)
             continue
-        assert abs(float(s[2]) - float(f[2])) <= 1e-10 * float(f[2])
-        assert close(s[3], float(f[3]), 1e-10)
-        assert close(s[4], float(f[4]), 1e-10)
+        assert abs(s[2] - f[2]) <= 1e-10 * f[2]
+        assert close(s[3], f[3], 1e-10)
+        assert close(s[4], f[4], 1e-10)
 
 
 @pytest.fixture
@@ -162,7 +163,8 @@ def test_split_walk_is_the_unsplit_walk(fold_counter, monkeypatch, batch):
     assert [p for p, _, _ in split] == [p for p, _, _ in whole] == all_patterns(4)
     for (_, p_split, rho_split), (_, p_whole, rho_whole) in zip(split, whole):
         assert p_split == p_whole and rho_split.tobytes() == rho_whole.tobytes()
-    assert table(config, detector) == rows
+    # repr, so that -0.0 and 0.0 differ
+    assert repr(table(config, detector)) == repr(rows)
 
 
 def test_walk_memory_is_bounded_by_the_stack_limit():
@@ -212,12 +214,12 @@ def test_impossible_rows(rows_of):
     """P = 0 at lam = 0, and a subnormal P, both read 0.0 with no fidelity or mean,
     in the walk's rows and in the dense oracle's."""
     rows = rows_of(ChainConfig.uniform(1.0, 0.0, 3), DetectorModel(0.6, 0.0))
-    assert rows[0][2] == "1.0" and rows[0][3] and rows[0][4]
+    assert rows[0][2] == 1.0 and None not in rows[0]
     for row in rows[1:]:
-        assert row[2:] == ["0.0", "", ""]
+        assert row[2:] == [0.0, None, None]
     subnormal = ChainConfig(0.0, (StageParams(0.0, 2), StageParams(0.25, 2)), 16)
     rows = rows_of(subnormal, DetectorModel(1.0, TINY), ClickPattern.from_string("11"))
-    assert rows == [["11", "2", "0.0", "", ""]]
+    assert rows == [["11", 2, 0.0, None, None]]
 
 
 CLICK_TASKS = """\
@@ -270,7 +272,7 @@ def test_pacs_command_reads_the_table_row(capsys):
     config = ChainConfig.uniform(1 + 0.5j, 0.1, 3)
     row = table(config, DetectorModel(0.5, 1e-3))[5]
     assert row[0] == "101"
-    assert (probability, fidelity) == (float(row[2]), float(row[3]))
+    assert (probability, fidelity) == (row[2], row[3])
 
 
 def test_wigner_help_states_the_cost(capsys):

@@ -35,6 +35,29 @@ def test_import_loads_no_pool_or_dataclass_machinery(run_python):
     assert out.stdout.strip() == "[]"
 
 
+def test_commands_that_write_no_grid_do_not_load_floattext(run_python, tmp_path):
+    """A table, a W-state summary and a sweep are written by repr: the grid
+    formatter, which costs milliseconds to load, stays out of their start."""
+    scenario = ROOT / "bench" / "scenarios" / "patterns_full.yaml"
+    flags = ["--alpha", "1", "--lam", "0.05"]
+    commands = [
+        ["run", str(scenario), "--outdir", str(tmp_path)],
+        ["pacs", *flags, "--pattern", "10"],
+        ["wstate", *flags, "--n", "3"],
+        ["sweep", *flags, "--pattern", "1", "--values", "0.01,0.02,0.04",
+         "--out", str(tmp_path / "s.csv"), "--fit-out", str(tmp_path / "f.json")],
+    ]
+    code = (
+        "import sys; from pacsim import cli\n"
+        f"for argv in {commands!r}:\n    assert cli.main(argv) == 0\n"
+        "print('pacsim.floattext' in sys.modules)"
+    )
+    out = run_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "patterns.csv").is_file() and (tmp_path / "f.json").is_file()
+
+
 CHAIN = pacsim.ChainConfig.uniform(1.0, 0.05, 2)
 STAGE_REPR = "StageParams(lam=0.05, idler_dim=4)"
 CHAIN_REPR = f"ChainConfig(alpha=1.0, stages=({STAGE_REPR}, {STAGE_REPR}), signal_dim=19)"
@@ -52,8 +75,8 @@ RECORDS = [
      f"Scenario(chain={CHAIN_REPR}, detector=DetectorModel(eta=1.0, dark_prob=0.0), "
      "tasks=({'type': 'project'},))"),
     (pacsim.PureState(np.array([1.0, 0.0])), "PureState(amplitudes=array([1.+0.j, 0.+0.j]))"),
-    (pacsim.PhotonStatistics(np.array([1.0]), 0.0, 0.0),
-     "PhotonStatistics(distribution=array([1.]), mean=0.0, mandel_q=0.0)"),
+    (cli.Table(("n", "p"), [[0, 1.0], [1, None]]),
+     "Table(header=('n', 'p'), rows=[[0, 1.0], [1, None]])"),
     (pacsim.WignerGrid(np.zeros(1), np.zeros(1), np.zeros((1, 1))),
      "WignerGrid(x_axis=array([0.]), p_axis=array([0.]), values=array([[0.]]))"),
 ]

@@ -50,6 +50,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -163,16 +164,22 @@ def _typed(value: Any, is_valid: Callable[[Any], bool], where: str, expected: st
 
 
 def _construct(cls, where: str, **fields):
-    """``cls(**fields)``, built one field at a time, so that a ValueError
-    names the field ``where.<name>`` that the constructor rejected."""
+    """``cls(**fields)``, built once. Where it raises a ValueError, the field
+    prefixes are built in turn, warnings silenced, so that the error names
+    the first field ``where.<name>`` that the constructor rejects."""
+    try:
+        return cls(**fields)
+    except ValueError:
+        pass
     given = {}
-    for name, value in fields.items():
-        given[name] = value
-        try:
-            built = cls(**given)
-        except ValueError as exc:
-            raise ScenarioError(f"{where}.{name}: {exc}") from None
-    return built
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name, value in fields.items():
+            given[name] = value
+            try:
+                cls(**given)
+            except ValueError as exc:
+                raise ScenarioError(f"{where}.{name}: {exc}") from None
 
 
 def _parse_stage(fields: dict, where: str) -> StageParams:

@@ -183,7 +183,8 @@ def walk_patterns(
 
     Yields (pattern, P, rho) per leaf, with rho unnormalized and
     P = tr rho, in lexicographic order with no-click first ("00..",
-    "00..1", ...). Given ``pattern``, walks only its prefix path (N folds)
+    "00..1", ...); rho is float64 where alpha is real and nonnegative, and
+    complex otherwise. Given ``pattern``, walks only its prefix path (N folds)
     and yields its one leaf. Impossible outcomes are left to the caller
     (see detection.outcome_probability).
     """
@@ -220,9 +221,10 @@ def _walk_batches(
     most = max(1, _WALK_ENTRIES // max(kraus.size for kraus, _ in stages))
     # every K_k is real and raises the level by k, so the fold commutes with
     # rho -> D rho D^+, D = diag(e^{in arg alpha}): the walk runs in real
-    # arithmetic from |abs(alpha)> and puts the phases back at the leaves
+    # arithmetic from |abs(alpha)> and puts the phases back at the leaves,
+    # where there are any (arg alpha != 0)
     phase = np.exp(1j * np.angle(config.alpha) * np.arange(ds))
-    rotation = np.outer(phase, phase.conj())
+    rotation = np.outer(phase, phase.conj()) if np.angle(config.alpha) != 0.0 else None
     psi = coherent_state(abs(config.alpha), ds).amplitudes.real
     # (depth, index of the stack's first prefix among its depth's, rho
     # stack); the last is walked next, so the leaves come out in order
@@ -232,8 +234,10 @@ def _walk_batches(
         if depth == n:
             bits = (np.arange(first, first + len(rhos))[:, None] >> np.arange(n)[::-1]) & 1
             patterns = [ClickPattern(b) for b in bits.tolist()] if pattern is None else [pattern]
-            leaves = rhos.astype(complex)
-            leaves *= rotation  # rhos * rotation, without a mixed-type product
+            leaves = rhos
+            if rotation is not None:
+                leaves = rhos.astype(complex)
+                leaves *= rotation  # rhos * rotation, without a mixed-type product
             yield patterns, np.trace(rhos, axis1=1, axis2=2), leaves
         elif len(rhos) > 1 and len(rhos) << (n - 1 - depth) > most:
             half = len(rhos) // 2

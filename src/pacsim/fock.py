@@ -4,7 +4,9 @@ The signal lives in a finite window |0>..|dim-1>, and a PureState holds its
 normalized amplitudes there. Every state the package builds is a signal
 state: the idlers are detected as they leave, so a conditional state is a
 probability and a signal density matrix (dynamics.walk_patterns), and no
-joint signal-idler or idler state is formed.
+joint signal-idler or idler state is formed. pacs_ladder alone raises a
+coherent state and checks its window; coherent_state and pacs_state are its
+rungs.
 """
 
 from __future__ import annotations
@@ -69,10 +71,9 @@ class PureState(Record):
 def default_signal_dim(alpha: complex, added_photons: int = 0) -> int:
     """Smallest cutoff, from _signal_dim_floor up, that holds a+^m |alpha>.
 
-    ``added_photons`` is m; the cutoff passes the tail check pacs_state (or,
-    at m = 0, coherent_state) applies. Where the coherent amplitudes
-    underflow no cutoff does, and the floor is returned for the constructors
-    to reject.
+    ``added_photons`` is m; the cutoff passes pacs_ladder's window check for
+    rung m (see _photon_added). Where the coherent amplitudes underflow no
+    cutoff does, and the floor is returned for the constructors to reject.
     """
     floor = _signal_dim_floor(alpha, added_photons)
     found = _smallest_window(alpha, added_photons, floor)
@@ -99,26 +100,26 @@ def _smallest_window(alpha: complex, m: int, start: int) -> int | None:
     if math.exp(-abs(alpha) ** 2 / 2.0) == 0.0:
         return None
     stop = start + 2 * _signal_dim_floor(alpha, m)
-    return next((d for d in range(start, stop) if _photon_added(alpha, m, d)[-1][1] is None), None)
+    return next((d for d in range(start, stop) if _photon_added(alpha, m, d)[1] is None), None)
 
 
 def tail_mass(alpha: complex, added_photons: int, dim: int) -> float:
     """Probability mass of a+^m |alpha> (normalized) on the levels >= ``dim``.
 
-    This is the mass pacs_state(alpha, m, dim) (coherent_state at m = 0)
-    drops, and 1 - |<psi|phi>|^2 for the exact state psi and the stored one
-    phi: a+ only raises levels, so the constructor's truncated raises give
-    exactly the window's part of a+^m |alpha>, renormalized. With
+    This is the mass rung m of pacs_ladder(alpha, m, dim) drops, and
+    1 - |<psi|phi>|^2 for the exact state psi and the stored one phi: a+ only
+    raises levels, so the ladder's truncated raises give exactly the
+    window's part of a+^m |alpha>, renormalized. With
     |<j+m|a+^m|alpha>|^2 proportional to (j+m)!/j!^2 |alpha|^(2j), the mass is
     a ratio of two sums of positive terms, so nothing cancels.
 
-    pacs_state checks another quantity, the summed top-level probability of
-    each renormalized raise. That sum is no bound on this mass: raise j + 1
-    weights the top level by dim / (<n>_j + 1) and scales the mass already
-    above the window by (<n>_above + 1) / (<n>_j + 1), both above 1. At
-    default cutoffs the mass came out 2 to 10 times the checked sum, and
-    above TAIL_MASS_LIMIT for some states (1.3e-12 for m = 1, alpha = 2 at
-    its default dim 27).
+    At m >= 1 the ladder checks another quantity, the summed top-level
+    probability of each renormalized raise. That sum is no bound on this
+    mass: raise j + 1 weights the top level by dim / (<n>_j + 1) and scales
+    the mass already above the window by (<n>_above + 1) / (<n>_j + 1), both
+    above 1. At default cutoffs the mass came out 2 to 10 times the checked
+    sum, and above TAIL_MASS_LIMIT for some states (1.3e-12 for m = 1,
+    alpha = 2 at its default dim 27).
     """
     m = added_photons
     a2 = abs(alpha) ** 2
@@ -135,31 +136,10 @@ def tail_mass(alpha: complex, added_photons: int, dim: int) -> float:
 
 
 def coherent_state(alpha: complex, dim: int) -> PureState:
-    """Coherent state |alpha> truncated at ``dim``, renormalized.
-
-    Amplitudes follow c_n = exp(-|alpha|^2/2) alpha^n / sqrt(n!). Raises
-    TruncationError when the truncated tail mass exceeds 1e-12.
-    """
-    amps, problem = _coherent_amplitudes(alpha, dim)
-    if problem is not None:
-        start = max(dim + 1, _signal_dim_floor(alpha))
-        raise TruncationError(problem, suggested_dim=_smallest_window(alpha, 0, start))
-    return PureState.from_amplitudes(amps)
-
-
-def _coherent_amplitudes(alpha: complex, dim: int) -> tuple[np.ndarray, str | None]:
-    """Truncated coherent amplitudes, and why ``dim`` is too small (or None)."""
-    amps = np.zeros(dim, dtype=np.complex128)
-    amps[0] = math.exp(-abs(alpha) ** 2 / 2.0)
-    for n in range(1, dim):
-        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    tail = 1.0 - float(np.sum(np.abs(amps) ** 2))
-    if tail > TAIL_MASS_LIMIT:
-        return amps, (
-            f"coherent state with |alpha|={abs(alpha):.4g} has tail mass "
-            f"{tail:.3e} beyond dim {dim}"
-        )
-    return amps, None
+    """Coherent state |alpha> truncated at ``dim``, renormalized: rung 0 of
+    pacs_ladder, c_n = exp(-|alpha|^2/2) alpha^n / sqrt(n!). Raises
+    TruncationError when the truncated tail mass exceeds 1e-12."""
+    return pacs_ladder(alpha, 0, dim)[0]
 
 
 def fock_state(n: int, dim: int) -> PureState:
@@ -175,55 +155,55 @@ def pacs_state(alpha: complex, m: int, dim: int) -> PureState:
     """Photon-added coherent state: m creation operators on |alpha>, normalized.
 
     The squared norm removed by normalization equals m! L_m(-|alpha|^2);
-    reduces to the coherent state at m=0 and to |m> at alpha=0.
+    reduces to the coherent state at m=0 and to |m> at alpha=0. Rung m of
+    pacs_ladder.
     """
     if m < 0:
         raise ValueError(f"photon-addition order must be nonnegative, got {m}")
-    if m == 0:
-        return coherent_state(alpha, dim)
-    if alpha == 0:
+    if alpha == 0:  # named |m>, where the ladder would name its first rung past dim
         return fock_state(m, dim)
-    raw, problem = _photon_added(alpha, m, dim)[-1]
-    if problem is not None:
-        raise TruncationError(problem, suggested_dim=_smallest_window(alpha, m, dim + 1))
-    return PureState.from_amplitudes(raw)
+    return pacs_ladder(alpha, m, dim)[m]
 
 
 def pacs_ladder(alpha: complex, m_max: int, dim: int) -> list[PureState]:
-    """pacs_state(alpha, m, dim) for m = 0..m_max, bit for bit, from one run
-    of raises. Where any m leaks, raises pacs_state(alpha, m_max, dim)'s
-    TruncationError: the summed leak only grows with m, so its suggested
-    cutoff holds every rung, where the first leaking rung's may not."""
+    """a+^m |alpha>, normalized, for m = 0..m_max, from one run of raises.
+
+    Raises TruncationError where the top rung leaks: the summed leak only
+    grows with m, so its suggested cutoff holds every rung, where the first
+    leaking rung's may not.
+    """
     if alpha == 0:
         return [fock_state(m, dim) for m in range(m_max + 1)]
-    rungs = _photon_added(alpha, m_max, dim)
-    if any(problem is not None for _, problem in rungs):
-        pacs_state(alpha, m_max, dim)  # raises its error for the top rung
-    return [PureState.from_amplitudes(raw) for raw, _ in rungs]
-
-
-def _photon_added(alpha: complex, m: int, dim: int) -> list[tuple[np.ndarray, str | None]]:
-    """Unnormalized a+^j |alpha> on the window for j = 0..m, each with why
-    ``dim`` is too small for it (or None); j = 0 alone if that is already.
-
-    Renormalizes before each raise and sums the mass each raise pushes past
-    the top level.
-    """
-    amps, problem = _coherent_amplitudes(alpha, dim)
-    rungs = [(amps, problem)]
+    rungs, problem = _photon_added(alpha, m_max, dim)
     if problem is not None:
-        return rungs
-    raw = amps / np.linalg.norm(amps)
+        # the coherent state's search starts at the rule-of-thumb floor and
+        # a raised one's just past dim; one start would change suggestions
+        # (17 -> 15 for coherent_state(1, 5))
+        start = dim + 1 if m_max else max(dim + 1, _signal_dim_floor(alpha))
+        raise TruncationError(problem, suggested_dim=_smallest_window(alpha, m_max, start))
+    return [PureState.from_amplitudes(raw) for raw in rungs]
+
+
+def _photon_added(alpha: complex, m: int, dim: int) -> tuple[list[np.ndarray], str | None]:
+    """Unnormalized a+^j |alpha> on the window for j = 0..m, and why ``dim``
+    is too small for a+^m |alpha> (or None): the coherent amplitudes' tail
+    mass, or else the summed mass the raises, each on the renormalized rung
+    below, push past the top level, above TAIL_MASS_LIMIT."""
+    amps = np.zeros(dim, dtype=np.complex128)
+    amps[0] = math.exp(-abs(alpha) ** 2 / 2.0)
+    for n in range(1, dim):
+        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
+    tail, size = 1.0 - float(np.sum(np.abs(amps) ** 2)), f"|alpha|={abs(alpha):.4g}"
+    if tail > TAIL_MASS_LIMIT:
+        return [amps], f"coherent state with {size} has tail mass {tail:.3e} beyond dim {dim}"
+    rungs, raw, leak = [amps], amps / np.linalg.norm(amps), 0.0
     factors = np.sqrt(np.arange(1, dim))
-    leak_total = 0.0
-    for j in range(1, m + 1):
+    for _ in range(m):
         unit = raw / np.linalg.norm(raw)
-        leak_total += float(abs(unit[-1]) ** 2)
+        leak += float(abs(unit[-1]) ** 2)
         raw = np.zeros_like(unit)
         raw[1:] = factors * unit[:-1]
-        rungs.append((raw, (
-            f"adding {j} photons to |alpha|={abs(alpha):.4g} leaks mass "
-            f"{leak_total:.3e} past dim {dim}"
-        ) if leak_total > TAIL_MASS_LIMIT else None))
-    return rungs
-
+        rungs.append(raw)
+    if leak > TAIL_MASS_LIMIT:
+        return rungs, f"adding {m} photons to {size} leaks mass {leak:.3e} past dim {dim}"
+    return rungs, None

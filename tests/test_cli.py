@@ -7,6 +7,7 @@ import math
 import os
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -623,6 +624,36 @@ def test_lam_at_its_bound_runs(tmp_path, monkeypatch):
         assert main(["sweep", "--alpha", "1", "--lam", "0.05", "--pattern", "1",
                      "--values", "0.05,100", "--out", "s.csv"]) == 0
     assert [row["lam"] for row in read_csv(tmp_path / "s.csv")] == ["0.05", "100.0"]
+
+
+@pytest.mark.parametrize("argv, chain", [
+    (["pacs", "--alpha", "1", "--lam", "1", "--idler-dim", "8", "--pattern", "1"], None),
+    (["run", "scenario.yaml"], "{alpha: 1.0, lam: 1.0, idler_dim: 8, n_stages: 1}"),
+    (["run", "scenario.yaml"], "{alpha: 1.0, stages: [{lam: 1.0, idler_dim: 8}]}"),
+], ids=["pacs", "chain", "stages"])
+def test_strong_coupling_warns_once_for_the_idler_dim_given(tmp_path, monkeypatch, argv, chain):
+    """A stage is built once, from every field given, so the one warning
+    names idler_dim 8 and its bound, not the default idler_dim 4's 0.113."""
+    monkeypatch.chdir(tmp_path)
+    if chain:
+        write_scenario(tmp_path, MINIMAL_SCENARIO.replace(
+            "chain:\n  alpha: 1.0\n  lam: 0.05\n  n_stages: 1", f"chain: {chain}"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    [warning] = [w for w in caught if w.category is StrongCouplingWarning]
+    assert "idler_dim=8 does not hold" in str(warning.message)
+    assert "= 0.0128 of the probability" in str(warning.message)
+
+
+def test_a_rejected_stage_warns_nothing(capsys):
+    """The fields of a stage that fails are rebuilt to name the field, with
+    no warning about the lam-only prefix and the default idler_dim."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["pacs", "--alpha", "1", "--lam", "1", "--idler-dim", "1", "--pattern", "1"]) == 1
+    assert not caught
+    assert capsys.readouterr().err == "error: --idler-dim: idler_dim must be >= 2, got 1\n"
 
 
 def _count_calls(monkeypatch, owner, name) -> list:

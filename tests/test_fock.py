@@ -18,7 +18,7 @@ from pacsim import (
     pacs_state,
 )
 from pacsim.cli import _batch_rows
-from pacsim.fock import _coherent_amplitudes, pacs_ladder, tail_mass
+from pacsim.fock import _photon_added, pacs_ladder, tail_mass
 
 from oracles import (
     MultiModeState,
@@ -263,7 +263,7 @@ class TestPacsState:
         """tail_mass = 1 - |<psi|phi>|^2 for a+^m |alpha> raised on a 120-level
         window (psi) and raised from the coherent amplitudes cut at dim (phi)."""
         psi = raised(coherent_state(alpha, 120), m)
-        cut, _ = _coherent_amplitudes(alpha, dim)
+        [cut], _ = _photon_added(alpha, 0, dim)
         phi = raised(PureState.from_amplitudes(cut), m)
         overlap = np.vdot(psi.amplitudes[:dim], phi.amplitudes)
         assert tail_mass(alpha, m, dim) == pytest.approx(1.0 - abs(overlap) ** 2, rel=1e-6)
@@ -442,6 +442,33 @@ class TestInvariantsAndValidation:
         assert default_signal_dim(2.0) == 26
         # the rule of thumb's 29 leaks 4.7e-12 when three photons are added
         assert default_signal_dim(2.0, 3) == 30
+
+
+def built(construct):
+    """What a constructor call gives: its amplitudes' bytes, or its error's
+    type, message and suggested_dim."""
+    try:
+        return construct().amplitudes.tobytes()
+    except (TruncationError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "suggested_dim", None)
+
+
+@pytest.mark.parametrize("alpha", [0, 0.5, 1.0, 2.0, 1 + 1j, 3.0])
+def test_coherent_state_is_rung_zero(alpha):
+    """coherent_state, pacs_state at m = 0 and the ladder's rung 0 give the
+    same bytes, or the same error and suggested cutoff, at every cutoff from 2
+    to 3 past the default."""
+    for dim in range(2, default_signal_dim(alpha) + 4):
+        want = built(lambda: coherent_state(alpha, dim))
+        assert built(lambda: pacs_state(alpha, 0, dim)) == want
+        assert built(lambda: pacs_ladder(alpha, 0, dim)[0]) == want
+
+
+def test_pacs_state_at_alpha_zero_names_m_outside_the_window():
+    """pacs_state(0, m, dim) is |m>, so m >= dim is named as it is, not as the
+    first rung of a ladder that leaves the window."""
+    with pytest.raises(ValueError, match=r"^photon number 5 outside the window \[0, 4\)$"):
+        pacs_state(0, 5, 4)
 
 
 @pytest.mark.parametrize("m", range(9))

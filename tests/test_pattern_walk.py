@@ -171,17 +171,20 @@ def test_walk_memory_is_bounded_by_the_stack_limit():
     """The 2^14 leaves of an N = 14 table at the default cutoff (signal_dim
     34) are walked in under four stack limits of float64: the K_k rho stack,
     its reshaped copy, the children and the halves still to walk. The whole
-    last depth at once would take 2^14 * 4 * 34^2 * 8 B = 606 MB."""
-    config = ChainConfig.uniform(1.0, 0.05, 14)
-    assert config.signal_dim == 34
-    tracemalloc.start()
-    try:
-        leaves = sum(1 for _ in walk_patterns(config, DetectorModel(0.6, 1e-4)))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert leaves == 2**14
-    assert peak < 4 * 8 * dynamics._WALK_ENTRIES
+    last depth at once would take 2^14 * 4 * 34^2 * 8 B = 606 MB. So are
+    the 2^10 leaves of N = 10 at idler_dim 2, whose leaf runs, twice the
+    largest stack there, stay float64 for a real alpha."""
+    for n, idler_dim, signal_dim in ((14, 4, 34), (10, 2, 29)):
+        config = ChainConfig.uniform(1.0, 0.05, n, idler_dim=idler_dim)
+        assert config.signal_dim == signal_dim
+        tracemalloc.start()
+        try:
+            leaves = sum(1 for _ in walk_patterns(config, DetectorModel(0.6, 1e-4)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert leaves == 2**n
+        assert peak < 4 * 8 * dynamics._WALK_ENTRIES
 
 
 @pytest.mark.parametrize("mode", ["sequential", "full"])

@@ -202,7 +202,7 @@ def _hermite_functions(u: np.ndarray, n_basis: int) -> np.ndarray:
 
 
 class WStateResult(Record):
-    """Heralding on one added photon: probability and idlers' W fidelity."""
+    """Heralding on m added photons: probability and, at m = 1, the W fidelity."""
 
     __slots__ = ("probability", "w_fidelity")
 
@@ -214,28 +214,26 @@ class WStateResult(Record):
         return self.probability == 0.0
 
 
-def extract_w_state(config: ChainConfig, ladder_max: int | None = None) -> WStateResult:
-    """Run the chain and herald on the single-photon-added signal state.
+def extract_w_state(
+    config: ChainConfig, ladder_max: int | None = None, reference_m: int = 1, plain: bool = False
+) -> WStateResult:
+    """Run the chain and herald on the ``reference_m``-photon-added signal state.
 
-    The signal is projected onto the component of |alpha, 1> orthogonal to
-    the other photon-added states |alpha, m> (m = 0, 2, .., ladder_max),
-    modeling an ideal identification of the one-photon-added state among the
-    non-orthogonal ladder of possible signal outputs. The conditional idler
-    state then carries one excitation spread over all stages: the N-mode W
-    state, up to weak-coupling corrections. Runs on herald_summary, which
-    contracts the chain's Kraus operators without forming the idler state.
+    The signal is projected onto the component of |alpha, m> (m =
+    ``reference_m``) orthogonal to the other photon-added states |alpha, k>
+    (k = 0..ladder_max, ladder_max defaulting to the stage count), modeling
+    an ideal identification of the m-photon-added state among the
+    non-orthogonal ladder of possible signal outputs; ``plain`` projects
+    onto |alpha, m> itself. At m = 1 the conditional idler state carries one
+    excitation spread over all stages: the N-mode W state, up to
+    weak-coupling corrections, and its fidelity is reported; at any other m
+    ``w_fidelity`` is None. Runs on herald_summary, which contracts the
+    chain's Kraus operators without forming the idler state.
     """
     if ladder_max is None:
         ladder_max = config.n_stages
-    probability, w_fidelity = _herald_on_ladder(config, 1, ladder_max, plain=False)
-    return WStateResult(probability=probability, w_fidelity=w_fidelity)
-
-
-def _herald_on_ladder(
-    config: ChainConfig, m: int, ladder_max: int, plain: bool
-) -> tuple[float, float | None]:
-    """herald_summary on |alpha, m>, orthogonalized against the other
-    photon-added states |alpha, k> (k <= ladder_max) unless ``plain``."""
+    m = reference_m
     ladder = pacs_ladder(config.alpha, m if plain else max(m, ladder_max), config.signal_dim)
     others = () if plain else tuple(s for k, s in enumerate(ladder[:ladder_max + 1]) if k != m)
-    return herald_summary(config, ladder[m], orthogonal_to=others)
+    probability, w_fidelity = herald_summary(config, ladder[m], orthogonal_to=others)
+    return WStateResult(probability=probability, w_fidelity=w_fidelity if m == 1 else None)

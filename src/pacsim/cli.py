@@ -11,15 +11,18 @@ Each section of a scenario is checked against one table of its fields and
 their defaults (_SCENARIO, _UNIFORM_CHAIN or _STAGED_CHAIN, _STAGE,
 _DETECTOR, _TASK and _TASK_TYPES), and a validated task holds every field
 of its type, defaults filled in and values parsed, so the task code parses
-nothing again. Each quick-look command (pacs, wstate, wigner, sweep) is a
-one-task scenario: it builds the mapping a scenario file would hold from
-the flags it was given, checks it with the scenario validators and runs
-the same task code as ``run``. Each flag is declared once, in _FLAGS (the
-field it sets and its argparse options), and each command once, in
-_COMMANDS (its task, flags and handler); the subparsers, a command's
-one-task scenario and the flag that an error names for a field are all
-built from these two tables. ``main`` builds the invoked command's
-subparser alone.
+nothing again. The CLI checks types, names fields, runs tasks and writes
+results; the rules on values are the library's (a record names the field it
+refuses, ChainConfig searches a default cutoff, extract_w_state heralds a
+project task). _build_chain builds and budgets every chain. Each quick-look
+command (pacs, wstate, wigner, sweep) is a one-task scenario: it builds the
+mapping a scenario file would hold from the flags it was given, checks it
+with the scenario validators and runs the same task code as ``run``. Each
+flag is declared once, in _FLAGS (the field it sets and its argparse
+options), and each command once, in _COMMANDS (its task, flags and
+handler); the subparsers, a command's one-task scenario and the flag that
+an error names for a field are all built from these two tables. ``main``
+builds the invoked command's subparser alone.
 
 All outputs are deterministic: identical configs produce byte-identical
 files. Every click probability and conditional signal comes from one
@@ -33,12 +36,13 @@ grid's in blocks of about _BLOCK_VALUES (16384) values, each formatted by
 floattext.rows_text as the file is written, so a grid needs about one block
 of text and its temporaries (below 90 bytes a value, 1.5 MB a block) beyond
 its array.
-Exit codes: 0 success, 1 validation or truncation error, an output path
-that cannot be written or a power-law fit over a zero probability (the
+Exit codes: 0 success, 1 validation error, a signal cutoff too small for a
+state a task builds (a TruncationError, named chain.signal_dim), an output
+path that cannot be written or a power-law fit over a zero probability (the
 message names the field to change), 2 an oversized chain, Wigner spec or
-grid (a chain's (signal_dim idler_dim)^2, a state's Wigner coefficients,
-or a grid's points beyond DEFAULT_AMPLITUDE_BUDGET), refused before any
-stage, amplitude or grid is formed.
+grid (a chain's (signal_dim idler_dim)^2, a state's Wigner coefficients, or
+a grid's points beyond DEFAULT_AMPLITUDE_BUDGET), refused before any stage,
+amplitude or grid is formed.
 """
 
 from __future__ import annotations
@@ -50,17 +54,17 @@ import math
 import os
 import re
 import sys
-import warnings
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 import yaml
 
-from .analysis import WignerGrid, _herald_on_ladder, fit_power_law, wigner
+from .analysis import WignerGrid, extract_w_state, fit_power_law, wigner
 from .detection import ClickPattern, DetectorModel, outcome_probability
-from .dynamics import MAX_LAM, ChainConfig, StageParams, _walk_batches, walk_patterns
-from .errors import DimensionBudgetError, ScenarioError, TruncationError
+from .dynamics import (DEFAULT_IDLER_DIM, MAX_LAM, ChainConfig, StageParams, _walk_batches,
+                       walk_patterns)
+from .errors import DimensionBudgetError, FieldError, ScenarioError, TruncationError
 from .fock import (
     PureState,
     _signal_dim_floor,
@@ -90,7 +94,7 @@ _SCENARIO = {
     "version": _REQUIRED, "chain": _REQUIRED, "detector": None, "mode": "full",
     "tasks": _REQUIRED,
 }
-_STAGE = {"lam": _REQUIRED, "idler_dim": 4}
+_STAGE = {"lam": _REQUIRED, "idler_dim": DEFAULT_IDLER_DIM}
 # a chain either sets every stage alike or lists them
 _UNIFORM_CHAIN = {"alpha": _REQUIRED, **_STAGE, "n_stages": _REQUIRED, "signal_dim": None}
 _STAGED_CHAIN = {"alpha": _REQUIRED, "stages": _REQUIRED, "signal_dim": None}
@@ -164,22 +168,11 @@ def _typed(value: Any, is_valid: Callable[[Any], bool], where: str, expected: st
 
 
 def _construct(cls, where: str, **fields):
-    """``cls(**fields)``, built once. Where it raises a ValueError, the field
-    prefixes are built in turn, warnings silenced, so that the error names
-    the first field ``where.<name>`` that the constructor rejects."""
+    """``cls(**fields)``; a field it refuses is named ``where.<field>``."""
     try:
         return cls(**fields)
-    except ValueError:
-        pass
-    given = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for name, value in fields.items():
-            given[name] = value
-            try:
-                cls(**given)
-            except ValueError as exc:
-                raise ScenarioError(f"{where}.{name}: {exc}") from None
+    except FieldError as exc:
+        raise ScenarioError(f"{where}.{exc.field}: {exc}") from None
 
 
 def _parse_stage(fields: dict, where: str) -> StageParams:
@@ -224,42 +217,28 @@ def _parse_chain(raw: Any) -> tuple[ChainConfig, int | None]:
         signal_field = "chain.stages" if staged else "chain.n_stages"
     else:
         signal_field = "chain.alpha"
-    idler_dim = max(s.idler_dim for s in stages)
-    dim = _check_chain_size(alpha, len(stages), idler_dim, signal_dim, signal_field, idler_field)
-    try:
-        return ChainConfig(alpha, tuple(stages), dim), signal_dim
-    except ValueError as exc:
-        raise ScenarioError(f"chain: {exc}")
+    return _build_chain(alpha, tuple(stages), signal_dim, signal_field, idler_field), signal_dim
 
 
-def _check_chain_size(
-    alpha: complex,
-    n_stages: int,
-    idler_dim: int,
-    signal_dim: int | None,
-    signal_field: str,
-    idler_field: str,
-) -> int:
-    """The chain's signal cutoff: ``signal_dim``, or else the default cutoff,
-    searched once. A chain whose (signal_dim idler_dim)^2 exceeds
-    DEFAULT_AMPLITUDE_BUDGET is refused.
+def _build_chain(alpha: complex, stages: tuple[StageParams, ...], signal_dim: int | None,
+                 signal_field: str, idler_field: str) -> ChainConfig:
+    """``ChainConfig(alpha, stages, signal_dim)``, which searches the default
+    cutoff where ``signal_dim`` is None, refused with DimensionBudgetError
+    where its (signal_dim idler_dim)^2 exceeds DEFAULT_AMPLITUDE_BUDGET.
 
     The largest arrays a chain forms are its Kraus stacks
     (dynamics.stage_kraus), idler_dim signal_dim^2 doubles each, and the
     walk's stacked products K_k rho, up to dynamics._WALK_ENTRIES doubles or
     one such stack; the bound stays on (signal_dim idler_dim)^2 so that the
-    same chains are refused. The chain is refused with
-    DimensionBudgetError before any stage is built. With no ``signal_dim``
+    same chains are refused. No stage is built here. With no ``signal_dim``
     the default cutoff's floor (fock._signal_dim_floor) is checked before
     the cutoff is searched, then the cutoff itself. ``idler_dim`` is the
     widest idler's cutoff; the message names ``idler_field`` when it is the
     larger one, and ``signal_field`` otherwise.
     """
-    if signal_dim is None:
-        dims = (cutoff(alpha, n_stages) for cutoff in (_signal_dim_floor, default_signal_dim))
-    else:
-        dims = (signal_dim,)
-    for dim in dims:
+    idler_dim = max(s.idler_dim for s in stages)
+
+    def check_size(dim: int) -> None:
         entries = (dim * idler_dim) ** 2
         if entries > DEFAULT_AMPLITUDE_BUDGET:
             field = idler_field if idler_dim > dim else signal_field
@@ -268,7 +247,11 @@ def _check_chain_size(
                 f"give (signal_dim idler_dim)^2 = {entries} entries, above the budget of "
                 f"{DEFAULT_AMPLITUDE_BUDGET}"
             )
-    return dim
+
+    check_size(_signal_dim_floor(alpha, len(stages)) if signal_dim is None else signal_dim)
+    chain = ChainConfig(alpha, stages, signal_dim)
+    check_size(chain.signal_dim)
+    return chain
 
 
 def _parse_detector(raw: Any) -> DetectorModel:
@@ -302,8 +285,8 @@ class Scenario(Record):
     and every value parsed: ``pattern`` a ClickPattern (or None for a whole
     table), ``values``, ``extent`` and ``step`` floats, ``ladder_max`` an
     integer, ``state`` the (PureState, dropped mass) pair of
-    _parse_state_spec. A sweep task also holds ``signal_dims``, the signal
-    cutoff of each value's chain.
+    _parse_state_spec. A sweep task also holds ``chains``, the ChainConfig
+    of each value, built once the rest of the task has validated.
     """
 
     __slots__ = ("chain", "detector", "tasks")
@@ -385,20 +368,20 @@ def _parse_task(
                 raise ScenarioError(f"{field}: lam must be at most {MAX_LAM}, got {v!r}")
         if fit and (len(values) < 3 or len(set(values)) != len(values)):
             raise ScenarioError(f"{field}: a fit needs >= 3 distinct values")
+        task["values"] = [float(v) for v in values]
+        task["pattern"] = _parse_pattern(task["pattern"], chain.n_stages, f"{where}.pattern")
         if param == "alpha":
-            # every chain of the sweep, at the given cutoff or else at its
-            # default, must fit the budget, and runs at the cutoff checked
-            idler_dim = max(s.idler_dim for s in chain.stages)
-            task["signal_dims"] = [
-                _check_chain_size(
-                    _parse_alpha(v, field), chain.n_stages, idler_dim, signal_dim, field, field
-                )
+            # each chain, at the given cutoff or else at its default, must fit the budget
+            task["chains"] = [
+                _build_chain(_parse_alpha(v, field), chain.stages, signal_dim, field, field)
                 for v in values
             ]
         else:
-            task["signal_dims"] = [chain.signal_dim] * len(values)
-        task["values"] = [float(v) for v in values]
-        task["pattern"] = _parse_pattern(task["pattern"], chain.n_stages, f"{where}.pattern")
+            task["chains"] = [
+                ChainConfig(chain.alpha, tuple(StageParams(v, s.idler_dim) for s in chain.stages),
+                            chain.signal_dim)
+                for v in task["values"]
+            ]
     elif ttype == "wigner":
         task["state"] = _parse_state_spec(str(task["state"]), f"{where}.state")
         for field in ("extent", "step"):
@@ -638,33 +621,27 @@ def _run_patterns_task(task: dict, scenario: Scenario, where: str) -> dict[str, 
 
 
 def _run_project_task(task: dict, scenario: Scenario, where: str) -> dict[str, dict]:
-    """Signal-side heralding by herald_summary: no joint or idler state, no budget."""
+    """Signal-side heralding by extract_w_state: no joint or idler state, no budget."""
     chain, m, plain = scenario.chain, task["reference_m"], task["plain"]
-    probability, w_fid = _herald_on_ladder(chain, m, task["ladder_max"], plain)
+    result = extract_w_state(chain, task["ladder_max"], m, plain)
     return {task["output"]: {
         "n_stages": chain.n_stages,
         "reference_m": m,
         "plain_projector": plain,
-        "probability": probability,
-        "w_fidelity": w_fid if m == 1 else None,
+        "probability": result.probability,
+        "w_fidelity": result.w_fidelity,
     }}
 
 
 def _run_sweep_task(task: dict, scenario: Scenario, where: str) -> dict[str, Result]:
     """The pattern's probability with ``param`` set to each value, and its
     fit; a zero probability, which has no logarithm, refuses the fit."""
-    chain, param, pattern = scenario.chain, task["param"], task["pattern"]
     samples = []
-    for value, dim in zip(task["values"], task["signal_dims"]):
-        if param == "lam":
-            stages = tuple(StageParams(value, s.idler_dim) for s in chain.stages)
-            cfg = ChainConfig(chain.alpha, stages, dim)
-        else:
-            # a given cutoff holds every value or raises TruncationError
-            cfg = ChainConfig(complex(value), chain.stages, dim)
-        _, probability, _ = next(walk_patterns(cfg, scenario.detector, pattern))
+    for value, chain in zip(task["values"], task["chains"]):
+        # a given cutoff holds every alpha or raises TruncationError here
+        _, probability, _ = next(walk_patterns(chain, scenario.detector, task["pattern"]))
         samples.append([value, outcome_probability(probability)])
-    results = {task["output"]: Table((param, "probability"), samples)}
+    results = {task["output"]: Table((task["param"], "probability"), samples)}
     if task["fit_output"]:
         for value, p in samples:
             if p == 0.0:

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import FieldError
 from .fock import PureState
 from .records import Record
 
@@ -30,9 +31,9 @@ class DetectorModel(Record):
 
     def __init__(self, eta: float = 1.0, dark_prob: float = 0.0):
         if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {eta}")
+            raise FieldError("eta", f"eta must lie in [0, 1], got {eta}")
         if not 0.0 <= dark_prob < 1.0:
-            raise ValueError(f"dark_prob must lie in [0, 1), got {dark_prob}")
+            raise FieldError("dark_prob", f"dark_prob must lie in [0, 1), got {dark_prob}")
         super().__init__(eta, dark_prob)
 
     @classmethod

@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .detection import ClickPattern, DetectorModel, orthogonalized_reference
-from .errors import StrongCouplingWarning
+from .errors import FieldError, StrongCouplingWarning
 from .fock import PureState, coherent_state, default_signal_dim
 from .records import Record
 
@@ -39,6 +39,8 @@ WEAK_COUPLING_LIMIT = 0.3
 #: cutoffs (19, 4) and below 5e-12 up to (100, 20), but 4e-5 at 1e10 and
 #: of order 1 at 1e14, and from about 1e18 the stacks are nan.
 MAX_LAM = 100.0
+#: Idler cutoff of a stage that names none: a rule of thumb for weak coupling.
+DEFAULT_IDLER_DIM = 4
 #: Heralding probabilities below this are reported as impossible outcomes: a
 #: projection's probability comes out of cancellation, so a value this small
 #: is rounding. Click probabilities are not held to it (see
@@ -51,15 +53,15 @@ class StageParams(Record):
 
     __slots__ = ("lam", "idler_dim")
 
-    def __init__(self, lam: float, idler_dim: int = 4):
+    def __init__(self, lam: float, idler_dim: int = DEFAULT_IDLER_DIM):
         if not math.isfinite(lam):
-            raise ValueError(f"lam must be finite, got {lam}")
+            raise FieldError("lam", f"lam must be finite, got {lam}")
         if lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {lam}")
+            raise FieldError("lam", f"lam must be nonnegative, got {lam}")
         if lam > MAX_LAM:
-            raise ValueError(f"lam must be at most {MAX_LAM}, got {lam}")
+            raise FieldError("lam", f"lam must be at most {MAX_LAM}, got {lam}")
         if idler_dim < 2:
-            raise ValueError(f"idler_dim must be >= 2, got {idler_dim}")
+            raise FieldError("idler_dim", f"idler_dim must be >= 2, got {idler_dim}")
         if lam > WEAK_COUPLING_LIMIT:
             # from any signal state the idler number of one stage is at least
             # as spread as its geometric law from vacuum, P(k >= K) = tanh^2K
@@ -97,7 +99,7 @@ class ChainConfig(Record):
         alpha: complex,
         lam: float,
         n_stages: int,
-        idler_dim: int = 4,
+        idler_dim: int = DEFAULT_IDLER_DIM,
         signal_dim: int | None = None,
     ) -> "ChainConfig":
         """Chain of ``n_stages`` identical stages."""

@@ -1,4 +1,5 @@
-"""Exceptions and warnings shared across the package."""
+"""Exceptions and warnings shared across the package. A record that refuses
+a field raises FieldError, which names it for the caller to report."""
 
 
 class TruncationError(ValueError):
@@ -12,6 +13,14 @@ class TruncationError(ValueError):
             message = f"{message} (suggested dim: {suggested_dim})"
         super().__init__(message)
         self.suggested_dim = suggested_dim
+
+
+class FieldError(ValueError):
+    """A record refused the value of its field ``field``."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 class TruncationWarning(UserWarning):

@@ -44,7 +44,7 @@ class PureState(Record):
                 f"amplitudes must be a vector of two or more levels, got shape {amps.shape}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # refuses nan too
             raise ValueError(f"state must be normalized, got norm {norm!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -100,6 +100,8 @@ def _smallest_window(alpha: complex, m: int, start: int) -> int | None:
     if math.exp(-abs(alpha) ** 2 / 2.0) == 0.0:
         return None
     stop = start + 2 * _signal_dim_floor(alpha, m)
+    # in d <= m levels rung d - 1, raised once more, lies wholly on the top level
+    start = max(start, m + 1)
     return next((d for d in range(start, stop) if _photon_added(alpha, m, d)[1] is None), None)
 
 
@@ -172,7 +174,9 @@ def pacs_ladder(alpha: complex, m_max: int, dim: int) -> list[PureState]:
     grows with m, so its suggested cutoff holds every rung, where the first
     leaking rung's may not.
     """
-    if alpha == 0:
+    # at alpha = 0 the rungs are |m>, built directly where the window holds
+    # them; the raise chain's check refuses a window that does not
+    if alpha == 0 and m_max < dim:
         return [fock_state(m, dim) for m in range(m_max + 1)]
     rungs, problem = _photon_added(alpha, m_max, dim)
     if problem is not None:
@@ -199,7 +203,9 @@ def _photon_added(alpha: complex, m: int, dim: int) -> tuple[list[np.ndarray], s
     rungs, raw, leak = [amps], amps / np.linalg.norm(amps), 0.0
     factors = np.sqrt(np.arange(1, dim))
     for _ in range(m):
-        unit = raw / np.linalg.norm(raw)
+        # a rung raised wholly past the top level is zero, and stays so
+        norm = np.linalg.norm(raw)
+        unit = raw / norm if norm else raw
         leak += float(abs(unit[-1]) ** 2)
         raw = np.zeros_like(unit)
         raw[1:] = factors * unit[:-1]

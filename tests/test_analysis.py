@@ -20,6 +20,7 @@ from pacsim import (
     extract_w_state,
     fit_power_law,
     fock_state,
+    herald_summary,
     pacs_state,
     walk_patterns,
     wigner,
@@ -376,6 +377,23 @@ class TestExtractWState:
         result = extract_w_state(ChainConfig.uniform(1.0, 0.05, n_stages))
         assert result.w_fidelity > 0.99
         assert 0.0 < result.probability < 1.0
+
+    @pytest.mark.parametrize("m, plain, probability", [
+        (2, False, 1.3894721987382919e-05),
+        (2, True, 0.14819748034048513),
+        (0, False, 0.37219918294226095),
+    ])
+    def test_other_references_report_no_w_fidelity(self, m, plain, probability):
+        """Heralding on m != 1 added photons gives the probability a project
+        task with that reference_m and plain wrote before extract_w_state
+        took them, and no W fidelity."""
+        config = ChainConfig.uniform(1.0, 0.05, 3)
+        result = extract_w_state(config, reference_m=m, plain=plain)
+        assert result.w_fidelity is None
+        assert result.probability == pytest.approx(probability, rel=1e-12)
+        ladder = [pacs_state(1.0, k, config.signal_dim) for k in range(4)]
+        others = [] if plain else [s for k, s in enumerate(ladder) if k != m]
+        assert result.probability == herald_summary(config, ladder[m], others)[0]
 
     def test_zero_coupling_is_impossible(self):
         result = extract_w_state(ChainConfig.uniform(1.0, 0.0, 2))

@@ -17,6 +17,7 @@ from pacsim import (
     ChainConfig,
     ClickPattern,
     DetectorModel,
+    StageParams,
     WignerGrid,
     default_signal_dim,
     extract_w_state,
@@ -36,7 +37,12 @@ from pacsim.cli import (
     run_scenario,
     wigner_grid_lines,
 )
-from pacsim.errors import DimensionBudgetError, ScenarioError, StrongCouplingWarning
+from pacsim.errors import (
+    DimensionBudgetError,
+    FieldError,
+    ScenarioError,
+    StrongCouplingWarning,
+)
 
 from oracles import conditional_density, density, fidelity, joint_state
 
@@ -656,6 +662,66 @@ def test_a_rejected_stage_warns_nothing(capsys):
     assert capsys.readouterr().err == "error: --idler-dim: idler_dim must be >= 2, got 1\n"
 
 
+@pytest.mark.parametrize("flag, text, build", [
+    ("--lam", "nan", lambda v: StageParams(float(v))),
+    ("--lam", "-1", lambda v: StageParams(float(v))),
+    ("--lam", "101", lambda v: StageParams(float(v))),
+    ("--idler-dim", "1", lambda v: StageParams(0.05, int(v))),
+    ("--eta", "1.5", lambda v: DetectorModel(eta=float(v))),
+    ("--dark-prob", "1", lambda v: DetectorModel(dark_prob=float(v))),
+])
+def test_each_refusal_carries_the_field_the_cli_names(capsys, flag, text, build):
+    """Every refusal branch of StageParams and DetectorModel raises a
+    FieldError whose field is the one the CLI's message names, with the
+    refusal's own text after it."""
+    with pytest.raises(FieldError) as err:
+        build(text)
+    assert cli._FLAGS[flag][0].endswith(f".{err.value.field}")
+    args = ["pacs", "--alpha", "1", "--lam", "0.05", "--pattern", "1", flag, text]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {flag}: {err.value}\n"
+
+
+def test_a_sweep_refused_whole_builds_no_strong_stage(tmp_path, monkeypatch, capsys):
+    """A lam sweep's chains are built once the task has validated: a refused
+    pattern leaves its strong values unbuilt and unwarned, and the same
+    sweep with a valid pattern warns for each."""
+    monkeypatch.chdir(tmp_path)
+    sweep = ["sweep", "--alpha", "1", "--lam", "0.05", "--values", "0.5,1", "--out", "s.csv"]
+    for pattern, code, warned in (("1x", 1, 0), ("1", 0, 2)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*sweep, "--pattern", pattern]) == code
+        assert sum(w.category is StrongCouplingWarning for w in caught) == warned
+    assert capsys.readouterr().err.startswith("error: --pattern: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["pacs", "--alpha", "1e-7", "--dark-prob", "0.1", "--pattern", "111"],
+    ["pacs", "--alpha", "0", "--dark-prob", "0.1", "--pattern", "111"],
+    ["wstate", "--alpha", "0", "--n", "3"],
+], ids=["pacs-tiny-alpha", "pacs-alpha-0", "wstate-alpha-0"])
+def test_three_added_photons_in_two_levels_name_the_cutoff(tmp_path, capsys, args):
+    """Two levels cannot hold the three-photon-added reference of a tiny or
+    zero alpha: exit 1 naming the cutoff, with one that holds it."""
+    assert main([*args, "--lam", "0.05", "--signal-dim", "2"]) == 1
+    flag_err = capsys.readouterr().err
+    assert flag_err.startswith("error: --signal-dim: adding 3 photons to |alpha|=")
+    assert flag_err.endswith(" past dim 2 (suggested dim: 4)\n")
+    if args[0] == "wstate":
+        detector, task = "", "{type: project, output: w.json}"
+    else:
+        detector = "detector: {dark_prob: 0.1}\n"
+        task = "{type: patterns, pattern: '111', output: p.csv}"
+    config = write_scenario(
+        tmp_path,
+        f"version: 1\nchain: {{alpha: {args[2]}, lam: 0.05, n_stages: 3, signal_dim: 2}}\n"
+        f"{detector}tasks:\n  - {task}\n",
+    )
+    assert main(["run", str(config), "--outdir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == flag_err.replace("--signal-dim", "chain.signal_dim")
+
+
 def _count_calls(monkeypatch, owner, name) -> list:
     """Replace ``owner.name`` by a wrapper that records each call's arguments."""
     calls = []
@@ -1050,18 +1116,21 @@ class TestOversizedChain:
 
     def test_huge_alpha_refused_before_its_cutoff_is_searched(self, monkeypatch, capsys):
         """The floor |alpha|^2 + 6|alpha| + 10 + N alone rules alpha = 100 out."""
-        monkeypatch.setattr(cli, "default_signal_dim", _no_stage)
+        monkeypatch.setattr(dynamics, "default_signal_dim", _no_stage)
         assert main(["pacs", "--alpha", "100", "--lam", "0.05", "--pattern", "1"]) == 2
         assert "a signal cutoff of 10611 " in capsys.readouterr().err
 
     def test_budget_edge(self):
         """signal_dim * idler_dim = 4472 fits the 20M-entry budget and 4473 does not;
         the larger cutoff names the field."""
-        cli._check_chain_size(1.0, 1, 4, 1118, "signal", "idler")
+        def stage(idler_dim):
+            return (StageParams(0.05, idler_dim),)
+
+        assert cli._build_chain(1.0, stage(4), 1118, "signal", "idler").signal_dim == 1118
         with pytest.raises(DimensionBudgetError, match="^signal: .* 20007729 entries"):
-            cli._check_chain_size(1.0, 1, 3, 1491, "signal", "idler")
+            cli._build_chain(1.0, stage(3), 1491, "signal", "idler")
         with pytest.raises(DimensionBudgetError, match="^idler: "):
-            cli._check_chain_size(1.0, 1, 1491, 3, "signal", "idler")
+            cli._build_chain(1.0, stage(1491), 3, "signal", "idler")
 
 
 def test_oversized_wigner_grid_exits_2_without_traceback(run_python):

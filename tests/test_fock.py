@@ -420,6 +420,11 @@ class TestInvariantsAndValidation:
         with pytest.raises(ValueError):
             PureState(np.array([1.0, 1.0, 0.0, 0.0]))
 
+    def test_nan_amplitudes_rejected(self):
+        """A nan norm is no norm within NORM_TOL of 1."""
+        with pytest.raises(ValueError, match=r"^state must be normalized, got norm .*nan"):
+            PureState(np.array([np.nan, np.nan]))
+
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             PureState.from_amplitudes(np.zeros(4))
@@ -469,6 +474,18 @@ def test_pacs_state_at_alpha_zero_names_m_outside_the_window():
     first rung of a ladder that leaves the window."""
     with pytest.raises(ValueError, match=r"^photon number 5 outside the window \[0, 4\)$"):
         pacs_state(0, 5, 4)
+
+
+@pytest.mark.parametrize("alpha", [0, 1e-7])
+def test_ladder_past_a_tiny_window_is_a_truncation(alpha):
+    """Three raises of a state on |0> leave a window of two levels: rung 2 sits
+    on the top level, and rung 3 is raised wholly past it. That is a leak of
+    the whole state, refused with the cutoff that holds |3>, not a zero
+    vector left to normalize or a number state past the window."""
+    with pytest.raises(TruncationError, match=r"leaks mass 1\.000e\+00 past dim 2") as err:
+        pacs_ladder(alpha, 3, 2)
+    assert err.value.suggested_dim == 4
+    assert len(pacs_ladder(alpha, 3, 4)) == 4
 
 
 @pytest.mark.parametrize("m", range(9))

@@ -22,7 +22,9 @@ flag is declared once, in _FLAGS (the field it sets and its argparse
 options), and each command once, in _COMMANDS (its task, flags and
 handler); the subparsers, a command's one-task scenario and the flag that
 an error names for a field are all built from these two tables. ``main``
-builds the invoked command's subparser alone.
+runs ``run FILE [--outdir DIR]`` (neither led by "-") without a parser, so
+that plain form loads no argparse; any other argv goes to argparse, in a
+parser that holds the invoked command's subparser alone.
 
 All outputs are deterministic: identical configs produce byte-identical
 files. Every click probability and conditional signal comes from one
@@ -47,7 +49,6 @@ amplitude or grid is formed.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
@@ -55,7 +56,8 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 import numpy as np
 import yaml
@@ -75,6 +77,9 @@ from .fock import (
     tail_mass,
 )
 from .records import Record
+
+if TYPE_CHECKING:
+    import argparse
 
 SCHEMA_VERSION = 1
 #: Largest size a command may reach, in elements: a chain's
@@ -866,11 +871,29 @@ def _name_flags(message: str, command: str) -> str:
     return token.sub(lambda match: names.get(match[0], match[0]), message)
 
 
+def _run(args) -> int:
+    return run_scenario(args.config, args.outdir)
+
+
+def _plain_run(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives ``run FILE`` or ``run FILE --outdir DIR``
+    where neither FILE nor DIR starts with "-", or None for any other argv,
+    which argparse alone parses (other spellings, help and every error)."""
+    if len(argv) == 2 or len(argv) == 4 and argv[2] == "--outdir":
+        if argv[0] == "run" and not any(arg.startswith("-") for arg in argv[1::2]):
+            return SimpleNamespace(command="run", config=argv[1],
+                                   outdir=argv[3] if len(argv) == 4 else None, func=_run)
+    return None
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The ``pacsim`` parser. Where ``command`` names a command it holds that
     subparser alone, the one its parse reads (the others cost about 1 ms a
     start), and the usage line an error prints still lists every command. The
-    full parser sets no metavar, which would rename its "required: command"."""
+    full parser sets no metavar, which would rename its "required: command".
+    argparse is imported here, so a plain ``run`` (see main) never loads it."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog="pacsim",
                                      description="cascaded parametric-amplifier simulator")
     names = ("run", *_COMMANDS)
@@ -881,7 +904,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             p = sub.add_parser("run", help="execute a YAML scenario file")
             p.add_argument("config", help="path to the scenario file")
             p.add_argument("--outdir", help="directory for output files")
-            p.set_defaults(func=lambda args: run_scenario(args.config, args.outdir))
+            p.set_defaults(func=_run)
             continue
         keywords, _, flags, _ = _COMMANDS[name]
         p = sub.add_parser(name, **keywords)
@@ -894,7 +917,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _plain_run(argv) or build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ScenarioError, TruncationError, DimensionBudgetError) as exc:

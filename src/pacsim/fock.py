@@ -45,7 +45,7 @@ class PureState(Record):
             )
         norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= NORM_TOL:  # refuses nan too
-            raise ValueError(f"state must be normalized, got norm {norm!r}")
+            raise ValueError(f"state must be normalized, got norm {float(norm)!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 

@@ -1470,6 +1470,52 @@ def test_parser_prints_what_the_full_parser_prints(tmp_path, monkeypatch, capsys
     assert list(tmp_path.iterdir()) == []
 
 
+#: ``run FILE [--outdir DIR]``, which main runs without building a parser
+PLAIN_RUNS = [
+    ["run", "s.yaml"], ["run", "s.yaml", "--outdir", "out"], ["run", "s.yaml", "--outdir", ""],
+    ["run", "", "--outdir", "out"], ["run", "missing.yaml"], ["run", "missing.yaml", "--outdir", "out"],
+]
+#: spellings near the plain form that argparse alone parses
+NEAR_PLAIN_RUNS = [
+    ["run", "s.yaml", "--outdir=out"], ["run", "s.yaml", "--out", "out"],
+    ["run", "--outdir", "out", "s.yaml"], ["run", "--", "s.yaml"], ["run", "s.yaml", "-x"],
+    ["run", "s.yaml", "--outdir", "-1"], ["run", "s.yaml", "--outdir", "out", "--outdir", "o2"],
+    ["run", "s.yaml", "s.yaml"], ["run", "-s.yaml"], ["run", "s.yaml", "--outdir"],
+    ["run", "s.yaml", "--outdir", "out", "extra"], ["pacs", "s.yaml"],
+]
+
+
+@pytest.mark.parametrize("argv", PLAIN_RUNS + NEAR_PLAIN_RUNS, ids=" ".join)
+def test_run_gives_what_argparse_gives(tmp_path, monkeypatch, capsys, argv):
+    """main's outcome (exit code, stdout, stderr and files) is the one it has
+    when argparse parses every argv; a plain run is parsed to argparse's
+    namespace, and every other argv is left to argparse."""
+
+    def outcome(side: str) -> tuple:
+        (tmp_path / side).mkdir()
+        monkeypatch.chdir(tmp_path / side)
+        Path("s.yaml").write_text(MINIMAL_SCENARIO, encoding="utf-8")
+        Path("-s.yaml").write_text(MINIMAL_SCENARIO, encoding="utf-8")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        files = {str(p): p.read_bytes() for p in sorted(Path().rglob("*")) if p.is_file()}
+        return code, *capsys.readouterr(), files
+
+    plain = cli._plain_run(argv)
+    assert (plain is not None) == (argv in PLAIN_RUNS)
+    if plain is not None:
+        assert vars(plain) == vars(cli.build_parser().parse_args(argv))
+    built = outcome("plain")
+    monkeypatch.setattr(cli, "_plain_run", lambda argv: None)
+    assert outcome("argparse") == built
+    if argv[1] == "missing.yaml":
+        assert built[:3] == (1, "", "error: missing.yaml: no such file\n")
+    elif argv in PLAIN_RUNS[:3]:
+        assert built[0] == 0 and len(built[3]) == 3
+
+
 def test_module_run_reads_its_arguments(run_python, tmp_path):
     """``python -m pacsim.cli run``, whose main reads sys.argv, writes what
     main(argv) writes."""

@@ -144,3 +144,22 @@ def test_malformed_yaml_gives_the_same_error(tmp_path, monkeypatch, capsys, text
     assert fast == pure
     assert fast.startswith(f"error: {config}: YAML parse error")
     assert not (tmp_path / "out").exists()
+
+
+def test_plain_run_loads_no_argparse_or_locale(run_python, tmp_path):
+    """``run FILE --outdir DIR`` builds no parser, so neither argparse nor the
+    gettext and locale its first message loads are imported; any other argv
+    still goes to argparse, whose usage line lists every command."""
+    scenario = str(ROOT / "bench" / "scenarios" / "patterns_full.yaml")
+    code = (
+        "import sys; from pacsim import cli\n"
+        f"assert cli.main(['run', {scenario!r}, '--outdir', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))\n"
+        "try:\n    cli.main(['run', 'x.yaml', '--bogus'])\n"
+        "except SystemExit as exc:\n    print(exc.code)\n"
+    )
+    out = run_python("-c", code)
+    assert out.stdout.splitlines() == ["[]", "2"], out.stderr
+    assert out.stderr.startswith("usage: pacsim [-h] {run,pacs,wstate,wigner,sweep} ...\n")
+    assert out.stderr.endswith("error: unrecognized arguments: --bogus\n")
+    assert (tmp_path / "patterns.csv").is_file()

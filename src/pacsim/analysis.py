@@ -3,6 +3,8 @@
 Wigner grids come straight from the density matrix: each two-mode photon
 sector of rho is turned by a 50:50 beam splitter into the coefficients of W
 on products of Hermite functions, and two matrix products evaluate the grid.
+axis_points and coefficient_count give a grid's sizes before it is formed,
+and truncation_bound the error a Fock cutoff puts into a pure state's grid.
 
 Every input is a single-mode state or density matrix: a photon-added
 reference, or a click pattern's conditional signal rho / P from
@@ -132,6 +134,28 @@ def wigner(rho: np.ndarray, extent: float | None = None, step: float = 0.1) -> W
     basis = _hermite_functions(math.sqrt(2.0) * x_axis, coeffs.shape[0])
     values = basis.T @ coeffs @ basis
     return WignerGrid(x_axis=x_axis, p_axis=p_axis, values=values)
+
+
+def axis_points(extent: float, step: float) -> int | float:
+    """Points on each axis of wigner(rho, extent, step): the length of its
+    np.arange(-extent, extent + step / 2, step), which numpy takes as
+    ceil((extent + step / 2 + extent) / step); inf where that overflows."""
+    span = (extent + step / 2 + extent) / step
+    return math.ceil(span) if math.isfinite(span) else math.inf
+
+
+def coefficient_count(levels: int) -> int:
+    """Entries of the coefficient matrix G that wigner forms for a state
+    whose highest occupied level is ``levels`` - 1: (2 levels - 1)^2."""
+    return (2 * levels - 1) ** 2
+
+
+def truncation_bound(dropped: float) -> float:
+    """Bound on |W - W_exact| for a pure state whose Fock cutoff dropped mass
+    ``dropped`` (fock.tail_mass): W = tr[rho D Pi D^+] / pi with D Pi D^+
+    unitary, so the cutoff moves W by at most |psi psi^+ - phi phi^+|_1 / pi
+    = (2 / pi) sqrt(1 - |<psi|phi>|^2)."""
+    return 2.0 / math.pi * math.sqrt(dropped)
 
 
 def _sector_coefficients(rho: np.ndarray) -> np.ndarray:

@@ -13,18 +13,20 @@ _DETECTOR, _TASK and _TASK_TYPES), and a validated task holds every field
 of its type, defaults filled in and values parsed, so the task code parses
 nothing again. The CLI checks types, names fields, runs tasks and writes
 results; the rules on values are the library's (a record names the field it
-refuses, ChainConfig searches a default cutoff, extract_w_state heralds a
-project task). _build_chain builds and budgets every chain. Each quick-look
-command (pacs, wstate, wigner, sweep) is a one-task scenario: it builds the
-mapping a scenario file would hold from the flags it was given, checks it
-with the scenario validators and runs the same task code as ``run``. Each
-flag is declared once, in _FLAGS (the field it sets and its argparse
-options), and each command once, in _COMMANDS (its task, flags and
-handler); the subparsers, a command's one-task scenario and the flag that
-an error names for a field are all built from these two tables. ``main``
-runs ``run FILE [--outdir DIR]`` (neither led by "-") without a parser, so
-that plain form loads no argparse; any other argv goes to argparse, in a
-parser that holds the invoked command's subparser alone.
+refuses, ChainConfig searches a default cutoff, dynamics.pattern_table
+reads a table's rows, analysis sizes a Wigner grid and bounds its
+truncation error, extract_w_state heralds a project task). _build_chain
+builds and budgets every chain. Each quick-look command (pacs, wstate,
+wigner, sweep) is a one-task scenario: it builds the mapping a scenario
+file would hold from the flags it was given, checks it with the scenario
+validators and runs the same task code as ``run``. Each flag is declared
+once, in _FLAGS (the field it sets and its argparse options), and each
+command once, in _COMMANDS (its task, flags and handler); the subparsers, a
+command's one-task scenario and the flag that an error names for a field
+are all built from these two tables. ``main`` runs
+``run FILE [--outdir DIR]`` (neither led by "-") without a parser, so that
+plain form loads no argparse; any other argv goes to argparse, in a parser
+that holds the invoked command's subparser alone.
 
 All outputs are deterministic: identical configs produce byte-identical
 files. Every click probability and conditional signal comes from one
@@ -62,9 +64,10 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 import numpy as np
 import yaml
 
-from .analysis import WignerGrid, extract_w_state, fit_power_law, wigner
+from .analysis import (WignerGrid, axis_points, coefficient_count, extract_w_state,
+                       fit_power_law, truncation_bound, wigner)
 from .detection import ClickPattern, DetectorModel, outcome_probability
-from .dynamics import (DEFAULT_IDLER_DIM, MAX_LAM, ChainConfig, StageParams, _walk_batches,
+from .dynamics import (DEFAULT_IDLER_DIM, MAX_LAM, ChainConfig, StageParams, pattern_table,
                        walk_patterns)
 from .errors import DimensionBudgetError, FieldError, ScenarioError, TruncationError
 from .fock import (
@@ -72,7 +75,6 @@ from .fock import (
     _signal_dim_floor,
     default_signal_dim,
     fock_state,
-    pacs_ladder,
     pacs_state,
     tail_mass,
 )
@@ -400,23 +402,18 @@ def _check_grid(extent: float, step: float, extent_field: str, step_field: str) 
     """Refuse a Wigner grid before any array is formed.
 
     ScenarioError for one point per axis; DimensionBudgetError for more than
-    DEFAULT_AMPLITUDE_BUDGET points over x and p, whose values alone would
-    take 8 bytes each.
+    DEFAULT_AMPLITUDE_BUDGET points over x and p (analysis.axis_points
+    each), whose values alone would take 8 bytes each.
     """
-    # analysis.wigner's axis, np.arange(-extent, extent + step / 2, step), has
-    # ceil(span) points, for x and for p alike; span may overflow to inf
-    span = (extent + step / 2 + extent) / step
-    if span <= 1:
+    n = axis_points(extent, step)
+    if n <= 1:
         raise ScenarioError(
             f"{extent_field}: {extent!r} at step {step!r} gives one grid point per axis; "
             "a grid needs two or more"
         )
     side = math.isqrt(DEFAULT_AMPLITUDE_BUDGET)
-    if span > side:
-        size = f"more than {side} x {side}"
-        if math.isfinite(span):
-            n = math.ceil(span)
-            size = f"{n} x {n} = {n * n}"
+    if n > side:
+        size = f"{n} x {n} = {n * n}" if math.isfinite(n) else f"more than {side} x {side}"
         raise DimensionBudgetError(
             f"{extent_field}: {extent!r} at {step_field} {step!r} gives {size} grid "
             f"points, above the budget of {DEFAULT_AMPLITUDE_BUDGET}; use a smaller "
@@ -431,7 +428,7 @@ def _parse_state_spec(spec: str, where: str = "state") -> tuple[PureState, float
     (fock.tail_mass).
 
     The state is for a Wigner grid, whose coefficient matrix has
-    (2 dim - 1)^2 entries. A spec that puts this above
+    analysis.coefficient_count(dim) entries. A spec that puts this above
     DEFAULT_AMPLITUDE_BUDGET is refused with DimensionBudgetError, first on
     the cutoff's floor, before any amplitude is formed or searched, then on
     the cutoff the state was built with.
@@ -439,11 +436,11 @@ def _parse_state_spec(spec: str, where: str = "state") -> tuple[PureState, float
     kind, _, arg = spec.partition(":")
 
     def check_size(dim: int) -> None:
-        if (2 * dim - 1) ** 2 > DEFAULT_AMPLITUDE_BUDGET:
+        count = coefficient_count(dim)
+        if count > DEFAULT_AMPLITUDE_BUDGET:
             raise DimensionBudgetError(
-                f"{where}: {spec!r} needs a Fock cutoff of at least {dim}, so "
-                f"{(2 * dim - 1) ** 2} Wigner coefficients, above the budget "
-                f"of {DEFAULT_AMPLITUDE_BUDGET}"
+                f"{where}: {spec!r} needs a Fock cutoff of at least {dim}, so {count} "
+                f"Wigner coefficients, above the budget of {DEFAULT_AMPLITUDE_BUDGET}"
             )
 
     try:
@@ -590,37 +587,11 @@ def load_wigner(path: str | Path) -> WignerGrid:
 # task execution
 # ---------------------------------------------------------------------------
 
-def _batch_rows(patterns: list[ClickPattern], probabilities: Iterable[float], rhos: np.ndarray,
-                ladder: Callable[[int], list[PureState]]) -> list[list]:
-    """Table rows of a run of patterns, read straight from their conditional signals rho.
-
-    ``ladder(top)`` lists the m-photon-added states from m = 0 to ``top``.
-    An impossible outcome reads 0.0 with None for its fidelity and mean. Each
-    row is reduced on its own, so its values do not depend on the run it comes in.
-    """
-    probabilities = [outcome_probability(float(p)) for p in probabilities]
-    live = [i for i, p in enumerate(probabilities) if p > 0.0]
-    fid = mean_n = {}
-    if live:
-        clicks = [patterns[i].n_clicks for i in live]
-        rungs = ladder(max(clicks))
-        refs = np.array([rungs[m].amplitudes for m in clicks])
-        rho, live_p = rhos[live], np.take(probabilities, live)
-        f = (refs.conj() * (rho @ refs[:, :, None])[:, :, 0]).sum(axis=-1).real / live_p
-        n = (np.diagonal(rho, 0, 1, 2).real * np.arange(rho.shape[-1])).sum(axis=-1) / live_p
-        fid, mean_n = dict(zip(live, f.tolist())), dict(zip(live, n.tolist()))
-    return [
-        [str(pattern), pattern.n_clicks, p, fid.get(i), mean_n.get(i)]
-        for i, (pattern, p) in enumerate(zip(patterns, probabilities))
-    ]
-
-
 def _run_patterns_task(task: dict, scenario: Scenario, where: str) -> dict[str, Table]:
-    """Rows of every click pattern in lexicographic order, or of the task's pattern alone."""
-    chain = scenario.chain
-    ladder = functools.cache(lambda top: pacs_ladder(chain.alpha, top, chain.signal_dim))
-    rows = [row for batch in _walk_batches(chain, scenario.detector, task["pattern"])
-            for row in _batch_rows(*batch, ladder)]
+    """Rows of every click pattern in lexicographic order, or of the task's
+    pattern alone, from dynamics.pattern_table."""
+    rows = [[str(p), p.n_clicks, *readings]
+            for p, *readings in pattern_table(scenario.chain, scenario.detector, task["pattern"])]
     header = ("pattern", "n_clicks", "probability", "fidelity_vs_pacs_m", "mean_signal_photons")
     return {task["output"]: Table(header, rows)}
 
@@ -750,10 +721,8 @@ def _cmd_wigner(task: dict, results: dict[str, Result]) -> None:
         f"wrote {task['output']}: {grid.values.shape[0]}x{grid.values.shape[1]} grid, "
         f"min = {grid.minimum()!r}, integral = {grid.integral()!r}"
     )
-    # W = tr[rho D Pi D^+] / pi with D Pi D^+ unitary, so the cutoff moves W by
-    # at most |psi psi^+ - phi phi^+|_1 / pi = (2 / pi) sqrt(1 - |<psi|phi>|^2)
-    bound = 2.0 / math.pi * math.sqrt(dropped)
-    print(f"truncation bound: |W - W_exact| <= {bound!r} (cutoff dropped mass {dropped!r})")
+    print(f"truncation bound: |W - W_exact| <= {truncation_bound(dropped)!r} "
+          f"(cutoff dropped mass {dropped!r})")
 
 
 def _cmd_sweep(task: dict, results: dict[str, Result]) -> None:

@@ -12,10 +12,11 @@ them. stage_kraus builds them from the vacuum-idler columns of U's blocks,
 without forming U. walk_patterns folds the signal's density matrix through
 them level by level over the click prefixes, a depth's prefixes in stacked
 products, and yields every pattern's (P, rho), so every pattern of a table
-shares its prefixes' folds;
-herald_summary contracts them into the heralding probability and W
-fidelity. Neither forms the joint signal-idler state or any array indexed
-by idler records.
+shares its prefixes' folds; pattern_table reads a table's columns off those
+leaves (P, the fidelity to the photon-added state of the pattern's click
+count and the mean photon number). herald_summary contracts the Kraus
+operators into the heralding probability and W fidelity. None of them forms
+the joint signal-idler state or any array indexed by idler records.
 """
 
 from __future__ import annotations
@@ -23,13 +24,13 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .detection import ClickPattern, DetectorModel, orthogonalized_reference
+from .detection import ClickPattern, DetectorModel, orthogonalized_reference, outcome_probability
 from .errors import FieldError, StrongCouplingWarning
-from .fock import PureState, coherent_state, default_signal_dim
+from .fock import PureState, coherent_state, default_signal_dim, pacs_ladder
 from .records import Record
 
 #: Weak-coupling regime bound; beyond it leading-order scaling claims degrade.
@@ -194,6 +195,41 @@ def walk_patterns(
         raise ValueError(f"pattern has {len(pattern)} outcomes for {config.n_stages} stages")
     return ((p, float(probability), rho) for batch in _walk_batches(config, detector, pattern)
             for p, probability, rho in zip(*batch))
+
+
+def pattern_table(
+    config: ChainConfig, detector: DetectorModel, pattern: ClickPattern | None = None
+) -> Iterator[tuple[ClickPattern, float, float | None, float | None]]:
+    """walk_patterns' leaves, in its order, as a table reads them (_readings),
+    against one fock.pacs_ladder for each ladder top."""
+    ladder = functools.cache(lambda top: pacs_ladder(config.alpha, top, config.signal_dim))
+    for batch in _walk_batches(config, detector, pattern):
+        yield from _readings(*batch, ladder)
+
+
+def _readings(
+    patterns: list[ClickPattern], probabilities: Iterable[float], rhos: np.ndarray,
+    ladder: Callable[[int], list[PureState]],
+) -> list[tuple[ClickPattern, float, float | None, float | None]]:
+    """(pattern, P, <r|rho|r> / P, sum_n n rho_nn / P) of a run of leaves, read
+    straight from their stacked unnormalized signals rho; r is rung m of
+    ``ladder(top)``, the m-photon-added states for m = 0..top, m the
+    pattern's clicks. An impossible outcome (detection.outcome_probability)
+    reads P = 0.0 with None for the other two. Each leaf is reduced on its
+    own, so its values do not depend on the run it comes in."""
+    probabilities = [outcome_probability(float(p)) for p in probabilities]
+    live = [i for i, p in enumerate(probabilities) if p > 0.0]
+    fid = mean_n = {}
+    if live:
+        clicks = [patterns[i].n_clicks for i in live]
+        rungs = ladder(max(clicks))
+        refs = np.array([rungs[m].amplitudes for m in clicks])
+        rho, live_p = rhos[live], np.take(probabilities, live)
+        f = (refs.conj() * (rho @ refs[:, :, None])[:, :, 0]).sum(axis=-1).real / live_p
+        n = (np.diagonal(rho, 0, 1, 2).real * np.arange(rho.shape[-1])).sum(axis=-1) / live_p
+        fid, mean_n = dict(zip(live, f.tolist())), dict(zip(live, n.tolist()))
+    return [(pattern, p, fid.get(i), mean_n.get(i))
+            for i, (pattern, p) in enumerate(zip(patterns, probabilities))]
 
 
 #: Most K_k rho entries (float64, 2 MB) a fold of the walk stacks: a stack of

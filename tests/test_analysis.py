@@ -25,7 +25,8 @@ from pacsim import (
     walk_patterns,
     wigner,
 )
-from pacsim.analysis import _beam_splitter_sectors
+from pacsim.analysis import (_beam_splitter_sectors, _sector_coefficients, axis_points,
+                             coefficient_count)
 
 from oracles import (
     conditional_density,
@@ -329,6 +330,47 @@ class TestBeamSplitterSectors:
                 break
             expected = np.sqrt([math.comb(s, int(k)) / 2**s for k in ks])
             assert np.max(np.abs(rot[-1] - expected)) <= 1e-13
+
+
+@st.composite
+def near_integer_spans(draw):
+    """An (extent, step) whose span (extent + step / 2 + extent) / step lies
+    within a few ulps of an integer number of points, where a count rounded
+    otherwise than numpy's would be off by one."""
+    points, step = draw(st.integers(2, 60)), draw(st.floats(1e-3, 10.0))
+    extent = (points - 0.5) * step / 2
+    ulps = draw(st.integers(-4, 4))
+    for _ in range(abs(ulps)):
+        extent = math.nextafter(extent, math.inf if ulps > 0 else 0.0)
+    return extent, step
+
+
+class TestGridSizes:
+    """The sizes of a Wigner grid that the CLI budgets, as analysis states them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_integer_spans())
+    def test_axis_points_is_the_axis_length(self, grid):
+        extent, step = grid
+        built = wigner(np.diag([1.0, 0.0]), extent, step)
+        assert axis_points(extent, step) == built.x_axis.size == built.p_axis.size
+
+    @pytest.mark.parametrize("extent, points", [(2235.75, 4472), (2236.0, 4473)])
+    def test_axis_points_at_the_budget_edge(self, extent, points):
+        """The CLI's 20M-point budget edge at step 1: counted, not built."""
+        assert axis_points(extent, 1.0) == points == np.arange(-extent, extent + 0.5, 1.0).size
+
+    def test_axis_points_of_an_overflowing_span(self):
+        assert axis_points(1e308, 1e-300) == math.inf
+
+    @pytest.mark.parametrize("levels", [1, 2, 7, 30])
+    def test_coefficient_count_is_the_coefficient_matrix(self, levels):
+        rng = np.random.default_rng(levels)
+        a = rng.normal(size=(levels, levels)) + 1j * rng.normal(size=(levels, levels))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+        assert np.linalg.matrix_rank(rho) == levels
+        assert coefficient_count(levels) == _sector_coefficients(rho).shape[0] ** 2
 
 
 class TestWStateReference:

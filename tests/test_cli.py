@@ -29,6 +29,7 @@ from pacsim import (
     wigner,
 )
 from pacsim import cli, dynamics, fock
+from pacsim.analysis import truncation_bound
 from pacsim.cli import (
     DEFAULT_AMPLITUDE_BUDGET,
     emit_wigner,
@@ -43,6 +44,7 @@ from pacsim.errors import (
     ScenarioError,
     StrongCouplingWarning,
 )
+from pacsim.fock import tail_mass
 
 from oracles import conditional_density, density, fidelity, joint_state
 
@@ -960,6 +962,20 @@ class TestQuickCommands:
         assert main(["wigner", "--state", spec, "--out", str(tmp_path / "w.txt")]) == 0
         assert capsys.readouterr().out.splitlines()[1] == (
             "truncation bound: |W - W_exact| <= 0.0 (cutoff dropped mass 0.0)"
+        )
+
+    def test_wigner_truncation_bound_of_a_photon_added_state(self, tmp_path, capsys):
+        """pacs:2,1 drops 1.3e-12 at its default cutoff (27), and the line
+        prints analysis.truncation_bound of that mass."""
+        args = ["wigner", "--state", "pacs:2,1", "--range", "2", "--step", "1"]
+        assert main([*args, "--out", str(tmp_path / "w.txt")]) == 0
+        dropped = tail_mass(2.0, 1, default_signal_dim(2.0, 1))
+        assert dropped == pytest.approx(1.30e-12, rel=1e-2)
+        # (2 / pi) sqrt(1.30e-12)
+        assert truncation_bound(dropped) == pytest.approx(7.26e-7, rel=1e-2)
+        assert capsys.readouterr().out.splitlines()[1] == (
+            f"truncation bound: |W - W_exact| <= {truncation_bound(dropped)!r} "
+            f"(cutoff dropped mass {dropped!r})"
         )
 
     @pytest.mark.parametrize("spec", ["coherent:3", "pacs:3,1", "coherent:11.9"])

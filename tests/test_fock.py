@@ -17,7 +17,7 @@ from pacsim import (
     fock_state,
     pacs_state,
 )
-from pacsim.cli import _batch_rows
+from pacsim.dynamics import _readings
 from pacsim.fock import _photon_added, pacs_ladder, tail_mass
 
 from oracles import (
@@ -87,9 +87,9 @@ def mixture(*branches):
 def row_readings(rho, ref, probability=0.3):
     """Fidelity with ``ref`` and mean photon number that a pattern-table row
     reads off the unnormalized (P, P rho)."""
-    [row] = _batch_rows([ClickPattern((True,))], [probability], (probability * rho)[None],
-                        lambda top: [ref] * (top + 1))
-    return float(row[3]), float(row[4])
+    [(_, _, fidelity, mean)] = _readings([ClickPattern((True,))], [probability],
+                                         (probability * rho)[None], lambda top: [ref] * (top + 1))
+    return float(fidelity), float(mean)
 
 
 class TestLaguerre:

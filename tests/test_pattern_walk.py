@@ -19,7 +19,7 @@ from pacsim import (
     pacs_state,
     walk_patterns,
 )
-from pacsim.cli import Scenario, _batch_rows, _run_patterns_task, main
+from pacsim.cli import Scenario, _run_patterns_task, main
 from pacsim.errors import StrongCouplingWarning
 
 from oracles import conditional_density, joint_state
@@ -39,18 +39,20 @@ def table(config, detector, pattern=None):
 
 
 def dense_table(config, detector, pattern=None):
-    """The same rows read from the conditioned joint state: the dense oracle.
+    """The same rows read from the conditioned joint state: the dense oracle's
+    leaves, read by the table's own readings.
 
     Its references are built one pacs_state at a time, not from the ladder."""
     joint = joint_state(config)
     patterns = all_patterns(config.n_stages) if pattern is None else [pattern]
     leaves = [conditional_density(joint, p, detector) for p in patterns]
-    return _batch_rows(
+    readings = dynamics._readings(
         patterns,
         [probability for probability, _ in leaves],
         np.stack([rho for _, rho in leaves]),
         lambda top: [pacs_state(config.alpha, m, config.signal_dim) for m in range(top + 1)],
     )
+    return [[str(p), p.n_clicks, *values] for p, *values in readings]
 
 
 def close(got: float, want: float, tol: float) -> bool:

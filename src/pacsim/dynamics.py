@@ -307,24 +307,25 @@ def herald_summary(
     r the reference orthogonalized against ``orthogonal_to``, returns
     P = sum |c|^2 and F_W = |<W|c>|^2 / P, the fidelity of the heralded
     idler state c / sqrt(P) with the N-mode W state. F_W is None when the
-    idler dims differ, and an impossible outcome (P below
-    IMPOSSIBLE_PROBABILITY) gives (0.0, None). Nothing indexed by idler
-    records is formed: memory is O(S ds^2) and time O(N S di ds^3), with
-    S <= min(N (di - 1) + 1, ds) sectors.
+    idler dims differ, and an impossible outcome (P below IMPOSSIBLE_PROBABILITY)
+    gives (0.0, None). Nothing indexed by idler records is formed.
 
     P = sum_K ||A_K^T r||^2 with A_K A_K^T = sum psi psi^T over the records
     psi = K_kj .. K_k1|alpha> of total idler excitation K. A stage maps A_K
-    to [K_0 A_K | K_1 A_(K-1) | ..], and a factor wider than its rank bound
-    is cut back by the R factor of a QR. K_k raises the signal level by k,
-    so A_K lives on levels >= K, has rank <= ds - K and is stored from
-    level K on; sectors K >= ds are empty. The factors are graded by K
-    because P is far smaller than the records' norms at weak coupling: one
-    density matrix rho <- sum_k K_k rho K_k^T with P = <r|rho|r> squares the
-    amplitudes before they cancel against r and loses P to rounding (it
-    even turns negative at lam = 1e-6 with a two-photon reference), while
-    each graded factor is rounded relative to its own sector's size. The W
-    overlap sum_j c[e_j] is <r|u> from the two-vector recursion
-    u <- K_0 u + K_1 v, v <- K_0 v.
+    to [K_0 A_K | K_1 A_(K-1) | ..], cut back to its rank bound by the R of
+    a QR. K_k raises the signal level by k, so A_K lives on levels >= K,
+    has rank <= ds - K and is stored from level K on. Graded by K, each
+    factor is rounded relative to its own sector, where one density matrix
+    would lose the small P of weak coupling to rounding. Sector K of a stage
+    reads only sectors K - di + 1..K of the one before, so the sectors are
+    built in order K = 0, 1, .. through every stage, each stage keeping its
+    last di. Sector k adds at most m_k ||r[k:]||^2 to P, m_k its records'
+    squared norms summed, which a population recursion gives first in
+    O(N di ds^2). The loop stops after sector K once the sectors left can
+    add sum_(k>K) m_k ||r[k:]||^2 <= 2^-56 P_(<=K), under a quarter of half
+    an ulp of the sum so far, so P is the all-sector sum bit for bit. Time is
+    at most that sum's, O(N S di ds^3) with S <= min(N (di - 1) + 1, ds), and
+    memory O(N di ds^2). F_W's sum_j c[e_j] is <r|u>: u <- K_0 u + K_1 v, v <- K_0 v.
     """
     ds = config.signal_dim
     if reference.dim != ds:
@@ -338,26 +339,45 @@ def herald_summary(
     bra = reference.amplitudes * np.exp(-1j * np.angle(config.alpha) * np.arange(ds))
     bra = np.stack([bra.real, bra.imag], axis=1)
     seed = coherent_state(abs(config.alpha), ds).amplitudes.real
-    # factors[K] is A_K^T restricted to levels K..ds-1: (width, ds - K)
-    factors = [seed[None, :]]
-    u, v = np.zeros(ds), seed
-    for stack in _chain_kraus(config):
-        # the only nonzero entries of K_k: subs[k][b] = <b + k|K_k|b>
-        subs = [np.diagonal(op, -k) for k, op in enumerate(stack[:ds])]
-        grown = []
-        for total in range(min(len(factors) + len(subs) - 1, ds)):
-            ks = range(max(0, total - len(factors) + 1), min(total, len(subs) - 1) + 1)
-            block = np.concatenate(
-                [factors[total - k][:, : ds - total] * subs[k][total - k :] for k in ks]
-            )
-            if block.shape[0] > block.shape[1]:
-                block = np.linalg.qr(block, mode="r")
-            grown.append(block)
-        factors = grown
-        u = subs[0] * u
-        u[1:] += subs[1] * v[:-1]
-        v = subs[0] * v
-    probability = sum(float(np.sum((f @ bra[k:]) ** 2)) for k, f in enumerate(factors))
+    stacks = _chain_kraus(config)
+    distinct = {id(s): s[:ds] for s in stacks}  # equal stages share one stack
+    # subs[j][k][b] = <b + k|K_k|b>, the only nonzero entries of stage j's K_k
+    diagonals = {i: [np.diagonal(op, -k) for k, op in enumerate(s)] for i, s in distinct.items()}
+    subs = [diagonals[id(s)] for s in stacks]
+    # pops[K][b] = sum psi_b^2 over sector K's records, counts[j] sectors after j
+    # stages. Flat, K_k's lift of K and b by k is a shift by k (ds + 1): row k of
+    # lifts starts that far into row k of terms, weighted by ||K_k|b>||^2 (0 off window)
+    keep, counts, u, v, pops = max(map(len, subs)), [1], np.zeros(ds), seed, (seed**2)[None]
+    flat = np.zeros(keep * ((ds + keep) * ds + 1))
+    lifts = flat.reshape(keep, -1)[:, : ds * ds].reshape(keep, ds, ds)
+    terms = flat[: keep * (ds + keep - 1) * ds].reshape(keep, -1, ds)
+    squares = {i: np.square(s.sum(axis=1))[:, None] for i, s in distinct.items()}
+    for stack, sub in zip(stacks, subs):
+        counts.append(min(counts[-1] + len(sub) - 1, ds))
+        np.multiply(pops, squares[id(stack)], out=lifts[: len(sub), : len(pops)])
+        pops = terms[: len(sub), : counts[-1]].sum(axis=0)
+        u = sub[0] * u
+        u[1:] += sub[1] * v[:-1]
+        v = sub[0] * v
+    # beyond[K] bounds what the sectors after K add: sum_k>K m_k ||r[k:]||^2
+    bound = pops.sum(axis=1) * np.cumsum(np.sum(bra**2, axis=1)[::-1])[::-1][: len(pops)]
+    beyond = np.cumsum(bound[:0:-1])[::-1].tolist() + [0.0]
+    # factors[j][K] is stage j's A_K^T restricted to levels K..ds-1: (width, ds - K)
+    factors, probability = [{0: seed[None, :]}] + [{} for _ in subs], 0.0
+    for total in range(counts[-1]):
+        for j, sub in enumerate(subs):
+            if total < counts[j + 1]:
+                ks = range(max(0, total - counts[j] + 1), min(total, len(sub) - 1) + 1)
+                block = np.concatenate(
+                    [factors[j][total - k][:, : ds - total] * sub[k][total - k :] for k in ks]
+                )
+                if block.shape[0] > block.shape[1]:
+                    block = np.linalg.qr(block, mode="r")
+                factors[j + 1][total] = block
+                factors[j].pop(total + 1 - keep, None)
+        probability += float(np.sum((factors[-1].pop(total) @ bra[total:]) ** 2))
+        if beyond[total] <= 2.0**-56 * probability:
+            break
     if probability < IMPOSSIBLE_PROBABILITY:
         return 0.0, None
     if len({s.idler_dim for s in config.stages}) > 1:

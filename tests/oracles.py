@@ -420,6 +420,59 @@ def herald_idlers(
     return probability, MultiModeState(_idler_dims(config), amps / math.sqrt(probability))
 
 
+def herald_summary_all_sectors(
+    config: ChainConfig,
+    reference: PureState,
+    orthogonal_to: Sequence[PureState] = (),
+) -> tuple[float, float | None]:
+    """dynamics.herald_summary with every excitation sector built, stage by stage.
+
+    Each stage maps every sector's QR-compressed factor A_K (A_K A_K^T = sum
+    psi psi^T over the records of total idler excitation K) to
+    [K_0 A_K | K_1 A_(K-1) | ..], and P = sum_K ||A_K^T r||^2 over all of
+    them, none skipped. The W overlap comes from the same two-vector
+    recursion. The package builds the same blocks sector by sector and
+    stops once the sectors left cannot change P.
+    """
+    ds = config.signal_dim
+    if reference.dim != ds:
+        raise ValueError(f"reference dim {reference.dim} does not match signal dim {ds}")
+    if orthogonal_to:
+        reference = orthogonalized_reference(reference, orthogonal_to)
+    # every K_k is real and raises the level by k, so level n of a record
+    # with excitation K has the phase e^{i(n - K) arg alpha}; e^{-iK arg alpha}
+    # drops out of |<r|psi>|, and moving e^{in arg alpha} onto the bra leaves
+    # every factor real
+    bra = reference.amplitudes * np.exp(-1j * np.angle(config.alpha) * np.arange(ds))
+    bra = np.stack([bra.real, bra.imag], axis=1)
+    seed = coherent_state(abs(config.alpha), ds).amplitudes.real
+    # factors[K] is A_K^T restricted to levels K..ds-1: (width, ds - K)
+    factors = [seed[None, :]]
+    u, v = np.zeros(ds), seed
+    for stack in (stage_kraus(s.lam, ds, s.idler_dim) for s in config.stages):
+        # the only nonzero entries of K_k: subs[k][b] = <b + k|K_k|b>
+        subs = [np.diagonal(op, -k) for k, op in enumerate(stack[:ds])]
+        grown = []
+        for total in range(min(len(factors) + len(subs) - 1, ds)):
+            ks = range(max(0, total - len(factors) + 1), min(total, len(subs) - 1) + 1)
+            block = np.concatenate(
+                [factors[total - k][:, : ds - total] * subs[k][total - k :] for k in ks]
+            )
+            if block.shape[0] > block.shape[1]:
+                block = np.linalg.qr(block, mode="r")
+            grown.append(block)
+        factors = grown
+        u = subs[0] * u
+        u[1:] += subs[1] * v[:-1]
+        v = subs[0] * v
+    probability = sum(float(np.sum((f @ bra[k:]) ** 2)) for k, f in enumerate(factors))
+    if probability < IMPOSSIBLE_PROBABILITY:
+        return 0.0, None
+    if len({s.idler_dim for s in config.stages}) > 1:
+        return probability, None
+    return probability, float(np.sum((u @ bra) ** 2)) / (config.n_stages * probability)
+
+
 def w_state_reference(n_modes: int, dim: int = 2) -> MultiModeState:
     """Equal superposition of the single-excitation states over n_modes modes."""
     if n_modes < 1:

@@ -4,11 +4,12 @@ import cmath
 import json
 import math
 import types
+import warnings
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pacsim
@@ -17,6 +18,8 @@ from pacsim import (
     ChainConfig,
     DetectorModel,
     StageParams,
+    StrongCouplingWarning,
+    TruncationError,
     extract_w_state,
     herald_summary,
     orthogonalized_reference,
@@ -26,12 +29,14 @@ from pacsim import (
     walk_patterns,
 )
 from pacsim.cli import main
+from pacsim.fock import pacs_ladder
 
 from oracles import (
     MultiModeState,
     conditional_density,
     fidelity,
     herald_idlers,
+    herald_summary_all_sectors,
     joint_state,
     overlap_fidelity,
     stage_generator,
@@ -311,6 +316,91 @@ def test_herald_summary_matches_herald_idlers(case):
         assert w_fidelity is None
     else:
         assert abs(w_fidelity - expected) <= 1e-10
+
+
+@st.composite
+def sector_cases(draw):
+    n_stages = draw(st.integers(1, 9))
+    dims = st.integers(2, 5)
+    shared = draw(dims) if draw(st.booleans()) else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StrongCouplingWarning)  # lam up to 1
+        stages = tuple(
+            StageParams(10.0 ** draw(st.floats(-6.0, 0.0)), shared or draw(dims))
+            for _ in range(n_stages)
+        )
+    alpha = draw(st.floats(0.0, 1.5)) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+    config = ChainConfig(alpha, stages, signal_dim=draw(st.integers(8, 34)))
+    m = draw(st.integers(0, min(n_stages, 3)))
+    plain = draw(st.booleans())
+    try:
+        rungs = pacs_ladder(alpha, m if plain else max(m, n_stages), config.signal_dim)
+    except TruncationError:
+        assume(False)  # the window cannot hold the reference ladder
+    return config, rungs[m], () if plain else tuple(r for k, r in enumerate(rungs) if k != m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sector_cases())
+def test_herald_summary_matches_every_sector(case):
+    """P and F_W within 1 ulp of the all-sector sum over random chains.
+
+    herald_summary builds the same sector blocks and stops once the sectors
+    left add at most 2^-56 of the partial sum, less than half an ulp of P,
+    so adding them would not change P: lam from 1e-6 to 1, up to 9 stages,
+    mixed idler dims, complex alpha, plain and ladder references.
+    """
+    config, reference, others = case
+    probability, w_fidelity = herald_summary(config, reference, others)
+    expected, expected_w = herald_summary_all_sectors(config, reference, others)
+    assert probability == pytest.approx(expected, rel=2**-52, abs=0.0)
+    if expected_w is None:
+        assert w_fidelity is None
+    else:
+        assert w_fidelity == pytest.approx(expected_w, rel=2**-52, abs=0.0)
+
+
+class TestSectorWork:
+    """The sectors that cannot change P are not built (QRs counted, not timed)."""
+
+    @pytest.fixture
+    def qr_calls(self, monkeypatch):
+        calls = []
+        qr = np.linalg.qr
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        return calls
+
+    @staticmethod
+    def all_sectors(config):
+        """extract_w_state's P and F_W with every sector built."""
+        rungs = pacs_ladder(config.alpha, config.n_stages, config.signal_dim)
+        return herald_summary_all_sectors(config, rungs[1], rungs[:1] + rungs[2:])
+
+    def test_thirty_stages_build_no_wide_sector(self, qr_calls):
+        """Every sector but the first few is below an ulp of P: 1,060 QRs otherwise."""
+        config = ChainConfig.uniform(1.0, 0.05, 30)
+        result = extract_w_state(config)
+        built = len(qr_calls)
+        expected = self.all_sectors(config)
+        assert built < 30
+        assert len(qr_calls) - built == 1060
+        assert result.probability == pytest.approx(expected[0], rel=2**-52, abs=0.0)
+        assert result.w_fidelity == pytest.approx(expected[1], rel=2**-52, abs=0.0)
+
+    def test_nine_stages_build_at_most_half(self, qr_calls):
+        """The wstate_n9 benchmark chain: at most half of the 93 QRs of every sector."""
+        config = ChainConfig.uniform(1.0, 0.05, 9, signal_dim=30)
+        result = extract_w_state(config)
+        built = len(qr_calls)
+        expected = self.all_sectors(config)
+        assert built <= 93 // 2
+        assert len(qr_calls) - built == 93
+        assert result.probability == pytest.approx(expected[0], rel=2**-52, abs=0.0)
 
 
 def test_w_heralding_keeps_no_idler_records(signal_states_only, tmp_path, capsys):

@@ -94,7 +94,13 @@ def wigner(rho: np.ndarray, extent: float | None = None, step: float = 0.1) -> W
     """Wigner function of a single-mode density matrix on a uniform grid.
 
     ``rho`` is normalized (a pure state psi passes psi psi^+), and the
-    default ``extent`` is sqrt(<n>) + 4.
+    default ``extent`` is sqrt(<n>) + 4. Each axis has the n =
+    axis_points(extent, step) points of np.arange(-extent, extent + step / 2,
+    step). Where those span [-extent, extent] to rounding, the axis is laid
+    out as (k - (n - 1) / 2) step instead: exactly antisymmetric, from
+    -extent to extent, with 0.0 at its centre for odd n. A real rho has
+    W(x, -p) = W(x, p), so on such an axis only p >= 0 is evaluated and the
+    rest is its mirror, bit for bit.
 
     With u = sqrt2 x and v = sqrt2 p, the Wigner function of |m><n| is an
     eigenfunction of the 2-D oscillator in (u, v) with s = m + n quanta, so
@@ -124,7 +130,14 @@ def wigner(rho: np.ndarray, extent: float | None = None, step: float = 0.1) -> W
         )
     if extent is None:
         extent = math.sqrt(float(np.arange(occupations.size) @ occupations)) + 4.0
-    x_axis = np.arange(-extent, extent + step / 2, step)
+    n = axis_points(extent, step)
+    # an axis that spans [-extent, extent] is laid out exactly antisymmetric,
+    # so a real rho's grid is even in p to the bit
+    centred = n > 1 and math.isclose((n - 1) * step, 2 * extent, rel_tol=1e-12)
+    if centred:
+        x_axis = (np.arange(n) - (n - 1) / 2) * step
+    else:
+        x_axis = np.arange(-extent, extent + step / 2, step)
     p_axis = x_axis.copy()
 
     # levels above the highest occupied one add nothing
@@ -132,14 +145,23 @@ def wigner(rho: np.ndarray, extent: float | None = None, step: float = 0.1) -> W
     coeffs = _sector_coefficients(rho[:m_dim, :m_dim])
     # p_axis equals x_axis, so one basis matrix serves both Phi_x and Phi_p
     basis = _hermite_functions(math.sqrt(2.0) * x_axis, coeffs.shape[0])
-    values = basis.T @ coeffs @ basis
+    left = basis.T @ coeffs
+    if centred and not np.any(np.imag(rho)):
+        # W(x, -p) = W(x, p) for a real rho: evaluate p >= 0 and mirror it
+        half = n // 2
+        upper = left @ basis[:, half:]
+        values = np.empty((n, n))
+        values[:, half:] = upper
+        values[:, :half] = upper[:, n - 2 * half:][:, ::-1]
+    else:
+        values = left @ basis
     return WignerGrid(x_axis=x_axis, p_axis=p_axis, values=values)
 
 
 def axis_points(extent: float, step: float) -> int | float:
-    """Points on each axis of wigner(rho, extent, step): the length of its
-    np.arange(-extent, extent + step / 2, step), which numpy takes as
-    ceil((extent + step / 2 + extent) / step); inf where that overflows."""
+    """Points on each axis of wigner(rho, extent, step), centred or not: the
+    length of np.arange(-extent, extent + step / 2, step), which numpy takes
+    as ceil((extent + step / 2 + extent) / step); inf where that overflows."""
     span = (extent + step / 2 + extent) / step
     return math.ceil(span) if math.isfinite(span) else math.inf
 

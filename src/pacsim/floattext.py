@@ -79,15 +79,26 @@ def _product_error(
     return err
 
 
-@functools.cache
-def _pow10() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(hi, hi's two halves, lo) with hi + lo = 10^(16 - e10) to about 2^-106
-    relative, from exact integers; built on first use. Entry i is for
-    e10 = i, and a negative e10 counts from the end, so e10 in
-    [_E10_MIN, _E10_MAX] indexes the tables as it is."""
-    size = _E10_MAX - _E10_MIN + 1
-    his, los = [], []
-    for i in range(size):
+#: 10^(16 - e10) as rows (hi, hi's two halves, lo), hi + lo to about 2^-106
+#: relative; column i is for e10 = i, and a negative e10 counts from the
+#: end, so e10 in [_E10_MIN, _E10_MAX] indexes it as it is. _pow10 fills a
+#: decade's column the first time a block needs it, always with the same
+#: bits, so two threads that both fill one agree.
+_POW10 = np.zeros((4, _E10_MAX - _E10_MIN + 1))
+_FILLED = np.zeros(_POW10.shape[1], bool)
+
+
+def _pow10(e10: np.ndarray) -> np.ndarray:
+    """_POW10 with the column of every decade in ``e10`` filled, from exact
+    integers; the decades no block has needed stay unbuilt (about 2 us each)."""
+    if _FILLED[np.arange(e10.min(), e10.max() + 1)].all():
+        return _POW10
+    size = _FILLED.size
+    # a mask, not np.unique, whose first call imports numpy.ma (17 ms)
+    new = np.zeros(size, bool)
+    new[e10] = True
+    new &= ~_FILLED
+    for i in np.flatnonzero(new).tolist():
         p = 16 - (i if i <= _E10_MAX else i - size)
         n = 10 ** abs(p)
         if p >= 0:
@@ -97,10 +108,10 @@ def _pow10() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
             hi = 1 / n  # int true division is correctly rounded
             a, b = hi.as_integer_ratio()
             lo = (b - a * n) / (n * b)  # 1/n - a/b, correctly rounded
-        his.append(hi)
-        los.append(lo)
-    hi = np.array(his)
-    return (hi, *_split(hi), np.array(los))
+        _POW10[0, i], _POW10[3, i] = hi, lo
+    _POW10[1:3, new] = _split(_POW10[0, new])
+    _FILLED[new] = True
+    return _POW10
 
 
 @functools.cache
@@ -114,7 +125,7 @@ def _scaled(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     of the 17th digit; F is exact and v - F and h are good to about 1e-14.
     e10 is int16."""
     e10 = np.floor(np.log10(ax)).astype(np.intp)
-    hi, hi_hi, hi_lo, lo = _pow10()
+    hi, hi_hi, hi_lo, lo = _pow10(e10)
     hi = hi[e10]
     half = ((ax.view(np.uint64) & _EXPONENT_BITS) - _HALF_ULP).view(np.float64)
     half *= hi
@@ -285,12 +296,20 @@ def _exponent_rows(rows: np.ndarray, exp: np.ndarray, sci: np.ndarray) -> None:
 
 
 def rows_text(block: np.ndarray) -> str:
-    """Each row of a 2-D float block as its values' reprs joined by spaces, plus "\\n"."""
+    """Each row of a 2-D float block as its values' reprs joined by spaces, plus "\\n".
+
+    A block whose rows are bitwise palindromes, as a real state's Wigner
+    grid is in p, has only its first ceil(n/2) columns formatted; their
+    characters are mirrored into the rest.
+    """
     block = np.asarray(block, dtype=np.float64)
     n_rows, n_cols = block.shape
-    if not n_cols:
+    if not block.size:
         return "\n" * n_rows
-    x = block.ravel()
+    # bits, not values: -0.0 and 0.0, or two NaN payloads, are not a mirror
+    bits = block.view(np.uint64)
+    half = (n_cols + 1) // 2 if np.array_equal(bits, bits[:, ::-1]) else n_cols
+    x = block[:, :half].ravel()
     # each array is dropped once spent, so the peak is one stage's arrays
     with np.errstate(all="ignore"):
         fast, c, k, decpt = _shortest(x)
@@ -298,12 +317,17 @@ def rows_text(block: np.ndarray) -> str:
     del c
     out = _layout(x, digits, k, decpt)
     del digits, k, decpt
-    out[_SEP] = ord(" ")
-    out[_SEP, n_cols - 1::n_cols] = ord("\n")
     for i in np.flatnonzero(~fast).tolist():
         text = repr(x[i].item()).encode("ascii")
         out[:_SEP, i] = 0
         out[:len(text), i] = np.frombuffer(text, np.uint8)
-    text = out.T.tobytes()
+    # one record of _ROWS characters a value, mirrored where the block is
+    records = np.empty((n_rows, n_cols, _ROWS), np.uint8)
+    records[:, :half] = out.T.reshape(n_rows, half, _ROWS)
     del out
+    records[:, half:] = records[:, :n_cols - half][:, ::-1]
+    records[:, :, _SEP] = ord(" ")
+    records[:, -1, _SEP] = ord("\n")
+    text = records.tobytes()
+    del records
     return text.translate(None, b"\0").decode("ascii")

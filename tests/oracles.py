@@ -309,8 +309,15 @@ def _ladder_moments(amps: np.ndarray) -> np.ndarray:
 
 
 def _grid_gamma(extent: float, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """The wigner grid axis and 2 beta = sqrt(2) (x + i p) at every point."""
+    """The wigner grid axis and 2 beta = sqrt(2) (x + i p) at every point.
+
+    The axis has the n points of np.arange(-extent, extent + step / 2, step);
+    where they span [-extent, extent] to rounding it is (k - (n - 1) / 2) step.
+    """
     axis = np.arange(-extent, extent + step / 2, step)
+    n = axis.size
+    if n > 1 and math.isclose((n - 1) * step, 2 * extent, rel_tol=1e-12):
+        axis = (np.arange(n) - (n - 1) / 2) * step
     xg, pg = np.meshgrid(axis, axis, indexing="ij")
     return axis, np.sqrt(2.0) * (xg + 1j * pg)
 

@@ -25,8 +25,8 @@ from pacsim import (
     walk_patterns,
     wigner,
 )
-from pacsim.analysis import (_beam_splitter_sectors, _sector_coefficients, axis_points,
-                             coefficient_count)
+from pacsim.analysis import (_beam_splitter_sectors, _hermite_functions, _sector_coefficients,
+                             axis_points, coefficient_count)
 
 from oracles import (
     conditional_density,
@@ -211,6 +211,93 @@ def test_lossy_pattern_grid_is_its_eigenstates_mixture():
     )
     assert np.max(np.abs(grid.values - mixed)) <= 1e-12
     assert grid.integral() == pytest.approx(1.0, abs=1e-9)
+
+
+def direct_evaluation(rho: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Phi^T G Phi on every point of ``axis`` in x and p, no mirror, and a
+    bound on each value's rounding: 4 K eps times the sum of |terms|."""
+    levels = int(np.nonzero(np.any(rho != 0, axis=0))[0][-1]) + 1
+    coeffs = _sector_coefficients(rho[:levels, :levels])
+    basis = _hermite_functions(math.sqrt(2.0) * axis, coeffs.shape[0])
+    magnitude = np.abs(basis).T @ np.abs(coeffs) @ np.abs(basis)
+    return basis.T @ coeffs @ basis, 4 * coeffs.shape[0] * np.finfo(float).eps * magnitude
+
+
+def real_mixed_rho() -> np.ndarray:
+    """rho / P of a two-click leaf under an imperfect detector, real alpha."""
+    config = ChainConfig.uniform(1.0, 0.1, 2)
+    detector = DetectorModel(eta=0.6, dark_prob=1e-3)
+    _, probability, rho = next(walk_patterns(config, detector, ClickPattern((True, True))))
+    return rho / probability
+
+
+class TestWignerCentredAxis:
+    """A grid whose axis spans [-extent, extent] is centred, and a real rho's
+    grid on it is evaluated for p >= 0 and mirrored."""
+
+    @pytest.mark.parametrize("extent, step", [(10.0, 0.05), (8.0, 0.04), (5.0, 0.1), (1.0, 0.4)])
+    def test_axis_is_exactly_antisymmetric(self, extent, step):
+        axis = wigner(density(fock_state(0, 2)), extent, step).x_axis
+        assert axis.size == axis_points(extent, step)
+        assert np.array_equal(axis, -axis[::-1])
+        assert axis[-1] == pytest.approx(extent, rel=1e-15)
+        assert np.max(np.abs(np.diff(axis) - step)) <= 4 * np.finfo(float).eps * extent
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 60), st.floats(1e-3, 10.0), st.integers(-4, 4))
+    def test_spanning_axes_are_centred(self, points, step, ulps):
+        """extent = (points - 1) step / 2, a few ulps either way: the axis has
+        axis_points points and is exactly antisymmetric."""
+        extent = (points - 1) * step / 2
+        for _ in range(abs(ulps)):
+            extent = math.nextafter(extent, math.inf if ulps > 0 else 0.0)
+        axis = wigner(np.diag([1.0, 0.0]), extent, step).x_axis
+        assert axis.size == axis_points(extent, step) == points
+        assert np.array_equal(axis, -axis[::-1])
+
+    def test_benchmark_axes_end_at_the_extent(self):
+        """The arange axis ended at 10.000000000000284 with 1.4e-13 at its centre."""
+        axis = wigner(density(fock_state(0, 2)), 10.0, 0.05).x_axis
+        assert (axis[0], axis[200], axis[-1]) == (-10.0, 0.0, 10.0)
+        assert math.copysign(1.0, axis[200]) == 1.0
+
+    @pytest.mark.filterwarnings("ignore::pacsim.TruncationWarning")
+    @pytest.mark.parametrize(
+        "rho, extent, step",
+        [
+            (density(pacs_state(2.0, 1, default_signal_dim(2.0, 1))), 10.0, 0.05),
+            (density(pacs_state(1.0, 2, default_signal_dim(1.0, 2))), 8.0, 0.04),
+            (density(fock_state(2, 4)), 5.0, 0.1),
+            (density(fock_state(60, 62)), 12.0, 0.1),
+            (density(fock_state(1, 3)), 1.0, 0.4),  # even point count, no centre
+            (real_mixed_rho(), 7.0, 0.1),
+        ],
+        ids=["pacs:2,1", "pacs:1,2", "fock:2", "fock:60", "fock:1-even", "mixed"],
+    )
+    def test_mirrored_grid_is_the_direct_evaluation(self, rho, extent, step):
+        assert not np.any(rho.imag)
+        grid = wigner(rho, extent, step)
+        assert np.array_equal(grid.values.view(np.uint64), grid.values.view(np.uint64)[:, ::-1])
+        values, bound = direct_evaluation(rho, grid.x_axis)
+        assert np.all(np.abs(grid.values - values) <= bound)
+
+    def test_complex_alpha_takes_the_general_path(self):
+        """W(x, -p) != W(x, p) once alpha has an imaginary part."""
+        rho = density(pacs_state(1.0 + 0.5j, 1, 24))
+        grid = wigner(rho, 6.0, 0.1)
+        assert not np.allclose(grid.values, grid.values[:, ::-1])
+        values, bound = direct_evaluation(rho, grid.x_axis)
+        assert np.all(np.abs(grid.values - values) <= bound)
+
+    @pytest.mark.parametrize("extent, step", [(5.0, 0.3), (4.0, 0.7)])
+    def test_non_spanning_grid_keeps_the_arange_axis(self, extent, step):
+        """An axis that stops short of +extent is np.arange's, byte for byte,
+        and its grid the direct evaluation's, bit for bit."""
+        rho = density(pacs_state(2.0, 1, default_signal_dim(2.0, 1)))
+        grid = wigner(rho, extent, step)
+        arange = np.arange(-extent, extent + step / 2, step)
+        assert grid.x_axis.tobytes() == grid.p_axis.tobytes() == arange.tobytes()
+        assert np.array_equal(grid.values, direct_evaluation(rho, arange)[0])
 
 
 class TestWignerClosedForms:

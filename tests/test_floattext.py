@@ -2,8 +2,10 @@
 
 import builtins
 import inspect
+import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -96,15 +98,17 @@ def test_row_layout():
 
 
 @pytest.mark.parametrize(
-    "alpha, m, extent, step, fallbacks", [(2.0, 1, 10.0, 0.05, 0), (1.0, 2, 8.0, 0.04, 4)]
+    "alpha, m, extent, step, fallbacks", [(2.0, 1, 10.0, 0.05, 26), (1.0, 2, 8.0, 0.04, 18)]
 )
 def test_phase_space_benchmark_grids(repr_calls, alpha, m, extent, step, fallbacks):
-    """Both benchmark grids' files, byte for byte; repr formats only the axis
-    values -8.0 and 2^-47 of pacs:1,2, powers of two, and no grid value."""
+    """Both benchmark grids' files, byte for byte; repr formats only the
+    centred axes' 0.0 and powers of two (13 and 9 an axis), and no grid value."""
     psi = pacs_state(alpha, m, default_signal_dim(alpha, m)).amplitudes
     grid = wigner(np.outer(psi, psi.conj()), extent, step)
     text = "".join(wigner_grid_lines(grid))
     assert len(repr_calls) == fallbacks
+    special = [v for v in grid.x_axis.tolist() if v == 0.0 or abs(math.frexp(v)[0]) == 0.5]
+    assert repr_calls == special * 2  # the x header's, then the p header's
     head = "# wigner grid\n# x: " + oracle(grid.x_axis[None, :]) + "# p: " + oracle(
         grid.p_axis[None, :]
     )
@@ -141,6 +145,67 @@ def test_chunking_never_changes_the_bytes(monkeypatch, block):
     assert "".join(wigner_grid_lines(grid)) == grid_oracle(grid)
 
 
+def palindromes(left: np.ndarray, width: int) -> np.ndarray:
+    """Rows of ``width`` values whose first ceil(width / 2) are ``left``'s
+    and whose rest mirror them, bit for bit."""
+    half = (width + 1) // 2
+    left = left.reshape(-1, half)
+    return np.concatenate([left, left[:, :width - half][:, ::-1]], axis=1)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 400, 401])
+def test_palindromic_rows(width):
+    """Blocks whose rows are bitwise palindromes, as a real state's grid is in
+    p, against the oracle: random bits of every exponent, NaNs and
+    subnormals, with repr's fallbacks (zeros, powers of two, inf, values
+    beyond the fast range) in the formatted half and on the centre column."""
+    half = (width + 1) // 2
+    bits = np.random.default_rng(width).integers(0, 2**64, size=8 * half, dtype=np.uint64)
+    left = bits.view(np.float64).copy()
+    left[::7] = np.resize([0.0, -0.0, 2.0**-47, np.inf, -1e300, 5e-324, np.nan], left[::7].size)
+    left[half - 1] = 0.0
+    block = palindromes(left, width)
+    assert np.array_equal(block.view(np.uint64), block.view(np.uint64)[:, ::-1])
+    assert rows_text(block) == oracle(block)
+
+
+@pytest.mark.parametrize(
+    "row, calls",
+    [
+        ([0.0, 1.5, 0.0], [0.0]),  # a palindrome: its mirrored half is copied
+        ([0.0, 1.5, -0.0], [0.0, -0.0]),  # equal values, different bits
+        ([-0.0, 2.0, 2.0, 0.0], [-0.0, 2.0, 2.0, 0.0]),
+    ],
+)
+def test_signed_zeros_break_a_palindrome(repr_calls, row, calls):
+    """A row is mirrored only when its bits are: -0.0 against 0.0 is
+    formatted on both sides."""
+    block = np.array([row])
+    assert rows_text(block) == oracle(block)
+    assert repr_calls == calls
+
+
+def test_nan_payloads_break_a_palindrome(repr_calls):
+    """Two NaNs with different payloads are not a mirror of each other."""
+    nans = np.array([0x7FF8000000000001, 0x7FF8000000000002], np.uint64).view(np.float64)
+    block = np.array([[nans[0], 1.5, nans[1]], [nans[0], 1.5, nans[0]]])
+    assert rows_text(block) == oracle(block) == "nan 1.5 nan\nnan 1.5 nan\n"
+    assert len(repr_calls) == 4  # both NaNs of each row: the block is not mirrored
+
+
+@pytest.mark.parametrize("block", [1, WIDTH - 1, WIDTH + 1, cli._BLOCK_VALUES])
+def test_chunks_of_partly_palindromic_grids(monkeypatch, block):
+    """A grid whose rows are palindromes except a few, cut into blocks that
+    hold none, some or all of the others, is the oracle's text."""
+    bits = np.random.default_rng(24).integers(0, 2**64, size=60 * 201, dtype=np.uint64)
+    values = palindromes(bits.view(np.float64), WIDTH)
+    values[[7, 41, 59], [0, 200, 400]] = [1.5, -0.0, 2.5]
+    axis = np.linspace(-1.0, 1.0, WIDTH)
+    grid = WignerGrid(x_axis=axis[:60], p_axis=axis, values=values)
+    monkeypatch.setattr(cli, "_BLOCK_VALUES", block)
+    assert "".join(wigner_grid_lines(grid)) == grid_oracle(grid)
+
+
 def test_block_temporaries_stay_within_the_stated_bytes():
     """rows_text on one default block of the pacs:2,1 benchmark grid traces
     no more bytes a value than the comment on cli._BLOCK_VALUES states."""
@@ -160,13 +225,29 @@ def test_block_temporaries_stay_within_the_stated_bytes():
 
 
 def test_no_table_at_import(run_python):
-    """Every table of floattext is built on the first call, not when pacsim
-    is imported."""
+    """No decade of 10^p and no table of 10^j is built when pacsim is
+    imported; a block fills the decades of its values and no others."""
     result = run_python(
         "-c",
-        "import pacsim.cli, pacsim.floattext as f\n"
-        "for name, value in sorted(vars(f).items()):\n"
-        "    if hasattr(value, 'cache_info'):\n"
-        "        print(name, value.cache_info().currsize)",
+        "import numpy as np, pacsim.cli, pacsim.floattext as f\n"
+        "print(f._FILLED.any(), f._int_pow10.cache_info().currsize)\n"
+        "f.rows_text(np.array([[1.5, -2.5e-5, 3e200], [0.0, 7.25, -1.5]]))\n"
+        "print(*sorted(i if i <= f._E10_MAX else i - f._FILLED.size\n"
+        "              for i in np.flatnonzero(f._FILLED).tolist()))",
     )
-    assert result.stdout.split() == ["_int_pow10", "0", "_pow10", "0"]
+    assert result.stdout.split() == ["False", "0", "-5", "0", "200"]
+
+
+def test_power_table_is_exact():
+    """Every decade's hi is 10^(16 - e10) correctly rounded and lo the
+    rounded rest, whichever blocks filled them and in whatever order."""
+    floattext._pow10(np.arange(floattext._E10_MAX, floattext._E10_MIN - 1, -1))
+    hi, hi_hi, hi_lo, lo = floattext._POW10
+    assert floattext._FILLED.all()
+    for e10 in range(floattext._E10_MIN, floattext._E10_MAX + 1):
+        exact = Fraction(10) ** (16 - e10)
+        assert hi[e10] == float(exact)
+        assert lo[e10] == float(exact - Fraction(hi[e10]))
+    assert np.array_equal(hi_hi + hi_lo, hi)
+    low_bits = np.uint64((1 << 26) - 1)  # hi_hi has at most 26 significant bits
+    assert not np.any(hi_hi.view(np.uint64) & low_bits)

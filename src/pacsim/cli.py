@@ -7,6 +7,10 @@ Subcommands:
   wigner   Wigner grid of a named state, written as a plain-text matrix
   sweep    pattern probability across parameter values, with power-law fit
 
+A scenario file is read by _read_yaml_subset where it keeps to the YAML
+subset that scenario files use, and otherwise by PyYAML, which only then is
+imported (_load_yaml).
+
 Each section of a scenario is checked against one table of its fields and
 their defaults (_SCENARIO, _UNIFORM_CHAIN or _STAGED_CHAIN, _STAGE,
 _DETECTOR, _TASK and _TASK_TYPES), and a validated task holds every field
@@ -62,7 +66,6 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 import numpy as np
-import yaml
 
 from .analysis import (WignerGrid, axis_points, coefficient_count, extract_w_state,
                        fit_power_law, truncation_bound, wigner)
@@ -650,20 +653,180 @@ _TASK_RUNNERS = {
 }
 
 
-def _load_yaml(text: str) -> Any:
-    """``yaml.safe_load(text)``, parsed by libyaml where PyYAML has it.
+#: PyYAML's plain words that read as no string: YAML 1.1's bool and null
+#: words (``y`` and ``n`` are strings to PyYAML)
+_YAML_WORDS = {
+    **dict.fromkeys("yes Yes YES true True TRUE on On ON".split(), True),
+    **dict.fromkeys("no No NO false False FALSE off Off OFF".split(), False),
+    **dict.fromkeys("~ null Null NULL".split(), None),
+}
 
-    CSafeLoader shares SafeLoader's constructor and resolver, so both give
-    the same mapping for a well-formed file. Text that libyaml refuses is
-    parsed again by SafeLoader, so its error keeps SafeLoader's message,
-    line and column. libyaml accepts a few forms that SafeLoader refuses,
-    such as a tab after ``key:``; those files take libyaml's reading (the
-    README lists the forms).
+
+def _scalar_pattern(word: str, end: str) -> re.Pattern:
+    """A scalar whose reading PyYAML's resolver leaves in no doubt, then ``end``:
+    an int with no leading zero, base prefix or ``_``, a float with a dot and
+    an optional signed exponent, a quoted string without escapes, or a word
+    (``~`` or a letter, then ``word``) that is a string unless _YAML_WORDS
+    holds it."""
+    number = r"[-+]?(?:0|[1-9][0-9]*)"
+    return re.compile(
+        rf"(?:(?P<float>{number}\.[0-9]*(?:[eE][-+][0-9]+)?)|(?P<int>{number})"
+        rf"|\"(?P<dq>[^\"\\]*)\"|'(?P<sq>[^']*)'|(?P<word>~|[A-Za-z]{word})){end}", re.ASCII)
+
+
+#: in block context a word may hold ":" (not last) and ","; the scalar runs to
+#: the end of its line or to a comment
+_BLOCK_SCALAR = _scalar_pattern(r"[\w.+/:,-]*(?<!:)", r"(?: +#.*| *)$")
+#: in flow context a word holds neither, and a "," or closing bracket follows
+_FLOW_SCALAR = _scalar_pattern(r"[\w.+/-]*", r" *(?=[],}])")
+_KEY = re.compile(r"([A-Za-z]\w*):(?: +|$)", re.ASCII)
+_SPACES = re.compile(r" *")
+_LINE_END = re.compile(r"(?: +#.*| *)$")
+#: a tab, a CR, a control character or any text beyond ASCII
+_OUTSIDE_SUBSET = re.compile(r"[^\n -~]")
+
+
+def _scalar(match: re.Match) -> Any:
+    kind, text = match.lastgroup, match[match.lastgroup]
+    if kind == "float":
+        return float(text)
+    if kind == "int":
+        return int(text)
+    return _YAML_WORDS.get(text, text) if kind == "word" else text
+
+
+def _read_flow(text: str, pos: int) -> tuple[list | dict, int]:
+    """The flow list or mapping that opens at ``text[pos]`` and closes on the
+    same line, and the index after it. Mapping keys are words, not repeated."""
+    close = "]" if text[pos] == "[" else "}"
+    items: list | dict = [] if close == "]" else {}
+    pos = _SPACES.match(text, pos + 1).end()
+    if text.startswith(close, pos):
+        return items, pos + 1
+    while True:
+        if close == "}":
+            key = _KEY.match(text, pos)
+            if not key or key[1] in items or key[1] in _YAML_WORDS:
+                raise ValueError(text)
+            pos = key.end()
+        if text.startswith(("[", "{"), pos):
+            value, pos = _read_flow(text, pos)
+            pos = _SPACES.match(text, pos).end()
+        else:
+            scalar = _FLOW_SCALAR.match(text, pos)
+            if not scalar:
+                raise ValueError(text)
+            value, pos = _scalar(scalar), scalar.end()
+        if close == "]":
+            items.append(value)
+        else:
+            items[key[1]] = value
+        if not text.startswith(",", pos):
+            break
+        pos = _SPACES.match(text, pos + 1).end()
+    if not text.startswith(close, pos):
+        raise ValueError(text)
+    return items, pos + 1
+
+
+def _read_value(text: str) -> Any:
+    """The value that fills the rest of a line: a scalar or a flow collection."""
+    if text.startswith(("[", "{")):
+        value, end = _read_flow(text, 0)
+        if not _LINE_END.match(text, end):
+            raise ValueError(text)
+        return value
+    scalar = _BLOCK_SCALAR.match(text)
+    if not scalar:
+        raise ValueError(text)
+    return _scalar(scalar)
+
+
+def _read_block(lines: list[tuple[int, str]], i: int) -> tuple[list | dict, int]:
+    """The block sequence or mapping whose first line is ``lines[i]`` (its
+    indent and its text), and the index of the line after it. Each entry
+    takes one line, or a key alone and the more indented block below it."""
+    indent = lines[i][0]
+    sequence = lines[i][1].startswith("- ")
+    block: list | dict = [] if sequence else {}
+    while i < len(lines) and lines[i][0] >= indent:
+        line_indent, text = lines[i]
+        if line_indent > indent or text.startswith("- ") != sequence:
+            raise ValueError(text)
+        if sequence:
+            rest = text[2:].lstrip(" ")
+            if _KEY.match(rest):  # "- key: ...": a mapping at the key's column
+                lines[i] = (indent + len(text) - len(rest), rest)
+                value, i = _read_block(lines, i)
+            else:
+                value, i = _read_value(rest), i + 1
+            block.append(value)
+            continue
+        key = _KEY.match(text)
+        if not key or key[1] in block or key[1] in _YAML_WORDS:
+            raise ValueError(text)
+        rest, i = text[key.end():], i + 1
+        if rest and rest[0] != "#":
+            block[key[1]] = _read_value(rest)
+        elif i < len(lines) and lines[i][0] > indent:
+            block[key[1]], i = _read_block(lines, i)
+        else:
+            block[key[1]] = None
+    return block, i
+
+
+def _read_yaml_subset(text: str) -> list | dict:
+    """What PyYAML reads from ``text``, if ``text`` keeps to the YAML that
+    scenario files use; a ValueError otherwise.
+
+    The subset: block mappings and sequences (``- key: value`` entries
+    included) with ``#`` comments, one-line flow lists and mappings, and the
+    scalars of _scalar_pattern. Keys are words that read as strings and none
+    repeats. Anything else (anchors, tags, block or multi-line scalars,
+    escapes, tabs, CR, non-ASCII text, document markers, an empty file and
+    every malformed file) is a ValueError: _load_yaml leaves it to PyYAML,
+    which is only imported then.
     """
+    if _OUTSIDE_SUBSET.search(text):
+        raise ValueError("outside the subset")
+    lines = [(len(line) - len(content), content) for line in text.split("\n")
+             if (content := line.lstrip(" ")) and content[0] != "#"]
+    if not lines:
+        raise ValueError("no content")
+    value, end = _read_block(lines, 0)
+    if end < len(lines):
+        raise ValueError(lines[end][1])
+    return value
+
+
+def _load_yaml(text: str, source: str | Path) -> Any:
+    """``yaml.safe_load(text)``; a YAML error is a ScenarioError naming ``source``.
+
+    _read_yaml_subset reads a text that keeps to the subset scenario files
+    use, and PyYAML, imported only then, reads every other text: by libyaml
+    where PyYAML has it, and CSafeLoader shares SafeLoader's constructor and
+    resolver, so both give the same mapping for a well-formed file. Text that
+    libyaml refuses is parsed again by SafeLoader, so its error keeps
+    SafeLoader's message, line and column. libyaml accepts a few forms that
+    SafeLoader refuses, such as a tab after ``key:``; those files take
+    libyaml's reading (the README lists the forms).
+    """
+    try:
+        return _read_yaml_subset(text)
+    except (ValueError, RecursionError):
+        pass
+    import yaml
+
     try:
         return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError:
+        pass
+    try:
         return yaml.load(text, Loader=yaml.SafeLoader)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        raise ScenarioError(f"{source}: YAML parse error{loc}: {exc}")
 
 
 def run_scenario(config_path: str | Path, outdir: str | Path | None = None) -> int:
@@ -671,16 +834,12 @@ def run_scenario(config_path: str | Path, outdir: str | Path | None = None) -> i
     config_path = Path(config_path)
     outdir = Path.cwd() if outdir is None else Path(outdir)
     try:
-        raw = _load_yaml(config_path.read_text(encoding="utf-8"))
+        text = config_path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ScenarioError(f"{config_path}: no such file")
     except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not UTF-8
         raise ScenarioError(f"{config_path}: {getattr(exc, 'strerror', None) or exc}") from None
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        raise ScenarioError(f"{config_path}: YAML parse error{loc}: {exc}")
-    scenario = parse_scenario(raw)
+    scenario = parse_scenario(_load_yaml(text, config_path))
     # in file order; the first task that fails raises, and the rest never run
     results = [
         _TASK_RUNNERS[task["type"]](task, scenario, f"tasks[{i}]")

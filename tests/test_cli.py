@@ -1548,9 +1548,8 @@ def test_default_cutoff_is_searched_once_per_chain(monkeypatch):
     calls = []
     search = fock._smallest_window
     monkeypatch.setattr(fock, "_smallest_window", lambda *a: calls.append(a) or search(*a))
-    scenario = cli.parse_scenario(cli._load_yaml(
-        (ROOT / "bench" / "scenarios" / "patterns_full.yaml").read_text(encoding="utf-8")
-    ))
+    path = ROOT / "bench" / "scenarios" / "patterns_full.yaml"
+    scenario = cli.parse_scenario(cli._load_yaml(path.read_text(encoding="utf-8"), path))
     assert calls == [(1 + 0j, 5, 22)]
     assert scenario.chain.signal_dim == default_signal_dim(1.0, 5)
 

@@ -1,6 +1,7 @@
-"""What starting the CLI costs: the modules it loads, its records and its YAML parser."""
+"""What starting the CLI costs: the modules it loads, its records and its YAML reader."""
 
 import copy
+import datetime
 import pickle
 import re
 from pathlib import Path
@@ -8,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pacsim
 from pacsim import cli
@@ -25,10 +28,11 @@ SCENARIOS = {
 
 def test_import_loads_no_pool_or_dataclass_machinery(run_python):
     """concurrent.futures (with the logging and queue it pulls in),
-    dataclasses and csv cost milliseconds on every start; the CLI needs none."""
+    dataclasses, csv and PyYAML cost milliseconds on every start; the CLI
+    needs none of them to start."""
     code = (
         "import sys, pacsim.cli; print(sorted(m for m in sys.modules if m in "
-        "('concurrent.futures', 'dataclasses', 'logging', 'queue', 'csv')))"
+        "('concurrent.futures', 'dataclasses', 'logging', 'queue', 'csv', 'yaml')))"
     )
     out = run_python("-c", code)
     assert out.returncode == 0, out.stderr
@@ -110,6 +114,10 @@ def test_records_differ_by_field_and_class():
     assert pacsim.DetectorModel(0.25) != pacsim.StageParams(0.25)
 
 
+#: PyYAML's libyaml loader, which reads every text the strict reader leaves
+FAST_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _parse_both_ways(monkeypatch, parse):
     """``parse()`` with PyYAML's libyaml loader, then with it absent."""
     fast = parse()
@@ -117,11 +125,99 @@ def _parse_both_ways(monkeypatch, parse):
     return fast, parse()
 
 
+def _read_or_none(text: str):
+    """What the strict reader reads from ``text``, or None where it leaves
+    ``text`` to PyYAML (it reads no text whose value is None)."""
+    try:
+        return cli._read_yaml_subset(text)
+    except ValueError:
+        return None
+
+
 @pytest.mark.parametrize("text", SCENARIOS.values(), ids=SCENARIOS.keys())
-def test_yaml_parsers_give_the_same_mapping(monkeypatch, text):
-    fast, pure = _parse_both_ways(monkeypatch, lambda: cli._load_yaml(text))
-    assert fast == pure == yaml.safe_load(text)
+def test_yaml_parsers_give_the_same_mapping(text):
+    read = cli._read_yaml_subset(text)
+    fast = yaml.load(text, Loader=FAST_LOADER)
+    pure = yaml.load(text, Loader=yaml.SafeLoader)
+    assert read == fast == pure == yaml.safe_load(text)
+    assert repr(read) == repr(fast) == repr(pure)
     assert isinstance(fast, dict)
+
+
+#: what the random edits put in: YAML's indicators, quotes, digits, the
+#: letters of its bool and null words, a tab, and the line breaks, indents
+#: and dashes of block structure; "" deletes
+EDITS = [*" :-#[]{},'\".0123456789eE+_~!&*|>?%@yYnNoOtTxab\t/", "", "  ", "- ", ": ",
+         "\n", "\n  ", "\n- "]
+
+
+@st.composite
+def edited(draw, text: str) -> str:
+    """``text`` after one to four random insertions, replacements or deletions."""
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(EDITS)) + text[at + draw(st.integers(0, 1)):]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_reader_reads_edited_scenarios_as_pyyaml_does(name, data):
+    """Every edit of a scenario either goes to PyYAML or is read exactly as
+    libyaml and SafeLoader read it, so True, 1 and 1.0 cannot stand in for
+    one another."""
+    text = data.draw(edited(SCENARIOS[name]))
+    read = _read_or_none(text)
+    if read is not None:
+        fast = yaml.load(text, Loader=FAST_LOADER)
+        pure = yaml.load(text, Loader=yaml.SafeLoader)
+        assert read == fast == pure
+        assert repr(read) == repr(fast) == repr(pure)
+
+
+@pytest.mark.parametrize("text, value, read", [
+    ("a: 1.\n", {"a": 1.0}, True),
+    ("a: 1.0e-4\n", {"a": 1.0e-4}, True),
+    ("a: -0.0\n", {"a": -0.0}, True),
+    ("a: 1.0e4\n", {"a": "1.0e4"}, False),
+    ("a: 1e-4\n", {"a": "1e-4"}, False),
+    ("a: -.5\n", {"a": "-.5"}, False),
+    ("a: 0o7\n", {"a": "0o7"}, False),
+    ("a: 010\n", {"a": 8}, False),
+    ("a: 1_000\n", {"a": 1000}, False),
+    ("a: 1:20\n", {"a": 80}, False),
+    ("a: 2001-01-01\n", {"a": datetime.date(2001, 1, 1)}, False),
+    ("a: Yes\n", {"a": True}, True),
+    ("a: ON\n", {"a": True}, True),
+    ("a: y\n", {"a": "y"}, True),
+    ("a: n\n", {"a": "n"}, True),
+    ("a: ~\n", {"a": None}, True),
+    ("a:\n", {"a": None}, True),
+    ("a: '1'\n", {"a": "1"}, True),
+    ("on: 1\n", {True: 1}, False),
+    ("1: 2\n", {1: 2}, False),
+])
+def test_yaml_1_1_scalars_read_as_pyyaml_reads_them(text, value, read):
+    """Where YAML 1.1's resolver reads a scalar or key as few would guess,
+    the strict reader reads it as PyYAML 6 does or leaves it to PyYAML."""
+    assert repr(yaml.load(text, Loader=yaml.SafeLoader)) == repr(value)
+    assert repr(cli._load_yaml(text, "s.yaml")) == repr(value)
+    assert repr(_read_or_none(text)) == repr(value if read else None)
+
+
+@pytest.mark.parametrize("text", [
+    "a: &x 1\nb: *x\n", "a: !!str 1\n", "a: |\n  x\n", "a: x\n  y\n", "a: 'x\n  y'\n",
+    "a:\t1\n", "a: 1\r\n", "a: \u00e9\n", "\ufeffa: 1\n", "---\na: 1\n", "a: 1\n...\n",
+    "a: 1\na: 2\n", '"a": 1\n', "a: 'x''y'\n", 'a: "x\\ty"\n', "", "# a comment\n",
+    "a: b:\n", "a: x#y\n", "a: b c\n", "a: [1, ]\n", "a: [1,\n  2]\n", "a:\n- 1\n",
+    "a: 1\n b: 2\n", "- - 1\n",
+])
+def test_text_outside_the_subset_is_left_to_pyyaml(text):
+    """Anchors, tags, block and multi-line scalars, escapes, tabs, CR,
+    non-ASCII text, document markers, repeated keys, empty and malformed
+    texts: the strict reader reads none of them."""
+    assert _read_or_none(text) is None
 
 
 @pytest.mark.parametrize("text", [
@@ -163,3 +259,52 @@ def test_plain_run_loads_no_argparse_or_locale(run_python, tmp_path):
     assert out.stderr.startswith("usage: pacsim [-h] {run,pacs,wstate,wigner,sweep} ...\n")
     assert out.stderr.endswith("error: unrecognized arguments: --bogus\n")
     assert (tmp_path / "patterns.csv").is_file()
+
+
+def test_runs_and_quick_looks_load_no_yaml(run_python, tmp_path):
+    """A plain ``run`` of each benchmark scenario and each quick-look reads
+    no YAML through PyYAML, so none imports it."""
+    commands = [
+        *(["run", str(path), "--outdir", str(tmp_path / path.stem)]
+          for path in sorted((ROOT / "bench" / "scenarios").glob("*.yaml"))),
+        ["pacs", "--alpha", "1", "--lam", "0.05", "--pattern", "10"],
+        ["wstate", "--alpha", "1", "--lam", "0.05", "--n", "3"],
+        ["wigner", "--state", "pacs:1,1", "--range", "2", "--step", "0.5",
+         "--out", str(tmp_path / "w.txt")],
+        ["sweep", "--alpha", "1", "--lam", "0.05", "--pattern", "1", "--values", "0.01,0.02",
+         "--out", str(tmp_path / "s.csv")],
+    ]
+    code = (
+        "import sys; from pacsim import cli\n"
+        f"for argv in {commands!r}:\n    assert cli.main(argv) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('yaml', '_yaml')))"
+    )
+    out = run_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "phase_space" / "fit.json").is_file() and (tmp_path / "w.txt").is_file()
+
+
+def test_flow_scenario_with_an_anchor_loads_yaml_and_writes_the_same_bytes(run_python, tmp_path):
+    """A flow-style scenario with an anchor is PyYAML's to read: it loads
+    yaml and writes the bytes that its block-style twin writes."""
+    block = ROOT / "bench" / "scenarios" / "patterns_full.yaml"
+    flow = tmp_path / "flow.yaml"
+    flow.write_text(
+        "version: 1\n"
+        "chain: &chain {alpha: 1.0, lam: 0.05, n_stages: 5}\n"
+        "detector: {eta: 0.6, dark_prob: 1.0e-4}\n"
+        "mode: full\n"
+        "tasks: [{type: patterns, output: patterns.csv}]\n",
+        encoding="utf-8",
+    )
+    code = (
+        "import sys; from pacsim import cli\n"
+        f"for config, outdir in [({str(block)!r}, 'block'), ({str(flow)!r}, 'flow')]:\n"
+        f"    assert cli.main(['run', config, '--outdir', {str(tmp_path)!r} + '/' + outdir]) == 0\n"
+        "    print('yaml' in sys.modules)\n"
+    )
+    out = run_python("-c", code)
+    assert out.stdout.splitlines() == ["False", "True"], out.stderr
+    assert (tmp_path / "flow" / "patterns.csv").read_bytes() == (
+        tmp_path / "block" / "patterns.csv").read_bytes()

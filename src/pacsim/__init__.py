@@ -7,14 +7,6 @@ one-photon-added signal. Every answer is a probability and a conditional
 signal state, reached through per-stage Kraus operators on the signal.
 """
 
-from .analysis import (
-    ScalingFit,
-    WignerGrid,
-    WStateResult,
-    extract_w_state,
-    fit_power_law,
-    wigner,
-)
 from .detection import (
     ClickPattern,
     DetectorModel,
@@ -25,6 +17,8 @@ from .dynamics import (
     IMPOSSIBLE_PROBABILITY,
     ChainConfig,
     StageParams,
+    WStateResult,
+    extract_w_state,
     herald_summary,
     stage_kraus,
     walk_patterns,
@@ -45,3 +39,19 @@ from .fock import (
 )
 
 __version__ = "0.1.0"
+
+#: names of pacsim.analysis that ``pacsim`` exports; the module is imported
+#: on first use (PEP 562), so that starting the CLI does not compile it
+_ANALYSIS_NAMES = ("ScalingFit", "WignerGrid", "fit_power_law", "wigner")
+
+
+def __getattr__(name: str):
+    if name in _ANALYSIS_NAMES:
+        from . import analysis
+
+        return getattr(analysis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_ANALYSIS_NAMES})

@@ -1,4 +1,4 @@
-"""Derived quantities: scaling fits, Wigner grids, W states.
+"""Derived quantities: scaling fits and Wigner grids.
 
 Wigner grids come straight from the density matrix: each two-mode photon
 sector of rho is turned by a 50:50 beam splitter into the coefficients of W
@@ -8,10 +8,8 @@ and truncation_bound the error a Fock cutoff puts into a pure state's grid.
 
 Every input is a single-mode state or density matrix: a photon-added
 reference, or a click pattern's conditional signal rho / P from
-dynamics.walk_patterns. W-state extraction reports the heralding
-probability and the idlers' W fidelity from dynamics.herald_summary, a
-contraction over the per-stage Kraus operators that never forms the idler
-state.
+dynamics.walk_patterns. Heralding the W state is the chain's own answer
+(dynamics.extract_w_state).
 """
 
 from __future__ import annotations
@@ -22,9 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import ChainConfig, herald_summary
 from .errors import TruncationWarning
-from .fock import PureState, pacs_ladder
 from .records import Record
 
 
@@ -185,14 +181,16 @@ def _sector_coefficients(rho: np.ndarray) -> np.ndarray:
 
     G[a, s-a] = pi^{-1/2} Re[(-i)^{s-a} sum_k R_s[a, k] rho[k, s-k]] with
     R_s the beam splitter on the s-photon sector (_beam_splitter_sectors).
+    Sector s fills G's antidiagonal a + b = s, a strided view of its flat
+    array, and (-i)^{s-a} for a = 0..s is the cycle (-i)^j read backwards.
     """
     m_dim = rho.shape[0]
     n_basis = 2 * m_dim - 1
-    phase = np.array([1.0, -1j, -1.0, 1j])
+    cycle = np.array([1.0, -1j, -1.0, 1j])[np.arange(n_basis) % 4]
     coeffs = np.zeros((n_basis, n_basis))
+    flat, stride = coeffs.reshape(-1), max(1, n_basis - 1)
     for s, ks, rot in _beam_splitter_sectors(m_dim):
-        a = np.arange(s + 1)
-        coeffs[a, s - a] = (phase[(s - a) % 4] * (rot @ rho[ks, s - ks])).real
+        flat[s:s * stride + s + 1:stride] = (cycle[s::-1] * (rot @ rho[ks, s - ks])).real
     return coeffs / math.sqrt(math.pi)
 
 
@@ -208,26 +206,36 @@ def _beam_splitter_sectors(m_dim: int):
     amplifies rounding. Only the columns ks that meet an m_dim x m_dim
     density matrix (k < m_dim and s - k < m_dim) are kept; they need no
     others from sector s - 1, so a sector holds at most m_dim columns.
+
+    The sectors are built in three buffers that every sector reuses, indexed
+    by k + 1: ``frame`` holds R_{s-1} with zeros beside its kept columns
+    (column 0 stands for k = -1), which is all that sector s reads, and then
+    R_s. Each R_s yielded is a fresh array in Fortran order, the order that
+    picking columns by index gave it before, so that R_s @ v sums in the
+    same order and the grids keep their bits.
     """
     root = np.sqrt(np.arange(2 * m_dim))
+    # rows s of raise_y and 0 of raise_x are 0 when sector s reads them
+    frame, raise_x, raise_y = np.zeros((3, 2 * m_dim - 1, m_dim + 1))
     ks, rot = np.zeros(1, dtype=int), np.ones((1, 1))
+    frame[0, 1] = 1.0
     yield 0, ks, rot
     for s in range(1, 2 * m_dim - 1):
-        # a zero column either side stands for k outside the kept window
-        padded = np.zeros((s, ks.size + 2))
-        padded[:, 1:-1] = rot
-        # row a of <a, s-a| a_x^+ and of <a, s-a| a_y^+ on sector s - 1
-        raise_x = np.zeros((s + 1, ks.size + 2))
-        raise_y = np.zeros_like(raise_x)
-        raise_x[1:] = root[1 : s + 1, None] * padded
-        raise_y[:-1] = root[s:0:-1, None] * padded
-        new_ks = np.arange(max(0, s - m_dim + 1), min(s, m_dim - 1) + 1)
-        at = new_ks - ks[0]
-        rot = (
-            root[new_ks] * (raise_x + raise_y)[:, at]
-            + root[s - new_ks] * (raise_x - raise_y)[:, at + 1]
-        ) / (s * math.sqrt(2.0))
-        ks = new_ks
+        lo, hi = max(0, s - m_dim + 1), min(s, m_dim - 1)
+        # row a of <a, s-a| a_x^+ and of <a, s-a| a_y^+ on sector s - 1, at
+        # k = lo - 1..hi
+        before = frame[:s, lo:hi + 2]
+        np.multiply(root[1:s + 1, None], before, out=raise_x[1:s + 1, lo:hi + 2])
+        np.multiply(root[s:0:-1, None], before, out=raise_y[:s, lo:hi + 2])
+        # the a_u^+ term reads k - 1 and the a_v^+ term k, for each kept k
+        up = np.add(raise_x[:s + 1, lo:hi + 1], raise_y[:s + 1, lo:hi + 1],
+                    out=frame[:s + 1, lo + 1:hi + 2])
+        down = np.subtract(raise_x[:s + 1, lo + 1:hi + 2], raise_y[:s + 1, lo + 1:hi + 2],
+                           out=raise_y[:s + 1, lo + 1:hi + 2])
+        np.multiply(root[lo:hi + 1], up, out=up)
+        np.multiply(root[s - hi:s - lo + 1][::-1], down, out=down)
+        np.divide(np.add(up, down, out=up), s * math.sqrt(2.0), out=up)
+        ks, rot = np.arange(lo, hi + 1), up.copy(order="F")
         yield s, ks, rot
 
 
@@ -245,41 +253,3 @@ def _hermite_functions(u: np.ndarray, n_basis: int) -> np.ndarray:
     for a in range(1, n_basis - 1):
         phi[a + 1] = math.sqrt(2.0 / (a + 1)) * u * phi[a] - math.sqrt(a / (a + 1)) * phi[a - 1]
     return phi
-
-
-class WStateResult(Record):
-    """Heralding on m added photons: probability and, at m = 1, the W fidelity."""
-
-    __slots__ = ("probability", "w_fidelity")
-
-    def __init__(self, probability: float, w_fidelity: float | None):
-        super().__init__(probability, w_fidelity)
-
-    @property
-    def impossible(self) -> bool:
-        return self.probability == 0.0
-
-
-def extract_w_state(
-    config: ChainConfig, ladder_max: int | None = None, reference_m: int = 1, plain: bool = False
-) -> WStateResult:
-    """Run the chain and herald on the ``reference_m``-photon-added signal state.
-
-    The signal is projected onto the component of |alpha, m> (m =
-    ``reference_m``) orthogonal to the other photon-added states |alpha, k>
-    (k = 0..ladder_max, ladder_max defaulting to the stage count), modeling
-    an ideal identification of the m-photon-added state among the
-    non-orthogonal ladder of possible signal outputs; ``plain`` projects
-    onto |alpha, m> itself. At m = 1 the conditional idler state carries one
-    excitation spread over all stages: the N-mode W state, up to
-    weak-coupling corrections, and its fidelity is reported; at any other m
-    ``w_fidelity`` is None. Runs on herald_summary, which contracts the
-    chain's Kraus operators without forming the idler state.
-    """
-    if ladder_max is None:
-        ladder_max = config.n_stages
-    m = reference_m
-    ladder = pacs_ladder(config.alpha, m if plain else max(m, ladder_max), config.signal_dim)
-    others = () if plain else tuple(s for k, s in enumerate(ladder[:ladder_max + 1]) if k != m)
-    probability, w_fidelity = herald_summary(config, ladder[m], orthogonal_to=others)
-    return WStateResult(probability=probability, w_fidelity=w_fidelity if m == 1 else None)

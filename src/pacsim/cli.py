@@ -1,4 +1,4 @@
-"""Scenario runner and quick-look commands.
+"""Scenario runner: ``pacsim run`` and the command line's entry point.
 
 Subcommands:
   run      execute a YAML scenario file (tables, fit summaries, Wigner grids)
@@ -19,22 +19,21 @@ nothing again. The CLI checks types, names fields, runs tasks and writes
 results; the rules on values are the library's (a record names the field it
 refuses, ChainConfig searches a default cutoff, dynamics.pattern_table
 reads a table's rows, analysis sizes a Wigner grid and bounds its
-truncation error, extract_w_state heralds a project task). _build_chain
-builds and budgets every chain. Each quick-look command (pacs, wstate,
-wigner, sweep) is a one-task scenario: it builds the mapping a scenario
-file would hold from the flags it was given, checks it with the scenario
-validators and runs the same task code as ``run``. Each flag is declared
-once, in _FLAGS (the field it sets and its argparse options), and each
-command once, in _COMMANDS (its task, flags and handler); the subparsers, a
-command's one-task scenario and the flag that an error names for a field
-are all built from these two tables. ``main`` runs
+truncation error, dynamics.extract_w_state heralds a project task).
+_build_chain builds and budgets every chain. Each quick-look command (pacs,
+wstate, wigner, sweep) is a one-task scenario that pacsim.quicklook builds
+from its flags and runs through the task code of ``run``. ``main`` runs
 ``run FILE [--outdir DIR]`` (neither led by "-") without a parser, so that
-plain form loads no argparse; any other argv goes to argparse, in a parser
-that holds the invoked command's subparser alone.
+plain form loads neither argparse nor pacsim.quicklook; any other argv goes
+to argparse, in a parser (quicklook.build_parser) that holds the invoked
+command's subparser alone. pacsim.analysis, like the grid formatter
+floattext, is imported where a Wigner grid or a fit first needs it, so a
+table or a W-state summary never compiles it.
 
 All outputs are deterministic: identical configs produce byte-identical
-files. Every click probability and conditional signal comes from one
-walk over the click prefixes (dynamics.walk_patterns). ``run`` runs its
+files at a fixed BLAS thread count (a Wigner grid's last digits may follow
+the thread count). Every click probability and conditional signal comes
+from one walk over the click prefixes (dynamics.walk_patterns). ``run`` runs its
 tasks in file order on the calling thread and stops at the first that
 fails. Task runners return values, output path -> a Table, a JSON payload
 or a WignerGrid; one writer (_write_outputs) writes them for ``run``, only
@@ -55,7 +54,6 @@ amplitude or grid is formed.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -67,11 +65,9 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .analysis import (WignerGrid, axis_points, coefficient_count, extract_w_state,
-                       fit_power_law, truncation_bound, wigner)
 from .detection import ClickPattern, DetectorModel, outcome_probability
-from .dynamics import (DEFAULT_IDLER_DIM, MAX_LAM, ChainConfig, StageParams, pattern_table,
-                       walk_patterns)
+from .dynamics import (DEFAULT_IDLER_DIM, MAX_LAM, ChainConfig, StageParams, extract_w_state,
+                       pattern_table, walk_patterns)
 from .errors import DimensionBudgetError, FieldError, ScenarioError, TruncationError
 from .fock import (
     PureState,
@@ -82,9 +78,6 @@ from .fock import (
     tail_mass,
 )
 from .records import Record
-
-if TYPE_CHECKING:
-    import argparse
 
 SCHEMA_VERSION = 1
 #: Largest size a command may reach, in elements: a chain's
@@ -408,6 +401,8 @@ def _check_grid(extent: float, step: float, extent_field: str, step_field: str) 
     DEFAULT_AMPLITUDE_BUDGET points over x and p (analysis.axis_points
     each), whose values alone would take 8 bytes each.
     """
+    from .analysis import axis_points
+
     n = axis_points(extent, step)
     if n <= 1:
         raise ScenarioError(
@@ -436,6 +431,8 @@ def _parse_state_spec(spec: str, where: str = "state") -> tuple[PureState, float
     the cutoff's floor, before any amplitude is formed or searched, then on
     the cutoff the state was built with.
     """
+    from .analysis import coefficient_count
+
     kind, _, arg = spec.partition(":")
 
     def check_size(dim: int) -> None:
@@ -485,8 +482,11 @@ class Table(Record):
         super().__init__(header, rows)
 
 
-#: what a task writes to one path: a CSV table, a JSON payload or a Wigner grid
-Result = Table | dict | WignerGrid
+if TYPE_CHECKING:
+    from .analysis import WignerGrid
+
+    #: what a task writes to one path: a CSV table, a JSON payload or a Wigner grid
+    Result = Table | dict | WignerGrid
 
 
 def _field_text(value: str | int | float | None) -> str:
@@ -499,14 +499,14 @@ def _result_text(result: Result) -> Iterable[str]:
     """The text of ``result``'s file, in chunks: a table's CSV with each
     float by repr and None as an empty field, a payload's sorted JSON, or a
     grid's lines (wigner_grid_lines)."""
-    if isinstance(result, WignerGrid):
-        return wigner_grid_lines(result)
     if isinstance(result, Table):
         # no field needs quoting: 0/1 patterns, integers, float reprs, "" and
         # header names, two or more to a row
         return ["".join(",".join(map(_field_text, row)) + "\n"
                         for row in [result.header, *result.rows])]
-    return [json.dumps(result, indent=2, sort_keys=True) + "\n"]
+    if isinstance(result, dict):
+        return [json.dumps(result, indent=2, sort_keys=True) + "\n"]
+    return wigner_grid_lines(result)
 
 
 def wigner_grid_lines(grid: WignerGrid) -> Iterator[str]:
@@ -527,10 +527,6 @@ def wigner_grid_lines(grid: WignerGrid) -> Iterator[str]:
     rows = max(1, _BLOCK_VALUES // max(1, values.shape[1]))
     for start in range(0, values.shape[0], rows):
         yield rows_text(values[start:start + rows])
-
-
-def emit_wigner(grid: WignerGrid, path: str | Path) -> None:
-    _write_outputs({path: grid}, {path: "path"})
 
 
 def _output_fields(task: dict, where: str) -> dict[str, str]:
@@ -561,31 +557,6 @@ def _write_outputs(results: dict[str, Result], fields: dict[str, str],
             ) from None
 
 
-def load_wigner(path: str | Path) -> WignerGrid:
-    """Inverse of emit_wigner: every value read back exactly, -0.0 included."""
-    x_axis = p_axis = None
-    rows = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.startswith("# x:"):
-            x_axis = np.array(line[4:].split(), dtype=float)
-        elif line.startswith("# p:"):
-            p_axis = np.array(line[4:].split(), dtype=float)
-        elif line.startswith("#") or not line.strip():
-            continue
-        else:
-            rows.append(np.array(line.split(), dtype=float))
-    if x_axis is None or p_axis is None:
-        raise ValueError(f"{path}: missing axis headers")
-    widths = {row.size for row in rows}
-    if len(rows) != x_axis.size or widths - {p_axis.size}:
-        raise ValueError(
-            f"{path}: {len(rows)} rows of {sorted(widths)} values do not match axes "
-            f"({x_axis.size}, {p_axis.size})"
-        )
-    values = np.array(rows).reshape(x_axis.size, p_axis.size)
-    return WignerGrid(x_axis=x_axis, p_axis=p_axis, values=values)
-
-
 # ---------------------------------------------------------------------------
 # task execution
 # ---------------------------------------------------------------------------
@@ -600,7 +571,8 @@ def _run_patterns_task(task: dict, scenario: Scenario, where: str) -> dict[str, 
 
 
 def _run_project_task(task: dict, scenario: Scenario, where: str) -> dict[str, dict]:
-    """Signal-side heralding by extract_w_state: no joint or idler state, no budget."""
+    """Signal-side heralding by dynamics.extract_w_state: no joint or idler
+    state, no budget."""
     chain, m, plain = scenario.chain, task["reference_m"], task["plain"]
     result = extract_w_state(chain, task["ladder_max"], m, plain)
     return {task["output"]: {
@@ -628,6 +600,8 @@ def _run_sweep_task(task: dict, scenario: Scenario, where: str) -> dict[str, Res
                     f"{where}.fit_output: a power-law fit needs every probability > 0, "
                     f"got {p!r} at lam {value!r}"
                 )
+        from .analysis import fit_power_law
+
         fit = fit_power_law(samples)
         results[task["fit_output"]] = {
             "exponent": fit.exponent,
@@ -639,6 +613,8 @@ def _run_sweep_task(task: dict, scenario: Scenario, where: str) -> dict[str, Res
 
 
 def _run_wigner_task(task: dict, scenario: Scenario | None, where: str) -> dict[str, WignerGrid]:
+    from .analysis import wigner
+
     psi = task["state"][0].amplitudes
     return {task["output"]: wigner(np.outer(psi, psi.conj()), task["extent"], task["step"])}
 
@@ -852,153 +828,6 @@ def run_scenario(config_path: str | Path, outdir: str | Path | None = None) -> i
     return 0
 
 
-# ---------------------------------------------------------------------------
-# quick-look subcommands
-# ---------------------------------------------------------------------------
-
-def _cmd_pacs(task: dict, results: dict[str, Result]) -> None:
-    [[pattern, n_clicks, probability, fid, _]] = results[task["output"]].rows
-    print(f"pattern {pattern}: probability = {probability!r}")
-    if fid is not None:
-        print(f"fidelity vs {n_clicks}-photon-added state = {fid!r}")
-    else:
-        print("impossible outcome")
-
-
-def _cmd_wstate(task: dict, results: dict[str, Result]) -> None:
-    payload = results[task["output"]]
-    print(f"heralding probability = {payload['probability']!r}")
-    if payload["probability"] == 0.0:
-        print("impossible outcome")
-    else:
-        print(f"fidelity vs {payload['n_stages']}-mode W state = {payload['w_fidelity']!r}")
-
-
-def _cmd_wigner(task: dict, results: dict[str, Result]) -> None:
-    grid, (_, dropped) = results[task["output"]], task["state"]
-    print(
-        f"wrote {task['output']}: {grid.values.shape[0]}x{grid.values.shape[1]} grid, "
-        f"min = {grid.minimum()!r}, integral = {grid.integral()!r}"
-    )
-    print(f"truncation bound: |W - W_exact| <= {truncation_bound(dropped)!r} "
-          f"(cutoff dropped mass {dropped!r})")
-
-
-def _cmd_sweep(task: dict, results: dict[str, Result]) -> None:
-    for rel_path in results:
-        print(f"wrote {rel_path}")
-
-
-def _flag_number(text: str) -> float | str:
-    """``text`` as a float, or as itself for the validators to refuse."""
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def _flag_values(text: str) -> list[float | str]:
-    """The comma-separated values of ``text``, each through _flag_number."""
-    return [_flag_number(v) for v in text.split(",") if v.strip()]
-
-
-#: quick-look flag -> (the scenario field it sets, its add_argument keywords,
-#: with "aliases" its other spellings). A flag left unset leaves its field
-#: out, so that the field takes its scenario default.
-_FLAGS = {
-    "--alpha": ("chain.alpha", {"required": True, "help": "seed coherent amplitude"}),
-    "--lam": ("chain.lam", {"aliases": ("--lambda",), "type": float, "required": True,
-                            "help": "effective interaction strength per stage"}),
-    "--idler-dim": ("chain.idler_dim", {"type": int}),
-    "--signal-dim": ("chain.signal_dim", {"type": int}),
-    "--n": ("chain.n_stages", {"type": int, "required": True, "help": "number of stages"}),
-    "--eta": ("detector.eta", {"type": float, "help": "detector efficiency"}),
-    "--dark-prob": ("detector.dark_prob", {"type": float}),
-    "--state": ("tasks[0].state", {"required": True,
-                                   "help": "state spec: coherent:A | fock:N | pacs:A,M"}),
-    "--range": ("tasks[0].extent", {"type": float, "help": "grid half-width in x and p"}),
-    "--step": ("tasks[0].step", {"type": float}),
-    "--param": ("tasks[0].param", {"choices": ("lam", "alpha")}),
-    "--values": ("tasks[0].values", {"type": _flag_values, "required": True,
-                                     "help": "comma-separated values"}),
-    # pacs and sweep also set chain.n_stages by its length, so an error in
-    # chain.n_stages names --pattern there
-    "--pattern": ("tasks[0].pattern", {"required": True, "help": "click pattern, e.g. 10"}),
-    "--out": ("tasks[0].output", {}),
-    "--fit-out": ("tasks[0].fit_output", {}),
-}
-_CHAIN_FLAGS = ("--alpha", "--lam", "--idler-dim", "--signal-dim")
-_DETECTOR_FLAGS = ("--eta", "--dark-prob")
-
-#: quick-look command -> (its add_parser keywords, the fields of its one task
-#: that no flag gives, its flags in --help order, its handler, which prints
-#: from the task and its results). pacs and wstate have no --out and print
-#: their answer, so their output path ("-") is never written.
-_COMMANDS = {
-    "pacs": ({"help": "condition a chain on a click pattern"},
-             {"type": "patterns", "output": "-"},
-             (*_CHAIN_FLAGS, *_DETECTOR_FLAGS, "--pattern"), _cmd_pacs),
-    "wstate": ({"help": "extract the N-mode W state"}, {"type": "project", "output": "-"},
-               (*_CHAIN_FLAGS, "--n"), _cmd_wstate),
-    "wigner": ({"help": "write a Wigner grid to a text file", "description": (
-        "Write the Wigner grid of a named state to a text file. The time grows "
-        "as the cube of the state's Fock cutoff: fock:500 takes about 3 s and "
-        "fock:1000 about 26 s on one core. A spec whose (2 dim - 1)^2 Wigner "
-        "coefficients exceed 20M exits 2; that bounds memory, not time: "
-        "fock:2235, just inside it, would run for about 5 min by the cube law. "
-        "A --range and --step whose grid has more than 20M points (x points "
-        "times p points) also exit 2, before any array is formed.")},
-               {"type": "wigner", "output": "wigner.txt"},
-               ("--state", "--range", "--step", "--out"), _cmd_wigner),
-    "sweep": ({"help": "sweep a parameter and fit the scaling"},
-              {"type": "sweep", "output": "sweep.csv"},
-              (*_CHAIN_FLAGS, *_DETECTOR_FLAGS, "--param", "--values", "--pattern", "--out",
-               "--fit-out"), _cmd_sweep),
-}
-
-
-def _quick_look(command: str, args) -> int:
-    """Run the one-task scenario a quick-look command stands for, validated
-    as ``pacsim run`` validates a file (a wigner task alone, with no chain)
-    and run by the task runner of ``pacsim run``; then write its files and
-    print its summary."""
-    _, task, flags, handler = _COMMANDS[command]
-    sections = {"tasks[0]": dict(task)}
-    for flag in flags:
-        section, _, key = _FLAGS[flag][0].rpartition(".")
-        fields = sections.setdefault(section, {})
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value is not None:
-            fields[key] = value
-    task = sections.pop("tasks[0]")
-    if "chain" in sections:
-        if "--pattern" in flags:  # an empty pattern gets one stage for the pattern check
-            sections["chain"]["n_stages"] = max(1, len(args.pattern))
-        scenario = parse_scenario({"version": SCHEMA_VERSION, **sections, "tasks": [task]})
-        task = scenario.tasks[0]
-    else:
-        scenario, task = None, _parse_task(task, None, "tasks[0]", set())
-    results = _TASK_RUNNERS[task["type"]](task, scenario, "tasks[0]")
-    if "--out" in flags:
-        _write_outputs(results, _output_fields(task, "tasks[0]"))
-    handler(task, results)
-    return 0
-
-
-def _name_flags(message: str, command: str) -> str:
-    """``message`` with each field that ``command``'s flags set renamed to its
-    flag, where the field leads the message before a colon or stands as a
-    word of its own; a quoted value (a repr of what the user gave) is kept."""
-    flags = _COMMANDS[command][2]
-    names = {_FLAGS[flag][0]: flag for flag in flags}
-    if "--pattern" in flags:
-        names["chain.n_stages"] = "--pattern"
-    fields = "|".join(map(re.escape, names))
-    quoted = r"'(?:[^'\\\n]|\\.)*'|\"(?:[^\"\\\n]|\\.)*\""
-    token = re.compile(rf"{quoted}|^(?:{fields})(?=:)|(?<= )(?:{fields})(?= |$)")
-    return token.sub(lambda match: names.get(match[0], match[0]), message)
-
-
 def _run(args) -> int:
     return run_scenario(args.config, args.outdir)
 
@@ -1014,49 +843,29 @@ def _plain_run(argv: list[str]) -> SimpleNamespace | None:
     return None
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``pacsim`` parser. Where ``command`` names a command it holds that
-    subparser alone, the one its parse reads (the others cost about 1 ms a
-    start), and the usage line an error prints still lists every command. The
-    full parser sets no metavar, which would rename its "required: command".
-    argparse is imported here, so a plain ``run`` (see main) never loads it."""
-    import argparse
-
-    parser = argparse.ArgumentParser(prog="pacsim",
-                                     description="cascaded parametric-amplifier simulator")
-    names = ("run", *_COMMANDS)
-    metavar = "{" + ",".join(names) + "}" if command in names else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names if metavar is None else (command,):
-        if name == "run":
-            p = sub.add_parser("run", help="execute a YAML scenario file")
-            p.add_argument("config", help="path to the scenario file")
-            p.add_argument("--outdir", help="directory for output files")
-            p.set_defaults(func=_run)
-            continue
-        keywords, _, flags, _ = _COMMANDS[name]
-        p = sub.add_parser(name, **keywords)
-        for flag in flags:
-            options = dict(_FLAGS[flag][1])
-            p.add_argument(flag, *options.pop("aliases", ()), **options)
-        p.set_defaults(func=functools.partial(_quick_look, name))
-    return parser
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _plain_run(argv) or build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _plain_run(argv)
+    if args is None:
+        from .quicklook import build_parser
+
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ScenarioError, TruncationError, DimensionBudgetError) as exc:
         message = str(exc)
         if isinstance(exc, TruncationError):
             message = f"chain.signal_dim: {message}"
-        if args.command in _COMMANDS:  # a quick-look names each field by its flag
+        if args.command != "run":  # a quick-look names each field by its flag
+            from .quicklook import _name_flags
+
             message = _name_flags(message, args.command)
         print(f"error: {message}", file=sys.stderr)
         return 2 if isinstance(exc, DimensionBudgetError) else 1
 
 
 if __name__ == "__main__":
+    # pacsim.quicklook imports this module by name; under ``python -m`` it
+    # finds this run of it instead of compiling the file a second time
+    sys.modules.setdefault("pacsim.cli", sys.modules[__name__])
     raise SystemExit(main())

@@ -15,8 +15,10 @@ products, and yields every pattern's (P, rho), so every pattern of a table
 shares its prefixes' folds; pattern_table reads a table's columns off those
 leaves (P, the fidelity to the photon-added state of the pattern's click
 count and the mean photon number). herald_summary contracts the Kraus
-operators into the heralding probability and W fidelity. None of them forms
-the joint signal-idler state or any array indexed by idler records.
+operators into the heralding probability and W fidelity, which
+extract_w_state reports for a reference from the photon-added ladder. None
+of them forms the joint signal-idler state or any array indexed by idler
+records.
 """
 
 from __future__ import annotations
@@ -383,3 +385,41 @@ def herald_summary(
     if len({s.idler_dim for s in config.stages}) > 1:
         return probability, None
     return probability, float(np.sum((u @ bra) ** 2)) / (config.n_stages * probability)
+
+
+class WStateResult(Record):
+    """Heralding on m added photons: probability and, at m = 1, the W fidelity."""
+
+    __slots__ = ("probability", "w_fidelity")
+
+    def __init__(self, probability: float, w_fidelity: float | None):
+        super().__init__(probability, w_fidelity)
+
+    @property
+    def impossible(self) -> bool:
+        return self.probability == 0.0
+
+
+def extract_w_state(
+    config: ChainConfig, ladder_max: int | None = None, reference_m: int = 1, plain: bool = False
+) -> WStateResult:
+    """Run the chain and herald on the ``reference_m``-photon-added signal state.
+
+    The signal is projected onto the component of |alpha, m> (m =
+    ``reference_m``) orthogonal to the other photon-added states |alpha, k>
+    (k = 0..ladder_max, ladder_max defaulting to the stage count), modeling
+    an ideal identification of the m-photon-added state among the
+    non-orthogonal ladder of possible signal outputs; ``plain`` projects
+    onto |alpha, m> itself. At m = 1 the conditional idler state carries one
+    excitation spread over all stages: the N-mode W state, up to
+    weak-coupling corrections, and its fidelity is reported; at any other m
+    ``w_fidelity`` is None. Runs on herald_summary, which contracts the
+    chain's Kraus operators without forming the idler state.
+    """
+    if ladder_max is None:
+        ladder_max = config.n_stages
+    m = reference_m
+    ladder = pacs_ladder(config.alpha, m if plain else max(m, ladder_max), config.signal_dim)
+    others = () if plain else tuple(s for k, s in enumerate(ladder[:ladder_max + 1]) if k != m)
+    probability, w_fidelity = herald_summary(config, ladder[m], orthogonal_to=others)
+    return WStateResult(probability=probability, w_fidelity=w_fidelity if m == 1 else None)

@@ -10,6 +10,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ from pacsim import (
     orthogonalized_reference,
     stage_kraus,
 )
+from pacsim import cli
 from pacsim.dynamics import _expm_antisymmetric
 
 #: Ladder leakage above this triggers a TruncationWarning.
@@ -346,6 +348,43 @@ def wigner_dense(state: PureState, extent: float, step: float) -> WignerGrid:
     return WignerGrid(x_axis=axis, p_axis=axis.copy(), values=values)
 
 
+def beam_splitter_sectors_reference(m_dim: int):
+    """analysis._beam_splitter_sectors as first written: every sector's
+    padded and raised arrays are fresh, its columns picked by index arrays.
+    The package builds the same R_s, element for element, in reused buffers."""
+    root = np.sqrt(np.arange(2 * m_dim))
+    ks, rot = np.zeros(1, dtype=int), np.ones((1, 1))
+    yield 0, ks, rot
+    for s in range(1, 2 * m_dim - 1):
+        padded = np.zeros((s, ks.size + 2))
+        padded[:, 1:-1] = rot
+        raise_x = np.zeros((s + 1, ks.size + 2))
+        raise_y = np.zeros_like(raise_x)
+        raise_x[1:] = root[1 : s + 1, None] * padded
+        raise_y[:-1] = root[s:0:-1, None] * padded
+        new_ks = np.arange(max(0, s - m_dim + 1), min(s, m_dim - 1) + 1)
+        at = new_ks - ks[0]
+        rot = (
+            root[new_ks] * (raise_x + raise_y)[:, at]
+            + root[s - new_ks] * (raise_x - raise_y)[:, at + 1]
+        ) / (s * math.sqrt(2.0))
+        ks = new_ks
+        yield s, ks, rot
+
+
+def sector_coefficients_reference(rho: np.ndarray) -> np.ndarray:
+    """analysis._sector_coefficients as first written, one index-array
+    scatter per sector, on beam_splitter_sectors_reference."""
+    m_dim = rho.shape[0]
+    n_basis = 2 * m_dim - 1
+    phase = np.array([1.0, -1j, -1.0, 1j])
+    coeffs = np.zeros((n_basis, n_basis))
+    for s, ks, rot in beam_splitter_sectors_reference(m_dim):
+        a = np.arange(s + 1)
+        coeffs[a, s - a] = (phase[(s - a) % 4] * (rot @ rho[ks, s - ks])).real
+    return coeffs / math.sqrt(math.pi)
+
+
 def horner_magnitude(state: PureState, extent: float, step: float) -> float:
     """max over the grid of e^{-|gamma|^2/2}/pi sum_{j,k} |M[j,k]| |gamma|^{j+k}.
 
@@ -497,3 +536,33 @@ def density(state: PureState | MultiModeState) -> np.ndarray:
 def fidelity(probability: float, rho: np.ndarray, ref: PureState) -> float:
     """<ref|rho|ref> / P, the fidelity of a conditional signal (P, rho) with ref."""
     return float((ref.amplitudes.conj() @ rho @ ref.amplitudes).real) / probability
+
+
+def emit_wigner(grid: WignerGrid, path: str | Path) -> None:
+    """Write ``grid`` to ``path`` through the CLI's one writer."""
+    cli._write_outputs({path: grid}, {path: "path"})
+
+
+def load_wigner(path: str | Path) -> WignerGrid:
+    """Inverse of emit_wigner: every value read back exactly, -0.0 included."""
+    x_axis = p_axis = None
+    rows = []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        if line.startswith("# x:"):
+            x_axis = np.array(line[4:].split(), dtype=float)
+        elif line.startswith("# p:"):
+            p_axis = np.array(line[4:].split(), dtype=float)
+        elif line.startswith("#") or not line.strip():
+            continue
+        else:
+            rows.append(np.array(line.split(), dtype=float))
+    if x_axis is None or p_axis is None:
+        raise ValueError(f"{path}: missing axis headers")
+    widths = {row.size for row in rows}
+    if len(rows) != x_axis.size or widths - {p_axis.size}:
+        raise ValueError(
+            f"{path}: {len(rows)} rows of {sorted(widths)} values do not match axes "
+            f"({x_axis.size}, {p_axis.size})"
+        )
+    values = np.array(rows).reshape(x_axis.size, p_axis.size)
+    return WignerGrid(x_axis=x_axis, p_axis=p_axis, values=values)

@@ -17,7 +17,6 @@ from pacsim import (
     TruncationWarning,
     coherent_state,
     default_signal_dim,
-    extract_w_state,
     fit_power_law,
     fock_state,
     herald_summary,
@@ -27,14 +26,17 @@ from pacsim import (
 )
 from pacsim.analysis import (_beam_splitter_sectors, _hermite_functions, _sector_coefficients,
                              axis_points, coefficient_count)
+from pacsim.dynamics import extract_w_state
 
 from oracles import (
+    beam_splitter_sectors_reference,
     conditional_density,
     density,
     herald_idlers,
     horner_magnitude,
     joint_state,
     photon_statistics,
+    sector_coefficients_reference,
     tensor,
     w_state_reference,
     wigner_dense,
@@ -409,6 +411,22 @@ class TestBeamSplitterSectors:
             assert np.array_equal(ks, window)
             assert rot.shape == (s + 1, ks.size)
             assert np.max(np.abs(rot.T @ rot - np.eye(ks.size))) <= 1e-13
+
+    @pytest.mark.parametrize("m_dim", [1, 2, 3, 19, 27, 60])
+    def test_reused_buffers_give_the_first_written_sectors_bit_for_bit(self, m_dim):
+        """The sectors, and the coefficients of a complex and of a real
+        density matrix, equal those of the per-sector arrays first written
+        (tests/oracles.py), to the bit and the sign of zero."""
+        for ours, theirs in zip(_beam_splitter_sectors(m_dim),
+                                beam_splitter_sectors_reference(m_dim), strict=True):
+            assert ours[0] == theirs[0] and np.array_equal(ours[1], theirs[1])
+            assert ours[2].tobytes() == theirs[2].tobytes()
+        rng = np.random.default_rng(m_dim)
+        amplitudes = rng.normal(size=(2, m_dim, m_dim))
+        for root in (amplitudes[0] + 1j * amplitudes[1], amplitudes[0]):
+            rho = root @ root.conj().T
+            ours, theirs = _sector_coefficients(rho), sector_coefficients_reference(rho)
+            assert ours.tobytes() == theirs.tobytes()
 
     def test_last_row_is_the_binomial_amplitude(self):
         """<s, 0| R |k, s-k> = sqrt(C(s, k) / 2^s)."""

@@ -28,12 +28,10 @@ from pacsim import (
     walk_patterns,
     wigner,
 )
-from pacsim import cli, dynamics, fock
+from pacsim import analysis, cli, dynamics, fock, quicklook
 from pacsim.analysis import truncation_bound
 from pacsim.cli import (
     DEFAULT_AMPLITUDE_BUDGET,
-    emit_wigner,
-    load_wigner,
     main,
     run_scenario,
     wigner_grid_lines,
@@ -46,7 +44,8 @@ from pacsim.errors import (
 )
 from pacsim.fock import tail_mass
 
-from oracles import conditional_density, density, fidelity, joint_state
+from oracles import (conditional_density, density, emit_wigner, fidelity, joint_state,
+                     load_wigner)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -535,7 +534,7 @@ class TestValidationFailures:
     def test_oversized_wigner_grid_refused(self, tmp_path, capsys, monkeypatch):
         """More grid points than DEFAULT_AMPLITUDE_BUDGET exit 2 naming the
         task's extent and step, before any grid is formed."""
-        monkeypatch.setattr(cli, "wigner", _no_grid)
+        monkeypatch.setattr(analysis, "wigner", _no_grid)
         config = write_scenario(
             tmp_path,
             "version: 1\nchain: {alpha: 1.0, lam: 0.05, n_stages: 1}\ntasks:\n"
@@ -678,7 +677,7 @@ def test_each_refusal_carries_the_field_the_cli_names(capsys, flag, text, build)
     refusal's own text after it."""
     with pytest.raises(FieldError) as err:
         build(text)
-    assert cli._FLAGS[flag][0].endswith(f".{err.value.field}")
+    assert quicklook._FLAGS[flag][0].endswith(f".{err.value.field}")
     args = ["pacs", "--alpha", "1", "--lam", "0.05", "--pattern", "1", flag, text]
     assert main(args) == 1
     assert capsys.readouterr().err == f"error: {flag}: {err.value}\n"
@@ -995,7 +994,7 @@ class TestQuickCommands:
 
     @pytest.mark.parametrize("extent, step", [(100.0, 0.001), (1e308, 1e-300)])
     def test_wigner_oversized_grid_exits_2(self, tmp_path, capsys, monkeypatch, extent, step):
-        monkeypatch.setattr(cli, "wigner", _no_grid)
+        monkeypatch.setattr(analysis, "wigner", _no_grid)
         target = tmp_path / "w.txt"
         args = ["--range", repr(extent), "--step", repr(step), "--out", str(target)]
         assert main(["wigner", "--state", "fock:1", *args]) == 2
@@ -1347,7 +1346,7 @@ _BAD_FIELD_CASES = {
 def test_bad_field_cases_cover_the_flag_table():
     """Each flag whose value reaches a validator has a case: argparse itself
     refuses a --param outside its choices."""
-    flag_table = {(field, flag) for flag, (field, options) in cli._FLAGS.items()
+    flag_table = {(field, flag) for flag, (field, options) in quicklook._FLAGS.items()
                   if "choices" not in options} | {("chain.n_stages", "--pattern")}
     assert set(_BAD_FIELD_CASES) == flag_table
     assert len(flag_table) == 15
@@ -1402,8 +1401,8 @@ def test_error_names_flags_but_keeps_the_users_values(tmp_path, monkeypatch, cap
 
 
 def _subparsers(command: str | None = None):
-    """The subcommand action of ``cli.build_parser(command)``."""
-    [subparsers] = cli.build_parser(command)._subparsers._group_actions
+    """The subcommand action of ``quicklook.build_parser(command)``."""
+    [subparsers] = quicklook.build_parser(command)._subparsers._group_actions
     return subparsers
 
 
@@ -1411,22 +1410,22 @@ def _subparser(command: str):
     return _subparsers().choices[command]
 
 
-@pytest.mark.parametrize("command", cli._COMMANDS)
+@pytest.mark.parametrize("command", quicklook._COMMANDS)
 def test_quick_look_parser_is_the_flag_table(command):
     """Each option of a quick-look is its flag's row: spellings, required-ness
     and help; its dest is the name argparse derives from the flag."""
-    flags = cli._COMMANDS[command][2]
+    flags = quicklook._COMMANDS[command][2]
     actions = [a for a in _subparser(command)._actions if "--help" not in a.option_strings]
     assert [action.option_strings[0] for action in actions] == list(flags)
     for flag, action in zip(flags, actions):
-        options = cli._FLAGS[flag][1]
+        options = quicklook._FLAGS[flag][1]
         assert action.option_strings == [flag, *options.get("aliases", ())]
         assert action.required == options.get("required", False)
         assert action.help == options.get("help")
         assert action.dest == flag[2:].replace("-", "_")
 
 
-COMMANDS = ["run", *cli._COMMANDS]
+COMMANDS = ["run", *quicklook._COMMANDS]
 
 
 def _action_fields(parser) -> list[dict]:
@@ -1445,7 +1444,8 @@ def test_command_alone_gets_the_full_parsers_subparser(command):
     assert _action_fields(ours) == _action_fields(theirs)
     assert ours.format_usage() == theirs.format_usage()
     assert ours.format_help() == theirs.format_help()
-    assert cli.build_parser(command).format_usage() == cli.build_parser().format_usage()
+    usage = quicklook.build_parser().format_usage()
+    assert quicklook.build_parser(command).format_usage() == usage
 
 
 @pytest.mark.parametrize("word", [None, "-h", "--help", "bogus", "ru", "--outdir"])
@@ -1480,8 +1480,8 @@ def test_parser_prints_what_the_full_parser_prints(tmp_path, monkeypatch, capsys
         return code, *capsys.readouterr()
 
     built = outcome()
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    full = quicklook.build_parser
+    monkeypatch.setattr(quicklook, "build_parser", lambda command=None: full())
     assert outcome() == built
     assert list(tmp_path.iterdir()) == []
 
@@ -1522,7 +1522,7 @@ def test_run_gives_what_argparse_gives(tmp_path, monkeypatch, capsys, argv):
     plain = cli._plain_run(argv)
     assert (plain is not None) == (argv in PLAIN_RUNS)
     if plain is not None:
-        assert vars(plain) == vars(cli.build_parser().parse_args(argv))
+        assert vars(plain) == vars(quicklook.build_parser().parse_args(argv))
     built = outcome("plain")
     monkeypatch.setattr(cli, "_plain_run", lambda argv: None)
     assert outcome("argparse") == built

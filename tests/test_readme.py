@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from pacsim import cli
+from pacsim import cli, quicklook
 from pacsim.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -48,7 +48,7 @@ def test_flag_table_is_the_parsers():
     for row in section.split("\n\n", 1)[0].splitlines():
         flags, field = row.strip("| ").split(" | ")
         shown |= {(field.strip("`"), flag) for flag in re.findall(r"`(--[\w-]+)`", flags)}
-    table = {(field, flag) for flag, (field, _) in cli._FLAGS.items()}
+    table = {(field, flag) for flag, (field, _) in quicklook._FLAGS.items()}
     assert shown == table | {("chain.n_stages", "--pattern")}
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import datetime
+import json
 import pickle
 import re
 from pathlib import Path
@@ -60,6 +61,97 @@ def test_commands_that_write_no_grid_do_not_load_floattext(run_python, tmp_path)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "False"
     assert (tmp_path / "patterns.csv").is_file() and (tmp_path / "f.json").is_file()
+
+
+#: the modules ``import pacsim.cli`` loads: the engine every run uses, and
+#: no more (each one is compiled on every start where no .pyc is kept)
+ENGINE = ["pacsim", "pacsim.cli", "pacsim.detection", "pacsim.dynamics", "pacsim.errors",
+          "pacsim.fock", "pacsim.records"]
+#: print the pacsim modules that importing pacsim.cli loads, then those that
+#: main(argv) adds, argv being the JSON of the first argument
+_LOADED = (
+    "import json, sys, pacsim.cli\n"
+    "def loaded():\n    return {m for m in sys.modules if m.split('.')[0] == 'pacsim'}\n"
+    "before = loaded()\n"
+    "code = pacsim.cli.main(json.loads(sys.argv[1]))\n"
+    "print(json.dumps([code, sorted(before), sorted(loaded() - before)]))"
+)
+_SWEEP = ("version: 1\nchain:\n  alpha: 1.0\n  lam: 0.05\n  n_stages: 2\ntasks:\n"
+          "  - type: sweep\n    values: [0.01, 0.02, 0.04]\n    pattern: '11'\n"
+          "    output: sweep.csv\n")
+_WIGNER = ("version: 1\nchain:\n  alpha: 1.0\n  lam: 0.05\n  n_stages: 1\ntasks:\n"
+           "  - type: wigner\n    state: pacs:1,1\n    extent: 2.0\n    step: 0.5\n"
+           "    output: w.txt\n")
+_FLAGS = ["--alpha", "1", "--lam", "0.05"]
+_SWEEP_FLAGS = ["sweep", *_FLAGS, "--pattern", "1", "--values", "0.01,0.02,0.04", "--out", "s.csv"]
+#: a bench scenario's name, a scenario's text or a quick-look's argv; main's
+#: exit code; the pacsim modules main adds to ENGINE
+ENTRY_MODULES = [
+    pytest.param("patterns_full.yaml", 0, [], id="run patterns_full"),
+    pytest.param("patterns_seq.yaml", 0, [], id="run patterns_seq"),
+    pytest.param("wstate_n9.yaml", 0, [], id="run wstate_n9"),
+    pytest.param(_SWEEP, 0, [], id="run sweep"),
+    pytest.param(_SWEEP + "    fit_output: fit.json\n", 0, ["pacsim.analysis"], id="run sweep fit"),
+    pytest.param(_WIGNER, 0, ["pacsim.analysis", "pacsim.floattext"], id="run wigner"),
+    pytest.param("phase_space.yaml", 0, ["pacsim.analysis", "pacsim.floattext"],
+                 id="run phase_space"),
+    pytest.param(["pacs", *_FLAGS, "--pattern", "10"], 0, ["pacsim.quicklook"], id="pacs"),
+    pytest.param(["pacs", *_FLAGS, "--pattern", "1", "--eta", "2"], 1, ["pacsim.quicklook"],
+                 id="pacs refused"),
+    pytest.param(["wstate", *_FLAGS, "--n", "3"], 0, ["pacsim.quicklook"], id="wstate"),
+    pytest.param(_SWEEP_FLAGS, 0, ["pacsim.quicklook"], id="sweep"),
+    pytest.param([*_SWEEP_FLAGS, "--fit-out", "f.json"], 0,
+                 ["pacsim.analysis", "pacsim.quicklook"], id="sweep fit"),
+    pytest.param(["wigner", "--state", "pacs:1,1", "--range", "2", "--step", "0.5", "--out",
+                  "w.txt"], 0, ["pacsim.analysis", "pacsim.floattext", "pacsim.quicklook"],
+                 id="wigner"),
+]
+
+
+@pytest.mark.parametrize("entry, code, added", ENTRY_MODULES)
+def test_each_entry_loads_exactly_its_modules(run_python, tmp_path, entry, code, added):
+    """``import pacsim.cli`` compiles the engine alone; a table or a W state
+    adds no module, a Wigner grid or a fit adds analysis (a grid floattext
+    too), and a quick-look its front end, quicklook."""
+    if isinstance(entry, list):  # its files go to tmp_path
+        argv = [str(tmp_path / arg) if flag in ("--out", "--fit-out") else arg
+                for flag, arg in zip(["", *entry], entry)]
+    else:
+        config = ROOT / "bench" / "scenarios" / entry
+        if "\n" in entry:
+            config = tmp_path / "scenario.yaml"
+            config.write_text(entry, encoding="utf-8")
+        argv = ["run", str(config), "--outdir", str(tmp_path / "out")]
+    out = run_python("-c", _LOADED, json.dumps(argv))
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == [code, ENGINE, added], out.stderr
+
+
+def test_module_run_compiles_the_cli_once(run_python):
+    """Under ``python -m pacsim.cli`` a quick-look's front end imports the
+    running module itself, not a second pacsim.cli."""
+    out = run_python("-X", "importtime", "-m", "pacsim.cli", "wstate", *_FLAGS, "--n", "3")
+    assert out.returncode == 0, out.stderr
+    imported = [line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
+                if line.startswith("import time:") and "|" in line]
+    assert "pacsim.quicklook" in imported and "pacsim.cli" not in imported
+
+
+def test_package_exports_the_analysis_names_on_first_use(run_python):
+    """``from pacsim import wigner`` (and WignerGrid, fit_power_law,
+    ScalingFit) imports pacsim.analysis then, and gives its own objects."""
+    code = (
+        "import sys, pacsim\n"
+        "print('pacsim.analysis' in sys.modules)\n"
+        "from pacsim import ScalingFit, WignerGrid, fit_power_law, wigner\n"
+        "from pacsim import analysis\n"
+        "print([x is getattr(analysis, x.__name__) for x in "
+        "(ScalingFit, WignerGrid, fit_power_law, wigner)])\n"
+        "print(pacsim.wigner is analysis.wigner, hasattr(pacsim, 'no_such_name'))"
+    )
+    out = run_python("-c", code)
+    shown = ["False", "[True, True, True, True]", "True False"]
+    assert out.stdout.splitlines() == shown, out.stderr
 
 
 CHAIN = pacsim.ChainConfig.uniform(1.0, 0.05, 2)

@@ -32,8 +32,11 @@ table or a W-state summary never compiles it.
 
 All outputs are deterministic: identical configs produce byte-identical
 files at a fixed BLAS thread count (a Wigner grid's last digits may follow
-the thread count). Every click probability and conditional signal comes
-from one walk over the click prefixes (dynamics.walk_patterns). ``run`` runs its
+the thread count). A table's click probabilities and conditional signals
+come from one walk over the click prefixes (dynamics.pattern_table); a
+sweep's probabilities, which need no conditional signal, come from the
+signal's populations (dynamics.pattern_probabilities), its values' stages
+built in one stacked exponential per block size. ``run`` runs its
 tasks in file order on the calling thread and stops at the first that
 fails. Task runners return values, output path -> a Table, a JSON payload
 or a WignerGrid; one writer (_write_outputs) writes them for ``run``, only
@@ -67,7 +70,7 @@ import numpy as np
 
 from .detection import ClickPattern, DetectorModel, outcome_probability
 from .dynamics import (DEFAULT_IDLER_DIM, MAX_LAM, ChainConfig, StageParams, extract_w_state,
-                       pattern_table, walk_patterns)
+                       pattern_probabilities, pattern_table)
 from .errors import DimensionBudgetError, FieldError, ScenarioError, TruncationError
 from .fock import (
     PureState,
@@ -513,20 +516,27 @@ def wigner_grid_lines(grid: WignerGrid) -> Iterator[str]:
     """The grid's text file in chunks: axis headers, then one row per x.
 
     Rows follow x and columns p, every value in full repr precision
-    (floattext.rows_text). Each block of rows, about _BLOCK_VALUES values,
-    is formatted only when the consumer asks for it.
+    (floattext.rows_text). The rows are cut into blocks of equal size, to
+    within one row, of at most _BLOCK_VALUES values (or one row, where a row
+    is wider), each formatted only when the consumer asks for it. The p
+    header reuses the x header's text where the axes are equal bit for bit,
+    as every analysis.wigner grid's are.
     """
     # imported on first use, so commands that write no grid do not load it:
     # compiling it takes about 3 ms where no bytecode cache is kept
     from .floattext import rows_text
 
     yield "# wigner grid\n"
-    yield "# x: " + rows_text(grid.x_axis[None, :])
-    yield "# p: " + rows_text(grid.p_axis[None, :])
+    x_axis, p_axis = (np.asarray(a, dtype=np.float64) for a in (grid.x_axis, grid.p_axis))
+    x_text = rows_text(x_axis[None, :])
+    same = x_axis.shape == p_axis.shape and x_axis.tobytes() == p_axis.tobytes()
+    yield "# x: " + x_text
+    yield "# p: " + (x_text if same else rows_text(p_axis[None, :]))
     values = grid.values
-    rows = max(1, _BLOCK_VALUES // max(1, values.shape[1]))
-    for start in range(0, values.shape[0], rows):
-        yield rows_text(values[start:start + rows])
+    n_rows = values.shape[0]
+    blocks = -(-n_rows // max(1, _BLOCK_VALUES // max(1, values.shape[1])))
+    for i in range(blocks):
+        yield rows_text(values[i * n_rows // blocks:(i + 1) * n_rows // blocks])
 
 
 def _output_fields(task: dict, where: str) -> dict[str, str]:
@@ -585,13 +595,12 @@ def _run_project_task(task: dict, scenario: Scenario, where: str) -> dict[str, d
 
 
 def _run_sweep_task(task: dict, scenario: Scenario, where: str) -> dict[str, Result]:
-    """The pattern's probability with ``param`` set to each value, and its
+    """The pattern's probability with ``param`` set to each value, every
+    value's chain read at once by dynamics.pattern_probabilities, and its
     fit; a zero probability, which has no logarithm, refuses the fit."""
-    samples = []
-    for value, chain in zip(task["values"], task["chains"]):
-        # a given cutoff holds every alpha or raises TruncationError here
-        _, probability, _ = next(walk_patterns(chain, scenario.detector, task["pattern"]))
-        samples.append([value, outcome_probability(probability)])
+    # a given cutoff holds every alpha or raises TruncationError here
+    probabilities = pattern_probabilities(task["chains"], scenario.detector, task["pattern"])
+    samples = [[value, outcome_probability(p)] for value, p in zip(task["values"], probabilities)]
     results = {task["output"]: Table((task["param"], "probability"), samples)}
     if task["fit_output"]:
         for value, p in samples:

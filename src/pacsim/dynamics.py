@@ -8,17 +8,23 @@ signal once and is then detected, a stage is fully described by its Kraus
 operators K_k = <k|U|0> acting on the signal (the sequential-ancilla picture
 of Schoen, Solano, Verstraete, Cirac and Wolf, PRL 95, 110503 (2005)), and
 every answer is a probability P and a conditional signal reached through
-them. stage_kraus builds them from the vacuum-idler columns of U's blocks,
-without forming U. walk_patterns folds the signal's density matrix through
-them level by level over the click prefixes, a depth's prefixes in stacked
-products, and yields every pattern's (P, rho), so every pattern of a table
-shares its prefixes' folds; pattern_table reads a table's columns off those
-leaves (P, the fidelity to the photon-added state of the pattern's click
-count and the mean photon number). herald_summary contracts the Kraus
-operators into the heralding probability and W fidelity, which
-extract_w_state reports for a reference from the photon-added ladder. None
-of them forms the joint signal-idler state or any array indexed by idler
-records.
+them. K_k is nonzero only on its k-th subdiagonal: stage_subdiagonals
+computes those entries from the vacuum-idler columns of U's blocks, for a
+batch of lam in one stacked exponential per block size and without forming
+U, and stage_kraus is the cached dense stack of one lam. walk_patterns
+folds the signal's density matrix through them level by level over the
+click prefixes, a depth's prefixes in stacked products, and yields every
+pattern's (P, rho), so every pattern of a table shares its prefixes' folds;
+pattern_table reads a table's columns off those leaves (P, the fidelity to
+the photon-added state of the pattern's click count and the mean photon
+number). A probability alone needs only the signal's populations:
+lift_populations carries them through one stage, and pattern_probabilities
+reads one pattern's P on a batch of chains (a sweep's values) through it.
+herald_summary contracts the Kraus operators into the heralding
+probability and W fidelity, with lift_populations bounding the excitation
+sectors it can skip; extract_w_state reports them for a reference from the
+photon-added ladder. None of them forms the joint signal-idler state or
+any array indexed by idler records.
 """
 
 from __future__ import annotations
@@ -115,26 +121,67 @@ class ChainConfig(Record):
 
 
 def _expm_antisymmetric(gens: np.ndarray) -> np.ndarray:
-    """exp of a stack of real antisymmetric matrices, by scaling and squaring.
+    """exp of real antisymmetric matrices, (L, B, n, n), by scaling and squaring.
 
     The k-th power of a tridiagonal generator is the leading term on its k-th
     off-diagonal, so a Taylor series keeps entries of order lam^k accurate
     relative to their size at weak coupling, where an eigendecomposition
     loses them to cancellation. The series runs past the matrix size, so
     every off-diagonal gets its leading term, and scaling keeps the norm at
-    most 1/2, so the terms left out are below rounding.
+    most 1/2, so the terms left out are below rounding. Each of the L
+    stacks of B matrices is scaled and squared by its own largest norm, so
+    its exponentials are bit for bit those of the stack alone.
     """
-    n = gens.shape[-1]
-    norm = float(np.abs(gens).sum(axis=-2).max())
-    squarings = max(0, math.ceil(math.log2(norm)) + 1) if norm > 0.0 else 0
-    scaled = gens / 2.0**squarings
+    stacks, n = gens.shape[:2], gens.shape[-1]
+    norms = np.abs(gens).sum(axis=-2).max(axis=(-2, -1)).tolist()
+    squarings = [max(0, math.ceil(math.log2(x)) + 1) if x > 0.0 else 0 for x in norms]
+    gens = gens.reshape(-1, n, n)  # past the scaling, each matrix is computed on its own
+    if len(set(squarings)) == 1:
+        scaled = gens / 2.0 ** squarings[0]
+    else:
+        scaled = gens / np.repeat([2.0**s for s in squarings], stacks[1])[:, None, None]
     result, term, buf = np.eye(n) + scaled, scaled.copy(), np.empty_like(scaled)
-    for j in range(2, n + 18 if norm > 0.0 else 0):  # in place; exp(0) = I
+    for j in range(2, n + 18 if max(norms) > 0.0 else 0):  # in place; exp(0) = I
         np.divide(np.matmul(term, scaled, out=buf), j, out=term)
         result += term
-    for _ in range(squarings):
-        result = result @ result
-    return result
+    for i in range(max(squarings)):
+        if min(squarings) > i:
+            result = result @ result
+        else:
+            live = np.repeat([s > i for s in squarings], stacks[1])
+            result[live] = result[live] @ result[live]
+    return result.reshape(*stacks, n, n)
+
+
+def stage_subdiagonals(lams: Sequence[float], signal_dim: int, idler_dim: int) -> np.ndarray:
+    """<b + k|K_k|b>, the only nonzero entries of stage_kraus, for a batch of lam.
+
+    Returns a real (len(lams), idler_dim, signal_dim) array, 0 where
+    b + k >= signal_dim. The generator conserves n = n_s - n_i, and a vacuum
+    idler enters each block n >= 0 at |n, 0>, so with G_n the tridiagonal
+    block on the states |n + k, k>, <n + k|K_k|n> = exp(G_n)[k, 0], and U
+    itself is never formed. The blocks of one size are exponentiated in one
+    stack for every lam, each lam scaled on its own (_expm_antisymmetric),
+    so a lam's entries are bit for bit those it gets alone.
+    """
+    lams = np.asarray(lams, dtype=float)
+    subs = np.zeros((lams.size, idler_dim, signal_dim))
+    blocks: dict[int, list[int]] = {}
+    for n in range(signal_dim):
+        blocks.setdefault(min(idler_dim, signal_dim - n), []).append(n)
+    for size, members in blocks.items():
+        ns = np.array(members)[:, None]
+        if size == 1:  # exp(0) = 1
+            subs[:, 0, ns[:, 0]] = 1.0
+            continue
+        ks = np.arange(size)
+        gens = np.zeros((lams.size, ns.size, size, size))
+        rows = np.arange(size - 1)
+        couplings = np.sqrt((ns + ks[:-1] + 1.0) * (ks[:-1] + 1.0))
+        gens[:, :, rows + 1, rows] = lams[:, None, None] * couplings
+        gens[:, :, rows, rows + 1] = -gens[:, :, rows + 1, rows]
+        subs[:, ks, ns] = _expm_antisymmetric(gens)[..., 0]
+    return subs
 
 
 @functools.lru_cache(maxsize=32)
@@ -142,28 +189,19 @@ def stage_kraus(lam: float, signal_dim: int, idler_dim: int) -> np.ndarray:
     """Kraus operators K_k = <k|U|0> of one stage on the signal, stacked.
 
     Returns a real, read-only (idler_dim, signal_dim, signal_dim) array: the
-    stage maps a signal state psi to sum_k K_k psi (x) |k>. The generator
-    conserves n = n_s - n_i, and a vacuum idler enters each block n >= 0 at
-    |n, 0>, so with G_n the tridiagonal block on the states |n + k, k>,
-    K_k[n + k, n] = exp(G_n)[k, 0]: K_k is nonzero only on its k-th
-    subdiagonal, and U itself is never formed. Blocks of equal size are
-    exponentiated together. sum_k K_k^T K_k = I because these are
-    orthonormal columns of U. Results are memoized, so every runner,
-    pattern and task shares one stack per distinct stage; the stack is
-    read-only, so no caller can change what the others see.
+    stage maps a signal state psi to sum_k K_k psi (x) |k>. K_k is nonzero
+    only on its k-th subdiagonal, which stage_subdiagonals gives.
+    sum_k K_k^T K_k = I because these are orthonormal columns of U. Results
+    are memoized, so every runner, pattern and task shares one stack per
+    distinct stage; the stack is read-only, so no caller can change what
+    the others see.
     """
+    subs = stage_subdiagonals([lam], signal_dim, idler_dim)[0]
     kraus = np.zeros((idler_dim, signal_dim, signal_dim))
-    blocks: dict[int, list[int]] = {}
-    for n in range(signal_dim):
-        blocks.setdefault(min(idler_dim, signal_dim - n), []).append(n)
-    for size, members in blocks.items():
-        ns = np.array(members)[:, None]
-        ks = np.arange(size)
-        gens = np.zeros((ns.size, size, size))
-        rows = np.arange(size - 1)
-        gens[:, rows + 1, rows] = lam * np.sqrt((ns + ks[:-1] + 1.0) * (ks[:-1] + 1.0))
-        gens[:, rows, rows + 1] = -gens[:, rows + 1, rows]
-        kraus[ks, ns + ks, ns] = _expm_antisymmetric(gens)[:, :, 0]
+    flat = kraus.reshape(idler_dim, -1)
+    for k in range(min(idler_dim, signal_dim)):
+        # flat index of <b + k|K_k|b> is k signal_dim + b (signal_dim + 1)
+        flat[k, k * signal_dim :: signal_dim + 1] = subs[k, : signal_dim - k]
     kraus.setflags(write=False)
     return kraus
 
@@ -298,6 +336,70 @@ def _fold(kraus_rhos: np.ndarray, weighted: np.ndarray) -> np.ndarray:
     return (flat @ weighted).reshape(-1, ds, ds)
 
 
+def lift_populations(pops: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """One stage on the signal's populations, kept apart by idler excitation.
+
+    pops[K][b] is the population of signal level b in the records of total
+    idler excitation K, and weights[k][b] the share of it that K_k lifts to
+    b + k: <b + k|K_k|b>^2, times the detector's POVM(k) for one outcome. K_k
+    maps b to b + k alone and every POVM is diagonal in k, so populations
+    need no coherence: returns pops'[K + k][b + k] = sum_k weights[k][b]
+    pops[K][b], with min(len(pops) + di - 1, ds) sectors (sector K lives on
+    levels >= K). weights is (di, ds) and must be 0 where b + k >= ds; its
+    rows from k = ds on are dropped, as K_k vanishes on the window. Flat,
+    the lift of K and b by k is a shift by k (ds + 1): row k of the products
+    starts that far into row k of the terms summed, so a stage is one
+    product and one sum, and its terms are added in k order.
+    """
+    ds = pops.shape[1]
+    weights = weights[:ds]
+    di = len(weights)
+    flat = np.zeros(di * ((ds + di) * ds + 1))
+    lifts = flat.reshape(di, -1)[:, : len(pops) * ds].reshape(di, len(pops), ds)
+    np.multiply(pops, weights[:, None], out=lifts)
+    terms = flat[: di * (ds + di - 1) * ds].reshape(di, -1, ds)
+    return terms[:, : min(len(pops) + di - 1, ds)].sum(axis=0)
+
+
+def pattern_probabilities(
+    chains: Sequence[ChainConfig], detector: DetectorModel, pattern: ClickPattern
+) -> list[float]:
+    """P of one click pattern on each chain, from the signal's populations alone.
+
+    Each chain's P is its seed's populations carried through its stages by
+    lift_populations, weighted by POVM(k) <b + k|K_k|b>^2 for the pattern's
+    outcome at that stage, and summed: no density matrix is formed. The
+    stages of every chain are built together, one stage_subdiagonals call
+    per (signal_dim, idler_dim), so the values of a lam sweep share one
+    stacked exponential per block size. Agrees with walk_patterns' P to
+    rounding; impossible outcomes are left to the caller
+    (detection.outcome_probability).
+    """
+    lams: dict[tuple[int, int], dict[float, None]] = {}
+    for chain in chains:
+        if len(pattern) != chain.n_stages:
+            raise ValueError(f"pattern has {len(pattern)} outcomes for {chain.n_stages} stages")
+        for stage in chain.stages:
+            lams.setdefault((chain.signal_dim, stage.idler_dim), {})[stage.lam] = None
+    squares = {(lam, *dims): np.square(sub) for dims, batch in lams.items()
+               for lam, sub in zip(batch, stage_subdiagonals(list(batch), *dims))}
+    seeds, povms, probabilities = {}, {}, []
+    for chain in chains:
+        ds = chain.signal_dim
+        if (abs(chain.alpha), ds) not in seeds:
+            seed = coherent_state(abs(chain.alpha), ds).amplitudes.real
+            seeds[abs(chain.alpha), ds] = np.square(seed)[None]
+        pops = seeds[abs(chain.alpha), ds]
+        for stage, click in zip(chain.stages, pattern.clicks):
+            if (stage.idler_dim, click) not in povms:
+                p_click = detector.click_probability(np.arange(stage.idler_dim))
+                povms[stage.idler_dim, click] = (p_click if click else 1.0 - p_click)[:, None]
+            weights = povms[stage.idler_dim, click] * squares[stage.lam, ds, stage.idler_dim]
+            pops = lift_populations(pops, weights)
+        probabilities.append(float(pops.sum()))
+    return probabilities
+
+
 def herald_summary(
     config: ChainConfig,
     reference: PureState,
@@ -322,7 +424,7 @@ def herald_summary(
     reads only sectors K - di + 1..K of the one before, so the sectors are
     built in order K = 0, 1, .. through every stage, each stage keeping its
     last di. Sector k adds at most m_k ||r[k:]||^2 to P, m_k its records'
-    squared norms summed, which a population recursion gives first in
+    squared norms summed, which lift_populations gives first in
     O(N di ds^2). The loop stops after sector K once the sectors left can
     add sum_(k>K) m_k ||r[k:]||^2 <= 2^-56 P_(<=K), under a quarter of half
     an ulp of the sum so far, so P is the all-sector sum bit for bit. Time is
@@ -347,17 +449,12 @@ def herald_summary(
     diagonals = {i: [np.diagonal(op, -k) for k, op in enumerate(s)] for i, s in distinct.items()}
     subs = [diagonals[id(s)] for s in stacks]
     # pops[K][b] = sum psi_b^2 over sector K's records, counts[j] sectors after j
-    # stages. Flat, K_k's lift of K and b by k is a shift by k (ds + 1): row k of
-    # lifts starts that far into row k of terms, weighted by ||K_k|b>||^2 (0 off window)
+    # stages (lift_populations), weighted by ||K_k|b>||^2 (0 off the window)
     keep, counts, u, v, pops = max(map(len, subs)), [1], np.zeros(ds), seed, (seed**2)[None]
-    flat = np.zeros(keep * ((ds + keep) * ds + 1))
-    lifts = flat.reshape(keep, -1)[:, : ds * ds].reshape(keep, ds, ds)
-    terms = flat[: keep * (ds + keep - 1) * ds].reshape(keep, -1, ds)
-    squares = {i: np.square(s.sum(axis=1))[:, None] for i, s in distinct.items()}
+    squares = {i: np.square(s.sum(axis=1)) for i, s in distinct.items()}
     for stack, sub in zip(stacks, subs):
-        counts.append(min(counts[-1] + len(sub) - 1, ds))
-        np.multiply(pops, squares[id(stack)], out=lifts[: len(sub), : len(pops)])
-        pops = terms[: len(sub), : counts[-1]].sum(axis=0)
+        pops = lift_populations(pops, squares[id(stack)])
+        counts.append(len(pops))
         u = sub[0] * u
         u[1:] += sub[1] * v[:-1]
         v = sub[0] * v

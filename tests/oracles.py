@@ -242,7 +242,7 @@ def stage_unitary(lam: float, signal_dim: int, idler_dim: int) -> np.ndarray:
         rows = np.arange(size - 1)
         gens[:, rows + 1, rows] = [couplings for _, couplings in members]
         gens[:, rows, rows + 1] = -gens[:, rows + 1, rows]
-        u[idx[:, :, None], idx[:, None, :]] = _expm_antisymmetric(gens)
+        u[idx[:, :, None], idx[:, None, :]] = _expm_antisymmetric(gens[None])[0]
     return u
 
 

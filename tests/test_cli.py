@@ -1062,13 +1062,15 @@ def _no_stage(*args, **kwargs):
 
 
 def _forbid_stages(monkeypatch) -> None:
-    """Make building a stage's Kraus stack raise.
+    """Make building a stage raise, as a Kraus stack or as the subdiagonals
+    that every stage is built from (a sweep's).
 
     The memoized stacks are dropped first, so an empty cache afterwards also
     shows that no stack was built through another name.
     """
     stage_kraus.cache_clear()
     monkeypatch.setattr(dynamics, "stage_kraus", _no_stage)
+    monkeypatch.setattr(dynamics, "stage_subdiagonals", _no_stage)
 
 
 @pytest.fixture
@@ -1263,8 +1265,10 @@ def test_alpha_sweep_keeps_a_given_cutoff(tmp_path, monkeypatch, capsys):
     for row in read_csv(Path("s.csv")):
         config = ChainConfig.uniform(float(row["alpha"]), 0.05, 2, signal_dim=40)
         pattern = ClickPattern.from_string("11")
-        _, probability, _ = next(walk_patterns(config, DetectorModel.ideal(), pattern))
+        [probability] = dynamics.pattern_probabilities([config], DetectorModel.ideal(), pattern)
         assert row["probability"] == repr(probability)
+        _, walked, _ = next(walk_patterns(config, DetectorModel.ideal(), pattern))
+        assert probability == pytest.approx(walked, rel=1e-13, abs=0.0)
     capsys.readouterr()
     assert main(["sweep", *flags, "--signal-dim", "20", "--values", "0.5,5",
                  "--out", "t.csv"]) == 1

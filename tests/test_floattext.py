@@ -98,17 +98,18 @@ def test_row_layout():
 
 
 @pytest.mark.parametrize(
-    "alpha, m, extent, step, fallbacks", [(2.0, 1, 10.0, 0.05, 26), (1.0, 2, 8.0, 0.04, 18)]
+    "alpha, m, extent, step, fallbacks", [(2.0, 1, 10.0, 0.05, 13), (1.0, 2, 8.0, 0.04, 9)]
 )
 def test_phase_space_benchmark_grids(repr_calls, alpha, m, extent, step, fallbacks):
     """Both benchmark grids' files, byte for byte; repr formats only the
-    centred axes' 0.0 and powers of two (13 and 9 an axis), and no grid value."""
+    centred x axis' 0.0 and powers of two, and no grid value: the p axis
+    equals the x axis bit for bit, so its header is the x header's text."""
     psi = pacs_state(alpha, m, default_signal_dim(alpha, m)).amplitudes
     grid = wigner(np.outer(psi, psi.conj()), extent, step)
     text = "".join(wigner_grid_lines(grid))
     assert len(repr_calls) == fallbacks
     special = [v for v in grid.x_axis.tolist() if v == 0.0 or abs(math.frexp(v)[0]) == 0.5]
-    assert repr_calls == special * 2  # the x header's, then the p header's
+    assert repr_calls == special  # the x header's alone
     head = "# wigner grid\n# x: " + oracle(grid.x_axis[None, :]) + "# p: " + oracle(
         grid.p_axis[None, :]
     )
@@ -134,15 +135,27 @@ WIDTH = 401
 )
 def test_chunking_never_changes_the_bytes(monkeypatch, block):
     """However wigner_grid_lines cuts a grid into blocks of rows (one row a
-    block where a row is wider than a block, then the default's blocks and a
-    shorter last one), its text is the oracle's."""
+    block where a row is wider than a block, else blocks within one row of
+    each other in size), its text is the oracle's: a 60-row grid, and a
+    401-row one whose axes are equal bit for bit, as analysis.wigner's are,
+    so that its p header is the x header's text."""
     bits = np.random.default_rng(23).integers(0, 2**64, size=62 * WIDTH, dtype=np.uint64)
     values = bits.view(np.float64)
     grid = WignerGrid(x_axis=values[:60], p_axis=values[60:60 + WIDTH],
                       values=values[2 * WIDTH:].reshape(60, WIDTH))
     assert grid.values.size > cli._BLOCK_VALUES
+    bits = np.random.default_rng(25).integers(0, 2**64, size=(WIDTH + 1) * WIDTH, dtype=np.uint64)
+    values = bits.view(np.float64)
+    square = WignerGrid(x_axis=values[:WIDTH], p_axis=values[:WIDTH].copy(),
+                        values=values[WIDTH:].reshape(WIDTH, WIDTH))
     monkeypatch.setattr(cli, "_BLOCK_VALUES", block)
-    assert "".join(wigner_grid_lines(grid)) == grid_oracle(grid)
+    for g in (grid, square):
+        chunks = list(wigner_grid_lines(g))
+        assert "".join(chunks) == grid_oracle(g)
+        rows = [chunk.count("\n") for chunk in chunks[3:]]
+        most = max(1, block // WIDTH)
+        assert max(rows) - min(rows) <= 1 and max(rows) <= most
+        assert len(rows) == -(-len(g.values) // most)
 
 
 def palindromes(left: np.ndarray, width: int) -> np.ndarray:

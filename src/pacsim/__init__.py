@@ -20,7 +20,6 @@ from .dynamics import (
     WStateResult,
     extract_w_state,
     herald_summary,
-    stage_kraus,
     walk_patterns,
 )
 from .errors import (

@@ -232,8 +232,8 @@ def _build_chain(alpha: complex, stages: tuple[StageParams, ...], signal_dim: in
     cutoff where ``signal_dim`` is None, refused with DimensionBudgetError
     where its (signal_dim idler_dim)^2 exceeds DEFAULT_AMPLITUDE_BUDGET.
 
-    The largest arrays a chain forms are its Kraus stacks
-    (dynamics.stage_kraus), idler_dim signal_dim^2 doubles each, and the
+    The largest arrays a chain forms are the walk's dense Kraus stacks
+    (dynamics._walk_batches), idler_dim signal_dim^2 doubles each, and the
     walk's stacked products K_k rho, up to dynamics._WALK_ENTRIES doubles or
     one such stack; the bound stays on (signal_dim idler_dim)^2 so that the
     same chains are refused. No stage is built here. With no ``signal_dim``

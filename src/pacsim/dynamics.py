@@ -11,20 +11,22 @@ every answer is a probability P and a conditional signal reached through
 them. K_k is nonzero only on its k-th subdiagonal: stage_subdiagonals
 computes those entries from the vacuum-idler columns of U's blocks, for a
 batch of lam in one stacked exponential per block size and without forming
-U, and stage_kraus is the cached dense stack of one lam. walk_patterns
-folds the signal's density matrix through them level by level over the
-click prefixes, a depth's prefixes in stacked products, and yields every
-pattern's (P, rho), so every pattern of a table shares its prefixes' folds;
-pattern_table reads a table's columns off those leaves (P, the fidelity to
-the photon-added state of the pattern's click count and the mean photon
-number). A probability alone needs only the signal's populations:
-lift_populations carries them through one stage, and pattern_probabilities
-reads one pattern's P on a batch of chains (a sweep's values) through it.
-herald_summary contracts the Kraus operators into the heralding
-probability and W fidelity, with lift_populations bounding the excitation
-sectors it can skip; extract_w_state reports them for a reference from the
-photon-added ladder. None of them forms the joint signal-idler state or
-any array indexed by idler records.
+U, and every runner below gets its chain's stages from _stage_entries, one
+such call per (signal_dim, idler_dim). walk_patterns builds the dense K_k
+from them and folds the signal's density matrix through those level by
+level over the click prefixes, a depth's prefixes in stacked products, and
+yields every pattern's (P, rho), so every pattern of a table shares its
+prefixes' folds; pattern_table reads a table's columns off those leaves
+(P, the fidelity to the photon-added state of the pattern's click count
+and the mean photon number). A probability alone needs only the signal's
+populations: lift_populations carries them through one stage, and
+pattern_probabilities reads one pattern's P on a batch of chains (a
+sweep's values) through it, from the squared entries. herald_summary
+contracts the entries into the heralding probability and W fidelity, with
+lift_populations bounding the excitation sectors it can skip;
+extract_w_state reports them for a reference from the photon-added ladder.
+None of them forms the joint signal-idler state or any array indexed by
+idler records.
 """
 
 from __future__ import annotations
@@ -43,10 +45,10 @@ from .records import Record
 
 #: Weak-coupling regime bound; beyond it leading-order scaling claims degrade.
 WEAK_COUPLING_LIMIT = 0.3
-#: Largest lam a stage accepts. The rounding of stage_kraus grows about
-#: linearly with lam: max |sum_k K_k^T K_k - I| is 5e-13 at lam = 100 for
-#: cutoffs (19, 4) and below 5e-12 up to (100, 20), but 4e-5 at 1e10 and
-#: of order 1 at 1e14, and from about 1e18 the stacks are nan.
+#: Largest lam a stage accepts. The rounding of stage_subdiagonals grows
+#: about linearly with lam: max |sum_k K_k^T K_k - I| is 5e-13 at lam = 100
+#: for cutoffs (19, 4) and below 5e-12 up to (100, 20), but 4e-5 at 1e10 and
+#: of order 1 at 1e14, and from about 1e18 the entries are nan.
 MAX_LAM = 100.0
 #: Idler cutoff of a stage that names none: a rule of thumb for weak coupling.
 DEFAULT_IDLER_DIM = 4
@@ -135,26 +137,20 @@ def _expm_antisymmetric(gens: np.ndarray) -> np.ndarray:
     stacks, n = gens.shape[:2], gens.shape[-1]
     norms = np.abs(gens).sum(axis=-2).max(axis=(-2, -1)).tolist()
     squarings = [max(0, math.ceil(math.log2(x)) + 1) if x > 0.0 else 0 for x in norms]
-    gens = gens.reshape(-1, n, n)  # past the scaling, each matrix is computed on its own
-    if len(set(squarings)) == 1:
-        scaled = gens / 2.0 ** squarings[0]
-    else:
-        scaled = gens / np.repeat([2.0**s for s in squarings], stacks[1])[:, None, None]
+    scales = np.repeat([2.0**s for s in squarings], stacks[1])[:, None, None]
+    scaled = gens.reshape(-1, n, n) / scales  # past the scaling, each matrix is on its own
     result, term, buf = np.eye(n) + scaled, scaled.copy(), np.empty_like(scaled)
     for j in range(2, n + 18 if max(norms) > 0.0 else 0):  # in place; exp(0) = I
         np.divide(np.matmul(term, scaled, out=buf), j, out=term)
         result += term
     for i in range(max(squarings)):
-        if min(squarings) > i:
-            result = result @ result
-        else:
-            live = np.repeat([s > i for s in squarings], stacks[1])
-            result[live] = result[live] @ result[live]
+        live = np.repeat([s > i for s in squarings], stacks[1])
+        result[live] = result[live] @ result[live]
     return result.reshape(*stacks, n, n)
 
 
 def stage_subdiagonals(lams: Sequence[float], signal_dim: int, idler_dim: int) -> np.ndarray:
-    """<b + k|K_k|b>, the only nonzero entries of stage_kraus, for a batch of lam.
+    """<b + k|K_k|b>, the only nonzero entries of a stage's K_k, for a batch of lam.
 
     Returns a real (len(lams), idler_dim, signal_dim) array, 0 where
     b + k >= signal_dim. The generator conserves n = n_s - n_i, and a vacuum
@@ -184,30 +180,16 @@ def stage_subdiagonals(lams: Sequence[float], signal_dim: int, idler_dim: int) -
     return subs
 
 
-@functools.lru_cache(maxsize=32)
-def stage_kraus(lam: float, signal_dim: int, idler_dim: int) -> np.ndarray:
-    """Kraus operators K_k = <k|U|0> of one stage on the signal, stacked.
-
-    Returns a real, read-only (idler_dim, signal_dim, signal_dim) array: the
-    stage maps a signal state psi to sum_k K_k psi (x) |k>. K_k is nonzero
-    only on its k-th subdiagonal, which stage_subdiagonals gives.
-    sum_k K_k^T K_k = I because these are orthonormal columns of U. Results
-    are memoized, so every runner, pattern and task shares one stack per
-    distinct stage; the stack is read-only, so no caller can change what
-    the others see.
-    """
-    subs = stage_subdiagonals([lam], signal_dim, idler_dim)[0]
-    kraus = np.zeros((idler_dim, signal_dim, signal_dim))
-    flat = kraus.reshape(idler_dim, -1)
-    for k in range(min(idler_dim, signal_dim)):
-        # flat index of <b + k|K_k|b> is k signal_dim + b (signal_dim + 1)
-        flat[k, k * signal_dim :: signal_dim + 1] = subs[k, : signal_dim - k]
-    kraus.setflags(write=False)
-    return kraus
-
-
-def _chain_kraus(config: ChainConfig) -> list[np.ndarray]:
-    return [stage_kraus(s.lam, config.signal_dim, s.idler_dim) for s in config.stages]
+def _stage_entries(chains: Iterable[ChainConfig]) -> dict[tuple[float, int, int], np.ndarray]:
+    """stage_subdiagonals of every distinct stage of ``chains``, keyed (lam,
+    signal_dim, idler_dim), from one call per (signal_dim, idler_dim): the
+    one way a runner gets its stages, so equal stages share one array."""
+    lams: dict[tuple[int, int], dict[float, None]] = {}
+    for chain in chains:
+        for stage in chain.stages:
+            lams.setdefault((chain.signal_dim, stage.idler_dim), {})[stage.lam] = None
+    return {(lam, *dims): sub for dims, batch in lams.items()
+            for lam, sub in zip(batch, stage_subdiagonals(list(batch), *dims))}
 
 
 def walk_patterns(
@@ -284,18 +266,25 @@ def _walk_batches(
     """walk_patterns' leaves in lexicographic runs, (patterns, P, rho) stacked, each
     bit for bit as walked alone; ``pattern``, if given, has one outcome per stage."""
     ds, n = config.signal_dim, config.n_stages
-    stages, stacks = [], {}
-    for depth, kraus in enumerate(_chain_kraus(config)):
-        if id(kraus) not in stacks:  # equal stages share one stack
-            p_click = detector.click_probability(np.arange(kraus.shape[0]))
+    entries, stacks, stages = _stage_entries([config]), {}, []
+    for depth, stage in enumerate(config.stages):
+        di = stage.idler_dim
+        if (stage.lam, di) not in stacks:  # equal stages share one stack
+            # K_k stacked over k: the flat index of <b + k|K_k|b> is k ds + b (ds + 1)
+            kraus = np.zeros((di, ds, ds))
+            flat, subs = kraus.reshape(di, -1), entries[stage.lam, ds, di]
+            for k in range(min(di, ds)):
+                flat[k, k * ds :: ds + 1] = subs[k, : ds - k]
+            p_click = detector.click_probability(np.arange(di))
             # [povm(k) K_k^T] stacked over k, for no click and for a click
-            stacks[id(kraus)] = np.stack([
+            stacks[stage.lam, di] = kraus, np.stack([
                 (povm[:, None, None] * kraus).transpose(0, 2, 1).reshape(-1, ds)
                 for povm in (1.0 - p_click, p_click)
             ])
+        kraus, weighted = stacks[stage.lam, di]
         # an integer index: [True] would be a boolean mask
         outcomes = slice(None) if pattern is None else [int(pattern.clicks[depth])]
-        stages.append((kraus, stacks[id(kraus)][outcomes]))
+        stages.append((kraus, weighted[outcomes]))
     most = max(1, _WALK_ENTRIES // max(kraus.size for kraus, _ in stages))
     # every K_k is real and raises the level by k, so the fold commutes with
     # rho -> D rho D^+, D = diag(e^{in arg alpha}): the walk runs in real
@@ -375,14 +364,10 @@ def pattern_probabilities(
     rounding; impossible outcomes are left to the caller
     (detection.outcome_probability).
     """
-    lams: dict[tuple[int, int], dict[float, None]] = {}
     for chain in chains:
         if len(pattern) != chain.n_stages:
             raise ValueError(f"pattern has {len(pattern)} outcomes for {chain.n_stages} stages")
-        for stage in chain.stages:
-            lams.setdefault((chain.signal_dim, stage.idler_dim), {})[stage.lam] = None
-    squares = {(lam, *dims): np.square(sub) for dims, batch in lams.items()
-               for lam, sub in zip(batch, stage_subdiagonals(list(batch), *dims))}
+    squares = {key: np.square(sub) for key, sub in _stage_entries(chains).items()}
     seeds, povms, probabilities = {}, {}, []
     for chain in chains:
         ds = chain.signal_dim
@@ -443,17 +428,15 @@ def herald_summary(
     bra = reference.amplitudes * np.exp(-1j * np.angle(config.alpha) * np.arange(ds))
     bra = np.stack([bra.real, bra.imag], axis=1)
     seed = coherent_state(abs(config.alpha), ds).amplitudes.real
-    stacks = _chain_kraus(config)
-    distinct = {id(s): s[:ds] for s in stacks}  # equal stages share one stack
+    entries = _stage_entries([config])
+    stages = [entries[s.lam, ds, s.idler_dim] for s in config.stages]
     # subs[j][k][b] = <b + k|K_k|b>, the only nonzero entries of stage j's K_k
-    diagonals = {i: [np.diagonal(op, -k) for k, op in enumerate(s)] for i, s in distinct.items()}
-    subs = [diagonals[id(s)] for s in stacks]
+    subs = [[row[: ds - k] for k, row in enumerate(stage[:ds])] for stage in stages]
     # pops[K][b] = sum psi_b^2 over sector K's records, counts[j] sectors after j
     # stages (lift_populations), weighted by ||K_k|b>||^2 (0 off the window)
     keep, counts, u, v, pops = max(map(len, subs)), [1], np.zeros(ds), seed, (seed**2)[None]
-    squares = {i: np.square(s.sum(axis=1)) for i, s in distinct.items()}
-    for stack, sub in zip(stacks, subs):
-        pops = lift_populations(pops, squares[id(stack)])
+    for stage, sub in zip(stages, subs):
+        pops = lift_populations(pops, np.square(stage))
         counts.append(len(pops))
         u = sub[0] * u
         u[1:] += sub[1] * v[:-1]

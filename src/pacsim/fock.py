@@ -96,13 +96,29 @@ def _smallest_window(alpha: complex, m: int, start: int) -> int | None:
     None where no window does: the coherent amplitudes underflow from
     |alpha| ~ 38.6 on, and a window twice the floor past ``start`` that still
     fails is taken as the same case.
+
+    The rungs on window d are the exact rungs cut at d, so a raise leaks at
+    least 1/d below its rung's mode and only less past it: once a window
+    passes, every larger one does. So the windows start + 0, 1, 3, 7, .. are
+    tried until one passes, and the gap after the last failure is bisected.
     """
     if math.exp(-abs(alpha) ** 2 / 2.0) == 0.0:
         return None
-    stop = start + 2 * _signal_dim_floor(alpha, m)
+
+    def passes(d: int) -> bool:
+        return _photon_added(alpha, m, d)[1] is None
+
+    last = start + 2 * _signal_dim_floor(alpha, m) - 1
     # in d <= m levels rung d - 1, raised once more, lies wholly on the top level
-    start = max(start, m + 1)
-    return next((d for d in range(start, stop) if _photon_added(alpha, m, d)[1] is None), None)
+    failed, tried, step = None, max(start, m + 1), 1
+    while not passes(tried):
+        if tried == last:
+            return None
+        failed, tried, step = tried, min(last, tried + step), 2 * step
+    while failed is not None and tried - failed > 1:
+        middle = (failed + tried) // 2
+        failed, tried = (failed, middle) if passes(middle) else (middle, tried)
+    return tried
 
 
 def tail_mass(alpha: complex, added_photons: int, dim: int) -> float:

@@ -26,10 +26,10 @@ from pacsim import (
     coherent_state,
     default_signal_dim,
     orthogonalized_reference,
-    stage_kraus,
 )
 from pacsim import cli
-from pacsim.dynamics import _expm_antisymmetric
+from pacsim.dynamics import _expm_antisymmetric, stage_subdiagonals
+from pacsim.fock import _photon_added, _signal_dim_floor
 
 #: Ladder leakage above this triggers a TruncationWarning.
 LEAKAGE_WARN_LIMIT = 1e-10
@@ -218,6 +218,21 @@ def stage_generator(lam: float, signal_dim: int, idler_dim: int) -> np.ndarray:
     a_s = lowering_matrix(signal_dim)
     a_i = lowering_matrix(idler_dim)
     return lam * (np.kron(a_s.T, a_i.T) - np.kron(a_s, a_i))
+
+
+def stage_kraus(lam: float, signal_dim: int, idler_dim: int) -> np.ndarray:
+    """Kraus operators K_k = <k|U|0> of one stage on the signal, stacked.
+
+    A real (idler_dim, signal_dim, signal_dim) array, the dense view of
+    dynamics.stage_subdiagonals: K_k holds row k of the entries on its k-th
+    subdiagonal and is 0 from k = signal_dim on. The stage maps a signal
+    state psi to sum_k K_k psi (x) |k>.
+    """
+    subs = stage_subdiagonals([lam], signal_dim, idler_dim)[0]
+    kraus = np.zeros((idler_dim, signal_dim, signal_dim))
+    for k in range(min(idler_dim, signal_dim)):
+        kraus[k] = np.diag(subs[k, : signal_dim - k], -k)
+    return kraus
 
 
 def stage_unitary(lam: float, signal_dim: int, idler_dim: int) -> np.ndarray:
@@ -566,3 +581,13 @@ def load_wigner(path: str | Path) -> WignerGrid:
         )
     values = np.array(rows).reshape(x_axis.size, p_axis.size)
     return WignerGrid(x_axis=x_axis, p_axis=p_axis, values=values)
+
+
+def smallest_window_scan(alpha: complex, m: int, start: int) -> int | None:
+    """fock._smallest_window by trying every window in turn: the first from
+    max(start, m + 1) at which a+^m |alpha> passes pacs_ladder's check, or
+    None where none does within twice the floor past ``start``."""
+    if math.exp(-abs(alpha) ** 2 / 2.0) == 0.0:
+        return None
+    windows = range(max(start, m + 1), start + 2 * _signal_dim_floor(alpha, m))
+    return next((d for d in windows if _photon_added(alpha, m, d)[1] is None), None)

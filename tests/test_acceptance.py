@@ -22,7 +22,6 @@ from pacsim import (
     fock_state,
     outcome_probability,
     pacs_state,
-    stage_kraus,
     walk_patterns,
     wigner,
 )
@@ -35,6 +34,7 @@ from oracles import (
     joint_state,
     ladder_apply,
     overlap_fidelity,
+    stage_kraus,
 )
 
 # m! L_m(-|alpha|^2) for |alpha|^2 in {0, 1/4, 1, 4}, m in 0..4, frozen from

@@ -24,7 +24,6 @@ from pacsim import (
     fock_state,
     outcome_probability,
     pacs_state,
-    stage_kraus,
     walk_patterns,
     wigner,
 )
@@ -1058,26 +1057,18 @@ class TestQuickCommands:
 
 
 def _no_stage(*args, **kwargs):
-    raise AssertionError("a stage's Kraus stack was built")
+    raise AssertionError("a stage was built")
 
 
 def _forbid_stages(monkeypatch) -> None:
-    """Make building a stage raise, as a Kraus stack or as the subdiagonals
-    that every stage is built from (a sweep's).
-
-    The memoized stacks are dropped first, so an empty cache afterwards also
-    shows that no stack was built through another name.
-    """
-    stage_kraus.cache_clear()
-    monkeypatch.setattr(dynamics, "stage_kraus", _no_stage)
+    """Make building a stage raise: every runner gets its stages from
+    dynamics.stage_subdiagonals alone."""
     monkeypatch.setattr(dynamics, "stage_subdiagonals", _no_stage)
 
 
 @pytest.fixture
 def no_stage(monkeypatch):
     _forbid_stages(monkeypatch)
-    yield
-    assert stage_kraus.cache_info().currsize == 0
 
 
 @pytest.mark.usefixtures("no_stage")
@@ -1250,7 +1241,6 @@ def test_chain_flags_set_the_cutoff_and_name_its_larger_part(tmp_path, monkeypat
     )
     assert main(["run", str(config), "--outdir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: chain.n_stages: a signal cutoff of ")
-    assert stage_kraus.cache_info().currsize == 0
 
 
 def test_alpha_sweep_keeps_a_given_cutoff(tmp_path, monkeypatch, capsys):

@@ -16,7 +16,6 @@ from pacsim import (
     fock_state,
     outcome_probability,
     pacs_state,
-    stage_kraus,
     walk_patterns,
 )
 from pacsim.dynamics import MAX_LAM
@@ -28,6 +27,7 @@ from oracles import (
     orthogonality_defect,
     perturbative_output,
     stage_generator,
+    stage_kraus,
     stage_unitary,
 )
 

@@ -17,8 +17,10 @@ from pacsim import (
     fock_state,
     pacs_state,
 )
+from pacsim import fock
 from pacsim.dynamics import _readings
-from pacsim.fock import _photon_added, pacs_ladder, tail_mass
+from pacsim.fock import (_photon_added, _signal_dim_floor, _smallest_window, pacs_ladder,
+                         tail_mass)
 
 from oracles import (
     MultiModeState,
@@ -28,6 +30,7 @@ from oracles import (
     laguerre_series,
     mean_photon_number,
     overlap_fidelity,
+    smallest_window_scan,
     tensor,
 )
 
@@ -506,3 +509,44 @@ def test_default_cutoff_holds_the_state(m):
             for smaller in (rule, dim - 1):
                 with pytest.raises(TruncationError):
                     pacs_state(alpha, m, smaller)
+
+
+#: |alpha| from 0.05 to 6, complex included, by m up to 55: 110 cases
+WINDOW_ALPHAS = [0.05, 0.3, 0.7j, 1.0, 1 + 1j, 1.7, 2.5, -3.0, 3 - 4j, 4.5j, 6.0]
+WINDOW_MS = [0, 1, 2, 3, 5, 8, 13, 21, 34, 55]
+
+
+@pytest.mark.parametrize("alpha", WINDOW_ALPHAS)
+def test_window_search_is_the_scan(alpha):
+    """The galloping cutoff search finds the window a scan of every window
+    finds, from the floor (default_signal_dim) and from m + 1, where the
+    answer lies up to 119 windows on."""
+    for m in WINDOW_MS:
+        for start in (_signal_dim_floor(alpha, m), 2):
+            assert _smallest_window(alpha, m, start) == smallest_window_scan(alpha, m, start)
+
+
+@pytest.mark.parametrize("alpha, m, start, suggested", [
+    (2.0, 0, 26, 26),  # coherent_state(2.0, 4), test_truncation_error_with_suggestion
+    (2.0, 3, 29, 30),  # default_signal_dim(2.0, 3), test_default_signal_dim_policy
+    (1.0, 3, 17, 19),  # test_cli's signal_dim 16 for reference_m 3
+    (1e-7, 3, 3, 4),  # three photons added in two levels
+    (0, 3, 3, 4),
+    (1.0, 5, 22, 22),  # the benchmark tables' chain
+])
+def test_pinned_suggestions_are_the_scans(alpha, m, start, suggested):
+    assert _smallest_window(alpha, m, start) == smallest_window_scan(alpha, m, start) == suggested
+
+
+def test_window_search_takes_logarithmically_many_checks(monkeypatch):
+    """1,000 photons added to |1> pass 64 windows past the first tried: a
+    scan checks 65 windows, the search at most 16."""
+    checks = []
+
+    def counting(alpha, m, dim):
+        checks.append(dim)
+        return _photon_added(alpha, m, dim)
+
+    monkeypatch.setattr(fock, "_photon_added", counting)
+    assert _smallest_window(1.0, 1000, 21) == 1065
+    assert len(checks) <= 16

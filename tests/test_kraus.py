@@ -25,10 +25,11 @@ from pacsim import (
     orthogonalized_reference,
     outcome_probability,
     pacs_state,
-    stage_kraus,
     walk_patterns,
 )
+from pacsim import dynamics
 from pacsim.cli import main
+from pacsim.dynamics import stage_subdiagonals
 from pacsim.fock import pacs_ladder
 
 from oracles import (
@@ -40,6 +41,7 @@ from oracles import (
     joint_state,
     overlap_fidelity,
     stage_generator,
+    stage_kraus,
     stage_unitary,
     w_state_reference,
 )
@@ -64,26 +66,6 @@ class TestStageKraus:
             for a in range(ds):
                 for b in range(ds):
                     assert abs(kraus[k, a, b] - u[a * di + k, b * di]) <= tol
-
-    def test_memoized_and_read_only(self):
-        """Every runner, pattern and task shares one stack, so nobody may write to it."""
-        kraus = stage_kraus(0.05, 8, 4)
-        assert stage_kraus(0.05, 8, 4) is kraus
-        assert not kraus.flags.writeable
-        with pytest.raises(ValueError):
-            kraus[0, 0, 0] = 1.0
-
-    def test_sequential_table_builds_the_stage_once(self, tmp_path):
-        """A 3-stage sequential table conditions 8 patterns on one Kraus stack."""
-        stage_kraus.cache_clear()
-        config = tmp_path / "scenario.yaml"
-        config.write_text(
-            "version: 1\nchain: {alpha: 1.0, lam: 0.05, n_stages: 3}\nmode: sequential\n"
-            "tasks:\n  - type: patterns\n    output: p.csv\n",
-            encoding="utf-8",
-        )
-        assert main(["run", str(config), "--outdir", str(tmp_path / "out")]) == 0
-        assert stage_kraus.cache_info().misses == 1
 
     def test_kth_subdiagonal(self):
         """n_s - n_i is conserved, so K_k only maps |b> to |b + k>."""
@@ -116,6 +98,50 @@ class TestStageKraus:
         kraus = stage_kraus(lam, 12, 6)
         total = np.einsum("kab,kac->bc", kraus, kraus)
         assert np.max(np.abs(total - np.eye(12))) < 1e-12
+
+
+def _run_scenario(tmp_path, text):
+    config = tmp_path / "scenario.yaml"
+    config.write_text(f"version: 1\n{text}", encoding="utf-8")
+    assert main(["run", str(config), "--outdir", str(tmp_path / "out")]) == 0
+
+
+STAGED = ChainConfig(1.0, (StageParams(0.05, 4), StageParams(0.1, 3), StageParams(0.05, 4),
+                           StageParams(0.1, 4)))
+
+#: each case's stage builds, (number of lam, idler_dim) per call
+BUILDS = {
+    "uniform-table": (lambda tmp_path: _run_scenario(
+        tmp_path, "chain: {alpha: 1.0, lam: 0.05, n_stages: 3}\nmode: sequential\n"
+        "tasks:\n  - {type: patterns, output: p.csv}\n"), [(1, 4)]),
+    "staged-table": (lambda tmp_path: list(walk_patterns(STAGED, DetectorModel(eta=0.6))),
+                     [(1, 3), (2, 4)]),
+    "w-heralding": (lambda tmp_path: extract_w_state(ChainConfig.uniform(1.0, 0.05, 3)),
+                    [(1, 4)]),
+    "lam-sweep": (lambda tmp_path: _run_scenario(
+        tmp_path, "chain: {alpha: 1.0, lam: 0.05, n_stages: 2}\ntasks:\n"
+        "  - {type: sweep, values: [0.01, 0.02, 0.04, 0.02], pattern: '10', output: s.csv}\n"),
+        [(3, 4)]),
+}
+
+
+@pytest.mark.parametrize("case", BUILDS)
+def test_one_stage_build_per_cutoff_pair(case, tmp_path, monkeypatch):
+    """Every runner builds a chain's stages in one stage_subdiagonals call
+    per distinct (signal_dim, idler_dim), each distinct lam once: a table, a
+    staged chain with a repeated lam and two idler cutoffs, a W heralding
+    and a lam sweep."""
+    run, expected = BUILDS[case]
+    calls = []
+
+    def counting(lams, signal_dim, idler_dim):
+        calls.append((len(lams), signal_dim, idler_dim))
+        return stage_subdiagonals(lams, signal_dim, idler_dim)
+
+    monkeypatch.setattr(dynamics, "stage_subdiagonals", counting)
+    run(tmp_path)
+    assert sorted((n, di) for n, _, di in calls) == expected
+    assert len({(ds, di) for _, ds, di in calls}) == len(calls)
 
 
 @st.composite
@@ -473,7 +499,7 @@ PUBLIC_NAMES = {
     "ClickPattern", "DetectorModel", "orthogonalized_reference", "outcome_probability",
     # dynamics
     "IMPOSSIBLE_PROBABILITY", "ChainConfig", "StageParams", "WStateResult", "extract_w_state",
-    "herald_summary", "stage_kraus", "walk_patterns",
+    "herald_summary", "walk_patterns",
     # errors
     "DimensionBudgetError", "ScenarioError", "StrongCouplingWarning", "TruncationError",
     "TruncationWarning",
@@ -484,7 +510,8 @@ PUBLIC_NAMES = {
 
 def test_public_surface():
     """The names pacsim exports, exactly: the joint-state path, the multimode
-    types and the ensemble types it once exported stay out."""
+    types, the ensemble types and the dense Kraus stacks (stage_kraus, now
+    the tests' reference in oracles) it once exported stay out."""
     exported = {
         name for name in dir(pacsim)
         if not name.startswith("_") and not isinstance(getattr(pacsim, name), types.ModuleType)

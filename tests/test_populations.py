@@ -20,11 +20,12 @@ from pacsim import (
     StrongCouplingWarning,
     TruncationError,
     outcome_probability,
-    stage_kraus,
     walk_patterns,
 )
 from pacsim import dynamics
 from pacsim.dynamics import lift_populations, pattern_probabilities, stage_subdiagonals
+
+from oracles import stage_kraus
 
 
 def subdiagonals_of(kraus: np.ndarray) -> np.ndarray:
@@ -46,7 +47,6 @@ BATCH = [0.0, 1e-3, 0.05, 0.3, 1.0, 4.0, 50.0]
 def test_batch_is_each_lam_alone_bit_for_bit(ds, di):
     """One stacked build equals each lam's own stage_kraus under np.array_equal,
     in either order of the batch, and is 0 off the window and from k = ds on."""
-    stage_kraus.cache_clear()
     for batch in (BATCH, BATCH[::-1]):
         subs = stage_subdiagonals(batch, ds, di)
         assert subs.shape == (len(batch), di, ds)

@@ -788,13 +788,8 @@ def _load_yaml(text: str, source: str | Path) -> Any:
     """``yaml.safe_load(text)``; a YAML error is a ScenarioError naming ``source``.
 
     _read_yaml_subset reads a text that keeps to the subset scenario files
-    use, and PyYAML, imported only then, reads every other text: by libyaml
-    where PyYAML has it, and CSafeLoader shares SafeLoader's constructor and
-    resolver, so both give the same mapping for a well-formed file. Text that
-    libyaml refuses is parsed again by SafeLoader, so its error keeps
-    SafeLoader's message, line and column. libyaml accepts a few forms that
-    SafeLoader refuses, such as a tab after ``key:``; those files take
-    libyaml's reading (the README lists the forms).
+    use; every other text goes to PyYAML's SafeLoader, imported only then,
+    so a file reads the same whether or not PyYAML was built with libyaml.
     """
     try:
         return _read_yaml_subset(text)
@@ -803,11 +798,7 @@ def _load_yaml(text: str, source: str | Path) -> Any:
     import yaml
 
     try:
-        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    except yaml.YAMLError:
-        pass
-    try:
-        return yaml.load(text, Loader=yaml.SafeLoader)
+        return yaml.safe_load(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

@@ -302,6 +302,32 @@ class TestHeraldSummary:
         reference = pacs_state(1.0, 1, config.signal_dim)
         assert herald_summary(config, reference, ladder(config, 1, 3)) == (0.0, None)
 
+    @pytest.mark.parametrize("n", [1, 3, 5, 9])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 1.53 + 1.29j, 2.1 + 2.8j])
+    def test_zero_coupling_is_impossible_for_bright_seeds(self, capsys, alpha, n):
+        """At lam = 0 the signal stays |alpha>, which the reference is
+        orthogonal to: what P reads is rounding, below the 1e-30 floor. One
+        projection of the reference out of the nearly collinear ladder left
+        up to 1.5e-24 at |alpha| = 3.5, N = 9."""
+        config = ChainConfig.uniform(alpha, 0.0, n)
+        reference = pacs_state(alpha, 1, config.signal_dim)
+        assert herald_summary(config, reference, ladder(config, 1, n)) == (0.0, None)
+        assert main(["wstate", "--alpha", str(alpha).strip("()"), "--lam", "0", "--n", str(n)]) == 0
+        assert capsys.readouterr().out == "heralding probability = 0.0\nimpossible outcome\n"
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 3.5, 1.53 + 1.29j, 2.1 + 2.8j])
+    @pytest.mark.parametrize("lam", [1e-9, 1e-6])
+    def test_tiny_coupling_matches_the_idler_state(self, lam, alpha, n):
+        """Just above zero coupling P is real signal, which the floor keeps."""
+        config = ChainConfig.uniform(alpha, lam, n)
+        reference = pacs_state(alpha, 1, config.signal_dim)
+        others = ladder(config, 1, n)
+        probability, w_fidelity = herald_summary(config, reference, others)
+        dense_probability, dense_state = herald_idlers(config, reference, others)
+        assert probability == pytest.approx(dense_probability, rel=1e-10)
+        assert abs(w_fidelity - dense_w_fidelity(dense_state)) <= 1e-10
+
     def test_reference_dim_mismatch(self):
         config = ChainConfig.uniform(1.0, 0.05, 2)
         with pytest.raises(ValueError):

@@ -206,17 +206,6 @@ def test_records_differ_by_field_and_class():
     assert pacsim.DetectorModel(0.25) != pacsim.StageParams(0.25)
 
 
-#: PyYAML's libyaml loader, which reads every text the strict reader leaves
-FAST_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
-def _parse_both_ways(monkeypatch, parse):
-    """``parse()`` with PyYAML's libyaml loader, then with it absent."""
-    fast = parse()
-    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-    return fast, parse()
-
-
 def _read_or_none(text: str):
     """What the strict reader reads from ``text``, or None where it leaves
     ``text`` to PyYAML (it reads no text whose value is None)."""
@@ -229,11 +218,10 @@ def _read_or_none(text: str):
 @pytest.mark.parametrize("text", SCENARIOS.values(), ids=SCENARIOS.keys())
 def test_yaml_parsers_give_the_same_mapping(text):
     read = cli._read_yaml_subset(text)
-    fast = yaml.load(text, Loader=FAST_LOADER)
     pure = yaml.load(text, Loader=yaml.SafeLoader)
-    assert read == fast == pure == yaml.safe_load(text)
-    assert repr(read) == repr(fast) == repr(pure)
-    assert isinstance(fast, dict)
+    assert read == pure == cli._load_yaml(text, "s.yaml")
+    assert repr(read) == repr(pure)
+    assert isinstance(pure, dict)
 
 
 #: what the random edits put in: YAML's indicators, quotes, digits, the
@@ -257,15 +245,13 @@ def edited(draw, text: str) -> str:
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_reader_reads_edited_scenarios_as_pyyaml_does(name, data):
     """Every edit of a scenario either goes to PyYAML or is read exactly as
-    libyaml and SafeLoader read it, so True, 1 and 1.0 cannot stand in for
-    one another."""
+    SafeLoader reads it, so True, 1 and 1.0 cannot stand in for one another."""
     text = data.draw(edited(SCENARIOS[name]))
     read = _read_or_none(text)
     if read is not None:
-        fast = yaml.load(text, Loader=FAST_LOADER)
         pure = yaml.load(text, Loader=yaml.SafeLoader)
-        assert read == fast == pure
-        assert repr(read) == repr(fast) == repr(pure)
+        assert read == pure
+        assert repr(read) == repr(pure)
 
 
 @pytest.mark.parametrize("text, value, read", [
@@ -320,18 +306,54 @@ def test_text_outside_the_subset_is_left_to_pyyaml(text):
     "version: 1\nchain: !!python/object:os.system {}\n",
     "version: 1\ntasks: [{a: 1}, {b: 2}\n",
 ])
-def test_malformed_yaml_gives_the_same_error(tmp_path, monkeypatch, capsys, text):
+def test_malformed_yaml_gives_the_same_error(tmp_path, capsys, text):
+    """A YAML error exits 1 with SafeLoader's message, line and column."""
+    config = tmp_path / "scenario.yaml"
+    config.write_text(text, encoding="utf-8")
+    with pytest.raises(yaml.YAMLError) as parsed:
+        yaml.load(text, Loader=yaml.SafeLoader)
+    mark = parsed.value.problem_mark
+    assert main(["run", str(config), "--outdir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (f"error: {config}: YAML parse error at line "
+                                       f"{mark.line + 1}, column {mark.column + 1}: {parsed.value}\n")
+    assert not (tmp_path / "out").exists()
+
+
+SMALL = ("version: 1\nchain:\n  alpha: 1.0\n  lam: 0.05\n  n_stages: 2\n"
+         "tasks:\n  - type: patterns\n    output: p.csv\n")
+
+
+@pytest.mark.parametrize("text, code", [
+    (SMALL.replace("alpha: 1.0", "alpha:\t1.0"), 1),
+    (SMALL.replace("- type: patterns\n    output: p.csv", "- {type: patterns, output: p?q.csv}"), 1),
+    (SMALL + "mode: >#\n  full\n", 1),
+    (SMALL.replace("tasks:", "\ufefftasks:"), 1),
+    (SMALL.replace("n_stages: 2", "n_stages: 2\n  signal_dim: !"), 0),
+], ids=["tab-after-key", "question-mark-in-flow-word", "hash-after-block-indicator",
+        "bom-starting-a-line", "empty-tagged-value"])
+def test_reading_does_not_depend_on_libyaml(tmp_path, monkeypatch, capsys, text, code):
+    """The forms that PyYAML's libyaml loader reads otherwise than SafeLoader
+    lie outside the subset and go to SafeLoader alone, so a file reads, or
+    fails, the same whether or not PyYAML was built with libyaml."""
+    assert _read_or_none(text) is None
     config = tmp_path / "scenario.yaml"
     config.write_text(text, encoding="utf-8")
 
-    def stderr_of_run() -> str:
-        assert main(["run", str(config), "--outdir", str(tmp_path / "out")]) == 1
-        return capsys.readouterr().err
+    def outcome() -> tuple[int, str]:
+        try:
+            read = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            with pytest.raises(cli.ScenarioError) as error:
+                cli._load_yaml(text, config)
+            assert str(error.value).endswith(f": {exc}")
+        else:
+            assert repr(cli._load_yaml(text, config)) == repr(read)
+        return main(["run", str(config), "--outdir", str(tmp_path / "out")]), capsys.readouterr().err
 
-    fast, pure = _parse_both_ways(monkeypatch, stderr_of_run)
-    assert fast == pure
-    assert fast.startswith(f"error: {config}: YAML parse error")
-    assert not (tmp_path / "out").exists()
+    with_libyaml = outcome()
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert outcome() == with_libyaml
+    assert with_libyaml[0] == code
 
 
 def test_plain_run_loads_no_argparse_or_locale(run_python, tmp_path):

@@ -69,7 +69,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 import numpy as np
 
 from .detection import ClickPattern, DetectorModel, outcome_probability
-from .dynamics import (DEFAULT_IDLER_DIM, MAX_LAM, ChainConfig, StageParams, extract_w_state,
+from .dynamics import (DEFAULT_IDLER_DIM, ChainConfig, StageParams, extract_w_state,
                        pattern_probabilities, pattern_table)
 from .errors import DimensionBudgetError, FieldError, ScenarioError, TruncationError
 from .fock import (
@@ -159,7 +159,8 @@ def _is_int(value: Any) -> bool:
 
 
 def _is_number(value: Any) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    """True for YAML floats and for the integers a float holds."""
+    return _is_int(value) and abs(value) <= sys.float_info.max or isinstance(value, float)
 
 
 def _is_positive(value: Any) -> bool:
@@ -370,24 +371,21 @@ def _parse_task(
             raise ScenarioError(f"{field}: expected a nonempty list")
         for v in values:
             _typed(v, _is_positive, field, "positive numbers")
-            if param == "lam" and v > MAX_LAM:
-                raise ScenarioError(f"{field}: lam must be at most {MAX_LAM}, got {v!r}")
         if fit and (len(values) < 3 or len(set(values)) != len(values)):
             raise ScenarioError(f"{field}: a fit needs >= 3 distinct values")
         task["values"] = [float(v) for v in values]
         task["pattern"] = _parse_pattern(task["pattern"], chain.n_stages, f"{where}.pattern")
-        if param == "alpha":
-            # each chain, at the given cutoff or else at its default, must fit the budget
+        # each chain, at the given cutoff or else at its default, must fit the budget
+        try:
             task["chains"] = [
                 _build_chain(_parse_alpha(v, field), chain.stages, signal_dim, field, field)
+                if param == "alpha" else _build_chain(
+                    chain.alpha, tuple(StageParams(float(v), s.idler_dim) for s in chain.stages),
+                    chain.signal_dim, field, field)
                 for v in values
             ]
-        else:
-            task["chains"] = [
-                ChainConfig(chain.alpha, tuple(StageParams(v, s.idler_dim) for s in chain.stages),
-                            chain.signal_dim)
-                for v in task["values"]
-            ]
+        except FieldError as exc:  # a lam that StageParams refuses
+            raise ScenarioError(f"{field}: {exc}") from None
     elif ttype == "wigner":
         task["state"] = _parse_state_spec(str(task["state"]), f"{where}.state")
         for field in ("extent", "step"):

@@ -12,21 +12,22 @@ them. K_k is nonzero only on its k-th subdiagonal: stage_subdiagonals
 computes those entries from the vacuum-idler columns of U's blocks, for a
 batch of lam in one stacked exponential per block size and without forming
 U, and every runner below gets its chain's stages from _stage_entries, one
-such call per (signal_dim, idler_dim). walk_patterns builds the dense K_k
-from them and folds the signal's density matrix through those level by
-level over the click prefixes, a depth's prefixes in stacked products, and
-yields every pattern's (P, rho), so every pattern of a table shares its
-prefixes' folds; pattern_table reads a table's columns off those leaves
-(P, the fidelity to the photon-added state of the pattern's click count
-and the mean photon number). A probability alone needs only the signal's
-populations: lift_populations carries them through one stage, and
-pattern_probabilities reads one pattern's P on a batch of chains (a
-sweep's values) through it, from the squared entries. herald_summary
-contracts the entries into the heralding probability and W fidelity, with
-lift_populations bounding the excitation sectors it can skip;
-extract_w_state reports them for a reference from the photon-added ladder.
-None of them forms the joint signal-idler state or any array indexed by
-idler records.
+such call per (signal_dim, idler_dim), and its seed from _seed, the real
+amplitudes of |abs(alpha)> and the level phases of alpha. walk_patterns
+builds the dense K_k from the entries and folds the signal's density matrix
+through those level by level over the click prefixes, a depth's prefixes in
+stacked products, and yields every pattern's (P, rho), so every pattern of
+a table shares its prefixes' folds; pattern_table reads a table's columns
+off those leaves (P, the fidelity to the photon-added state of the
+pattern's click count and the mean photon number). A probability alone
+needs only the signal's populations: lift_populations carries them through
+one stage, and pattern_probabilities reads one pattern's P on a batch of
+chains (a sweep's values) through it, from the squared entries.
+herald_summary contracts the entries into the heralding probability and W
+fidelity, with lift_populations bounding the excitation sectors it can
+skip; extract_w_state reports them for a reference from the photon-added
+ladder. None of them forms the joint signal-idler state or any array
+indexed by idler records.
 """
 
 from __future__ import annotations
@@ -192,6 +193,21 @@ def _stage_entries(chains: Iterable[ChainConfig]) -> dict[tuple[float, int, int]
             for lam, sub in zip(batch, stage_subdiagonals(list(batch), *dims))}
 
 
+def _seed(alpha: complex, signal_dim: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The seed |alpha> as the real amplitudes of |abs(alpha)> on the window,
+    and its level phases e^{in arg alpha}: None for real alpha >= 0, exactly
+    (-1)^n for real alpha < 0 and complex otherwise. Every K_k is real and
+    raises the level by k, so a record of excitation K from |alpha> is its
+    record from |abs(alpha)> times those phases and e^{-iK arg alpha}: the
+    runners work in real arithmetic and put the phases back where they read."""
+    levels = np.arange(signal_dim)
+    if alpha.imag != 0.0:
+        phases = np.exp(1j * np.angle(alpha) * levels)
+    else:
+        phases = None if alpha.real >= 0.0 else (-1.0) ** levels
+    return coherent_state(abs(alpha), signal_dim).amplitudes.real, phases
+
+
 def walk_patterns(
     config: ChainConfig, detector: DetectorModel, pattern: ClickPattern | None = None
 ) -> Iterator[tuple[ClickPattern, float, np.ndarray]]:
@@ -208,8 +224,8 @@ def walk_patterns(
 
     Yields (pattern, P, rho) per leaf, with rho unnormalized and
     P = tr rho, in lexicographic order with no-click first ("00..",
-    "00..1", ...); rho is float64 where alpha is real and nonnegative, and
-    complex otherwise. Given ``pattern``, walks only its prefix path (N folds)
+    "00..1", ...); rho is float64 where alpha is real, and complex
+    otherwise. Given ``pattern``, walks only its prefix path (N folds)
     and yields its one leaf. Impossible outcomes are left to the caller
     (see detection.outcome_probability).
     """
@@ -286,13 +302,8 @@ def _walk_batches(
         outcomes = slice(None) if pattern is None else [int(pattern.clicks[depth])]
         stages.append((kraus, weighted[outcomes]))
     most = max(1, _WALK_ENTRIES // max(kraus.size for kraus, _ in stages))
-    # every K_k is real and raises the level by k, so the fold commutes with
-    # rho -> D rho D^+, D = diag(e^{in arg alpha}): the walk runs in real
-    # arithmetic from |abs(alpha)> and puts the phases back at the leaves,
-    # where there are any (arg alpha != 0)
-    phase = np.exp(1j * np.angle(config.alpha) * np.arange(ds))
-    rotation = np.outer(phase, phase.conj()) if np.angle(config.alpha) != 0.0 else None
-    psi = coherent_state(abs(config.alpha), ds).amplitudes.real
+    psi, phases = _seed(config.alpha, ds)
+    rotation = None if phases is None else np.outer(phases, phases.conj())
     # (depth, index of the stack's first prefix among its depth's, rho
     # stack); the last is walked next, so the leaves come out in order
     todo = [(0, 0, np.outer(psi, psi)[None])]
@@ -301,10 +312,7 @@ def _walk_batches(
         if depth == n:
             bits = (np.arange(first, first + len(rhos))[:, None] >> np.arange(n)[::-1]) & 1
             patterns = [ClickPattern(b) for b in bits.tolist()] if pattern is None else [pattern]
-            leaves = rhos
-            if rotation is not None:
-                leaves = rhos.astype(complex)
-                leaves *= rotation  # rhos * rotation, without a mixed-type product
+            leaves = rhos if rotation is None else rhos * rotation
             yield patterns, np.trace(rhos, axis1=1, axis2=2), leaves
         elif len(rhos) > 1 and len(rhos) << (n - 1 - depth) > most:
             half = len(rhos) // 2
@@ -372,8 +380,7 @@ def pattern_probabilities(
     for chain in chains:
         ds = chain.signal_dim
         if (abs(chain.alpha), ds) not in seeds:
-            seed = coherent_state(abs(chain.alpha), ds).amplitudes.real
-            seeds[abs(chain.alpha), ds] = np.square(seed)[None]
+            seeds[abs(chain.alpha), ds] = np.square(_seed(chain.alpha, ds)[0])[None]
         pops = seeds[abs(chain.alpha), ds]
         for stage, click in zip(chain.stages, pattern.clicks):
             if (stage.idler_dim, click) not in povms:
@@ -421,13 +428,10 @@ def herald_summary(
         raise ValueError(f"reference dim {reference.dim} does not match signal dim {ds}")
     if orthogonal_to:
         reference = orthogonalized_reference(reference, orthogonal_to)
-    # every K_k is real and raises the level by k, so level n of a record
-    # with excitation K has the phase e^{i(n - K) arg alpha}; e^{-iK arg alpha}
-    # drops out of |<r|psi>|, and moving e^{in arg alpha} onto the bra leaves
-    # every factor real
-    bra = reference.amplitudes * np.exp(-1j * np.angle(config.alpha) * np.arange(ds))
+    # e^{-iK arg alpha} drops out of |<r|psi>|, and the level phases go onto the bra
+    seed, phases = _seed(config.alpha, ds)
+    bra = reference.amplitudes if phases is None else reference.amplitudes * phases.conj()
     bra = np.stack([bra.real, bra.imag], axis=1)
-    seed = coherent_state(abs(config.alpha), ds).amplitudes.real
     entries = _stage_entries([config])
     stages = [entries[s.lam, ds, s.idler_dim] for s in config.stages]
     # subs[j][k][b] = <b + k|K_k|b>, the only nonzero entries of stage j's K_k

@@ -410,6 +410,56 @@ class TestValidationFailures:
             capsys,
         )
 
+    @pytest.mark.parametrize(
+        "chain, task, field",
+        [
+            ("{alpha: 1.0, lam: 101, n_stages: 1}", "{type: patterns, output: p.csv}",
+             "chain.lam"),
+            ("{alpha: 1.0, lam: 0.05, n_stages: 1}",
+             "{type: sweep, values: [0.01, 101], pattern: '1', output: s.csv}",
+             "tasks[0].values"),
+        ],
+        ids=["chain", "sweep"],
+    )
+    def test_integer_lam_above_its_bound_rejected(self, tmp_path, capsys, chain, task, field):
+        """StageParams alone refuses the value, as the float it holds."""
+        self.run_expecting_error(
+            tmp_path,
+            f"version: 1\nchain: {chain}\ntasks:\n  - {task}\n",
+            f"error: {field}: lam must be at most 100.0, got 101.0\n",
+            capsys,
+        )
+
+    @pytest.mark.parametrize(
+        "chain, task, message",
+        [
+            ("{alpha: 1.0, lam: %s, n_stages: 1}", "{type: patterns, output: p.csv}",
+             "chain.lam: expected a number"),
+            ("{alpha: %s, lam: 0.05, n_stages: 1}", "{type: patterns, output: p.csv}",
+             "chain.alpha: expected a number or complex string"),
+            ("{alpha: 1.0, lam: 0.05, n_stages: 1}",
+             "{type: sweep, values: [0.01, %s], pattern: '1', output: s.csv}",
+             "tasks[0].values: expected positive numbers"),
+            ("{alpha: 1.0, lam: 0.05, n_stages: 1}",
+             "{type: sweep, param: alpha, values: [%s], pattern: '1', output: s.csv}",
+             "tasks[0].values: expected positive numbers"),
+            ("{alpha: 1.0, lam: 0.05, n_stages: 1}",
+             "{type: wigner, state: 'fock:1', extent: %s, output: w.txt}",
+             "tasks[0].extent: expected a positive number"),
+        ],
+        ids=["chain-lam", "chain-alpha", "lam-sweep", "alpha-sweep", "wigner-extent"],
+    )
+    def test_integer_beyond_a_float_rejected(self, tmp_path, capsys, chain, task, message):
+        """An integer no float holds is refused naming its field, not converted
+        into an OverflowError."""
+        big = "1" + "0" * 400
+        self.run_expecting_error(
+            tmp_path,
+            f"version: 1\nchain: {chain}\ntasks:\n  - {task}\n".replace("%s", big),
+            f"error: {message}, got {big}\n",
+            capsys,
+        )
+
     def test_ladder_truncation_suggests_a_cutoff_for_every_rung(self, tmp_path, capsys):
         """References up to m = 3 that leak at signal_dim 16 suggest m = 3's
         cutoff, 19, not that of m = 2, the first rung that leaks (18)."""

@@ -303,12 +303,16 @@ class TestHeraldSummary:
         assert herald_summary(config, reference, ladder(config, 1, 3)) == (0.0, None)
 
     @pytest.mark.parametrize("n", [1, 3, 5, 9])
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 1.53 + 1.29j, 2.1 + 2.8j])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 1.53 + 1.29j, 2.1 + 2.8j,
+                                       -1.0, -3.5, -5.5, -6.0])
     def test_zero_coupling_is_impossible_for_bright_seeds(self, capsys, alpha, n):
         """At lam = 0 the signal stays |alpha>, which the reference is
         orthogonal to: what P reads is rounding, below the 1e-30 floor. One
         projection of the reference out of the nearly collinear ladder left
-        up to 1.5e-24 at |alpha| = 3.5, N = 9."""
+        up to 1.5e-24 at |alpha| = 3.5, N = 9. A real alpha < 0 has the level
+        phases (-1)^n exactly, so its bra is |abs(alpha)>'s; phases e^{in pi}
+        left imaginary parts n 1.2e-16 in it, and P = 2.3e-30 at alpha = -6,
+        N = 1."""
         config = ChainConfig.uniform(alpha, 0.0, n)
         reference = pacs_state(alpha, 1, config.signal_dim)
         assert herald_summary(config, reference, ladder(config, 1, n)) == (0.0, None)
@@ -327,6 +331,28 @@ class TestHeraldSummary:
         dense_probability, dense_state = herald_idlers(config, reference, others)
         assert probability == pytest.approx(dense_probability, rel=1e-10)
         assert abs(w_fidelity - dense_w_fidelity(dense_state)) <= 1e-10
+
+    def test_tiny_coupling_heralds_a_negative_seed(self, capsys):
+        """lam = 1e-9 at alpha = -1 still heralds, with |alpha>'s own P and F_W."""
+        config = ChainConfig.uniform(-1.0, 1e-9, 5)
+        result = extract_w_state(config)
+        assert result == extract_w_state(ChainConfig.uniform(1.0, 1e-9, 5))
+        assert result.probability == pytest.approx(9.3e-19, rel=1e-3)
+        assert main(["wstate", "--alpha=-1", "--lam", "1e-9", "--n", "5"]) == 0
+        assert "fidelity vs 5-mode W state" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "alpha, lam, n, probability, w_fidelity",
+        [(-1.3, 0.05, 3, 0.000858312633695699, 0.9968402521358913),
+         (-2.0, 0.01, 5, 3.87493511175457e-06, 0.9995002532051107)],
+    )
+    def test_negative_seed_heralds_as_its_magnitude(self, alpha, lam, n, probability, w_fidelity):
+        """At lam > 0 a real alpha < 0 heralds with P and F_W bit for bit those of
+        -alpha, and those of the e^{in pi} phases before them (pinned)."""
+        result = extract_w_state(ChainConfig.uniform(alpha, lam, n))
+        assert result == extract_w_state(ChainConfig.uniform(-alpha, lam, n))
+        assert result.probability == pytest.approx(probability, rel=1e-12)
+        assert result.w_fidelity == pytest.approx(w_fidelity, rel=1e-12)
 
     def test_reference_dim_mismatch(self):
         config = ChainConfig.uniform(1.0, 0.05, 2)

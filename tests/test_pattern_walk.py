@@ -189,6 +189,21 @@ def test_walk_memory_is_bounded_by_the_stack_limit():
         assert peak < 4 * 8 * dynamics._WALK_ENTRIES
 
 
+def test_negative_seed_leaves_are_real():
+    """At alpha = -1.3 the leaves stay float64: bit for bit the alpha = +1.3
+    leaves times the exact level phases (-1)^(m+n), with the same P."""
+    detector = DetectorModel(0.6, 1e-4)
+    levels = np.arange(ChainConfig.uniform(1.3, 0.05, 3).signal_dim)
+    signs = (-1.0) ** np.add.outer(levels, levels)
+    negative = list(walk_patterns(ChainConfig.uniform(-1.3, 0.05, 3), detector))
+    positive = list(walk_patterns(ChainConfig.uniform(1.3, 0.05, 3), detector))
+    assert len(negative) == len(positive) == 8
+    for (p_neg, prob_neg, rho_neg), (p_pos, prob_pos, rho_pos) in zip(negative, positive):
+        assert p_neg == p_pos and prob_neg == prob_pos
+        assert rho_neg.dtype == np.float64
+        assert rho_neg.tobytes() == (rho_pos * signs).tobytes()
+
+
 @pytest.mark.parametrize("mode", ["sequential", "full"])
 def test_filtered_task_is_the_same_row(tmp_path, fold_counter, mode):
     """A `pattern:` task gives the unfiltered table's row, from one path's work."""
